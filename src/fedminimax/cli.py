@@ -2,7 +2,7 @@
 
 Commands::
 
-    fedminimax run    --config cfg.json [--out DIR] [--seed N] [--parallel]
+    fedminimax run    --config cfg.json [--out DIR] [--seed N]
     fedminimax sweep  --config cfg.json --axes AXES --out DIR
     fedminimax verify --trace trace.csv --config cfg.json
 
@@ -30,7 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ALGORITHMS, HyperParams, NoiseModel, theorem1_schedule, theorem2_schedule
+from .core import (
+    ALGORITHMS,
+    HyperParams,
+    NoiseModel,
+    hyperparam_errors,
+    theorem1_schedule,
+    theorem2_schedule,
+)
 from .fedopt import InternalInvariantViolation, run, trace_from_csv, trace_to_csv
 from .metrics import verify_invariants
 from .problems import gen_imbalanced_data, make_auc_problem, make_saddle_problem
@@ -56,7 +63,6 @@ CONFIG_DEFAULTS = {
     "zero_momentum_policy": "skip",
     "noise": {"family": "none", "s": 2.0, "sigma": 0.0},
     "out": None,
-    "parallel_clients": False,
     "momentum_warm_start": False,
     "halt_on_divergence": False,
     "phi_tol": 1e-8,
@@ -110,7 +116,6 @@ class ExperimentConfig:
     zero_momentum_policy: str
     noise: NoiseModel
     out: Optional[str]
-    parallel_clients: bool
     momentum_warm_start: bool
     halt_on_divergence: bool
     phi_tol: float
@@ -133,6 +138,10 @@ def _take(data: dict, key, want, errors, default=None):
         errors.append(f"{key}: expected {tuple(k.__name__ for k in kinds)}, got {type(val).__name__}")
         return default
     return val
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _parse_problem(raw, errors):
@@ -158,6 +167,9 @@ def _parse_problem(raw, errors):
             errors.append("problem.amp: must be >= 0")
     elif kind == "auc":
         ratios = _take(raw, "ratios", list, errors, None)
+        if ratios is not None and not all(map(_is_number, ratios)):
+            errors.append(f"problem.ratios: must be a list of numbers, got {ratios!r}")
+            ratios = None
         spec = AucSpec(
             n_per_client=_take(raw, "n_per_client", int, errors, 640),
             ratio=_take(raw, "ratio", float, errors, 0.1),
@@ -200,9 +212,6 @@ def parse_config(text: str) -> ExperimentConfig:
     N = _take(data, "N", int, errors, CONFIG_DEFAULTS["N"])
     p = _take(data, "p", int, errors, CONFIG_DEFAULTS["p"])
     T = _take(data, "T", int, errors, CONFIG_DEFAULTS["T"])
-    for name, val in (("N", N), ("p", p), ("T", T)):
-        if val is not None and val < 1:
-            errors.append(f"{name}: must be >= 1, got {val}")
 
     seed = _take(data, "seed", int, errors, None)
     seeds_raw = _take(data, "seeds", list, errors, None)
@@ -235,37 +244,23 @@ def parse_config(text: str) -> ExperimentConfig:
         missing = [k for k in RATE_KEYS if k not in explicit_given]
         if missing:
             errors.append(f"explicit mode needs all of {RATE_KEYS}; missing {missing}")
-        for k in ("gamma_x", "gamma_y", "eta_x", "eta_y"):
-            v = explicit_given.get(k)
-            if v is not None and v <= 0:
-                errors.append(f"{k}: must be positive, got {v}")
-        for k in ("beta_x", "beta_y"):
-            v = explicit_given.get(k)
-            if v is not None and not (0.0 < v <= 1.0):
-                errors.append(f"{k}: must lie in (0, 1], got {v}")
         explicit = explicit_given
 
     constants_raw = _take(data, "constants", list, errors, None)
     if constants_raw is None:
         constants = CONFIG_DEFAULTS["constants"]
-    elif len(constants_raw) != 3 or any(not isinstance(c, (int, float)) or c <= 0 for c in constants_raw):
+    elif len(constants_raw) != 3 or any(not _is_number(c) or c <= 0 for c in constants_raw):
         errors.append("constants: must be three positive numbers")
         constants = CONFIG_DEFAULTS["constants"]
     else:
         constants = tuple(float(c) for c in constants_raw)
 
     tau = _take(data, "tau", float, errors, CONFIG_DEFAULTS["tau"])
-    if tau is not None and tau <= 0:
-        errors.append(f"tau: must be positive, got {tau}")
     ns_iters = _take(data, "ns_iters", int, errors, CONFIG_DEFAULTS["ns_iters"])
-    if ns_iters is not None and ns_iters < 1:
-        errors.append(f"ns_iters: must be >= 1, got {ns_iters}")
     ns_mode = _take(data, "ns_mode", str, errors, CONFIG_DEFAULTS["ns_mode"])
-    if ns_mode not in ("iterative", "exact-svd"):
-        errors.append(f"ns_mode: must be 'iterative' or 'exact-svd', got {ns_mode!r}")
     policy = _take(data, "zero_momentum_policy", str, errors, CONFIG_DEFAULTS["zero_momentum_policy"])
-    if policy not in ("skip", "error"):
-        errors.append(f"zero_momentum_policy: must be 'skip' or 'error', got {policy!r}")
+    errors += hyperparam_errors(N=N, p=p, T=T, tau=tau, ns_iters=ns_iters, ns_mode=ns_mode,
+                                zero_momentum_policy=policy, **explicit_given)
 
     noise_raw = _take(data, "noise", dict, errors, dict(CONFIG_DEFAULTS["noise"]))
     noise = NoiseModel()
@@ -285,7 +280,6 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"noise: {exc}")
 
     out = _take(data, "out", (str, type(None)), errors, CONFIG_DEFAULTS["out"])
-    parallel = _take(data, "parallel_clients", bool, errors, CONFIG_DEFAULTS["parallel_clients"])
     warm = _take(data, "momentum_warm_start", bool, errors, CONFIG_DEFAULTS["momentum_warm_start"])
     halt = _take(data, "halt_on_divergence", bool, errors, CONFIG_DEFAULTS["halt_on_divergence"])
     phi_tol = _take(data, "phi_tol", float, errors, CONFIG_DEFAULTS["phi_tol"])
@@ -300,7 +294,7 @@ def parse_config(text: str) -> ExperimentConfig:
         algorithm=algorithm, problem=problem, N=N, p=p, T=T, seeds=seeds,
         schedule=schedule, constants=constants, explicit=explicit,
         tau=tau, ns_iters=ns_iters, ns_mode=ns_mode, zero_momentum_policy=policy,
-        noise=noise, out=out, parallel_clients=parallel, momentum_warm_start=warm,
+        noise=noise, out=out, momentum_warm_start=warm,
         halt_on_divergence=halt, phi_tol=phi_tol,
     )
 
@@ -319,7 +313,6 @@ def serialize_config(config: ExperimentConfig) -> str:
             "sigma": config.noise.sigma, "tail_exponent": config.noise.tail_exponent,
         },
         "out": config.out,
-        "parallel_clients": config.parallel_clients,
         "momentum_warm_start": config.momentum_warm_start,
         "halt_on_divergence": config.halt_on_divergence,
         "phi_tol": config.phi_tol,
@@ -387,23 +380,27 @@ def trace_filename(algorithm: str, seed: int) -> str:
 
 
 def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
-            seed_override: Optional[int] = None, parallel: Optional[bool] = None) -> int:
-    """Run one experiment per seed, write trace CSVs, verify invariants."""
+            seed_override: Optional[int] = None) -> int:
+    """Run one experiment per seed, write trace CSVs, verify invariants.
+
+    A seed whose run breaks an invariant is reported and skipped; the
+    other seeds still run and write their traces.
+    """
     out_dir = _outdir(config, out)
     problem = build_problem(config)
     hp = resolve_hyperparams(config, problem)
     seeds = (seed_override,) if seed_override is not None else config.seeds
-    use_parallel = config.parallel_clients if parallel is None else parallel
     status = 0
     for seed in seeds:
         try:
             trace = run(
                 config.algorithm, problem, hp, noise=config.noise, seed=seed,
-                parallel=use_parallel, momentum_warm_start=config.momentum_warm_start,
+                momentum_warm_start=config.momentum_warm_start,
                 halt_on_divergence=config.halt_on_divergence, phi_tol=config.phi_tol)
         except InternalInvariantViolation as exc:
             print(f"seed {seed}: invariant violation during run: {exc}", file=sys.stderr)
-            return 2
+            status = 2
+            continue
         path = os.path.join(out_dir, trace_filename(config.algorithm, seed))
         trace_to_csv(trace, path)
         report = verify_invariants(trace, hp)
@@ -456,7 +453,6 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
         hp = resolve_hyperparams(cell, problem)
         seed = cell.seeds[0]
         trace = run(cell.algorithm, problem, hp, noise=cell.noise, seed=seed,
-                    parallel=cell.parallel_clients,
                     momentum_warm_start=cell.momentum_warm_start,
                     halt_on_divergence=cell.halt_on_divergence, phi_tol=cell.phi_tol)
         s = trace.summary()
@@ -518,8 +514,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--parallel", action="store_true", default=None,
-                       help="run clients in a thread pool (same results, possibly faster)")
 
     p_sweep = sub.add_parser("sweep", help="run a grid over {algorithm,p,T,N,s,seed}")
     p_sweep.add_argument("--config", required=True)
@@ -538,7 +532,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = _load_config_arg(args.config)
-            return cmd_run(config, out=args.out, seed_override=args.seed, parallel=args.parallel)
+            return cmd_run(config, out=args.out, seed_override=args.seed)
         if args.command == "sweep":
             config = _load_config_arg(args.config)
             return cmd_sweep(config, _load_axes_arg(args.axes), out=args.out)

@@ -96,17 +96,12 @@ class NoiseModel:
     satisfies E[norm^s] = sigma^s exactly (the radius distribution is
     rescaled analytically).  With ``tail_exponent < 2`` the variance is
     genuinely unbounded. ``family="none"`` disables noise entirely.
-
-    ``seed_policy`` names the scheme used to derive one independent random
-    stream per (master seed, client, round, local step); only "counter"
-    (a counter-keyed splittable stream) is defined.
     """
 
     s: float = 2.0
     sigma: float = 0.0
     family: str = "none"
     tail_exponent: float | None = None
-    seed_policy: str = "counter"
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
@@ -119,8 +114,6 @@ class NoiseModel:
             raise ValueError("gaussian noise is only valid with s=2")
         if self.family == "none" and self.sigma != 0.0:
             raise ValueError("family 'none' forces sigma=0")
-        if self.seed_policy != "counter":
-            raise ValueError(f"unknown seed policy {self.seed_policy!r}")
         if self.tail_exponent is None:
             # midway between s and 2: moments up to s finite, variance infinite for s<2
             object.__setattr__(self, "tail_exponent", (self.s + 2.0) / 2.0)
@@ -157,24 +150,40 @@ class HyperParams:
     zero_momentum_policy: str = "skip"
 
     def __post_init__(self):
-        for name in ("gamma_x", "gamma_y", "eta_x", "eta_y", "tau"):
-            v = getattr(self, name)
-            if not (v > 0):
-                raise ValueError(f"{name} must be positive, got {v}")
-        for name in ("beta_x", "beta_y"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
-        for name in ("p", "T", "N", "ns_iters"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v}")
-        if self.ns_mode not in ("iterative", "exact-svd"):
-            raise ValueError(f"ns_mode must be 'iterative' or 'exact-svd', got {self.ns_mode!r}")
-        if self.zero_momentum_policy not in ("skip", "error"):
-            raise ValueError(
-                f"zero_momentum_policy must be 'skip' or 'error', got {self.zero_momentum_policy!r}"
-            )
+        errors = hyperparam_errors(**vars(self))
+        if errors:
+            raise ValueError("; ".join(errors))
+
+
+_POSITIVE = ("gamma_x", "gamma_y", "eta_x", "eta_y", "tau")
+_UNIT_INTERVAL = ("beta_x", "beta_y")
+_COUNTS = ("p", "T", "N", "ns_iters")
+_CHOICES = {"ns_mode": ("iterative", "exact-svd"), "zero_momentum_policy": ("skip", "error")}
+
+
+def hyperparam_errors(**fields) -> list:
+    """Every :class:`HyperParams` rule the given fields break, one message each.
+
+    Only the fields passed are checked, so a caller holding part of a
+    configuration can validate that part; each message starts with its
+    field name.
+    """
+    errors = []
+    for name, v in fields.items():
+        if name in _POSITIVE:
+            ok, want = v > 0, "must be positive"
+        elif name in _UNIT_INTERVAL:
+            ok, want = 0.0 < v <= 1.0, "must lie in (0, 1]"
+        elif name in _COUNTS:
+            ok, want = int(v) == v and v >= 1, "must be a positive integer"
+        elif name in _CHOICES:
+            ok, want = v in _CHOICES[name], f"must be one of {_CHOICES[name]}"
+            v = repr(v)
+        else:
+            raise TypeError(f"HyperParams has no field {name!r}")
+        if not ok:
+            errors.append(f"{name}: {want}, got {v}")
+    return errors
 
 
 def theorem1_schedule(
@@ -199,8 +208,9 @@ def theorem1_schedule(
     ``c`` default to 1 and are user-tunable.  Extra keyword arguments
     (tau, ns_iters, ...) pass through to :class:`HyperParams`.
     """
-    if int(N) != N or N < 1 or int(p) != p or p < 1 or int(T) != T or T < 1:
-        raise ValueError(f"N, p, T must be positive integers, got {(N, p, T)}")
+    errors = hyperparam_errors(N=N, p=p, T=T)
+    if errors:
+        raise ValueError("; ".join(errors))
     c1, c2, c3 = c
     if not (c1 > 0 and c2 > 0 and c3 > 0):
         raise ValueError(f"scale constants must be positive, got {c}")

@@ -22,20 +22,19 @@ Four local update rules share this skeleton:
                      dominate the update, so divergence is possible and
                      is recorded rather than raised.
 
-The local momentum mixes each fresh stochastic gradient with the
-*previous round's global* momentum (held constant across the round's
-local steps); it is not recursive over local steps.  A locally recursive
-variant exists behind ``recursive_local_momentum`` for ablation only.
+The local momentum of the three bounded rules mixes each fresh
+stochastic gradient with the *previous round's global* momentum (held
+constant across the round's local steps); it is not recursive over local
+steps.
 
 Within a round, clients are independent given the immutable round-start
-server state and may run in parallel; noise streams are keyed by
-(seed, client, round, step), so results are identical under any
-schedule.  Aggregation always sums in client-index order.
+server state; noise streams are keyed by (seed, client, round, step), so
+a client's result does not depend on the order in which clients run.
+Aggregation always sums in client-index order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,16 +42,21 @@ import numpy as np
 
 from .core import ALGORITHMS, HyperParams, NoiseModel
 from .linalg import newton_schulz_polar, svd_polar
-from .metrics import phi_value_and_grad
+from .metrics import (
+    BOUND_SLACK,
+    FINITE_FIELDS,
+    phi_value_and_grad,
+    record_finite,
+    record_within_bounds,
+    round_caps,
+)
 from .noise import derive_stream
 from .problems import MinimaxProblem, with_gradient_noise
 
 ZERO_MOMENTUM_TOL = 1e-15
 
-CSV_HEADER = (
-    "round,algo,seed,grad_phi_norm,f_value,grad_err_x,grad_err_y,"
-    "max_drift_x,max_drift_y,server_step_x,server_step_y,potential,auc"
-)
+CSV_HEADER = ",".join(("round", "algo", "seed") + FINITE_FIELDS + ("auc",))
+CSV_COLUMNS = CSV_HEADER.count(",") + 1
 
 
 class ProtocolError(RuntimeError):
@@ -92,8 +96,8 @@ class ClientRoundResult:
     y_final: np.ndarray
     g_x: np.ndarray  # average of the round's stochastic primal gradients
     g_y: np.ndarray
-    drift_x: list  # ||x_local - x_t|| after each local step
-    drift_y: list
+    max_drift_x: float  # largest ||x_local - x_t|| over the local steps
+    max_drift_y: float
 
 
 @dataclass
@@ -166,11 +170,7 @@ def trace_to_csv(trace: RunTrace, path) -> None:
     for r in trace.records:
         lines.append(",".join([
             str(r.t), trace.algorithm, str(trace.seed),
-            _fmt(r.grad_phi_norm), _fmt(r.f_value),
-            _fmt(r.grad_err_x), _fmt(r.grad_err_y),
-            _fmt(r.max_drift_x), _fmt(r.max_drift_y),
-            _fmt(r.server_step_x), _fmt(r.server_step_y),
-            _fmt(r.potential),
+            *(_fmt(getattr(r, f)) for f in FINITE_FIELDS),
             "" if r.auc is None else _fmt(r.auc),
         ]))
     with open(path, "w", newline="") as fh:
@@ -193,17 +193,17 @@ def trace_from_csv(path) -> RunTrace:
     algo, seed = "", 0
     for idx, line in enumerate(raw[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 13:
-            raise ValueError(f"{path}: row {idx}: expected 13 fields, got {len(parts)}")
+        if len(parts) != CSV_COLUMNS:
+            raise ValueError(f"{path}: row {idx}: expected {CSV_COLUMNS} fields, got {len(parts)}")
         try:
             t = int(parts[0])
             algo, seed = parts[1], int(parts[2])
-            nums = [float(v) for v in parts[3:12]]
-            auc = None if parts[12] == "" else float(parts[12])
+            nums = [float(v) for v in parts[3:-1]]
+            auc = None if parts[-1] == "" else float(parts[-1])
         except ValueError as exc:
             raise ValueError(f"{path}: row {idx}: {exc}") from None
         records.append(RoundRecord(
-            t, *nums, auc=auc,
+            t, **dict(zip(FINITE_FIELDS, nums)), auc=auc,
             diverged=not np.all(np.isfinite(nums)),
         ))
     return RunTrace(algorithm=algo, seed=seed, records=records)
@@ -277,12 +277,13 @@ def clip_step(z, m, eta: float, tau: float, direction: str):
 # one round
 
 
-def _drift_cap(hp: HyperParams, eta: float, cols: int, algorithm: str) -> float:
-    if algorithm == "sgda-clip":
-        return eta * hp.p * hp.tau
-    if algorithm == "muon-da":  # polar factor has Frobenius norm sqrt(rank) <= sqrt(cols)
-        return eta * hp.p * np.sqrt(cols)
-    return eta * hp.p
+def _overflow_guard(bounded: bool):
+    """Let the unnormalized baseline overflow under heavy tails.
+
+    Its divergence is detected from the aggregated state afterwards; for
+    the bounded algorithms floating-point errors keep numpy's settings.
+    """
+    return np.errstate() if bounded else np.errstate(over="ignore", invalid="ignore")
 
 
 def client_round(
@@ -293,74 +294,54 @@ def client_round(
     hp: HyperParams,
     algorithm: str,
     master_seed: int,
-    recursive_local_momentum: bool = False,
 ) -> ClientRoundResult:
     """Run one client's p local steps from the round-start server state.
 
     The same stochastic gradient drawn at each (client, step) feeds both
-    the momentum update and the control-variate average.  Drift bounds are
-    asserted at runtime (slack 1e-9) for the bounded algorithms.
+    the momentum update and the control-variate average.  Drift bounds
+    (``round_caps``) are asserted at runtime for the bounded algorithms.
     """
-    if algorithm == "local-sgda-m":
-        # the unnormalized baseline may legitimately overflow under heavy
-        # tails; divergence is detected from the aggregated state afterwards
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _client_steps(client_id, server, state, problem, hp,
-                                 algorithm, master_seed, recursive_local_momentum)
-    return _client_steps(client_id, server, state, problem, hp,
-                         algorithm, master_seed, recursive_local_momentum)
-
-
-def _client_steps(client_id, server, state, problem, hp, algorithm, master_seed,
-                  recursive_local_momentum):
-    x = server.x.copy()
-    y = server.y.copy()
-    sum_gx = np.zeros_like(x)
-    sum_gy = np.zeros_like(y)
-    drift_x, drift_y = [], []
-    u_run = server.u.copy()
-    v_run = server.v.copy()
-    for i in range(hp.p):
-        rng = derive_stream(master_seed, client_id, server.round, i)
-        gx, gy = problem.stoch_grad(client_id, x, y, rng)
-        sum_gx += gx
-        sum_gy += gy
-        if algorithm == "local-sgda-m":
-            u_run = hp.beta_x * gx + (1.0 - hp.beta_x) * u_run
-            v_run = hp.beta_y * gy + (1.0 - hp.beta_y) * v_run
-            x = x - hp.eta_x * u_run
-            y = y + hp.eta_y * v_run
-        else:
-            if recursive_local_momentum:  # ablation only: chain the client's own buffer
-                u_prev, v_prev = u_run, v_run
+    caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
+    with _overflow_guard(caps is not None):
+        x = server.x.copy()
+        y = server.y.copy()
+        sum_gx = np.zeros_like(x)
+        sum_gy = np.zeros_like(y)
+        u_run, v_run = server.u, server.v  # local-sgda-m's recursive momentum
+        for i in range(hp.p):
+            rng = derive_stream(master_seed, client_id, server.round, i)
+            gx, gy = problem.stoch_grad(client_id, x, y, rng)
+            sum_gx += gx
+            sum_gy += gy
+            if algorithm == "local-sgda-m":
+                u_run = hp.beta_x * gx + (1.0 - hp.beta_x) * u_run
+                v_run = hp.beta_y * gy + (1.0 - hp.beta_y) * v_run
+                x = x - hp.eta_x * u_run
+                y = y + hp.eta_y * v_run
             else:
-                u_prev, v_prev = server.u, server.v
-            u = local_momentum(gx, server.g_x, state.g_prev_x, u_prev, hp.beta_x)
-            v = local_momentum(gy, server.g_y, state.g_prev_y, v_prev, hp.beta_y)
-            if recursive_local_momentum:
-                u_run, v_run = u, v
-            if algorithm == "nsgda-m":
-                x = normalized_step(x, u, hp.eta_x, "descend", hp.zero_momentum_policy)
-                y = normalized_step(y, v, hp.eta_y, "ascend", hp.zero_momentum_policy)
-            elif algorithm == "muon-da":
-                x = muon_step(x, u, hp.eta_x, "descend", hp.ns_iters, hp.ns_mode,
-                              hp.zero_momentum_policy)
-                y = muon_step(y, v, hp.eta_y, "ascend", hp.ns_iters, hp.ns_mode,
-                              hp.zero_momentum_policy)
-            elif algorithm == "sgda-clip":
-                x = clip_step(x, u, hp.eta_x, hp.tau, "descend")
-                y = clip_step(y, v, hp.eta_y, hp.tau, "ascend")
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
-        drift_x.append(float(np.linalg.norm(x - server.x)))
-        drift_y.append(float(np.linalg.norm(y - server.y)))
-    if algorithm in ("nsgda-m", "muon-da", "sgda-clip"):
-        cap_x = _drift_cap(hp, hp.eta_x, problem.shape_x.cols, algorithm) + 1e-9
-        cap_y = _drift_cap(hp, hp.eta_y, problem.shape_y.cols, algorithm) + 1e-9
-        if max(drift_x) > cap_x or max(drift_y) > cap_y:
-            raise InternalInvariantViolation(
-                f"client {client_id} drift exceeded its bound at round {server.round}")
-    return ClientRoundResult(x, y, sum_gx / hp.p, sum_gy / hp.p, drift_x, drift_y)
+                u = local_momentum(gx, server.g_x, state.g_prev_x, server.u, hp.beta_x)
+                v = local_momentum(gy, server.g_y, state.g_prev_y, server.v, hp.beta_y)
+                if algorithm == "nsgda-m":
+                    x = normalized_step(x, u, hp.eta_x, "descend", hp.zero_momentum_policy)
+                    y = normalized_step(y, v, hp.eta_y, "ascend", hp.zero_momentum_policy)
+                elif algorithm == "muon-da":
+                    x = muon_step(x, u, hp.eta_x, "descend", hp.ns_iters, hp.ns_mode,
+                                  hp.zero_momentum_policy)
+                    y = muon_step(y, v, hp.eta_y, "ascend", hp.ns_iters, hp.ns_mode,
+                                  hp.zero_momentum_policy)
+                else:
+                    x = clip_step(x, u, hp.eta_x, hp.tau, "descend")
+                    y = clip_step(y, v, hp.eta_y, hp.tau, "ascend")
+            dx = float(np.linalg.norm(x - server.x))
+            dy = float(np.linalg.norm(y - server.y))
+            # running max that, like max() over the steps, keeps the first nan
+            max_dx, max_dy = (dx, dy) if i == 0 else (max(max_dx, dx), max(max_dy, dy))
+        result = ClientRoundResult(x, y, sum_gx / hp.p, sum_gy / hp.p, max_dx, max_dy)
+    if caps is not None and (max_dx - caps["max_drift_x"] > BOUND_SLACK
+                             or max_dy - caps["max_drift_y"] > BOUND_SLACK):
+        raise InternalInvariantViolation(
+            f"client {client_id} drift exceeded its bound at round {server.round}")
+    return result
 
 
 def server_round(server: ServerState, client_results: list, hp: HyperParams) -> ServerState:
@@ -390,9 +371,7 @@ def _all_finite(server: ServerState) -> bool:
 
 
 def _nan_record(t: int) -> RoundRecord:
-    nan = float("nan")
-    return RoundRecord(t, nan, nan, nan, nan, nan, nan, nan, nan, nan,
-                       auc=None, diverged=True)
+    return RoundRecord(t, **dict.fromkeys(FINITE_FIELDS, float("nan")), diverged=True)
 
 
 def run(
@@ -401,7 +380,6 @@ def run(
     hp: HyperParams,
     noise: Optional[NoiseModel] = None,
     seed: int = 0,
-    parallel: bool = False,
     momentum_warm_start: bool = False,
     halt_on_divergence: bool = False,
     x0=None,
@@ -413,8 +391,7 @@ def run(
     Metrics in record t describe the round-start iterates (x_t, y_t) plus
     the momentum/control variates produced by round t itself, matching the
     quantities the convergence analysis tracks.  Given an identical
-    (config, seed) pair the trace is bit-deterministic, with or without
-    client-level parallelism.
+    (config, seed) pair the trace is bit-deterministic.
 
     Control variates and global momentum start at zero, so the very first
     local momentum is beta * gradient; pass ``momentum_warm_start`` to
@@ -423,7 +400,8 @@ def run(
     diverged from that round on (the remaining records are flagged, or the
     loop stops when ``halt_on_divergence`` is set); for the bounded
     algorithms the same event raises InternalInvariantViolation because
-    their updates cannot produce it.
+    their updates cannot produce it.  Their records also carry
+    ``bounds_ok``, the per-round checks of ``verify_invariants``.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -440,93 +418,62 @@ def run(
     clients = [ClientState(np.zeros_like(x), np.zeros_like(y)) for _ in range(hp.N)]
     x_start, y_start = x.copy(), y.copy()
 
+    caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
     records: list = []
     diverged = False
-    pool = ThreadPoolExecutor(max_workers=min(hp.N, 8)) if parallel and hp.N > 1 else None
+    for t in range(hp.T):
+        if diverged:
+            records.append(_nan_record(t))
+            continue
 
-    def metric_guard():
-        if algorithm == "local-sgda-m":  # metrics may overflow near divergence
-            return np.errstate(over="ignore", invalid="ignore")
-        return np.errstate()
+        with _overflow_guard(caps is not None):
+            phi, gphi = phi_value_and_grad(problem, server.x, tol=phi_tol)
+            f_val = float(problem.f_value(server.x, server.y))
+        cen_x = float(np.linalg.norm(
+            server.g_x - np.sum([c.g_prev_x for c in clients], axis=0) / hp.N))
+        cen_y = float(np.linalg.norm(
+            server.g_y - np.sum([c.g_prev_y for c in clients], axis=0) / hp.N))
+        auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
 
-    try:
-        for t in range(hp.T):
-            if diverged:
-                records.append(_nan_record(t))
-                continue
-
-            with metric_guard():
-                phi, gphi = phi_value_and_grad(problem, server.x, tol=phi_tol)
-                f_val = float(problem.f_value(server.x, server.y))
-            cen_x = float(np.linalg.norm(
-                server.g_x - np.sum([c.g_prev_x for c in clients], axis=0) / hp.N))
-            cen_y = float(np.linalg.norm(
-                server.g_y - np.sum([c.g_prev_y for c in clients], axis=0) / hp.N))
-            auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
-
-            def one(n):
-                return client_round(n, server, clients[n], problem, hp, algorithm, seed)
-
-            if pool is not None:
-                results = list(pool.map(one, range(hp.N)))
-            else:
-                results = [one(n) for n in range(hp.N)]
-
-            new_server = server_round(server, results, hp)
-            with metric_guard():
-                rec = RoundRecord(
-                    t=t,
-                    grad_phi_norm=float(np.linalg.norm(gphi)),
-                    f_value=f_val,
-                    grad_err_x=float(np.linalg.norm(problem.mean_grad_x(server.x, server.y) - new_server.u)),
-                    grad_err_y=float(np.linalg.norm(problem.mean_grad_y(server.x, server.y) - new_server.v)),
-                    max_drift_x=max(max(r.drift_x) for r in results),
-                    max_drift_y=max(max(r.drift_y) for r in results),
-                    server_step_x=float(np.linalg.norm(new_server.x - server.x)),
-                    server_step_y=float(np.linalg.norm(new_server.y - server.y)),
-                    potential=3.0 * phi + (phi - f_val),
-                    auc=auc,
-                    centering_x=cen_x,
-                    centering_y=cen_y,
-                    g_prev_norm_x=float(np.linalg.norm(server.g_x)),
-                    g_prev_norm_y=float(np.linalg.norm(server.g_y)),
-                    dist_x0=float(np.linalg.norm(server.x - x_start)),
-                    x=server.x.copy(),
-                    y=server.y.copy(),
-                )
-            if algorithm != "local-sgda-m":
-                cap_sx = hp.gamma_x * (hp.tau if algorithm == "sgda-clip" else
-                                       np.sqrt(problem.shape_x.cols) if algorithm == "muon-da" else 1.0)
-                cap_sy = hp.gamma_y * (hp.tau if algorithm == "sgda-clip" else
-                                       np.sqrt(problem.shape_y.cols) if algorithm == "muon-da" else 1.0)
-                rec.bounds_ok = bool(
-                    rec.max_drift_x <= _drift_cap(hp, hp.eta_x, problem.shape_x.cols, algorithm) + 1e-9
-                    and rec.max_drift_y <= _drift_cap(hp, hp.eta_y, problem.shape_y.cols, algorithm) + 1e-9
-                    and rec.server_step_x <= cap_sx + 1e-9
-                    and rec.server_step_y <= cap_sy + 1e-9
-                    and rec.centering_x <= 1e-7 * (1.0 + rec.g_prev_norm_x)
-                    and rec.centering_y <= 1e-7 * (1.0 + rec.g_prev_norm_y)
-                )
-            rec_finite = np.all(np.isfinite([
-                rec.grad_phi_norm, rec.f_value, rec.grad_err_x, rec.grad_err_y,
-                rec.max_drift_x, rec.max_drift_y, rec.server_step_x,
-                rec.server_step_y, rec.potential]))
-            if not (_all_finite(new_server) and rec_finite):
-                if algorithm != "local-sgda-m":
-                    raise InternalInvariantViolation(
-                        f"{algorithm} produced a non-finite value at round {t}")
-                rec.diverged = True
-                diverged = True
-            records.append(rec)
-            if diverged and halt_on_divergence:
-                break
-            for c, r in zip(clients, results):
-                c.g_prev_x = r.g_x
-                c.g_prev_y = r.g_y
-            server = new_server
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        results = [client_round(n, server, clients[n], problem, hp, algorithm, seed)
+                   for n in range(hp.N)]
+        new_server = server_round(server, results, hp)
+        with _overflow_guard(caps is not None):
+            rec = RoundRecord(
+                t=t,
+                grad_phi_norm=float(np.linalg.norm(gphi)),
+                f_value=f_val,
+                grad_err_x=float(np.linalg.norm(problem.mean_grad_x(server.x, server.y) - new_server.u)),
+                grad_err_y=float(np.linalg.norm(problem.mean_grad_y(server.x, server.y) - new_server.v)),
+                max_drift_x=max(r.max_drift_x for r in results),
+                max_drift_y=max(r.max_drift_y for r in results),
+                server_step_x=float(np.linalg.norm(new_server.x - server.x)),
+                server_step_y=float(np.linalg.norm(new_server.y - server.y)),
+                potential=3.0 * phi + (phi - f_val),
+                auc=auc,
+                centering_x=cen_x,
+                centering_y=cen_y,
+                g_prev_norm_x=float(np.linalg.norm(server.g_x)),
+                g_prev_norm_y=float(np.linalg.norm(server.g_y)),
+                dist_x0=float(np.linalg.norm(server.x - x_start)),
+                x=server.x.copy(),
+                y=server.y.copy(),
+            )
+        if caps is not None:
+            rec.bounds_ok = record_within_bounds(rec, caps)
+        if not (_all_finite(new_server) and record_finite(rec)):
+            if caps is not None:
+                raise InternalInvariantViolation(
+                    f"{algorithm} produced a non-finite value at round {t}")
+            rec.diverged = True
+            diverged = True
+        records.append(rec)
+        if diverged and halt_on_divergence:
+            break
+        for c, r in zip(clients, results):
+            c.g_prev_x = r.g_x
+            c.g_prev_y = r.g_y
+        server = new_server
 
     return RunTrace(
         algorithm=algorithm,

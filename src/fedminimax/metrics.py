@@ -10,15 +10,77 @@ resulting gradient error is bounded by L_f * tol / mu.
 
 ``verify_invariants`` replays the per-round guarantees of the federated
 engine over a finished trace and reports the worst violation of each.
+The bounds it checks (``round_caps``, ``centering_tol``, ``FINITE_FIELDS``)
+are the ones the engine asserts while it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .core import HyperParams
+
+BOUND_SLACK = 1e-9  # rounding allowance on the by-construction length bounds
+
+# the round-record fields that must stay finite for the bounded algorithms
+FINITE_FIELDS = (
+    "grad_phi_norm", "f_value", "grad_err_x", "grad_err_y", "max_drift_x",
+    "max_drift_y", "server_step_x", "server_step_y", "potential",
+)
+
+
+def step_bound(algorithm: str, cols: int, hp: HyperParams) -> Optional[float]:
+    """Length of one update direction of ``algorithm`` on a block with ``cols`` columns.
+
+    1 for the normalized step, sqrt(cols) for the polar step (its Frobenius
+    norm is sqrt(rank) <= sqrt(cols)), tau for the clipped step, and None
+    for the unnormalized baseline, which has no such bound.
+    """
+    if algorithm == "nsgda-m":
+        return 1.0
+    if algorithm == "muon-da":
+        return np.sqrt(cols)
+    if algorithm == "sgda-clip":
+        return hp.tau
+    if algorithm == "local-sgda-m":
+        return None
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def round_caps(algorithm: str, cols_x: int, cols_y: int, hp: HyperParams) -> Optional[dict]:
+    """Caps on a round record's length fields, or None for an unbounded algorithm.
+
+    p local steps move a client at most eta * p * step_bound from the
+    round start; the server moves at most gamma * step_bound.
+    """
+    bx, by = step_bound(algorithm, cols_x, hp), step_bound(algorithm, cols_y, hp)
+    if bx is None:
+        return None
+    return {
+        "max_drift_x": hp.eta_x * hp.p * bx,
+        "max_drift_y": hp.eta_y * hp.p * by,
+        "server_step_x": hp.gamma_x * bx,
+        "server_step_y": hp.gamma_y * by,
+    }
+
+
+def centering_tol(g_prev_norm: float) -> float:
+    """Allowed residual of the control-variate centering, relative to the variate's norm."""
+    return 1e-7 * (1.0 + g_prev_norm)
+
+
+def record_finite(rec) -> bool:
+    return bool(np.all(np.isfinite([getattr(rec, f) for f in FINITE_FIELDS])))
+
+
+def record_within_bounds(rec, caps: dict) -> bool:
+    """The per-round checks of :func:`verify_invariants` applied to one record."""
+    return bool(all(getattr(rec, f) - cap <= BOUND_SLACK for f, cap in caps.items())
+                and rec.centering_x <= centering_tol(rec.g_prev_norm_x)
+                and rec.centering_y <= centering_tol(rec.g_prev_norm_y))
 
 
 class ConvergenceError(RuntimeError):
@@ -137,51 +199,30 @@ def verify_invariants(trace, hp: HyperParams) -> InvariantReport:
     unnormalized baseline has no such bounds; its checks are reported
     with zero rounds.
     """
-    slack = 1e-9
-    algo = trace.algorithm
     recs = [r for r in trace.records if not r.diverged]
     checks = []
 
-    bounded = algo in ("nsgda-m", "muon-da", "sgda-clip")
-    step_cap_x = step_cap_y = 0.0
-    if algo == "nsgda-m":
-        step_cap_x = step_cap_y = 1.0
-    elif algo == "muon-da":
-        step_cap_x = np.sqrt(trace.cols_x)
-        step_cap_y = np.sqrt(trace.cols_y)
-    elif algo == "sgda-clip":
-        step_cap_x = step_cap_y = hp.tau
-
-    if bounded:
-        checks.append(_bound_check(
-            "drift_x", [r.max_drift_x for r in recs], hp.eta_x * hp.p * step_cap_x, slack))
-        checks.append(_bound_check(
-            "drift_y", [r.max_drift_y for r in recs], hp.eta_y * hp.p * step_cap_y, slack))
-        checks.append(_bound_check(
-            "server_step_x", [r.server_step_x for r in recs], hp.gamma_x * step_cap_x, slack))
-        checks.append(_bound_check(
-            "server_step_y", [r.server_step_y for r in recs], hp.gamma_y * step_cap_y, slack))
+    caps = round_caps(trace.algorithm, trace.cols_x, trace.cols_y, hp)
+    if caps is not None:
+        for field, cap in caps.items():
+            checks.append(_bound_check(
+                field.removeprefix("max_"), [getattr(r, field) for r in recs], cap, BOUND_SLACK))
         steps = np.asarray([r.server_step_x for r in recs], dtype=float)
         travel = np.cumsum(np.concatenate([[0.0], steps[:-1]]))
         tt = np.arange(len(recs), dtype=float)
         checks.append(_bound_check(
-            "travel_x", travel, tt * (hp.gamma_x * step_cap_x + slack), slack))
-        finite = all(
-            np.isfinite([r.grad_phi_norm, r.f_value, r.grad_err_x, r.grad_err_y,
-                         r.max_drift_x, r.max_drift_y, r.server_step_x,
-                         r.server_step_y, r.potential]).all()
-            for r in trace.records
-        )
+            "travel_x", travel, tt * (caps["server_step_x"] + BOUND_SLACK), BOUND_SLACK))
+        finite = all(record_finite(r) for r in trace.records)
         checks.append(InvariantCheck("finite_records", len(trace.records),
                                      0.0 if finite else float("inf"), 0.0, finite))
     else:
-        checks.append(InvariantCheck("drift_x", 0, 0.0, slack, True))
-        checks.append(InvariantCheck("drift_y", 0, 0.0, slack, True))
+        checks.append(InvariantCheck("drift_x", 0, 0.0, BOUND_SLACK, True))
+        checks.append(InvariantCheck("drift_y", 0, 0.0, BOUND_SLACK, True))
 
     have_centering = [r for r in recs if r.centering_x is not None]
     if have_centering:
-        tol_x = [1e-7 * (1.0 + r.g_prev_norm_x) for r in have_centering]
-        tol_y = [1e-7 * (1.0 + r.g_prev_norm_y) for r in have_centering]
+        tol_x = [centering_tol(r.g_prev_norm_x) for r in have_centering]
+        tol_y = [centering_tol(r.g_prev_norm_y) for r in have_centering]
         checks.append(_bound_check(
             "centering_x", [r.centering_x for r in have_centering], tol_x, 0.0))
         checks.append(_bound_check(

@@ -29,13 +29,6 @@ def derive_stream(master_seed: int, client: int, round_idx: int, step: int) -> n
     return np.random.default_rng(key)
 
 
-def stream_for(model: NoiseModel, master_seed: int, client: int, round_idx: int, step: int) -> np.random.Generator:
-    """Resolve the model's seed policy to a concrete stream."""
-    if model.seed_policy != "counter":  # unreachable: NoiseModel validates
-        raise ValueError(f"unknown seed policy {model.seed_policy!r}")
-    return derive_stream(master_seed, client, round_idx, step)
-
-
 def _pareto_scale(model: NoiseModel) -> float:
     # E[X^s] = t / (t - s) for a classical Pareto(t) with x_min = 1
     t = model.tail_exponent

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fedminimax import cli
 from fedminimax.cli import (
     ConfigError,
     build_problem,
@@ -16,7 +17,7 @@ from fedminimax.cli import (
     serialize_config,
     trace_filename,
 )
-from fedminimax.fedopt import trace_from_csv
+from fedminimax.fedopt import InternalInvariantViolation, trace_from_csv
 
 MINIMAL = json.dumps({
     "algorithm": "nsgda-m", "problem": "saddle", "T": 10, "N": 2, "p": 1,
@@ -62,6 +63,13 @@ def test_parse_collects_all_errors():
     msgs = "\n".join(exc.value.errors)
     assert "algorithm" in msgs and "T" in msgs and "bogus" in msgs and "noise" in msgs
     assert len(exc.value.errors) >= 4
+    for ratios in ([{}], ["a"]):  # malformed entries are reported, not raised
+        text = json.dumps({"problem": {"kind": "auc", "ratios": ratios},
+                           "constants": [True, 1, 1], "T": 0})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        msgs = "\n".join(exc.value.errors)
+        assert "problem.ratios" in msgs and "constants" in msgs and "T" in msgs
 
 
 def test_parse_rejects_gaussian_with_low_s():
@@ -116,16 +124,30 @@ def test_cmd_run_writes_csv_with_t_rows(tmp_path):
     assert lines[1].split(",")[12] == ""  # auc column empty for non-AUC problems
 
 
-def test_cmd_run_byte_identical_and_parallel_equal(tmp_path):
+def test_cmd_run_byte_identical(tmp_path):
     cfg = parse_config(json.dumps(SMALL))
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    a, b = tmp_path / "a", tmp_path / "b"
     assert cmd_run(cfg, out=str(a)) == 0
     assert cmd_run(cfg, out=str(b)) == 0
-    assert cmd_run(cfg, out=str(c), parallel=True) == 0
     name = trace_filename("nsgda-m", 1)
-    blob = (a / name).read_bytes()
-    assert blob == (b / name).read_bytes()
-    assert blob == (c / name).read_bytes()
+    assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_cmd_run_keeps_going_after_invariant_violation(tmp_path, monkeypatch, capsys):
+    real_run = cli.run
+
+    def failing_run(*args, seed, **kwargs):
+        if seed == 1:
+            raise InternalInvariantViolation("injected")
+        return real_run(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    base = {k: v for k, v in SMALL.items() if k != "seed"}
+    cfg = parse_config(json.dumps({**base, "T": 3, "seeds": [1, 2]}))
+    assert cmd_run(cfg, out=str(tmp_path)) == 2
+    assert not (tmp_path / trace_filename("nsgda-m", 1)).exists()
+    assert (tmp_path / trace_filename("nsgda-m", 2)).exists()
+    assert "seed 1: invariant violation" in capsys.readouterr().err
 
 
 def test_cmd_sweep_grid_cardinality(tmp_path):
@@ -196,6 +218,8 @@ def test_main_end_to_end(tmp_path):
 def test_main_bad_config_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{\"algorithm\": \"sgd\"}")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    cfg_path.write_text(json.dumps({**SMALL, "parallel_clients": True}))  # removed key
     assert main(["run", "--config", str(cfg_path)]) == 1
 
 

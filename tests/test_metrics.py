@@ -100,22 +100,29 @@ def test_auc_score_single_class_rejected():
         auc_score(np.ones(3), np.array([1, 1, 1]))
 
 
-def make_trace(algorithm="nsgda-m", drift=0.001, step=0.0005, centering=0.0, T=5):
+def make_trace(algorithm="nsgda-m", drift=0.001, step=0.0005, centering=0.0, T=5,
+               cols_x=1, drift_y=None, step_y=None):
+    """Constant records; the dual drift and step default to the primal ones."""
     records = [
         RoundRecord(
             t=t, grad_phi_norm=1.0, f_value=0.0, grad_err_x=0.1, grad_err_y=0.1,
-            max_drift_x=drift, max_drift_y=drift,
-            server_step_x=step, server_step_y=step, potential=4.0,
-            centering_x=centering, centering_y=centering,
+            max_drift_x=drift, max_drift_y=drift if drift_y is None else drift_y,
+            server_step_x=step, server_step_y=step if step_y is None else step_y,
+            potential=4.0, centering_x=centering, centering_y=centering,
             g_prev_norm_x=1.0, g_prev_norm_y=1.0,
         )
         for t in range(T)
     ]
-    return RunTrace(algorithm=algorithm, seed=0, records=records)
+    return RunTrace(algorithm=algorithm, seed=0, records=records, cols_x=cols_x)
 
 
 HP = HyperParams(gamma_x=0.001, gamma_y=0.01, eta_x=0.0005, eta_y=0.0005,
                  beta_x=0.5, beta_y=0.5, p=2, T=5, N=2)
+# (algorithm, primal column count, step_bound): the length of one update direction
+BOUNDED = pytest.mark.parametrize("algorithm,cols_x,bound", [
+    ("nsgda-m", 1, 1.0), ("muon-da", 4, 2.0), ("sgda-clip", 1, HP.tau),
+], ids=["nsgda-m", "muon-da", "sgda-clip"])
+JUST_OUTSIDE = 1e-7  # 100x the verifier's slack
 
 
 def test_verify_passes_for_bounded_trace():
@@ -125,12 +132,15 @@ def test_verify_passes_for_bounded_trace():
     assert "drift_x" in names and "centering_x" in names
 
 
-def test_verify_flags_inflated_drift():
-    bad = make_trace(drift=HP.eta_x * HP.p + 0.1)
-    report = verify_invariants(bad, HP)
-    failed = {c.name: c for c in report.checks if not c.passed}
-    assert "drift_x" in failed
-    assert failed["drift_x"].max_violation == pytest.approx(0.1, rel=1e-6)
+@BOUNDED
+def test_verify_flags_inflated_drift(algorithm, cols_x, bound):
+    cap = HP.eta_x * HP.p * bound
+    inside = make_trace(algorithm, drift=cap, step=0.0, cols_x=cols_x, drift_y=0.0)
+    assert verify_invariants(inside, HP).passed
+    outside = make_trace(algorithm, drift=cap + JUST_OUTSIDE, step=0.0, cols_x=cols_x, drift_y=0.0)
+    failed = {c.name: c for c in verify_invariants(outside, HP).checks if not c.passed}
+    assert set(failed) == {"drift_x"}
+    assert failed["drift_x"].max_violation == pytest.approx(JUST_OUTSIDE, rel=1e-6)
 
 
 def test_verify_flags_centering_residual():
@@ -140,10 +150,15 @@ def test_verify_flags_centering_residual():
     assert "centering_x" in failed and "centering_y" in failed
 
 
-def test_verify_flags_server_step():
-    bad = make_trace(step=HP.gamma_x + 1e-3)
-    report = verify_invariants(bad, HP)
-    assert any(c.name == "server_step_x" and not c.passed for c in report.checks)
+@BOUNDED
+def test_verify_flags_server_step(algorithm, cols_x, bound):
+    cap = HP.gamma_x * bound
+    inside = make_trace(algorithm, drift=0.0, step=cap, cols_x=cols_x, step_y=0.0)
+    assert verify_invariants(inside, HP).passed
+    outside = make_trace(algorithm, drift=0.0, step=cap + JUST_OUTSIDE, cols_x=cols_x, step_y=0.0)
+    failed = {c.name: c for c in verify_invariants(outside, HP).checks if not c.passed}
+    assert "server_step_x" in failed and "server_step_y" not in failed
+    assert failed["server_step_x"].max_violation == pytest.approx(JUST_OUTSIDE, rel=1e-6)
 
 
 def test_verify_skips_bounds_for_unnormalized_baseline():

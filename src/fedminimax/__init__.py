@@ -16,7 +16,6 @@ from .core import (
     theorem2_schedule,
 )
 from .fedopt import (
-    ClientState,
     RoundRecord,
     RunTrace,
     ServerState,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "ClientState",
     "Dataset",
     "HyperParams",
     "InvariantReport",

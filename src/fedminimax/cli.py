@@ -35,6 +35,7 @@ from .core import (
     HyperParams,
     NoiseModel,
     hyperparam_errors,
+    noise_errors,
     theorem1_schedule,
     theorem2_schedule,
 )
@@ -263,21 +264,18 @@ def parse_config(text: str) -> ExperimentConfig:
                                 zero_momentum_policy=policy, **explicit_given)
 
     noise_raw = _take(data, "noise", dict, errors, dict(CONFIG_DEFAULTS["noise"]))
-    noise = NoiseModel()
-    if noise_raw is not None:
-        noise_raw = dict(noise_raw)
-        kwargs = {
-            "family": _take(noise_raw, "family", str, errors, "none"),
-            "s": _take(noise_raw, "s", float, errors, 2.0),
-            "sigma": _take(noise_raw, "sigma", float, errors, 0.0),
-            "tail_exponent": _take(noise_raw, "tail_exponent", (float, type(None)), errors, None),
-        }
-        for key in noise_raw:
-            errors.append(f"noise.{key}: unknown key")
-        try:
-            noise = NoiseModel(**kwargs)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"noise: {exc}")
+    noise_raw = dict(noise_raw)
+    kwargs = {
+        "family": _take(noise_raw, "family", str, errors, "none"),
+        "s": _take(noise_raw, "s", float, errors, 2.0),
+        "sigma": _take(noise_raw, "sigma", float, errors, 0.0),
+        "tail_exponent": _take(noise_raw, "tail_exponent", (float, type(None)), errors, None),
+    }
+    for key in noise_raw:
+        errors.append(f"noise.{key}: unknown key")
+    noise_msgs = [f"noise.{msg}" for msg in noise_errors(**kwargs)]
+    errors += noise_msgs
+    noise = None if noise_msgs else NoiseModel(**kwargs)
 
     out = _take(data, "out", (str, type(None)), errors, CONFIG_DEFAULTS["out"])
     warm = _take(data, "momentum_warm_start", bool, errors, CONFIG_DEFAULTS["momentum_warm_start"])
@@ -379,6 +377,17 @@ def trace_filename(algorithm: str, seed: int) -> str:
     return f"trace_{algorithm}_seed{seed}.csv"
 
 
+def _run_or_report(config: ExperimentConfig, problem, hp: HyperParams, seed: int, label: str):
+    """The run of one seed under the config, or None after reporting an invariant violation."""
+    try:
+        return run(config.algorithm, problem, hp, noise=config.noise, seed=seed,
+                   momentum_warm_start=config.momentum_warm_start,
+                   halt_on_divergence=config.halt_on_divergence, phi_tol=config.phi_tol)
+    except InternalInvariantViolation as exc:
+        print(f"{label}: invariant violation during run: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
             seed_override: Optional[int] = None) -> int:
     """Run one experiment per seed, write trace CSVs, verify invariants.
@@ -392,13 +401,8 @@ def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
     seeds = (seed_override,) if seed_override is not None else config.seeds
     status = 0
     for seed in seeds:
-        try:
-            trace = run(
-                config.algorithm, problem, hp, noise=config.noise, seed=seed,
-                momentum_warm_start=config.momentum_warm_start,
-                halt_on_divergence=config.halt_on_divergence, phi_tol=config.phi_tol)
-        except InternalInvariantViolation as exc:
-            print(f"seed {seed}: invariant violation during run: {exc}", file=sys.stderr)
+        trace = _run_or_report(config, problem, hp, seed, f"seed {seed}")
+        if trace is None:
             status = 2
             continue
         path = os.path.join(out_dir, trace_filename(config.algorithm, seed))
@@ -432,7 +436,10 @@ def _apply_axis(config: ExperimentConfig, axis: str, value):
 
 
 def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -> int:
-    """Run the cartesian grid and write one summary row per cell."""
+    """Run the cartesian grid, writing each cell's summary row as soon as it finishes.
+
+    A cell that breaks an invariant is reported and skipped; the command then returns 2.
+    """
     if not isinstance(axes, dict) or not axes:
         raise ConfigError(["axes: need a nonempty JSON object"])
     for axis, values in axes.items():
@@ -444,31 +451,35 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
         axes = dict(axes, seed=list(config.seeds))
     out_dir = _outdir(config, out)
     names = list(axes)
-    rows = []
-    for combo in itertools.product(*(axes[a] for a in names)):
-        cell = config
-        for axis, value in zip(names, combo):
-            cell = _apply_axis(cell, axis, value)
-        problem = build_problem(cell)
-        hp = resolve_hyperparams(cell, problem)
-        seed = cell.seeds[0]
-        trace = run(cell.algorithm, problem, hp, noise=cell.noise, seed=seed,
-                    momentum_warm_start=cell.momentum_warm_start,
-                    halt_on_divergence=cell.halt_on_divergence, phi_tol=cell.phi_tol)
-        s = trace.summary()
-        rows.append(",".join([
-            cell.algorithm, str(hp.p), str(hp.T), str(hp.N),
-            format(cell.noise.s, ".17g"), str(seed),
-            format(s["first_window_grad_phi"], ".17g"),
-            format(s["final_window_grad_phi"], ".17g"),
-            "" if s["final_auc"] is None else format(s["final_auc"], ".17g"),
-            "1" if s["diverged"] else "0",
-        ]))
     path = os.path.join(out_dir, "sweep_summary.csv")
+    status, written = 0, 0
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([SWEEP_HEADER] + rows) + "\n")
-    print(f"wrote {path} ({len(rows)} cells)")
-    return 0
+        fh.write(SWEEP_HEADER + "\n")
+        for combo in itertools.product(*(axes[a] for a in names)):
+            cell = config
+            for axis, value in zip(names, combo):
+                cell = _apply_axis(cell, axis, value)
+            problem = build_problem(cell)
+            hp = resolve_hyperparams(cell, problem)
+            seed = cell.seeds[0]
+            label = "cell " + " ".join(f"{a}={v}" for a, v in zip(names, combo))
+            trace = _run_or_report(cell, problem, hp, seed, label)
+            if trace is None:
+                status = 2
+                continue
+            s = trace.summary()
+            fh.write(",".join([
+                cell.algorithm, str(hp.p), str(hp.T), str(hp.N),
+                format(cell.noise.s, ".17g"), str(seed),
+                format(s["first_window_grad_phi"], ".17g"),
+                format(s["final_window_grad_phi"], ".17g"),
+                "" if s["final_auc"] is None else format(s["final_auc"], ".17g"),
+                "1" if s["diverged"] else "0",
+            ]) + "\n")
+            fh.flush()
+            written += 1
+    print(f"wrote {path} ({written} cells)")
+    return status
 
 
 def cmd_verify(trace_path: str, config: ExperimentConfig) -> int:

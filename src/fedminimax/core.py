@@ -104,23 +104,31 @@ class NoiseModel:
     tail_exponent: float | None = None
 
     def __post_init__(self):
-        if self.family not in NOISE_FAMILIES:
-            raise ValueError(f"unknown noise family {self.family!r}")
-        if not (1.0 < self.s <= 2.0):
-            raise ValueError(f"tail index s must lie in (1, 2], got {self.s}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.family == "gaussian" and self.s != 2.0:
-            raise ValueError("gaussian noise is only valid with s=2")
-        if self.family == "none" and self.sigma != 0.0:
-            raise ValueError("family 'none' forces sigma=0")
+        errors = noise_errors(**vars(self))
+        if errors:
+            raise ValueError("; ".join(errors))
         if self.tail_exponent is None:
-            # midway between s and 2: moments up to s finite, variance infinite for s<2
-            object.__setattr__(self, "tail_exponent", (self.s + 2.0) / 2.0)
-        if self.family in ("symmetrized-pareto", "student-t") and not (self.tail_exponent > self.s):
-            raise ValueError(
-                f"tail_exponent must exceed s, got {self.tail_exponent} <= {self.s}"
-            )
+            object.__setattr__(self, "tail_exponent", _default_tail(self.s))
+
+
+def _default_tail(s: float) -> float:
+    """Midway between s and 2: moments up to s finite, variance infinite for s < 2."""
+    return (s + 2.0) / 2.0
+
+
+def noise_errors(s, sigma, family, tail_exponent) -> list:
+    """Every :class:`NoiseModel` rule the fields break, one "field: ..." message each."""
+    tail = _default_tail(s) if tail_exponent is None else tail_exponent
+    rules = (
+        ("family", family in NOISE_FAMILIES, f"must be one of {NOISE_FAMILIES}, got {family!r}"),
+        ("s", 1.0 < s <= 2.0, f"tail index must lie in (1, 2], got {s}"),
+        ("sigma", sigma >= 0, f"must be >= 0, got {sigma}"),
+        ("s", family != "gaussian" or s == 2.0, "gaussian noise is only valid with s=2"),
+        ("sigma", family != "none" or sigma == 0.0, f"family 'none' forces sigma=0, got {sigma}"),
+        ("tail_exponent", family not in ("symmetrized-pareto", "student-t") or tail > s,
+         f"must exceed s, got {tail} <= {s}"),
+    )
+    return [f"{name}: {want}" for name, ok, want in rules if not ok]
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,12 @@ stochastic gradient with the *previous round's global* momentum (held
 constant across the round's local steps); it is not recursive over local
 steps.
 
-Within a round, clients are independent given the immutable round-start
-server state; noise streams are keyed by (seed, client, round, step), so
-a client's result does not depend on the order in which clients run.
-Aggregation always sums in client-index order.
+Clients are independent given the round-start server state, so they run
+stacked: iterates, control variates, momenta and drifts are (N, m, n)
+arrays, one slice per client (a d-vector is d-by-1).  Each local step
+draws one gradient per client from its (seed, client, round, step)
+stream, then momentum, step rule and drift act on the whole stack with
+each client's bits unchanged; ``server_round`` sums over axis 0.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ class ProtocolError(RuntimeError):
 class DegenerateMomentumError(RuntimeError):
     """Normalized update requested for a (numerically) zero momentum."""
 
+    def __init__(self, client: int, round: Optional[int] = None, block: Optional[str] = None):
+        super().__init__(f"client {client}, block {block}, round {round}: momentum norm below tolerance")
+        self.client, self.round, self.block = client, round, block
+
 
 class InternalInvariantViolation(RuntimeError):
     """A by-construction bound was breached: an implementation bug."""
@@ -80,24 +86,6 @@ class ServerState:
     g_x: np.ndarray  # global control variate, primal
     g_y: np.ndarray
     round: int = 0
-
-
-@dataclass
-class ClientState:
-    """Per-client material that survives between rounds."""
-
-    g_prev_x: np.ndarray  # this client's control variate from the previous round
-    g_prev_y: np.ndarray
-
-
-@dataclass
-class ClientRoundResult:
-    x_final: np.ndarray
-    y_final: np.ndarray
-    g_x: np.ndarray  # average of the round's stochastic primal gradients
-    g_y: np.ndarray
-    max_drift_x: float  # largest ||x_local - x_t|| over the local steps
-    max_drift_y: float
 
 
 @dataclass
@@ -210,67 +198,69 @@ def trace_from_csv(path) -> RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# step rules
+# step rules: capitalised arguments are (N, m, n) stacks, one slice per client
 
 
-def local_momentum(grad_sample, g_global_prev, g_local_prev, u_global_prev, beta: float):
-    """beta * (grad + g_global_prev - g_local_prev) + (1 - beta) * u_global_prev."""
-    g = np.asarray(grad_sample, dtype=float)
-    if not (g.shape == np.shape(g_global_prev) == np.shape(g_local_prev) == np.shape(u_global_prev)):
-        raise ValueError("momentum inputs must share one shape")
+def _client_norms(A) -> np.ndarray:
+    """Per-client Frobenius norms, each summed as np.linalg.norm sums that slice alone."""
+    if np.ndim(A) != 3:
+        raise ValueError(f"expected an (N, m, n) client stack, got shape {np.shape(A)}")
+    flat = np.reshape(A, (len(A), -1))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _momentum_norms(M, policy: str) -> tuple:
+    """(N, 1, 1) momentum norms and the mask below tolerance; under "error" that client raises."""
+    nrm = _client_norms(M)[:, None, None]
+    low = nrm <= ZERO_MOMENTUM_TOL
+    if policy == "error" and low.any():
+        raise DegenerateMomentumError(int(np.argmax(low)))
+    return nrm, low
+
+
+def local_momentum(G, g_global_prev, G_local_prev, u_global_prev, beta: float):
+    """beta * (G + g_global_prev - G_local_prev) + (1 - beta) * u_global_prev; global terms are (m, n)."""
+    shape = np.shape(G)
+    if not (len(shape) == 3 and shape == np.shape(G_local_prev)
+            and shape[1:] == np.shape(g_global_prev) == np.shape(u_global_prev)):
+        raise ValueError("momentum inputs must be (N, m, n) stacks over one (m, n) block")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    return beta * (g + g_global_prev - g_local_prev) + (1.0 - beta) * u_global_prev
+    return beta * (G + g_global_prev - G_local_prev) + (1.0 - beta) * u_global_prev
 
 
-def _sign(direction: str) -> float:
-    if direction == "descend":
-        return -1.0
-    if direction == "ascend":
-        return 1.0
-    raise ValueError(f"direction must be 'descend' or 'ascend', got {direction!r}")
-
-
-def normalized_step(z, m, eta: float, direction: str, policy: str = "skip"):
-    """Fixed-length step: z -+ eta * m / ||m||; degenerate m handled per policy."""
+def _signed(eta: float, direction: str) -> float:
     if not (eta > 0):
         raise ValueError(f"eta must be positive, got {eta}")
-    sign = _sign(direction)
-    nrm = np.linalg.norm(m)
-    if nrm <= ZERO_MOMENTUM_TOL:
-        if policy == "error":
-            raise DegenerateMomentumError("momentum norm below tolerance")
-        return z
-    return z + (sign * eta / nrm) * m
+    if direction not in ("descend", "ascend"):
+        raise ValueError(f"direction must be 'descend' or 'ascend', got {direction!r}")
+    return -eta if direction == "descend" else eta
+
+
+def normalized_step(Z, M, eta: float, direction: str, policy: str = "skip"):
+    """Fixed-length step: Z -+ eta * M / ||M|| per client; degenerate M handled per policy."""
+    step = _signed(eta, direction)
+    nrm, low = _momentum_norms(M, policy)
+    return np.where(low, Z, Z + step / np.where(low, 1.0, nrm) * M)
 
 
 def muon_step(Z, M, eta: float, direction: str, ns_iters: int = 10,
               ns_mode: str = "iterative", policy: str = "skip"):
-    """Orthonormalized step: Z -+ eta * polar(M); vectors act as d-by-1 matrices."""
-    if not (eta > 0):
-        raise ValueError(f"eta must be positive, got {eta}")
-    sign = _sign(direction)
-    M = np.asarray(M, dtype=float)
-    if np.linalg.norm(M) <= ZERO_MOMENTUM_TOL:
-        if policy == "error":
-            raise DegenerateMomentumError("momentum norm below tolerance")
-        return Z
-    Mm = M if M.ndim == 2 else M[:, None]
-    if ns_mode == "exact-svd":
-        O = svd_polar(Mm)
-    else:
-        O = newton_schulz_polar(Mm, ns_iters)
-    return Z + sign * eta * O.reshape(np.shape(Z))
+    """Orthonormalized step: Z -+ eta * polar(M) per client; a vector block is d-by-1."""
+    step = _signed(eta, direction)
+    _, low = _momentum_norms(M, policy)
+    safe = np.where(low, 1.0, M)  # the polar kernels reject a zero matrix
+    O = svd_polar(safe) if ns_mode == "exact-svd" else newton_schulz_polar(safe, ns_iters)
+    return np.where(low, Z, Z + step * O)
 
 
-def clip_step(z, m, eta: float, tau: float, direction: str):
-    """Clipped step: z -+ eta * min(1, tau/||m||) * m.  Zero momentum moves nothing."""
-    if not (eta > 0) or not (tau > 0):
-        raise ValueError(f"eta and tau must be positive, got eta={eta} tau={tau}")
-    sign = _sign(direction)
-    nrm = np.linalg.norm(m)
-    scale = 1.0 if nrm <= tau else tau / nrm
-    return z + sign * eta * scale * np.asarray(m, dtype=float)
+def clip_step(Z, M, eta: float, tau: float, direction: str):
+    """Clipped step: Z -+ eta * min(1, tau/||M||) * M per client.  Zero momentum moves nothing."""
+    if not (tau > 0):
+        raise ValueError(f"tau must be positive, got {tau}")
+    step = _signed(eta, direction)
+    scale = tau / np.maximum(_client_norms(M), tau)  # exactly 1.0 up to ||M|| = tau
+    return Z + (step * scale)[:, None, None] * M
 
 
 # ---------------------------------------------------------------------------
@@ -286,72 +276,71 @@ def _overflow_guard(bounded: bool):
     return np.errstate() if bounded else np.errstate(over="ignore", invalid="ignore")
 
 
-def client_round(
-    client_id: int,
-    server: ServerState,
-    state: ClientState,
-    problem: MinimaxProblem,
-    hp: HyperParams,
-    algorithm: str,
-    master_seed: int,
-) -> ClientRoundResult:
-    """Run one client's p local steps from the round-start server state.
+def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
+                 problem: MinimaxProblem, hp: HyperParams, algorithm: str, master_seed: int) -> tuple:
+    """Run the p local steps of all N clients from the round-start server state.
 
-    The same stochastic gradient drawn at each (client, step) feeds both
-    the momentum update and the control-variate average.  Drift bounds
-    (``round_caps``) are asserted at runtime for the bounded algorithms.
+    Returns the final iterates, the new control variates (each client's
+    average stochastic gradient) as (N, m, n) stacks and each client's
+    largest drift ||x_local - x_t||, checked against ``round_caps`` when bounded.
     """
+    bx, by = problem.shape_x.as_matrix().dims, problem.shape_y.as_matrix().dims
+    x0, y0 = server.x.reshape(bx), server.y.reshape(by)
+
+    def step(Z, M, eta, direction, block):
+        try:
+            if algorithm == "nsgda-m":
+                return normalized_step(Z, M, eta, direction, hp.zero_momentum_policy)
+            if algorithm == "muon-da":
+                return muon_step(Z, M, eta, direction, hp.ns_iters, hp.ns_mode, hp.zero_momentum_policy)
+            return clip_step(Z, M, eta, hp.tau, direction)
+        except DegenerateMomentumError as exc:
+            raise DegenerateMomentumError(exc.client, server.round, block) from None
+
     caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
     with _overflow_guard(caps is not None):
-        x = server.x.copy()
-        y = server.y.copy()
-        sum_gx = np.zeros_like(x)
-        sum_gy = np.zeros_like(y)
-        u_run, v_run = server.u, server.v  # local-sgda-m's recursive momentum
+        X, Y = np.repeat(x0[None], hp.N, axis=0), np.repeat(y0[None], hp.N, axis=0)
+        GX, GY = np.empty_like(X), np.empty_like(Y)
+        sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
+        U, V = server.u.reshape(bx), server.v.reshape(by)  # global momentum; local-sgda-m recurses
         for i in range(hp.p):
-            rng = derive_stream(master_seed, client_id, server.round, i)
-            gx, gy = problem.stoch_grad(client_id, x, y, rng)
-            sum_gx += gx
-            sum_gy += gy
+            for n in range(hp.N):
+                rng = derive_stream(master_seed, n, server.round, i)
+                gx, gy = problem.stoch_grad(n, X[n].reshape(server.x.shape),
+                                            Y[n].reshape(server.y.shape), rng)
+                GX[n], GY[n] = np.reshape(gx, bx), np.reshape(gy, by)
+            sum_gx += GX
+            sum_gy += GY
             if algorithm == "local-sgda-m":
-                u_run = hp.beta_x * gx + (1.0 - hp.beta_x) * u_run
-                v_run = hp.beta_y * gy + (1.0 - hp.beta_y) * v_run
-                x = x - hp.eta_x * u_run
-                y = y + hp.eta_y * v_run
+                U = hp.beta_x * GX + (1.0 - hp.beta_x) * U
+                V = hp.beta_y * GY + (1.0 - hp.beta_y) * V
+                X = X - hp.eta_x * U
+                Y = Y + hp.eta_y * V
             else:
-                u = local_momentum(gx, server.g_x, state.g_prev_x, server.u, hp.beta_x)
-                v = local_momentum(gy, server.g_y, state.g_prev_y, server.v, hp.beta_y)
-                if algorithm == "nsgda-m":
-                    x = normalized_step(x, u, hp.eta_x, "descend", hp.zero_momentum_policy)
-                    y = normalized_step(y, v, hp.eta_y, "ascend", hp.zero_momentum_policy)
-                elif algorithm == "muon-da":
-                    x = muon_step(x, u, hp.eta_x, "descend", hp.ns_iters, hp.ns_mode,
-                                  hp.zero_momentum_policy)
-                    y = muon_step(y, v, hp.eta_y, "ascend", hp.ns_iters, hp.ns_mode,
-                                  hp.zero_momentum_policy)
-                else:
-                    x = clip_step(x, u, hp.eta_x, hp.tau, "descend")
-                    y = clip_step(y, v, hp.eta_y, hp.tau, "ascend")
-            dx = float(np.linalg.norm(x - server.x))
-            dy = float(np.linalg.norm(y - server.y))
-            # running max that, like max() over the steps, keeps the first nan
-            max_dx, max_dy = (dx, dy) if i == 0 else (max(max_dx, dx), max(max_dy, dy))
-        result = ClientRoundResult(x, y, sum_gx / hp.p, sum_gy / hp.p, max_dx, max_dy)
-    if caps is not None and (max_dx - caps["max_drift_x"] > BOUND_SLACK
-                             or max_dy - caps["max_drift_y"] > BOUND_SLACK):
-        raise InternalInvariantViolation(
-            f"client {client_id} drift exceeded its bound at round {server.round}")
-    return result
+                MX = local_momentum(GX, server.g_x.reshape(bx), G_prev_x, U, hp.beta_x)
+                MY = local_momentum(GY, server.g_y.reshape(by), G_prev_y, V, hp.beta_y)
+                X = step(X, MX, hp.eta_x, "descend", "x")
+                Y = step(Y, MY, hp.eta_y, "ascend", "y")
+            dx, dy = _client_norms(X - x0), _client_norms(Y - y0)
+            # running max with max()'s rule over the steps: an earlier nan stays
+            max_dx = dx if i == 0 else np.where(dx > max_dx, dx, max_dx)
+            max_dy = dy if i == 0 else np.where(dy > max_dy, dy, max_dy)
+    if caps is not None:
+        over = (max_dx - caps["max_drift_x"] > BOUND_SLACK) | (max_dy - caps["max_drift_y"] > BOUND_SLACK)
+        if over.any():
+            raise InternalInvariantViolation(
+                f"client {int(np.argmax(over))} drift exceeded its bound at round {server.round}")
+    return X, Y, sum_gx / hp.p, sum_gy / hp.p, max_dx, max_dy
 
 
-def server_round(server: ServerState, client_results: list, hp: HyperParams) -> ServerState:
-    """Aggregate exactly N client results into the next server state."""
-    if len(client_results) != hp.N:
-        raise ProtocolError(f"expected {hp.N} client results, got {len(client_results)}")
-    g_x = np.sum([r.g_x for r in client_results], axis=0) / hp.N
-    g_y = np.sum([r.g_y for r in client_results], axis=0) / hp.N
-    disp_x = np.sum([r.x_final - server.x for r in client_results], axis=0)
-    disp_y = np.sum([r.y_final - server.y for r in client_results], axis=0)
+def server_round(server: ServerState, X, Y, G_x, G_y, hp: HyperParams) -> ServerState:
+    """Aggregate the N clients' stacks, summed over axis 0, into the next server state."""
+    if {len(S) for S in (X, Y, G_x, G_y)} != {hp.N}:
+        raise ProtocolError(f"expected {hp.N} client results, got {len(G_x)}")
+    g_x = G_x.sum(axis=0).reshape(server.x.shape) / hp.N
+    g_y = G_y.sum(axis=0).reshape(server.y.shape) / hp.N
+    disp_x = (X - server.x.reshape(X.shape[1:])).sum(axis=0).reshape(server.x.shape)
+    disp_y = (Y - server.y.reshape(Y.shape[1:])).sum(axis=0).reshape(server.y.shape)
     x_new = server.x + (hp.gamma_x / (hp.eta_x * hp.N * hp.p)) * disp_x
     y_new = server.y + (hp.gamma_y / (hp.eta_y * hp.N * hp.p)) * disp_y
     u_new = hp.beta_x * g_x + (1.0 - hp.beta_x) * server.u
@@ -415,8 +404,8 @@ def run(
     u0 = problem.mean_grad_x(x, y) if momentum_warm_start else np.zeros_like(x)
     v0 = problem.mean_grad_y(x, y) if momentum_warm_start else np.zeros_like(y)
     server = ServerState(x.copy(), y.copy(), u0, v0, np.zeros_like(x), np.zeros_like(y), 0)
-    clients = [ClientState(np.zeros_like(x), np.zeros_like(y)) for _ in range(hp.N)]
-    x_start, y_start = x.copy(), y.copy()
+    G_prev_x = np.zeros((hp.N,) + problem.shape_x.as_matrix().dims)
+    G_prev_y = np.zeros((hp.N,) + problem.shape_y.as_matrix().dims)
 
     caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
     records: list = []
@@ -429,15 +418,13 @@ def run(
         with _overflow_guard(caps is not None):
             phi, gphi = phi_value_and_grad(problem, server.x, tol=phi_tol)
             f_val = float(problem.f_value(server.x, server.y))
-        cen_x = float(np.linalg.norm(
-            server.g_x - np.sum([c.g_prev_x for c in clients], axis=0) / hp.N))
-        cen_y = float(np.linalg.norm(
-            server.g_y - np.sum([c.g_prev_y for c in clients], axis=0) / hp.N))
+        cen_x = float(np.linalg.norm(server.g_x - G_prev_x.sum(axis=0).reshape(x.shape) / hp.N))
+        cen_y = float(np.linalg.norm(server.g_y - G_prev_y.sum(axis=0).reshape(y.shape) / hp.N))
         auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
 
-        results = [client_round(n, server, clients[n], problem, hp, algorithm, seed)
-                   for n in range(hp.N)]
-        new_server = server_round(server, results, hp)
+        X, Y, G_x, G_y, drift_x, drift_y = client_round(
+            server, G_prev_x, G_prev_y, problem, hp, algorithm, seed)
+        new_server = server_round(server, X, Y, G_x, G_y, hp)
         with _overflow_guard(caps is not None):
             rec = RoundRecord(
                 t=t,
@@ -445,8 +432,8 @@ def run(
                 f_value=f_val,
                 grad_err_x=float(np.linalg.norm(problem.mean_grad_x(server.x, server.y) - new_server.u)),
                 grad_err_y=float(np.linalg.norm(problem.mean_grad_y(server.x, server.y) - new_server.v)),
-                max_drift_x=max(r.max_drift_x for r in results),
-                max_drift_y=max(r.max_drift_y for r in results),
+                max_drift_x=max(drift_x.tolist()),
+                max_drift_y=max(drift_y.tolist()),
                 server_step_x=float(np.linalg.norm(new_server.x - server.x)),
                 server_step_y=float(np.linalg.norm(new_server.y - server.y)),
                 potential=3.0 * phi + (phi - f_val),
@@ -455,7 +442,7 @@ def run(
                 centering_y=cen_y,
                 g_prev_norm_x=float(np.linalg.norm(server.g_x)),
                 g_prev_norm_y=float(np.linalg.norm(server.g_y)),
-                dist_x0=float(np.linalg.norm(server.x - x_start)),
+                dist_x0=float(np.linalg.norm(server.x - x)),
                 x=server.x.copy(),
                 y=server.y.copy(),
             )
@@ -470,9 +457,7 @@ def run(
         records.append(rec)
         if diverged and halt_on_divergence:
             break
-        for c, r in zip(clients, results):
-            c.g_prev_x = r.g_x
-            c.g_prev_y = r.g_y
+        G_prev_x, G_prev_y = G_x, G_y
         server = new_server
 
     return RunTrace(

@@ -37,12 +37,12 @@ class DegenerateMatrixError(ValueError):
     """Raised when a polar factor is requested for an (effectively) zero matrix."""
 
 
-def _as_matrix(M) -> np.ndarray:
+def _as_matrix(M, max_ndim: int = 3) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim == 1:
         A = A[:, None]
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {np.shape(M)}")
+    if not 2 <= A.ndim <= max_ndim or A.size == 0:
+        raise ValueError(f"expected a nonempty array of 1 to {max_ndim} dims, got shape {np.shape(M)}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
@@ -53,15 +53,16 @@ def svd_polar(M, rank_tol: float = 1e-12) -> np.ndarray:
 
     Singular values below ``rank_tol * sigma_max`` are dropped, so the
     result O satisfies O.T @ O = I on the retained rank-r subspace and
-    has Frobenius norm sqrt(r).  Raises :class:`DegenerateMatrixError`
-    for an all-zero matrix.
+    has Frobenius norm sqrt(r).  An (N, m, n) stack is factored matrix by
+    matrix, each truncated to its own rank.  Raises
+    :class:`DegenerateMatrixError` if any matrix is all zero.
     """
     A = _as_matrix(M)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[0] <= 0.0:
+    if np.any(s[..., 0] <= 0.0):
         raise DegenerateMatrixError("cannot orthonormalize the zero matrix")
-    keep = s > rank_tol * s[0]
-    return U[:, keep] @ Vt[keep]
+    keep = s > rank_tol * s[..., :1]
+    return (U * keep[..., None, :]) @ Vt
 
 
 def newton_schulz_polar(M, iters: int = 10) -> np.ndarray:
@@ -71,27 +72,31 @@ def newton_schulz_polar(M, iters: int = 10) -> np.ndarray:
     to well below 1e-6 in Frobenius norm for desk-scale matrices (up to
     64x64) with condition number <= 100; the spectral norm of the output
     never exceeds 1 + 1e-8.  Wide matrices are handled by transposing,
-    iterating, and transposing back (polar(M.T) = polar(M).T).
+    iterating, and transposing back (polar(M.T) = polar(M).T).  An
+    (N, m, n) stack gives, bit for bit, the N results of the matrices
+    taken one at a time.
     """
     if int(iters) != iters or iters < 1:
         raise ValueError(f"iters must be a positive integer, got {iters}")
-    A = _as_matrix(M)
-    if not np.any(A):
+    A = np.ascontiguousarray(_as_matrix(M))
+    if not np.all(np.any(A, axis=(-2, -1))):
         raise DegenerateMatrixError("cannot orthonormalize the zero matrix")
-    if A.shape[0] < A.shape[1]:
-        return newton_schulz_polar(A.T, iters).T
-    col_sums = np.abs(A).sum(axis=0).max()
-    row_sums = np.abs(A).sum(axis=1).max()
-    nrm = min(np.linalg.norm(A), np.sqrt(col_sums * row_sums))
-    X = A / nrm
-    eye = np.eye(A.shape[1])
+    # sum each matrix in memory order, as np.linalg.norm does, before a wide one is transposed
+    flat = A.reshape(A.shape[:-2] + (-1,))
+    fro = np.sqrt(np.vecdot(flat, flat))[..., None, None]
+    wide = A.shape[-2] < A.shape[-1]
+    A = A.mT if wide else A
+    col_sums = np.abs(A).sum(axis=-2, keepdims=True).max(axis=-1, keepdims=True)
+    row_sums = np.abs(A).sum(axis=-1, keepdims=True).max(axis=-2, keepdims=True)
+    X = A / np.minimum(fro, np.sqrt(col_sums * row_sums))
+    eye = np.eye(A.shape[-1])
     for _ in range(int(iters)):
-        B = eye - X.T @ X
+        B = eye - X.mT @ X
         P = _INV_SQRT_COEFFS[-1] * eye
         for coeff in _INV_SQRT_COEFFS[-2::-1]:
             P = coeff * eye + B @ P
         X = X @ P
-    return X
+    return X.mT if wide else X
 
 
 def orthonormality_defect(O, r: int) -> float:
@@ -100,7 +105,7 @@ def orthonormality_defect(O, r: int) -> float:
     Equals sqrt(sum_i (lambda_i - 1)^2) over the r largest eigenvalues of
     O.T @ O; zero iff the corresponding columns behave orthonormally.
     """
-    A = _as_matrix(O)
+    A = _as_matrix(O, max_ndim=2)
     if int(r) != r or r < 1 or r > min(A.shape):
         raise ValueError(f"r must lie in [1, {min(A.shape)}], got {r}")
     lam = np.linalg.eigvalsh(A.T @ A)[::-1]  # descending

@@ -70,6 +70,11 @@ def test_parse_collects_all_errors():
             parse_config(text)
         msgs = "\n".join(exc.value.errors)
         assert "problem.ratios" in msgs and "constants" in msgs and "T" in msgs
+    text = json.dumps({"noise": {"family": "gaussian", "s": 1.5, "sigma": -1}})
+    with pytest.raises(ConfigError) as exc:  # every broken noise rule, not just the first
+        parse_config(text)
+    msgs = "\n".join(exc.value.errors)
+    assert "noise.sigma: must be >= 0" in msgs and "gaussian noise is only valid with s=2" in msgs
 
 
 def test_parse_rejects_gaussian_with_low_s():
@@ -157,6 +162,23 @@ def test_cmd_sweep_grid_cardinality(tmp_path):
     lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
     assert lines[0].startswith("algorithm,p,T,N,s,seed")
     assert len(lines) == 1 + 6
+
+
+def test_cmd_sweep_keeps_rows_after_invariant_violation(tmp_path, monkeypatch, capsys):
+    real_run = cli.run
+
+    def failing_run(*args, seed, **kwargs):
+        if seed == 3:  # the third of four cells
+            raise InternalInvariantViolation("injected")
+        return real_run(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    cfg = parse_config(json.dumps({**SMALL, "T": 3}))
+    assert cmd_sweep(cfg, {"seed": [1, 2, 3, 4]}, out=str(tmp_path)) == 2
+    lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
+    assert lines[0] == cli.SWEEP_HEADER
+    assert [row.split(",")[5] for row in lines[1:]] == ["1", "2", "4"]
+    assert "cell seed=3: invariant violation" in capsys.readouterr().err
 
 
 def test_cmd_sweep_single_cell_matches_run(tmp_path):

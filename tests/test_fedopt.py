@@ -3,9 +3,8 @@ import pytest
 
 from fedminimax import HyperParams, NoiseModel
 from fedminimax.fedopt import (
-    ClientState,
-    ClientRoundResult,
     DegenerateMomentumError,
+    InternalInvariantViolation,
     ProtocolError,
     ServerState,
     clip_step,
@@ -24,69 +23,81 @@ HP = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                  beta_x=0.5, beta_y=0.5, p=2, T=4, N=2)
 
 
+def stack(*rows):
+    """Client stack, one (m, n) slice per row: a vector becomes d-by-1, a matrix stays."""
+    return np.stack([np.asarray(r, dtype=float).reshape(np.shape(r)[0], -1) for r in rows])
+
+
+def block(v):
+    """A shared global vector as the d-by-1 block of a client stack."""
+    return np.asarray(v, dtype=float).reshape(-1, 1)
+
+
 # ---------------------------------------------------------------------------
 # step rules
 
 
 def test_local_momentum_beta_one_disables_history():
     g = np.array([1.0, 2.0])
-    out = local_momentum(g, np.array([0.5, 0.0]), np.array([0.1, 0.0]), np.array([9.0, 9.0]), 1.0)
-    assert np.allclose(out, g + np.array([0.4, 0.0]))
+    out = local_momentum(stack(g), block([0.5, 0.0]), stack([0.1, 0.0]), block([9.0, 9.0]), 1.0)
+    assert np.allclose(out, stack(g + np.array([0.4, 0.0])))
 
 
 def test_local_momentum_midpoint():
-    out = local_momentum(np.array([2.0, 0.0]), np.zeros(2), np.zeros(2), np.array([0.0, 2.0]), 0.5)
-    assert np.allclose(out, np.array([1.0, 1.0]))
+    out = local_momentum(stack([2.0, 0.0]), block(np.zeros(2)), stack(np.zeros(2)),
+                         block([0.0, 2.0]), 0.5)
+    assert np.allclose(out, stack([1.0, 1.0]))
 
 
 def test_local_momentum_single_client_correction_vanishes():
     g = np.array([0.3, -0.7])
     shared = np.array([1.1, 2.2])  # with N=1 the global variate equals the local one
-    out = local_momentum(g, shared, shared, np.zeros(2), 0.25)
-    assert np.allclose(out, 0.25 * g)
+    out = local_momentum(stack(g), block(shared), stack(shared), block(np.zeros(2)), 0.25)
+    assert np.allclose(out, stack(0.25 * g))
 
 
 def test_local_momentum_shape_mismatch():
     with pytest.raises(ValueError):
-        local_momentum(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 0.5)
+        local_momentum(stack(np.zeros(2)), block(np.zeros(3)), stack(np.zeros(2)),
+                       block(np.zeros(2)), 0.5)
 
 
 def test_normalized_step_examples():
-    z = np.zeros(2)
-    out = normalized_step(z, np.array([3.0, 4.0]), 0.1, "descend")
-    assert np.allclose(out, [-0.06, -0.08])
+    z = stack(np.zeros(2))
+    out = normalized_step(z, stack([3.0, 4.0]), 0.1, "descend")
+    assert np.allclose(out, stack([-0.06, -0.08]))
     assert np.linalg.norm(out - z) == pytest.approx(0.1, abs=1e-12)
-    out = normalized_step(z, np.array([3.0, 4.0]), 0.1, "ascend")
-    assert np.allclose(out, [0.06, 0.08])
+    out = normalized_step(z, stack([3.0, 4.0]), 0.1, "ascend")
+    assert np.allclose(out, stack([0.06, 0.08]))
 
 
 def test_normalized_step_degenerate_policies():
-    z = np.array([1.0, 2.0])
-    assert normalized_step(z, np.zeros(2), 0.1, "descend", policy="skip") is z
+    z = stack([1.0, 2.0])
+    assert np.array_equal(normalized_step(z, stack(np.zeros(2)), 0.1, "descend", policy="skip"), z)
     with pytest.raises(DegenerateMomentumError):
-        normalized_step(z, np.zeros(2), 0.1, "descend", policy="error")
+        normalized_step(z, stack(np.zeros(2)), 0.1, "descend", policy="error")
 
 
 def test_muon_step_column_equals_normalized_step():
-    z = np.array([0.5, -0.5])
-    m = np.array([3.0, 4.0])
+    z = stack([0.5, -0.5])
+    m = stack([3.0, 4.0])
     a = muon_step(z, m, 0.1, "descend")
     b = normalized_step(z, m, 0.1, "descend")
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_muon_step_scaled_identity():
-    Z = np.zeros((3, 3))
-    out = muon_step(Z, 5.0 * np.eye(3), 0.1, "descend")
-    assert np.allclose(out, -0.1 * np.eye(3), atol=1e-8)
+    Z = np.zeros((1, 3, 3))
+    out = muon_step(Z, stack(5.0 * np.eye(3)), 0.1, "descend")
+    assert np.allclose(out, stack(-0.1 * np.eye(3)), atol=1e-8)
 
 
 def test_muon_step_iterative_vs_exact_svd():
     rng = np.random.default_rng(0)
     U = np.linalg.qr(rng.standard_normal((4, 3)))[0]
     V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    M = (U * np.array([1.0, 0.5, 0.1])) @ V.T
-    Z = rng.standard_normal((4, 3))
+    M = stack((U * np.array([1.0, 0.5, 0.1])) @ V.T)
+    Z = rng.standard_normal((1, 4, 3))
     eta = 0.2
     a = muon_step(Z, M, eta, "descend", ns_mode="iterative")
     b = muon_step(Z, M, eta, "descend", ns_mode="exact-svd")
@@ -95,28 +106,28 @@ def test_muon_step_iterative_vs_exact_svd():
 
 def test_muon_step_frobenius_bound():
     rng = np.random.default_rng(1)
-    Z = np.zeros((5, 4))
-    M = rng.standard_normal((5, 4))
+    Z = np.zeros((1, 5, 4))
+    M = rng.standard_normal((1, 5, 4))
     out = muon_step(Z, M, 0.3, "descend")
     assert np.linalg.norm(out - Z) <= 0.3 * np.sqrt(4) + 1e-8
 
 
 def test_clip_step_examples():
-    z = np.zeros(2)
-    m = np.array([3.0, 4.0])
+    z = stack(np.zeros(2))
+    m = stack([3.0, 4.0])
     # ||m|| = 5 < tau: unclipped
     assert np.allclose(clip_step(z, m, 0.01, 10.0, "descend"), -0.01 * m)
     # tau = 0.1: scale 0.1/5
-    assert np.allclose(clip_step(z, m, 1.0, 0.1, "descend"), [-0.06, -0.08])
-    assert clip_step(z, np.zeros(2), 1.0, 0.1, "descend") is not None
-    assert np.allclose(clip_step(z, np.zeros(2), 1.0, 0.1, "descend"), z)
+    assert np.allclose(clip_step(z, m, 1.0, 0.1, "descend"), stack([-0.06, -0.08]))
+    assert clip_step(z, stack(np.zeros(2)), 1.0, 0.1, "descend") is not None
+    assert np.allclose(clip_step(z, stack(np.zeros(2)), 1.0, 0.1, "descend"), z)
 
 
 def test_clip_step_norm_bound():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        m = rng.standard_normal(4) * 10 ** rng.uniform(-3, 3)
-        out = clip_step(np.zeros(4), m, 1.0, 0.1, "descend")
+        m = stack(rng.standard_normal(4) * 10 ** rng.uniform(-3, 3))
+        out = clip_step(np.zeros((1, 4, 1)), m, 1.0, 0.1, "descend")
         assert np.linalg.norm(out) <= 0.1 + 1e-12
 
 
@@ -135,11 +146,12 @@ def test_client_round_single_step_matches_manual():
     x0 = np.array([0.3, -0.1, 0.7])
     y0 = np.array([0.2, 0.0, -0.4])
     server = ServerState(x0, y0, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    res = client_round(0, server, ClientState(np.zeros(3), np.zeros(3)), prob, hp, "nsgda-m", 0)
+    X, _, G_x, _, drift_x, _ = client_round(server, np.zeros((1, 3, 1)), np.zeros((1, 3, 1)),
+                                            prob, hp, "nsgda-m", 0)
     g = prob.grad_x(0, x0, y0)
-    assert np.allclose(res.g_x, g)
-    assert np.allclose(res.x_final, x0 - hp.eta_x * g / np.linalg.norm(g))
-    assert res.max_drift_x == pytest.approx(hp.eta_x)
+    assert np.allclose(G_x, stack(g))
+    assert np.allclose(X, stack(x0 - hp.eta_x * g / np.linalg.norm(g)))
+    assert drift_x[0] == pytest.approx(hp.eta_x)
 
 
 def test_client_round_identical_clients_symmetry():
@@ -147,13 +159,11 @@ def test_client_round_identical_clients_symmetry():
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
     server = ServerState(np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    results = [
-        client_round(n, server, ClientState(np.zeros(3), np.zeros(3)), prob, hp, "nsgda-m", 0)
-        for n in range(3)
-    ]
-    for r in results[1:]:
-        assert np.allclose(r.x_final, results[0].x_final)
-        assert np.allclose(r.g_x, results[0].g_x)
+    X, _, G_x, _, _, _ = client_round(server, np.zeros((3, 3, 1)), np.zeros((3, 3, 1)),
+                                      prob, hp, "nsgda-m", 0)
+    for n in range(1, 3):
+        assert np.allclose(X[n], X[0])
+        assert np.allclose(G_x[n], G_x[0])
 
 
 def test_client_round_drift_within_bound():
@@ -165,16 +175,25 @@ def test_client_round_drift_within_bound():
         assert rec.max_drift_y <= HP.eta_y * HP.p + 1e-9
 
 
+def test_client_round_drift_violation_names_client_and_round(monkeypatch):
+    import fedminimax.fedopt as fedopt
+
+    prob = quiet_problem(n_clients=2, hetero=0.5, seed=3)
+    server = ServerState(np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
+                         np.zeros(3), 5)
+    tight = dict(max_drift_x=0.0, max_drift_y=1.0, server_step_x=1.0, server_step_y=1.0)
+    monkeypatch.setattr(fedopt, "round_caps", lambda *args: tight)
+    with pytest.raises(InternalInvariantViolation, match="client 0 drift exceeded .* round 5"):
+        client_round(server, np.zeros((2, 3, 1)), np.zeros((2, 3, 1)), prob, HP, "nsgda-m", 0)
+
+
 def test_server_round_mean_and_momentum():
     x = np.zeros(2)
     server = ServerState(x, x.copy(), x.copy(), x.copy(), x.copy(), x.copy(), 0)
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=1.0, beta_y=1.0, p=1, T=1, N=2)
-    results = [
-        ClientRoundResult(x, x, np.array([1.0, 0.0]), np.zeros(2), 0.0, 0.0),
-        ClientRoundResult(x, x, np.array([3.0, 2.0]), np.zeros(2), 0.0, 0.0),
-    ]
-    new = server_round(server, results, hp)
+    X = np.zeros((2, 2, 1))  # both clients end where they started
+    new = server_round(server, X, X, stack([1.0, 0.0], [3.0, 2.0]), np.zeros((2, 2, 1)), hp)
     assert np.allclose(new.g_x, [2.0, 1.0])
     assert np.allclose(new.u, [2.0, 1.0])  # beta=1: u_t = g_t
     assert np.allclose(new.x, x)  # zero displacement
@@ -185,7 +204,8 @@ def test_server_round_result_count_mismatch():
     x = np.zeros(2)
     server = ServerState(x, x, x, x, x, x, 0)
     with pytest.raises(ProtocolError):
-        server_round(server, [], HP)
+        empty = np.zeros((0, 2, 1))
+        server_round(server, empty, empty, empty, empty, HP)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +334,7 @@ def test_zero_momentum_policy_error_propagates():
     hp = HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.1, eta_y=0.1,
                      beta_x=0.5, beta_y=0.5, p=1, T=2, N=1,
                      zero_momentum_policy="error")
-    with pytest.raises(DegenerateMomentumError):
+    with pytest.raises(DegenerateMomentumError, match="client 0, block x, round 0"):
         run("nsgda-m", flat, hp, seed=0)
     hp_skip = HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.1, eta_y=0.1,
                           beta_x=0.5, beta_y=0.5, p=1, T=2, N=1)

@@ -1,0 +1,116 @@
+"""Property tests: a client stack gives, bit for bit, the results of its slices.
+
+Every step rule and polar kernel takes an (N, m, n) stack.  Running it on
+the whole stack must equal running it on each (1, m, n) slice alone, for
+vector (d-by-1), tall, square and wide blocks, including clients whose
+momentum is exactly zero.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fedminimax.fedopt import (
+    DegenerateMomentumError,
+    clip_step,
+    local_momentum,
+    muon_step,
+    normalized_step,
+)
+from fedminimax.linalg import newton_schulz_polar, svd_polar
+
+# nonzero entries stay far above the zero-momentum tolerance and below overflow
+ENTRY = st.just(0.0) | st.floats(1e-3, 100.0) | st.floats(-100.0, -1e-3)
+
+
+@st.composite
+def block_dims(draw):
+    kind = draw(st.sampled_from(["vector", "tall", "square", "wide"]))
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(a, 7))
+    return {"vector": (b, 1), "tall": (b, a), "square": (a, a), "wide": (a, b)}[kind]
+
+
+@st.composite
+def client_stack(draw, zero_rows=True):
+    """(N, m, n) stack with entries spanning several magnitudes; some rows may be all zero."""
+    n_clients = draw(st.integers(1, 5))
+    dims = draw(block_dims())
+    S = draw(arrays(float, (n_clients,) + dims, elements=ENTRY))
+    S *= 10.0 ** draw(arrays(float, (n_clients, 1, 1), elements=st.floats(-3.0, 3.0)))
+    if zero_rows:
+        S[draw(arrays(bool, n_clients))] = 0.0
+    return S
+
+
+def per_slice(fn, *stacks):
+    """fn run on each client's (1, m, n) slice alone, restacked."""
+    return np.concatenate([fn(*(S[n:n + 1] for S in stacks)) for n in range(len(stacks[0]))])
+
+
+def same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@st.composite
+def step_inputs(draw):
+    M = draw(client_stack())
+    Z = draw(arrays(float, M.shape, elements=ENTRY))
+    return Z, M
+
+
+STEP_RULES = {
+    "normalized": lambda Z, M: normalized_step(Z, M, 0.1, "descend"),
+    "muon-iterative": lambda Z, M: muon_step(Z, M, 0.1, "ascend", ns_mode="iterative"),
+    "muon-exact-svd": lambda Z, M: muon_step(Z, M, 0.1, "descend", ns_mode="exact-svd"),
+    "clip": lambda Z, M: clip_step(Z, M, 0.1, 2.0, "ascend"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(STEP_RULES))
+@settings(max_examples=60, deadline=None)
+@given(inputs=step_inputs())
+def test_step_rule_stack_equals_slices(rule, inputs):
+    Z, M = inputs
+    step = STEP_RULES[rule]
+    out = step(Z, M)
+    assert same(out, per_slice(step, Z, M))
+    zero = ~np.any(M, axis=(1, 2))
+    if rule != "clip":  # zero momentum leaves that client where it was
+        assert same(out[zero], Z[zero])
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=client_stack(), data=st.data())
+def test_local_momentum_stack_equals_slices(G, data):
+    G_prev = data.draw(arrays(float, G.shape, elements=ENTRY))
+    g_global, u_global = (data.draw(arrays(float, G.shape[1:], elements=ENTRY)) for _ in range(2))
+
+    def momentum(G, G_prev):
+        return local_momentum(G, g_global, G_prev, u_global, 0.3)
+
+    assert same(momentum(G, G_prev), per_slice(momentum, G, G_prev))
+
+
+@pytest.mark.parametrize("polar", [lambda M: newton_schulz_polar(M, 10), svd_polar],
+                         ids=["newton-schulz", "svd"])
+@settings(max_examples=60, deadline=None)
+@given(M=client_stack(zero_rows=False))
+def test_polar_stack_equals_slices(polar, M):
+    M[~np.any(M, axis=(1, 2))] = 1.0  # the kernels reject an all-zero matrix
+    assert same(polar(M), per_slice(polar, M))
+
+
+@settings(max_examples=30, deadline=None)
+@given(inputs=step_inputs())
+def test_error_policy_names_first_zero_client(inputs):
+    Z, M = inputs
+    zero = np.flatnonzero(~np.any(M, axis=(1, 2)))
+    if len(zero) == 0:
+        normalized_step(Z, M, 0.1, "descend", policy="error")
+        return
+    with pytest.raises(DegenerateMomentumError) as exc:
+        normalized_step(Z, M, 0.1, "descend", policy="error")
+    assert exc.value.client == zero[0]

@@ -39,7 +39,6 @@ from .problems import (
     make_auc_problem,
     make_saddle_problem,
     save_dataset_csv,
-    with_gradient_noise,
 )
 
 __version__ = "0.1.0"
@@ -80,5 +79,4 @@ __all__ = [
     "trace_from_csv",
     "trace_to_csv",
     "verify_invariants",
-    "with_gradient_noise",
 ]

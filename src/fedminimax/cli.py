@@ -41,6 +41,7 @@ from .core import (
 )
 from .fedopt import InternalInvariantViolation, run, trace_from_csv, trace_to_csv
 from .metrics import verify_invariants
+from .noise import seed_errors
 from .problems import gen_imbalanced_data, make_auc_problem, make_saddle_problem
 
 ENV_OUTDIR = "FEDMINIMAX_OUTDIR"
@@ -224,8 +225,10 @@ def parse_config(text: str) -> ExperimentConfig:
             seeds = CONFIG_DEFAULTS["seeds"]
         else:
             seeds = tuple(seeds_raw)
+            errors += [f"seeds[{k}]: {e}" for k, s in enumerate(seeds) for e in seed_errors(s)]
     elif seed is not None:
         seeds = (seed,)
+        errors += seed_errors(seed)
     else:
         seeds = CONFIG_DEFAULTS["seeds"]
 
@@ -422,17 +425,31 @@ def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
 SWEEP_HEADER = "algorithm,p,T,N,s,seed,first_window_grad_phi,final_window_grad_phi,final_auc,diverged"
 
 
+def _axis_errors(config: ExperimentConfig, axis: str, value) -> list:
+    """Every rule one sweep-axis value breaks, as "field: ..." messages: the config checks of its field."""
+    if axis == "algorithm":
+        return [] if value in ALGORITHMS else [f"algorithm: unknown {value!r}; choose from {ALGORITHMS}"]
+    if axis in ("p", "T", "N"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return [f"{axis}: must be a positive integer, got {value!r}"]
+        return hyperparam_errors(**{axis: value})
+    if axis == "s":
+        if not _is_number(value):
+            return [f"s: must be a number, got {value!r}"]
+        return noise_errors(s=value, sigma=config.noise.sigma, family=config.noise.family,
+                            tail_exponent=None)
+    return seed_errors(value)
+
+
 def _apply_axis(config: ExperimentConfig, axis: str, value):
     if axis == "algorithm":
         return dataclasses.replace(config, algorithm=value)
     if axis in ("p", "T", "N"):
-        return dataclasses.replace(config, **{axis: int(value)})
+        return dataclasses.replace(config, **{axis: value})
     if axis == "s":
         noise = dataclasses.replace(config.noise, s=float(value), tail_exponent=None)
         return dataclasses.replace(config, noise=noise)
-    if axis == "seed":
-        return dataclasses.replace(config, seeds=(int(value),))
-    raise ConfigError([f"axes: unknown axis {axis!r}; choose from {SWEEP_AXES}"])
+    return dataclasses.replace(config, seeds=(value,))
 
 
 def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -> int:
@@ -442,11 +459,17 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
     """
     if not isinstance(axes, dict) or not axes:
         raise ConfigError(["axes: need a nonempty JSON object"])
+    errors = []
     for axis, values in axes.items():
         if axis not in SWEEP_AXES:
-            raise ConfigError([f"axes: unknown axis {axis!r}; choose from {SWEEP_AXES}"])
-        if not isinstance(values, list) or not values:
-            raise ConfigError([f"axes.{axis}: need a nonempty list of values"])
+            errors.append(f"axes: unknown axis {axis!r}; choose from {SWEEP_AXES}")
+        elif not isinstance(values, list) or not values:
+            errors.append(f"axes.{axis}: need a nonempty list of values")
+        else:
+            errors += [f"axes.{axis}[{k}]: {e}" for k, v in enumerate(values)
+                       for e in _axis_errors(config, axis, v)]
+    if errors:
+        raise ConfigError(errors)
     if "seed" not in axes:
         axes = dict(axes, seed=list(config.seeds))
     out_dir = _outdir(config, out)

@@ -30,9 +30,11 @@ steps.
 Clients are independent given the round-start server state, so they run
 stacked: iterates, control variates, momenta and drifts are (N, m, n)
 arrays, one slice per client (a d-vector is d-by-1).  Each local step
-draws one gradient per client from its (seed, client, round, step)
-stream, then momentum, step rule and drift act on the whole stack with
-each client's bits unchanged; ``server_round`` sums over axis 0.
+draws one gradient and the raw noise variates per client from its (seed,
+client, round, step) stream (one reused generator, reset to states
+derived for the whole round at once), scales the noise for the whole
+stack, then momentum, step rule and drift act on the stack with each
+client's bits unchanged; ``server_round`` sums over axis 0.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from .metrics import (
     record_within_bounds,
     round_caps,
 )
-from .noise import derive_stream
-from .problems import MinimaxProblem, with_gradient_noise
+from .noise import is_silent, raw_draws, scale_draws, seed_errors, stream_states
+from .problems import MinimaxProblem
 
 ZERO_MOMENTUM_TOL = 1e-15
 
@@ -277,15 +279,29 @@ def _overflow_guard(bounded: bool):
 
 
 def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
-                 problem: MinimaxProblem, hp: HyperParams, algorithm: str, master_seed: int) -> tuple:
+                 problem: MinimaxProblem, hp: HyperParams, algorithm: str, master_seed: int,
+                 noise: Optional[NoiseModel] = None) -> tuple:
     """Run the p local steps of all N clients from the round-start server state.
 
     Returns the final iterates, the new control variates (each client's
     average stochastic gradient) as (N, m, n) stacks and each client's
     largest drift ||x_local - x_t||, checked against ``round_caps`` when bounded.
+    At each step every client's gradient is drawn from its (seed, client,
+    round, step) stream: first the problem's own draws in ``stoch_grad``,
+    then the raw ``noise`` variates of x and y; the noise is scaled and
+    added for the whole stack at once.
     """
     bx, by = problem.shape_x.as_matrix().dims, problem.shape_y.as_matrix().dims
     x0, y0 = server.x.reshape(bx), server.y.reshape(by)
+    step_idx, client_idx = np.divmod(np.arange(hp.p * hp.N), hp.N)
+    states = stream_states(master_seed, np.stack(
+        [client_idx, np.full_like(client_idx, server.round), step_idx], axis=1))
+    rng = np.random.Generator(np.random.PCG64(0))  # reset to each client's stream before use
+    noisy = not is_silent(noise)
+    if noisy:
+        size_x, size_y = problem.shape_x.size, problem.shape_y.size
+        DX, DY = np.empty((hp.N, size_x)), np.empty((hp.N, size_y))
+        RX, RY = np.empty(hp.N), np.empty(hp.N)
 
     def step(Z, M, eta, direction, block):
         try:
@@ -305,10 +321,16 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
         U, V = server.u.reshape(bx), server.v.reshape(by)  # global momentum; local-sgda-m recurses
         for i in range(hp.p):
             for n in range(hp.N):
-                rng = derive_stream(master_seed, n, server.round, i)
+                rng.bit_generator.state = states[i * hp.N + n]
                 gx, gy = problem.stoch_grad(n, X[n].reshape(server.x.shape),
                                             Y[n].reshape(server.y.shape), rng)
                 GX[n], GY[n] = np.reshape(gx, bx), np.reshape(gy, by)
+                if noisy:
+                    DX[n], RX[n] = raw_draws(noise, size_x, rng)
+                    DY[n], RY[n] = raw_draws(noise, size_y, rng)
+            if noisy:
+                GX += scale_draws(noise, DX, RX).reshape(GX.shape)
+                GY += scale_draws(noise, DY, RY).reshape(GY.shape)
             sum_gx += GX
             sum_gy += GY
             if algorithm == "local-sgda-m":
@@ -396,8 +418,9 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if hp.N != problem.n_clients:
         raise ValueError(f"hp.N={hp.N} does not match problem.n_clients={problem.n_clients}")
-    if noise is not None:
-        problem = with_gradient_noise(problem, noise)
+    errors = seed_errors(seed)
+    if errors:
+        raise ValueError("; ".join(errors))
 
     x = np.zeros(problem.shape_x.dims) if x0 is None else np.array(x0, dtype=float)
     y = np.zeros(problem.shape_y.dims) if y0 is None else np.array(y0, dtype=float)
@@ -423,7 +446,7 @@ def run(
         auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
 
         X, Y, G_x, G_y, drift_x, drift_y = client_round(
-            server, G_prev_x, G_prev_y, problem, hp, algorithm, seed)
+            server, G_prev_x, G_prev_y, problem, hp, algorithm, seed, noise)
         new_server = server_round(server, X, Y, G_x, G_y, hp)
         with _overflow_guard(caps is not None):
             rec = RoundRecord(

@@ -6,10 +6,12 @@ where M = P diag(sigma) Q.T is the thin SVD restricted to the nonzero
 singular values.  Two routes are provided:
 
 * :func:`svd_polar` - exact, via a dense SVD.  Serves as the oracle.
-* :func:`newton_schulz_polar` - iterative and SVD-free.  The input is
-  first divided by min(||M||_F, sqrt(||M||_1 * ||M||_inf)); both factors
-  bound the spectral norm from above, and the second is exact for scaled
-  orthonormal matrices, so those are genuine fixed points of the
+* :func:`newton_schulz_polar` - iterative and SVD-free.  Each matrix is
+  first scaled by the power of two that brings its largest entry into
+  [0.5, 1), which is exact and keeps the norms clear of underflow and
+  overflow, then divided by min(||M||_F, sqrt(||M||_1 * ||M||_inf)); both
+  factors bound the spectral norm from above, and the second is exact for
+  scaled orthonormal matrices, so those are genuine fixed points of the
   iteration.  Each sweep then applies a fixed odd polynomial in M M^T
   that pushes every singular value toward 1.  The polynomial is the
   order-5 truncation of the inverse-square-root series
@@ -78,9 +80,13 @@ def newton_schulz_polar(M, iters: int = 10) -> np.ndarray:
     """
     if int(iters) != iters or iters < 1:
         raise ValueError(f"iters must be a positive integer, got {iters}")
-    A = np.ascontiguousarray(_as_matrix(M))
-    if not np.all(np.any(A, axis=(-2, -1))):
+    A = _as_matrix(M)
+    peak = np.abs(A).max(axis=(-2, -1), keepdims=True)
+    if not np.all(peak > 0.0):
         raise DegenerateMatrixError("cannot orthonormalize the zero matrix")
+    # exact power-of-two rescale to a largest entry in [0.5, 1): the norms below
+    # neither underflow nor overflow, and a normal-range input keeps its bits
+    A = np.ascontiguousarray(np.ldexp(A, -np.frexp(peak)[1]))
     # sum each matrix in memory order, as np.linalg.norm does, before a wide one is transposed
     flat = A.reshape(A.shape[:-2] + (-1,))
     fro = np.sqrt(np.vecdot(flat, flat))[..., None, None]

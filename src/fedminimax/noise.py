@@ -7,26 +7,109 @@ with equality.  Mean zero follows from the spherical symmetry of the
 direction.  For the Pareto family with tail exponent t < 2 the variance
 of the sample norm is infinite while every moment of order <= s stays
 finite: exactly a bounded-s-th-moment noise source and nothing stronger.
+
+Every draw comes from a stream keyed by (master seed, client, round,
+step).  :func:`derive_stream` builds one such stream; :func:`stream_states`
+gives the PCG64 states of many keys in one vectorized pass, so a caller
+can reset a single reused Generator to each key instead of building one
+per key.  Sampling is split the same way: :func:`raw_draws` takes one
+client's variates from its stream and :func:`scale_draws` turns the
+stacked variates of many clients into noise increments at once;
+:func:`sample` is the one-client case of the two.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .core import NoiseModel, Shape
 
+SEED_LIMIT = 2**64  # master seeds lie in [0, SEED_LIMIT)
+KEY_LIMIT = 2**32  # client, round and step lie in [0, KEY_LIMIT)
+
+
+def seed_errors(seed) -> list:
+    """The stream rule a master seed breaks, as one "seed: ..." message, or no message."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < SEED_LIMIT:
+        return [f"seed: must be an integer in [0, 2**64), got {seed!r}"]
+    return []
+
 
 def derive_stream(master_seed: int, client: int, round_idx: int, step: int) -> np.random.Generator:
     """Independent random stream keyed by (master seed, client, round, step).
 
-    Streams for distinct keys are statistically independent and do not
-    depend on the order in which they are created, so concurrent clients
-    draw identical noise under any execution schedule.
+    The stream is ``default_rng(SeedSequence(master_seed, spawn_key=(client,
+    round_idx, step)))``.  Streams for distinct keys are statistically
+    independent and do not depend on the order in which they are created;
+    :func:`stream_states` derives the same streams in bulk.
     """
     key = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(client), int(round_idx), int(step)))
     return np.random.default_rng(key)
+
+
+# numpy's SeedSequence hash: the multipliers its hashmix steps through,
+# starting from INIT_A (entropy mixing) or INIT_B (state generation)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)
+
+
+# hashmix call k xors with multiplier k and multiplies by multiplier k + 1; the
+# 4-word pool takes calls 0-15, spawn word j mixes into pool word d at call 16 + 4j + d
+_ENTROPY_HASH = _hash_chain(_INIT_A, _MULT_A, 28)
+_SPAWN_XOR, _SPAWN_MUL = _ENTROPY_HASH[16:28].reshape(3, 4, 1), _ENTROPY_HASH[17:29].reshape(3, 4, 1)
+_STATE_HASH = _hash_chain(_INIT_B, _MULT_B, 8)[:, None]  # generate_state(4, uint64): 8 words
+
+
+def _shift_xor(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> np.uint32(16))
+
+
+def stream_states(master_seed: int, keys) -> list:
+    """PCG64 states of :func:`derive_stream` for every (client, round, step) row of ``keys``.
+
+    Row k's state, assigned to ``generator.bit_generator.state``, makes the
+    generator draw exactly what ``derive_stream(master_seed, *keys[k])``
+    draws.  The seed must lie in [0, 2**64) and every key entry in
+    [0, 2**32): there SeedSequence hashes the seed into its 4-word pool
+    before the spawn words, and each spawn word is one 32-bit word, so the
+    spawn words of all keys mix in with fixed hash constants, as (4, K)
+    arrays.
+    """
+    errors = seed_errors(master_seed)
+    if errors:
+        raise ValueError("; ".join(errors))
+    K = np.asarray(keys)
+    if K.ndim != 2 or K.shape[1] != 3 or not np.issubdtype(K.dtype, np.integer):
+        raise ValueError(f"keys must be a (K, 3) integer array, got {K.dtype} {K.shape}")
+    if K.size and (K.min() < 0 or K.max() >= KEY_LIMIT):
+        raise ValueError("keys must lie in [0, 2**32)")
+    words = K.T.astype(np.uint32)
+    pool = np.random.SeedSequence(int(master_seed)).pool[:, None]
+    for j in range(3):  # the client, round and step words, in spawn-key order
+        hashed = _shift_xor((words[j] ^ _SPAWN_XOR[j]) * _SPAWN_MUL[j])
+        pool = _shift_xor(_MIX_MULT_L * pool - _MIX_MULT_R * hashed)
+    out = _shift_xor((pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()  # little-endian pairs
+    states = []
+    for sh, sl, qh, ql in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one more step
+        inc = ((qh << 64 | ql) << 1 | 1) & _MASK128
+        state = ((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _pareto_scale(model: NoiseModel) -> float:
@@ -48,25 +131,50 @@ def _student_t_scale(model: NoiseModel) -> float:
     return model.sigma * math.exp(-log_m / s)
 
 
+def is_silent(model) -> bool:
+    """True when the model adds nothing: no model, family "none" or sigma 0."""
+    return model is None or model.family == "none" or model.sigma == 0.0
+
+
+def raw_draws(model: NoiseModel, size: int, stream: np.random.Generator) -> tuple:
+    """One client's variates for an increment of ``size`` entries: ``size`` normals, then the radius variate."""
+    direction = stream.standard_normal(size)
+    if model.family == "symmetrized-pareto":
+        return direction, stream.pareto(model.tail_exponent)
+    if model.family == "student-t":
+        return direction, stream.standard_t(model.tail_exponent)
+    if model.family == "gaussian":
+        return direction, stream.standard_normal()
+    raise ValueError(f"noise family {model.family!r} draws nothing")
+
+
+def scale_draws(model: NoiseModel, directions: np.ndarray, radii) -> np.ndarray:
+    """Noise increments from stacked normals (..., size) and radius variates (...), e.g. one row per client.
+
+    Each row is normalized by its own norm (an all-zero row, of measure
+    zero, becomes the first unit vector) and scaled by its radius; every
+    row equals, bit for bit, the increment of that row alone.
+    """
+    nrm = np.sqrt(np.vecdot(directions, directions))
+    if np.count_nonzero(nrm) < nrm.size:  # measure-zero guard
+        zero = nrm == 0.0
+        directions = np.where(zero[..., None] & (np.arange(directions.shape[-1]) == 0), 1.0, directions)
+        nrm = np.where(zero, 1.0, nrm)
+    if model.family == "symmetrized-pareto":
+        radius = _pareto_scale(model) * (1.0 + radii)
+    elif model.family == "student-t":
+        radius = _student_t_scale(model) * np.abs(radii)
+    else:  # gaussian; raw_draws rejects every other family
+        radius = model.sigma * np.abs(radii)
+    return radius[..., None] * (directions / nrm[..., None])
+
+
 def sample(model: NoiseModel, shape: Shape, stream: np.random.Generator) -> np.ndarray:
     """Draw one noise increment of the given shape from the model."""
-    if model.family == "none" or model.sigma == 0.0:
+    if is_silent(model):
         return np.zeros(shape.dims)
-    direction = stream.standard_normal(shape.size)
-    nrm = np.linalg.norm(direction)
-    if nrm == 0.0:  # measure-zero guard
-        direction[0] = 1.0
-        nrm = 1.0
-    direction /= nrm
-    if model.family == "symmetrized-pareto":
-        radius = _pareto_scale(model) * (1.0 + stream.pareto(model.tail_exponent))
-    elif model.family == "student-t":
-        radius = _student_t_scale(model) * abs(stream.standard_t(model.tail_exponent))
-    elif model.family == "gaussian":
-        radius = model.sigma * abs(stream.standard_normal())
-    else:  # unreachable: NoiseModel validates the family
-        raise ValueError(f"unknown noise family {model.family!r}")
-    return (radius * direction).reshape(shape.dims)
+    direction, radius = raw_draws(model, shape.size, stream)
+    return scale_draws(model, direction, np.float64(radius)).reshape(shape.dims)
 
 
 def empirical_moment(samples, s: float) -> float:

@@ -25,14 +25,13 @@ safe from concurrent clients.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NoiseModel, Shape, SmoothnessInfo
+from .core import Shape, SmoothnessInfo
 from .metrics import auc_score
-from .noise import sample
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,11 @@ class MinimaxProblem:
     ``grad_x(n, x, y)`` and ``grad_y(n, x, y)`` are the deterministic
     per-client gradients; ``stoch_grad(n, x, y, rng)`` returns one
     stochastic gradient pair drawn with the given stream (minibatch
-    subsampling, injected noise, or both).  ``y_star``/``phi_grad`` are
-    the closed-form inner maximizer and envelope gradient when available.
+    subsampling, for instance).  The stream is valid only during the
+    call: the engine resets the same generator to the next client's
+    stream afterwards, and draws its heavy-tailed noise from the stream
+    after ``stoch_grad`` returns.  ``y_star``/``phi_grad`` are the
+    closed-form inner maximizer and envelope gradient when available.
     """
 
     n_clients: int
@@ -119,25 +121,6 @@ class MinimaxProblem:
         for n in range(1, self.n_clients):
             total = total + self.grad_y(n, x, y)
         return total / self.n_clients
-
-
-def with_gradient_noise(problem: MinimaxProblem, model: NoiseModel) -> MinimaxProblem:
-    """Wrap a problem so stoch_grad additionally injects model noise.
-
-    The increments are drawn from the stream passed to ``stoch_grad``,
-    after the problem's own randomness, so the combination stays
-    reproducible per (client, round, step).
-    """
-    if model.family == "none" or model.sigma == 0.0:
-        return problem
-    base = problem.stoch_grad
-    sx, sy = problem.shape_x, problem.shape_y
-
-    def noisy(n, x, y, rng):
-        gx, gy = base(n, x, y, rng)
-        return gx + sample(model, sx, rng), gy + sample(model, sy, rng)
-
-    return replace(problem, stoch_grad=noisy)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -198,7 +181,7 @@ def make_saddle_problem(
         return B[n].T @ x - mu * y
 
     def stoch_grad(n, x, y, rng_):
-        # intrinsic randomness none; heavy-tailed noise enters via with_gradient_noise
+        # intrinsic randomness none; the engine adds the heavy-tailed noise
         return grad_x(n, x, y), grad_y(n, x, y)
 
     def f_value(x, y):

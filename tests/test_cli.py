@@ -75,6 +75,14 @@ def test_parse_collects_all_errors():
         parse_config(text)
     msgs = "\n".join(exc.value.errors)
     assert "noise.sigma: must be >= 0" in msgs and "gaussian noise is only valid with s=2" in msgs
+    # seeds outside the stream domain [0, 2**64) are named with the other errors
+    for bad, where in (({"seed": -1}, "seed:"), ({"seed": 2**64}, "seed:"),
+                       ({"seeds": [1, -1]}, "seeds[1]: seed:")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({**bad, "T": 0}))
+        msgs = "\n".join(exc.value.errors)
+        assert f"{where} must be an integer in [0, 2**64)" in msgs and "T:" in msgs
+    assert parse_config(json.dumps({"seed": 2**64 - 1})).seeds == (2**64 - 1,)
 
 
 def test_parse_rejects_gaussian_with_low_s():
@@ -199,6 +207,17 @@ def test_cmd_sweep_rejects_bad_axes(tmp_path):
         cmd_sweep(cfg, {}, out=str(tmp_path))
     with pytest.raises(ConfigError):
         cmd_sweep(cfg, {"flavor": [1]}, out=str(tmp_path))
+    # every axis value passes its field's config checks before the header is written
+    cases = {"p": [1.7], "N": [0], "seed": [-1, "x"]}
+    for axis, values in cases.items():
+        with pytest.raises(ConfigError) as exc:
+            cmd_sweep(cfg, {axis: values}, out=str(tmp_path / axis))
+        assert [e.split(":")[0] for e in exc.value.errors] == [
+            f"axes.{axis}[{k}]" for k in range(len(values))]
+    with pytest.raises(ConfigError) as exc:  # every bad value at once
+        cmd_sweep(cfg, cases, out=str(tmp_path / "all"))
+    assert len(exc.value.errors) == 4
+    assert not list(tmp_path.rglob("sweep_summary.csv"))
 
 
 def test_cmd_verify_fresh_trace_passes(tmp_path):

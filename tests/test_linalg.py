@@ -70,7 +70,9 @@ def test_newton_schulz_scalar_multiple_of_identity():
 def test_newton_schulz_matches_svd_oracle():
     rng = np.random.default_rng(42)
     M = random_with_cond(rng, 4, 3, smin=0.1)
-    assert np.linalg.norm(newton_schulz_polar(M, 10) - svd_polar(M)) <= 1e-6
+    # scales whose squared norms underflow or overflow a double
+    for scale in (1.0, 1e-170, 1e170, 1e-300, 1e300):
+        assert np.linalg.norm(newton_schulz_polar(scale * M, 10) - svd_polar(scale * M)) <= 1e-6
 
 
 def test_newton_schulz_zero_matrix():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedminimax import NoiseModel, Shape
-from fedminimax.noise import derive_stream, empirical_moment, sample
+from fedminimax.noise import derive_stream, empirical_moment, sample, seed_errors, stream_states
 
 
 def draws(model, shape, n, seed=0, start_step=0):
@@ -90,3 +90,34 @@ def test_empirical_moment_validation():
         empirical_moment([np.ones(2)], 2.5)
     with pytest.raises(ValueError):
         empirical_moment([np.ones(2)], 0.0)
+
+
+# first four integers(0, 2**63) of three streams, recorded before the bulk
+# derivation existed: a change to the stream values fails here, not silently
+GOLDEN_STREAMS = {
+    (0, 0, 0, 0): [5559497400832831700, 5319243380202163349,
+                   4284948988431154913, 9053553078124443997],
+    (1, 7, 3, 2): [7354674379010511847, 4808886400161139935,
+                   7594756992112294527, 1609052557669763687],
+    (2**64 - 1, 2**32 - 1, 5, 2**32 - 1): [8057538238234968545, 4435766393609865387,
+                                           6834760521326595751, 6497040509415681221],
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_STREAMS))
+def test_derive_stream_golden_values(key):
+    assert derive_stream(*key).integers(0, 2**63, size=4).tolist() == GOLDEN_STREAMS[key]
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = stream_states(key[0], [key[1:]])[0]
+    assert rng.integers(0, 2**63, size=4).tolist() == GOLDEN_STREAMS[key]
+
+
+def test_seed_and_key_domain():
+    assert seed_errors(0) == [] and seed_errors(np.uint64(2**64 - 1)) == []
+    for bad in (-1, 2**64, 1.0, True, "3"):
+        assert seed_errors(bad) == [f"seed: must be an integer in [0, 2**64), got {bad!r}"]
+        with pytest.raises(ValueError, match="seed"):
+            stream_states(bad, [(0, 0, 0)])
+    for keys in ([(0, 0, 2**32)], [(-1, 0, 0)], [(0, 0)], [(0.0, 0.0, 0.0)]):
+        with pytest.raises(ValueError, match="keys"):
+            stream_states(1, keys)

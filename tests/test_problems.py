@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from fedminimax import NoiseModel, Shape
-from fedminimax.noise import derive_stream, empirical_moment
+from fedminimax import Shape
 from fedminimax.problems import (
     Dataset,
     auc_loss,
@@ -11,7 +10,6 @@ from fedminimax.problems import (
     make_auc_problem,
     make_saddle_problem,
     save_dataset_csv,
-    with_gradient_noise,
 )
 
 
@@ -89,25 +87,6 @@ def test_saddle_gradient_dominance_is_exact():
 def test_saddle_rejects_bad_mu():
     with pytest.raises(ValueError):
         make_saddle_problem(2, 2, 2, mu=0.0)
-
-
-def test_injected_noise_satisfies_moment_bound():
-    model = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
-    prob = make_saddle_problem(2, 5, 5, mu=1.0, amp=1.0, hetero=0.3, seed=1)
-    noisy = with_gradient_noise(prob, model)
-    x = np.zeros(5)
-    y = np.zeros(5)
-    gx0 = prob.grad_x(0, x, y)
-    deltas = []
-    for k in range(100_000):
-        gx, _ = noisy.stoch_grad(0, x, y, derive_stream(13, 0, 0, k))
-        deltas.append(gx - gx0)
-    assert empirical_moment(deltas, 1.5) <= 1.2  # sigma^s = 1
-
-
-def test_with_gradient_noise_none_is_identity():
-    prob = make_saddle_problem(2, 3, 3)
-    assert with_gradient_noise(prob, NoiseModel(family="none")) is prob
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ Commands::
     fedminimax sweep  --config cfg.json --axes AXES --out DIR
     fedminimax verify --trace trace.csv --config cfg.json
 
-Configs are plain JSON with a flat schema; every field has a default (see
-``CONFIG_DEFAULTS``).  Either a schedule selector ("theorem1"/"theorem2")
-or the six explicit rates may be given, never both.  ``AXES`` is a JSON
-object over {algorithm, p, T, N, s, seed}, either inline or @file.
+Configs are plain JSON with a flat schema; every field has a default
+(``CONFIG_DEFAULTS``, the spec dataclasses and ``NoiseModel``).  Either a
+schedule selector ("theorem1"/"theorem2") or the six explicit rates may be
+given, never both.  ``parse_config`` is the only validator, so a config it
+accepts builds and runs.  ``AXES`` is a JSON object over {algorithm, p, T,
+N, s, seed}, either inline or @file; each sweep cell is the base config
+with its axis values set, parsed as a config before any file is written.
 
 Exit codes: 0 ok, 1 usage/config/parse error, 2 invariant violation,
 3 I/O failure.  The default output directory comes from the
@@ -25,6 +28,7 @@ import itertools
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,7 +46,8 @@ from .core import (
 from .fedopt import InternalInvariantViolation, run, trace_from_csv, trace_to_csv
 from .metrics import verify_invariants
 from .noise import seed_errors
-from .problems import gen_imbalanced_data, make_auc_problem, make_saddle_problem
+from .problems import (auc_errors, gen_imbalanced_data, imbalanced_data_errors, make_auc_problem,
+                       make_saddle_problem, saddle_errors)
 
 ENV_OUTDIR = "FEDMINIMAX_OUTDIR"
 
@@ -59,15 +64,12 @@ CONFIG_DEFAULTS = {
     "seeds": (1,),
     "schedule": "theorem1",
     "constants": (1.0, 1.0, 1.0),
-    "tau": 0.1,
-    "ns_iters": 10,
-    "ns_mode": "iterative",
-    "zero_momentum_policy": "skip",
-    "noise": {"family": "none", "s": 2.0, "sigma": 0.0},
     "out": None,
     "momentum_warm_start": False,
     "halt_on_divergence": False,
     "phi_tol": 1e-8,
+    # tau, ns_iters, ns_mode and zero_momentum_policy
+    **{f.name: f.default for f in dataclasses.fields(HyperParams) if f.default is not dataclasses.MISSING},
 }
 
 
@@ -123,6 +125,9 @@ class ExperimentConfig:
     phi_tol: float
 
 
+PROBLEM_KINDS = {"saddle": SaddleSpec, "auc": AucSpec}
+
+
 def _take(data: dict, key, want, errors, default=None):
     """Pop data[key], type-checked against `want` (a type or tuple of types)."""
     if key not in data:
@@ -142,6 +147,24 @@ def _take(data: dict, key, want, errors, default=None):
     return val
 
 
+def _json_types(cls) -> dict:
+    """The JSON types each field of dataclass `cls` accepts, by its annotation; a tuple takes a list."""
+    return {name: tuple(list if k is tuple else k for k in typing.get_args(hint) or (hint,))
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+JSON_TYPES = {cls: _json_types(cls) for cls in (SaddleSpec, AucSpec, NoiseModel)}
+
+
+def _take_fields(cls, data: dict, prefix: str, errors) -> dict:
+    """Pop every field of dataclass `cls` from data, type-checked, its default if absent."""
+    found: list = []
+    values = {f.name: _take(data, f.name, JSON_TYPES[cls][f.name], found, f.default)
+              for f in dataclasses.fields(cls)}
+    errors += [f"{prefix}{e}" for e in found] + [f"{prefix}{key}: unknown key" for key in data]
+    return values
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -153,46 +176,48 @@ def _parse_problem(raw, errors):
         errors.append(f"problem: expected a kind string or object, got {type(raw).__name__}")
         return SaddleSpec()
     raw = dict(raw)
-    kind = raw.pop("kind", "saddle")
-    if kind == "saddle":
-        spec = SaddleSpec(
-            d_x=_take(raw, "d_x", int, errors, 10),
-            d_y=_take(raw, "d_y", int, errors, 10),
-            mu=_take(raw, "mu", float, errors, 1.0),
-            amp=_take(raw, "amp", float, errors, 1.0),
-            hetero=_take(raw, "hetero", float, errors, 0.0),
-            seed=_take(raw, "seed", int, errors, 0),
-        )
-        if spec.mu <= 0:
-            errors.append("problem.mu: must be positive")
-        if spec.amp < 0:
-            errors.append("problem.amp: must be >= 0")
-    elif kind == "auc":
-        ratios = _take(raw, "ratios", list, errors, None)
-        if ratios is not None and not all(map(_is_number, ratios)):
-            errors.append(f"problem.ratios: must be a list of numbers, got {ratios!r}")
-            ratios = None
-        spec = AucSpec(
-            n_per_client=_take(raw, "n_per_client", int, errors, 640),
-            ratio=_take(raw, "ratio", float, errors, 0.1),
-            ratios=None if ratios is None else tuple(float(r) for r in ratios),
-            dim=_take(raw, "dim", int, errors, 20),
-            separation=_take(raw, "separation", float, errors, 2.0),
-            batch_size=_take(raw, "batch_size", int, errors, 64),
-            pooled_ratio=_take(raw, "pooled_ratio", bool, errors, False),
-            spread=_take(raw, "spread", float, errors, 0.5),
-            seed=_take(raw, "seed", int, errors, 0),
-            test_size=_take(raw, "test_size", int, errors, 2000),
-        )
-        for r in (spec.ratios or (spec.ratio,)):
-            if not (0.0 < r < 1.0):
-                errors.append(f"problem ratio {r}: must lie in (0, 1)")
-    else:
+    kind = raw.pop("kind", CONFIG_DEFAULTS["problem"])
+    if kind not in PROBLEM_KINDS:
         errors.append(f"problem.kind: unknown kind {kind!r}")
-        spec = SaddleSpec()
-    for key in raw:
-        errors.append(f"problem.{key}: unknown key")
-    return spec
+        return SaddleSpec()
+    values = _take_fields(PROBLEM_KINDS[kind], raw, "problem.", errors)
+    ratios = values.get("ratios")
+    if ratios is not None:
+        if all(map(_is_number, ratios)):
+            values["ratios"] = tuple(float(r) for r in ratios)
+        else:
+            errors.append(f"problem.ratios: must be a list of numbers, got {ratios!r}")
+            values["ratios"] = None
+    return PROBLEM_KINDS[kind](**values)
+
+
+def _auc_sets(spec: AucSpec, N: int) -> tuple:
+    """(size, ratios) of the N training shards and of the test set drawn at their mean ratio."""
+    ratios = list(spec.ratios) if spec.ratios is not None else [spec.ratio] * N
+    return (spec.n_per_client, ratios), (spec.test_size, [float(np.mean(ratios))])
+
+
+def _renamed(message: str, field: str) -> str:
+    """A problem maker's "argument: ..." message, named after the spec field it came from."""
+    return f"{field}: {message.split(': ', 1)[1]}"
+
+
+def _problem_errors(spec, N: int) -> list:
+    """Every rule the problem makers put on the spec under N clients, as "problem.<field>: ..." messages."""
+    if isinstance(spec, SaddleSpec):
+        found = saddle_errors(N, spec.d_x, spec.d_y, spec.mu, spec.amp, spec.seed)
+    else:
+        (n, ratios), (n_test, test_ratios) = _auc_sets(spec, N)
+        field = "ratio" if spec.ratios is None else "ratios"
+        found = [_renamed(m, field) if m.startswith("ratios:") else m
+                 for m in imbalanced_data_errors(n, ratios, spec.dim, spec.seed)]
+        found += auc_errors(spec.batch_size)
+        if len(ratios) != N:
+            found.append(f"ratios: has {len(ratios)} entries for N={N} clients")
+        if not found:  # then only test_size can leave the test set short of a class
+            found = [_renamed(m, "test_size")
+                     for m in imbalanced_data_errors(n_test, test_ratios, spec.dim, spec.seed + 1)]
+    return [f"problem.{m}" for m in found]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -253,7 +278,7 @@ def parse_config(text: str) -> ExperimentConfig:
     constants_raw = _take(data, "constants", list, errors, None)
     if constants_raw is None:
         constants = CONFIG_DEFAULTS["constants"]
-    elif len(constants_raw) != 3 or any(not _is_number(c) or c <= 0 for c in constants_raw):
+    elif len(constants_raw) != 3 or any(not _is_number(c) or not c > 0 for c in constants_raw):
         errors.append("constants: must be three positive numbers")
         constants = CONFIG_DEFAULTS["constants"]
     else:
@@ -265,17 +290,10 @@ def parse_config(text: str) -> ExperimentConfig:
     policy = _take(data, "zero_momentum_policy", str, errors, CONFIG_DEFAULTS["zero_momentum_policy"])
     errors += hyperparam_errors(N=N, p=p, T=T, tau=tau, ns_iters=ns_iters, ns_mode=ns_mode,
                                 zero_momentum_policy=policy, **explicit_given)
+    if not hyperparam_errors(N=N):  # the problem rules hold per client
+        errors += _problem_errors(problem, N)
 
-    noise_raw = _take(data, "noise", dict, errors, dict(CONFIG_DEFAULTS["noise"]))
-    noise_raw = dict(noise_raw)
-    kwargs = {
-        "family": _take(noise_raw, "family", str, errors, "none"),
-        "s": _take(noise_raw, "s", float, errors, 2.0),
-        "sigma": _take(noise_raw, "sigma", float, errors, 0.0),
-        "tail_exponent": _take(noise_raw, "tail_exponent", (float, type(None)), errors, None),
-    }
-    for key in noise_raw:
-        errors.append(f"noise.{key}: unknown key")
+    kwargs = _take_fields(NoiseModel, dict(_take(data, "noise", dict, errors, {})), "noise.", errors)
     noise_msgs = [f"noise.{msg}" for msg in noise_errors(**kwargs)]
     errors += noise_msgs
     noise = None if noise_msgs else NoiseModel(**kwargs)
@@ -284,7 +302,7 @@ def parse_config(text: str) -> ExperimentConfig:
     warm = _take(data, "momentum_warm_start", bool, errors, CONFIG_DEFAULTS["momentum_warm_start"])
     halt = _take(data, "halt_on_divergence", bool, errors, CONFIG_DEFAULTS["halt_on_divergence"])
     phi_tol = _take(data, "phi_tol", float, errors, CONFIG_DEFAULTS["phi_tol"])
-    if phi_tol is not None and phi_tol <= 0:
+    if not phi_tol > 0:  # nan included, as the engine's check
         errors.append(f"phi_tol: must be positive, got {phi_tol}")
 
     for key in data:
@@ -302,51 +320,27 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical JSON for a validated config; parse_config inverts it."""
-    d: dict = {
-        "algorithm": config.algorithm,
-        "N": config.N, "p": config.p, "T": config.T,
-        "seeds": list(config.seeds),
-        "constants": list(config.constants),
-        "tau": config.tau, "ns_iters": config.ns_iters, "ns_mode": config.ns_mode,
-        "zero_momentum_policy": config.zero_momentum_policy,
-        "noise": {
-            "family": config.noise.family, "s": config.noise.s,
-            "sigma": config.noise.sigma, "tail_exponent": config.noise.tail_exponent,
-        },
-        "out": config.out,
-        "momentum_warm_start": config.momentum_warm_start,
-        "halt_on_divergence": config.halt_on_divergence,
-        "phi_tol": config.phi_tol,
-    }
-    prob = dataclasses.asdict(config.problem)
-    prob["kind"] = "saddle" if isinstance(config.problem, SaddleSpec) else "auc"
-    if prob.get("ratios") is not None:
-        prob["ratios"] = list(prob["ratios"])
-    else:
-        prob.pop("ratios", None)
-    d["problem"] = prob
-    if config.schedule is not None:
-        d["schedule"] = config.schedule
-    else:
-        d.update(config.explicit)
+    d = dataclasses.asdict(config)
+    d.update(d.pop("explicit") or {})
+    if d["schedule"] is None:
+        del d["schedule"]
+    kind = next(k for k, cls in PROBLEM_KINDS.items() if type(config.problem) is cls)
+    d["problem"] = {"kind": kind, **{k: v for k, v in d["problem"].items() if v is not None}}
     return json.dumps(d, indent=2, sort_keys=True)
 
 
 def build_problem(config: ExperimentConfig):
+    """The problem of a config that ``parse_config`` accepted."""
     spec = config.problem
     if isinstance(spec, SaddleSpec):
         return make_saddle_problem(
             n_clients=config.N, d_x=spec.d_x, d_y=spec.d_y, mu=spec.mu,
             amp=spec.amp, hetero=spec.hetero, seed=spec.seed)
-    ratios = list(spec.ratios) if spec.ratios is not None else [spec.ratio] * config.N
-    if len(ratios) != config.N:
-        raise ConfigError([f"problem.ratios has {len(ratios)} entries for N={config.N} clients"])
-    shards = gen_imbalanced_data(
-        spec.n_per_client, ratios, spec.dim, spec.separation,
-        seed=spec.seed, spread=spec.spread)
-    test = gen_imbalanced_data(
-        spec.test_size, [float(np.mean(ratios))], spec.dim, spec.separation,
-        seed=spec.seed + 1, spread=spec.spread)[0]
+    (n, ratios), (n_test, test_ratios) = _auc_sets(spec, config.N)
+    shards = gen_imbalanced_data(n, ratios, spec.dim, spec.separation,
+                                 seed=spec.seed, spread=spec.spread)
+    test = gen_imbalanced_data(n_test, test_ratios, spec.dim, spec.separation,
+                               seed=spec.seed + 1, spread=spec.spread)[0]
     return make_auc_problem(
         shards, spec.dim, batch_size=spec.batch_size,
         pooled_ratio=spec.pooled_ratio, test_data=test)
@@ -425,40 +419,29 @@ def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
 SWEEP_HEADER = "algorithm,p,T,N,s,seed,first_window_grad_phi,final_window_grad_phi,final_auc,diverged"
 
 
-def _axis_errors(config: ExperimentConfig, axis: str, value) -> list:
-    """Every rule one sweep-axis value breaks, as "field: ..." messages: the config checks of its field."""
-    if axis == "algorithm":
-        return [] if value in ALGORITHMS else [f"algorithm: unknown {value!r}; choose from {ALGORITHMS}"]
-    if axis in ("p", "T", "N"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            return [f"{axis}: must be a positive integer, got {value!r}"]
-        return hyperparam_errors(**{axis: value})
-    if axis == "s":
-        if not _is_number(value):
-            return [f"s: must be a number, got {value!r}"]
-        return noise_errors(s=value, sigma=config.noise.sigma, family=config.noise.family,
-                            tail_exponent=None)
-    return seed_errors(value)
-
-
-def _apply_axis(config: ExperimentConfig, axis: str, value):
-    if axis == "algorithm":
-        return dataclasses.replace(config, algorithm=value)
-    if axis in ("p", "T", "N"):
-        return dataclasses.replace(config, **{axis: value})
-    if axis == "s":
-        noise = dataclasses.replace(config.noise, s=float(value), tail_exponent=None)
-        return dataclasses.replace(config, noise=noise)
-    return dataclasses.replace(config, seeds=(value,))
+def _sweep_cell(base: str, overrides) -> ExperimentConfig:
+    """The config of one sweep cell: the base config's JSON with each (axis, value) set."""
+    data = json.loads(base)
+    for axis, value in overrides:
+        if axis == "s":
+            data["noise"].update(s=value, tail_exponent=None)
+        elif axis == "seed":
+            data["seeds"] = [value]
+        else:
+            data[axis] = value
+    return parse_config(json.dumps(data))
 
 
 def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -> int:
     """Run the cartesian grid, writing each cell's summary row as soon as it finishes.
 
-    A cell that breaks an invariant is reported and skipped; the command then returns 2.
+    Every cell is parsed before anything is written, each axis value alone
+    first. A cell that breaks an invariant is reported and skipped; the
+    command then returns 2.
     """
     if not isinstance(axes, dict) or not axes:
         raise ConfigError(["axes: need a nonempty JSON object"])
+    base = serialize_config(config)
     errors = []
     for axis, values in axes.items():
         if axis not in SWEEP_AXES:
@@ -466,22 +449,24 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
         elif not isinstance(values, list) or not values:
             errors.append(f"axes.{axis}: need a nonempty list of values")
         else:
-            errors += [f"axes.{axis}[{k}]: {e}" for k, v in enumerate(values)
-                       for e in _axis_errors(config, axis, v)]
+            for k, value in enumerate(values):
+                try:
+                    _sweep_cell(base, [(axis, value)])
+                except ConfigError as exc:
+                    errors += [f"axes.{axis}[{k}]: {e}" for e in exc.errors]
     if errors:
         raise ConfigError(errors)
     if "seed" not in axes:
         axes = dict(axes, seed=list(config.seeds))
-    out_dir = _outdir(config, out)
     names = list(axes)
+    combos = list(itertools.product(*(axes[a] for a in names)))
+    cells = [_sweep_cell(base, zip(names, combo)) for combo in combos]
+    out_dir = _outdir(config, out)
     path = os.path.join(out_dir, "sweep_summary.csv")
     status, written = 0, 0
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for combo in itertools.product(*(axes[a] for a in names)):
-            cell = config
-            for axis, value in zip(names, combo):
-                cell = _apply_axis(cell, axis, value)
+        for combo, cell in zip(combos, cells):
             problem = build_problem(cell)
             hp = resolve_hyperparams(cell, problem)
             seed = cell.seeds[0]
@@ -576,7 +561,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except ValueError as exc:  # malformed trace CSV, bad problem parameters
+    except ValueError as exc:  # malformed trace CSV
         print(exc, file=sys.stderr)
         return 1
     except InternalInvariantViolation as exc:

@@ -317,6 +317,9 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     with _overflow_guard(caps is not None):
         X, Y = np.repeat(x0[None], hp.N, axis=0), np.repeat(y0[None], hp.N, axis=0)
         GX, GY = np.empty_like(X), np.empty_like(Y)
+        # each client's gradient in its block's own shape, written through to GX/GY
+        gx_view = GX.reshape((hp.N,) + problem.shape_x.dims)
+        gy_view = GY.reshape((hp.N,) + problem.shape_y.dims)
         sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
         U, V = server.u.reshape(bx), server.v.reshape(by)  # global momentum; local-sgda-m recurses
         for i in range(hp.p):
@@ -324,7 +327,7 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
                 rng.bit_generator.state = states[i * hp.N + n]
                 gx, gy = problem.stoch_grad(n, X[n].reshape(server.x.shape),
                                             Y[n].reshape(server.y.shape), rng)
-                GX[n], GY[n] = np.reshape(gx, bx), np.reshape(gy, by)
+                gx_view[n], gy_view[n] = gx, gy
                 if noisy:
                     DX[n], RX[n] = raw_draws(noise, size_x, rng)
                     DY[n], RY[n] = raw_draws(noise, size_y, rng)

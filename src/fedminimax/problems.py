@@ -95,7 +95,8 @@ class MinimaxProblem:
     call: the engine resets the same generator to the next client's
     stream afterwards, and draws its heavy-tailed noise from the stream
     after ``stoch_grad`` returns.  ``y_star``/``phi_grad`` are the
-    closed-form inner maximizer and envelope gradient when available.
+    closed-form inner maximizer and envelope gradient, or None: then
+    ``phi_value_and_grad`` ascends the dual or takes ``mean_grad_x`` at y*.
     """
 
     n_clients: int
@@ -110,22 +111,40 @@ class MinimaxProblem:
     phi_grad: Optional[Callable] = None
     auc_eval: Optional[Callable] = None
 
-    def mean_grad_x(self, x, y) -> np.ndarray:
-        total = self.grad_x(0, x, y)
+    def _client_mean(self, grad, x, y) -> np.ndarray:
+        total = grad(0, x, y)
         for n in range(1, self.n_clients):
-            total = total + self.grad_x(n, x, y)
+            total = total + grad(n, x, y)
         return total / self.n_clients
 
+    def mean_grad_x(self, x, y) -> np.ndarray:
+        return self._client_mean(self.grad_x, x, y)
+
     def mean_grad_y(self, x, y) -> np.ndarray:
-        total = self.grad_y(0, x, y)
-        for n in range(1, self.n_clients):
-            total = total + self.grad_y(n, x, y)
-        return total / self.n_clients
+        return self._client_mean(self.grad_y, x, y)
+
+
+def _raise_all(errors: list) -> None:
+    if errors:
+        raise ValueError("; ".join(errors))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(v)
     return v if nrm == 0.0 else v / nrm
+
+
+def saddle_errors(n_clients, d_x, d_y, mu, amp, seed) -> list:
+    """Every rule ``make_saddle_problem`` puts on these arguments, one "name: ..." message each."""
+    rules = (
+        ("n_clients", n_clients >= 1, f"must be >= 1, got {n_clients}"),
+        ("d_x", d_x >= 1, f"must be >= 1, got {d_x}"),
+        ("d_y", d_y >= 1, f"must be >= 1, got {d_y}"),
+        ("mu", mu > 0, f"must be positive, got {mu}"),
+        ("amp", amp >= 0, f"must be >= 0, got {amp}"),
+        ("seed", seed >= 0, f"must be >= 0, got {seed}"),
+    )
+    return [f"{name}: {want}" for name, ok, want in rules if not ok]
 
 
 def make_saddle_problem(
@@ -149,12 +168,7 @@ def make_saddle_problem(
     constants are L_f = amp + ||B_mean||_2 + mu (an upper bound for the
     averaged objective) and the exact dual curvature mu.
     """
-    if not (mu > 0):
-        raise ValueError(f"mu must be positive, got {mu}")
-    if amp < 0:
-        raise ValueError(f"amp must be >= 0, got {amp}")
-    if d_x < 1 or d_y < 1 or n_clients < 1:
-        raise ValueError("dimensions and client count must be >= 1")
+    _raise_all(saddle_errors(n_clients, d_x, d_y, mu, amp, seed))
     rng = np.random.default_rng(seed)
 
     B0 = np.asarray(base_coupling, dtype=float) if base_coupling is not None else None
@@ -246,6 +260,11 @@ def _auc_batch_grads(A, b, x, w3, p):
     return gx, np.array([g3])
 
 
+def auc_errors(batch_size) -> list:
+    """Every rule ``make_auc_problem`` puts on its minibatch size."""
+    return [] if batch_size is None or batch_size >= 1 else [f"batch_size: must be >= 1, got {batch_size}"]
+
+
 def make_auc_problem(
     data_shards: list,
     model_dim: int,
@@ -265,10 +284,9 @@ def make_auc_problem(
     problem exposes ``auc_eval(x)``: the exact pairwise AUC of the linear
     score on that set.
     """
+    _raise_all(auc_errors(batch_size))
     if len(data_shards) == 0:
         raise ValueError("need at least one data shard")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     for k, shard in enumerate(data_shards):
         if len(shard) == 0:
             raise ValueError(f"shard {k} is empty")
@@ -343,13 +361,6 @@ def make_auc_problem(
             num += float(np.mean(p * h * (~pos) - (1.0 - p) * h * pos))
         return np.array([num / np.sum(ratios * (1.0 - ratios))])
 
-    def phi_grad(x):
-        y = y_star(x)
-        total = grad_x(0, x, y)
-        for n in range(1, N):
-            total = total + grad_x(n, x, y)
-        return total / N
-
     auc_eval = None
     if test_data is not None:
         tf, tl = test_data.features, test_data.labels
@@ -367,9 +378,37 @@ def make_auc_problem(
         stoch_grad=stoch_grad,
         f_value=f_value,
         y_star=y_star,
-        phi_grad=phi_grad,
         auc_eval=auc_eval,
     )
+
+
+def _positives(ratio: float, n: int) -> int:
+    return int(round(ratio * n))
+
+
+def imbalanced_data_errors(n_per_client, ratios, dim, seed) -> list:
+    """Every rule ``gen_imbalanced_data`` puts on these arguments, one "name: ..." message each.
+
+    The sample counts are checked once the sizes and ratios are valid.
+    """
+    errors = [f"{name}: must be >= 1, got {v}"
+              for name, v in (("n_per_client", n_per_client), ("dim", dim)) if v < 1]
+    if len(ratios) == 0:
+        errors.append("ratios: need one ratio per client, got none")
+    distinct = list(dict.fromkeys(ratios))
+    errors += [f"ratios: each must lie in (0, 1), got {r}" for r in distinct if not 0.0 < r < 1.0]
+    if not errors:
+        if n_per_client * min(ratios) < 2:
+            errors.append(f"n_per_client: must give at least 2 positives at ratio {min(ratios)}, "
+                          f"got {n_per_client} * {min(ratios)} < 2")
+        for r in distinct:
+            n_pos = _positives(r, n_per_client)
+            if not 1 <= n_pos <= n_per_client - 1:
+                errors.append(f"ratios: {r} of {n_per_client} samples gives {n_pos} positives and "
+                              f"{n_per_client - n_pos} negatives; need at least one of each")
+    if seed < 0:
+        errors.append(f"seed: must be >= 0, got {seed}")
+    return errors
 
 
 def gen_imbalanced_data(
@@ -388,19 +427,12 @@ def gen_imbalanced_data(
     per client after partitioning, so each shard matches its ratio to the
     nearest integer.
     """
-    if dim < 1 or n_per_client < 1:
-        raise ValueError("dim and n_per_client must be >= 1")
-    if len(ratios) == 0 or any(not (0.0 < r < 1.0) for r in ratios):
-        raise ValueError(f"ratios must each lie in (0, 1), got {ratios}")
-    if n_per_client * min(ratios) < 2:
-        raise ValueError("degenerate counts: need n_per_client * min(ratio) >= 2")
+    _raise_all(imbalanced_data_errors(n_per_client, ratios, dim, seed))
     rng = np.random.default_rng(seed)
     shards = []
     for r in ratios:
-        n_pos = int(round(r * n_per_client))
+        n_pos = _positives(r, n_per_client)
         n_neg = n_per_client - n_pos
-        if n_pos < 1 or n_neg < 1:
-            raise ValueError(f"degenerate counts for ratio {r}")
         X = spread * rng.standard_normal((n_per_client, dim))
         X[:n_pos, 0] += separation / 2.0
         X[n_pos:, 0] -= separation / 2.0

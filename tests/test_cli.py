@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,18 @@ SMALL = {
     "T": 6, "N": 2, "p": 2, "seed": 1, "schedule": "theorem1",
     "noise": {"family": "symmetrized-pareto", "s": 1.5, "sigma": 1.0},
 }
+
+# problem specs that break a problem-maker rule, with the config keys around
+# them and the field the error must name
+BAD_PROBLEMS = [
+    ({"kind": "auc", "ratios": [0.1, 0.2]}, {"N": 3}, "problem.ratios"),
+    ({"kind": "saddle", "d_x": 0}, {}, "problem.d_x"),
+    ({"kind": "saddle", "seed": -1}, {}, "problem.seed"),
+    ({"kind": "auc", "n_per_client": 10}, {}, "problem.n_per_client"),
+    ({"kind": "auc", "batch_size": 0}, {}, "problem.batch_size"),
+    ({"kind": "auc", "ratio": 0.99, "n_per_client": 10}, {}, "problem.ratio"),
+    ({"kind": "auc", "test_size": 10}, {}, "problem.test_size"),
+]
 
 
 def test_parse_minimal_config_fills_defaults():
@@ -83,6 +97,15 @@ def test_parse_collects_all_errors():
         msgs = "\n".join(exc.value.errors)
         assert f"{where} must be an integer in [0, 2**64)" in msgs and "T:" in msgs
     assert parse_config(json.dumps({"seed": 2**64 - 1})).seeds == (2**64 - 1,)
+    text = json.dumps({"constants": [float("nan"), 1, 1], "phi_tol": float("nan"), "T": 0})
+    with pytest.raises(ConfigError) as exc:  # nan breaks "positive" here as in the engine
+        parse_config(text)
+    assert sorted(e.split(":")[0] for e in exc.value.errors) == ["T", "constants", "phi_tol"]
+    for problem, extra, field in BAD_PROBLEMS:  # the problem makers' rules, checked up front
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"problem": problem, **extra, "T": 0}))
+        msgs = "\n".join(exc.value.errors)
+        assert f"{field}: " in msgs and "T: " in msgs
 
 
 def test_parse_rejects_gaussian_with_low_s():
@@ -217,6 +240,16 @@ def test_cmd_sweep_rejects_bad_axes(tmp_path):
     with pytest.raises(ConfigError) as exc:  # every bad value at once
         cmd_sweep(cfg, cases, out=str(tmp_path / "all"))
     assert len(exc.value.errors) == 4
+    # an axis value that breaks a problem rule: the ratios count against N
+    auc = parse_config(json.dumps({**SMALL, "problem": {"kind": "auc", "ratios": [0.1, 0.2]}}))
+    with pytest.raises(ConfigError) as exc:
+        cmd_sweep(auc, {"N": [3]}, out=str(tmp_path / "ratios"))
+    assert exc.value.errors == ["axes.N[0]: problem.ratios: has 2 entries for N=3 clients"]
+    # a base config that breaks a problem rule never reaches the header
+    for k, (problem, extra, field) in enumerate(BAD_PROBLEMS[1:]):
+        with pytest.raises(ConfigError, match=field):
+            cmd_sweep(parse_config(json.dumps({**SMALL, "problem": problem, **extra})),
+                      {"seed": [1]}, out=str(tmp_path / f"problem{k}"))
     assert not list(tmp_path.rglob("sweep_summary.csv"))
 
 
@@ -256,12 +289,28 @@ def test_main_end_to_end(tmp_path):
     assert (out / "sweep_summary.csv").exists()
 
 
-def test_main_bad_config_exit_code(tmp_path):
+def test_main_bad_config_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{\"algorithm\": \"sgd\"}")
     assert main(["run", "--config", str(cfg_path)]) == 1
     cfg_path.write_text(json.dumps({**SMALL, "parallel_clients": True}))  # removed key
     assert main(["run", "--config", str(cfg_path)]) == 1
+    capsys.readouterr()
+    for k, (problem, extra, field) in enumerate(BAD_PROBLEMS):  # named before anything is written
+        cfg_path.write_text(json.dumps({**SMALL, "problem": problem, **extra}))
+        out = tmp_path / f"out{k}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert main(["sweep", "--config", str(cfg_path), "--axes", '{"T": [2]}', "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count(f"{field}: ") == 2
+
+
+def test_readme_config_blocks_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
 
 
 def test_cmd_sweep_noise_axis(tmp_path):

@@ -87,6 +87,8 @@ def test_saddle_gradient_dominance_is_exact():
 def test_saddle_rejects_bad_mu():
     with pytest.raises(ValueError):
         make_saddle_problem(2, 2, 2, mu=0.0)
+    with pytest.raises(ValueError, match="d_x: must be >= 1, got 0; mu: must be positive"):
+        make_saddle_problem(2, 0, 2, mu=0.0)  # every broken rule at once
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +244,8 @@ def test_gen_data_degenerate_counts_rejected():
         gen_imbalanced_data(10, [0.1], dim=2, separation=1.0)  # 1 positive < 2
     with pytest.raises(ValueError):
         gen_imbalanced_data(100, [0.5, 1.2], dim=2, separation=1.0)
+    with pytest.raises(ValueError, match="0.99 of 10 samples gives 10 positives and 0 negatives"):
+        gen_imbalanced_data(10, [0.99], dim=2, separation=1.0)
 
 
 def test_dataset_csv_round_trip(tmp_path):

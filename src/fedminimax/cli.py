@@ -436,8 +436,9 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
     """Run the cartesian grid, writing each cell's summary row as soon as it finishes.
 
     Every cell is parsed before anything is written, each axis value alone
-    first. A cell that breaks an invariant is reported and skipped; the
-    command then returns 2.
+    first. Cells with the same problem spec and N share one built problem.
+    A cell that breaks an invariant is reported and skipped; the command
+    then returns 2.
     """
     if not isinstance(axes, dict) or not axes:
         raise ConfigError(["axes: need a nonempty JSON object"])
@@ -464,10 +465,14 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
     out_dir = _outdir(config, out)
     path = os.path.join(out_dir, "sweep_summary.csv")
     status, written = 0, 0
+    problems = {}  # (problem spec, N) -> its problem, built once: problems are immutable
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for combo, cell in zip(combos, cells):
-            problem = build_problem(cell)
+            key = (cell.problem, cell.N)
+            if key not in problems:
+                problems[key] = build_problem(cell)
+            problem = problems[key]
             hp = resolve_hyperparams(cell, problem)
             seed = cell.seeds[0]
             label = "cell " + " ".join(f"{a}={v}" for a, v in zip(names, combo))

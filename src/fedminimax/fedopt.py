@@ -30,11 +30,12 @@ steps.
 Clients are independent given the round-start server state, so they run
 stacked: iterates, control variates, momenta and drifts are (N, m, n)
 arrays, one slice per client (a d-vector is d-by-1).  Each local step
-draws one gradient and the raw noise variates per client from its (seed,
-client, round, step) stream (one reused generator, reset to states
-derived for the whole round at once), scales the noise for the whole
-stack, then momentum, step rule and drift act on the stack with each
-client's bits unchanged; ``server_round`` sums over axis 0.
+makes each client's own draws, the problem's and the raw noise variates,
+from its (seed, client, round, step) stream (one reused generator, reset
+to states derived for the whole round at once), takes all N gradients
+from one batched ``problem.grad`` call and scales the noise for the
+whole stack; then momentum, step rule and drift act on the stack with
+each client's bits unchanged; ``server_round`` sums over axis 0.
 """
 
 from __future__ import annotations
@@ -286,10 +287,10 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     Returns the final iterates, the new control variates (each client's
     average stochastic gradient) as (N, m, n) stacks and each client's
     largest drift ||x_local - x_t||, checked against ``round_caps`` when bounded.
-    At each step every client's gradient is drawn from its (seed, client,
-    round, step) stream: first the problem's own draws in ``stoch_grad``,
-    then the raw ``noise`` variates of x and y; the noise is scaled and
-    added for the whole stack at once.
+    At each step every client draws from its (seed, client, round, step)
+    stream: first the problem's own ``draw``, then the raw ``noise``
+    variates of x and y.  One ``grad`` call then gives all N gradients, and
+    the noise is scaled and added for the whole stack at once.
     """
     bx, by = problem.shape_x.as_matrix().dims, problem.shape_y.as_matrix().dims
     x0, y0 = server.x.reshape(bx), server.y.reshape(by)
@@ -314,26 +315,26 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
             raise DegenerateMomentumError(exc.client, server.round, block) from None
 
     caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
+    stack_x, stack_y = (hp.N,) + problem.shape_x.dims, (hp.N,) + problem.shape_y.dims
     with _overflow_guard(caps is not None):
         X, Y = np.repeat(x0[None], hp.N, axis=0), np.repeat(y0[None], hp.N, axis=0)
-        GX, GY = np.empty_like(X), np.empty_like(Y)
-        # each client's gradient in its block's own shape, written through to GX/GY
-        gx_view = GX.reshape((hp.N,) + problem.shape_x.dims)
-        gy_view = GY.reshape((hp.N,) + problem.shape_y.dims)
         sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
         U, V = server.u.reshape(bx), server.v.reshape(by)  # global momentum; local-sgda-m recurses
         for i in range(hp.p):
+            # the iterates in each block's own shape, as the problem sees them
+            XB, YB = X.reshape(stack_x), Y.reshape(stack_y)
+            batch = [None] * hp.N
             for n in range(hp.N):
                 rng.bit_generator.state = states[i * hp.N + n]
-                gx, gy = problem.stoch_grad(n, X[n].reshape(server.x.shape),
-                                            Y[n].reshape(server.y.shape), rng)
-                gx_view[n], gy_view[n] = gx, gy
+                batch[n] = problem.draw(n, rng, XB[n], YB[n])
                 if noisy:
                     DX[n], RX[n] = raw_draws(noise, size_x, rng)
                     DY[n], RY[n] = raw_draws(noise, size_y, rng)
+            GX, GY = problem.grad(XB, YB, batch)
+            GX, GY = GX.reshape(X.shape), GY.reshape(Y.shape)
             if noisy:
-                GX += scale_draws(noise, DX, RX).reshape(GX.shape)
-                GY += scale_draws(noise, DY, RY).reshape(GY.shape)
+                GX = GX + scale_draws(noise, DX, RX).reshape(GX.shape)
+                GY = GY + scale_draws(noise, DY, RY).reshape(GY.shape)
             sum_gx += GX
             sum_gy += GY
             if algorithm == "local-sgda-m":
@@ -427,8 +428,7 @@ def run(
 
     x = np.zeros(problem.shape_x.dims) if x0 is None else np.array(x0, dtype=float)
     y = np.zeros(problem.shape_y.dims) if y0 is None else np.array(y0, dtype=float)
-    u0 = problem.mean_grad_x(x, y) if momentum_warm_start else np.zeros_like(x)
-    v0 = problem.mean_grad_y(x, y) if momentum_warm_start else np.zeros_like(y)
+    u0, v0 = problem.mean_grad(x, y) if momentum_warm_start else (np.zeros_like(x), np.zeros_like(y))
     server = ServerState(x.copy(), y.copy(), u0, v0, np.zeros_like(x), np.zeros_like(y), 0)
     G_prev_x = np.zeros((hp.N,) + problem.shape_x.as_matrix().dims)
     G_prev_y = np.zeros((hp.N,) + problem.shape_y.as_matrix().dims)
@@ -452,12 +452,13 @@ def run(
             server, G_prev_x, G_prev_y, problem, hp, algorithm, seed, noise)
         new_server = server_round(server, X, Y, G_x, G_y, hp)
         with _overflow_guard(caps is not None):
+            mean_gx, mean_gy = problem.mean_grad(server.x, server.y)
             rec = RoundRecord(
                 t=t,
                 grad_phi_norm=float(np.linalg.norm(gphi)),
                 f_value=f_val,
-                grad_err_x=float(np.linalg.norm(problem.mean_grad_x(server.x, server.y) - new_server.u)),
-                grad_err_y=float(np.linalg.norm(problem.mean_grad_y(server.x, server.y) - new_server.v)),
+                grad_err_x=float(np.linalg.norm(mean_gx - new_server.u)),
+                grad_err_y=float(np.linalg.norm(mean_gy - new_server.v)),
                 max_drift_x=max(drift_x.tolist()),
                 max_drift_y=max(drift_y.tolist()),
                 server_step_x=float(np.linalg.norm(new_server.x - server.x)),

@@ -120,26 +120,40 @@ def phi_value_and_grad(problem, x, tol: float = 1e-8):
     else:
         y, _ = ascend_dual(problem, x, tol=tol)
     value = float(problem.f_value(x, y))
-    if problem.phi_grad is not None:
-        grad = problem.phi_grad(x)
-    else:
-        grad = problem.mean_grad_x(x, y)
+    grad = problem.phi_grad(x) if problem.phi_grad is not None else problem.mean_grad(x, y)[0]
     return value, np.asarray(grad, dtype=float)
 
 
 def auc_score(scores, labels) -> float:
-    """Exact pairwise AUC: P(score_pos > score_neg) + 0.5 * P(tie).
+    """Exact pairwise AUC: P(score_pos > score_neg) + 0.5 * P(tie); requires both classes.
 
-    Computed over all positive-negative pairs; requires both classes.
+    Computed from ranks in O(n log n): the Mann-Whitney statistic with
+    average ranks for ties (Hanley & McNeil, 1982) counts the ordered
+    positive-negative pairs plus half the tied ones.  Twice that count
+    is an exact integer, so the value equals the pairwise count's bit for
+    bit.  As in the pairwise count, a pair with a nan score, or two equal
+    infinite scores (their difference is nan), is neither ordered nor tied.
     """
     s = np.asarray(scores, dtype=float)
     b = np.asarray(labels)
-    pos = s[b == 1]
-    neg = s[b == -1]
-    if pos.size == 0 or neg.size == 0:
+    is_pos, is_neg = b == 1, b == -1
+    n_pos, n_neg = int(np.count_nonzero(is_pos)), int(np.count_nonzero(is_neg))
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("auc_score needs at least one positive and one negative")
-    diff = pos[:, None] - neg[None, :]
-    return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / (pos.size * neg.size))
+    keep = (is_pos | is_neg) & ~np.isnan(s)
+    v, pos = s[keep], is_pos[keep]
+    order = np.argsort(v, kind="stable")
+    v, pos = v[order], pos[order]
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    start = np.flatnonzero(first)  # 0-based start of each run of tied scores
+    end = np.append(start[1:], v.size)  # one past its end
+    twice_rank = (start + 1 + end)[np.cumsum(first) - 1]  # first + last 1-based rank of the run
+    k = int(np.count_nonzero(pos))
+    twice_u = int(twice_rank[pos].sum()) - k * (k + 1)
+    for inf in (np.inf, -np.inf):
+        twice_u -= int(np.count_nonzero(pos & (v == inf))) * int(np.count_nonzero(~pos & (v == inf)))
+    return float(0.5 * twice_u / (n_pos * n_neg))
 
 
 @dataclass

@@ -18,13 +18,23 @@ Two desk-scale problem families are provided:
   quadratic, so exact smoothness constants and the exact inner maximizer
   are available.
 
-Problem oracles are immutable after construction; gradient evaluation is
-safe from concurrent clients.
+The oracle contract (``MinimaxProblem``): all N clients' gradients come
+from one batched call, ``grad(X, Y, batch)``, over ``(N,) + dims``
+client stacks, and ``draw(n, rng, x, y)`` makes one client's random
+choices (the AUC minibatch) on that client's stream.  Row n of a batched
+result equals, bit for bit, the per-client formula evaluated on client n
+alone: stacked products are matmuls (``B @ Y[..., None]``), never einsum,
+and per-client means reduce along each row.  A mean over clients adds
+the rows one at a time in client-index order, never with
+``.sum(axis=0)``, which may add them pairwise.  Problems are immutable
+after construction.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,44 +94,120 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(np.array(feats), np.array(labs))
 
 
+def _rows(a, n: int) -> np.ndarray:
+    """``n`` stacked copies of one block: every client at the same point."""
+    return np.repeat(np.asarray(a, dtype=float)[None], n, axis=0)
+
+
+def _no_draw(n, rng, x, y):
+    return None
+
+
+def _derived(fn) -> bool:
+    """True for an oracle a MinimaxProblem derived from its other form (a bound method of one)."""
+    return isinstance(getattr(fn, "__self__", None), MinimaxProblem)
+
+
 @dataclass(frozen=True)
 class MinimaxProblem:
     """Oracle bundle for min_x max_y (1/N) sum_n f_n(x, y).
 
-    ``grad_x(n, x, y)`` and ``grad_y(n, x, y)`` are the deterministic
-    per-client gradients; ``stoch_grad(n, x, y, rng)`` returns one
-    stochastic gradient pair drawn with the given stream (minibatch
-    subsampling, for instance).  The stream is valid only during the
-    call: the engine resets the same generator to the next client's
-    stream afterwards, and draws its heavy-tailed noise from the stream
-    after ``stoch_grad`` returns.  ``y_star``/``phi_grad`` are the
-    closed-form inner maximizer and envelope gradient, or None: then
-    ``phi_value_and_grad`` ascends the dual or takes ``mean_grad_x`` at y*.
+    ``grad(X, Y, batch) -> (GX, GY)`` is the batched gradient oracle:
+    X and Y are ``(N,) + dims`` client stacks, row n is client n's
+    iterate, and row n of GX/GY is client n's gradient there.
+    ``draw(n, rng, x, y)`` makes client n's own random choices for one
+    stochastic gradient at its iterates (x, y), on its stream ``rng``;
+    ``batch`` is the list of the N clients' draws.  A None batch, or a
+    None entry, asks for that client's deterministic gradient.  The
+    stream is valid only during ``draw``: the engine draws its
+    heavy-tailed noise from the same stream right after it.  A problem
+    without ``draw`` draws nothing.
+
+    A problem may instead be given by per-client callables
+    ``grad_x(n, x, y)``, ``grad_y(n, x, y)`` and ``stoch_grad(n, x, y, rng)``;
+    they are wrapped once into ``grad``/``draw`` with a Python loop over
+    the clients (``draw`` then calls ``stoch_grad`` and keeps its pair).
+    A problem given by ``grad`` gets the per-client callables as views of
+    ``grad``/``draw``.  A derived form is derived again by
+    ``dataclasses.replace``, so it never goes stale.
+
+    ``y_star``/``phi_grad`` are the closed-form inner maximizer and
+    envelope gradient, or None: then ``phi_value_and_grad`` ascends the
+    dual or takes the primal half of ``mean_grad`` at y*.
     """
 
     n_clients: int
     shape_x: Shape
     shape_y: Shape
     smooth: SmoothnessInfo
-    grad_x: Callable
-    grad_y: Callable
-    stoch_grad: Callable
     f_value: Callable
+    grad: Optional[Callable] = None
+    draw: Optional[Callable] = None
+    grad_x: Optional[Callable] = None
+    grad_y: Optional[Callable] = None
+    stoch_grad: Optional[Callable] = None
     y_star: Optional[Callable] = None
     phi_grad: Optional[Callable] = None
     auc_eval: Optional[Callable] = None
 
-    def _client_mean(self, grad, x, y) -> np.ndarray:
-        total = grad(0, x, y)
-        for n in range(1, self.n_clients):
-            total = total + grad(n, x, y)
-        return total / self.n_clients
+    def __post_init__(self):
+        def given(name):
+            fn = getattr(self, name)
+            return fn is not None and not _derived(fn)
+
+        views = {"grad_x": self._view_grad_x, "grad_y": self._view_grad_y,
+                 "stoch_grad": self._view_stoch_grad}
+        if given("grad"):
+            derived = {name: view for name, view in views.items() if not given(name)}
+            if self.draw is None:
+                derived["draw"] = _no_draw
+        elif all(given(name) for name in views):
+            derived = {"grad": self._clients_grad, "draw": self._clients_draw}
+        else:
+            raise ValueError("a problem needs the batched grad, or grad_x, grad_y and stoch_grad")
+        for name, fn in derived.items():
+            object.__setattr__(self, name, fn)
+
+    def _clients_draw(self, n, rng, x, y):
+        return self.stoch_grad(n, x, y, rng)
+
+    def _clients_grad(self, X, Y, batch=None):
+        pairs = [(self.grad_x(n, X[n], Y[n]), self.grad_y(n, X[n], Y[n])) if pair is None else pair
+                 for n, pair in enumerate([None] * self.n_clients if batch is None else batch)]
+        return (np.array([gx for gx, _ in pairs], dtype=float),
+                np.array([gy for _, gy in pairs], dtype=float))
+
+    def _client_view(self, n, x, y, entry=None) -> tuple:
+        """Client n's gradient pair at (x, y): row n of ``grad`` with every client there."""
+        batch = None if entry is None else [entry if k == n else None for k in range(self.n_clients)]
+        GX, GY = self.grad(_rows(x, self.n_clients), _rows(y, self.n_clients), batch)
+        return GX[n], GY[n]
+
+    def _view_grad_x(self, n, x, y) -> np.ndarray:
+        return self._client_view(n, x, y)[0]
+
+    def _view_grad_y(self, n, x, y) -> np.ndarray:
+        return self._client_view(n, x, y)[1]
+
+    def _view_stoch_grad(self, n, x, y, rng) -> tuple:
+        return self._client_view(n, x, y, self.draw(n, rng, x, y))
+
+    def mean_grad(self, x, y) -> tuple:
+        """(1/N) sum_n of the deterministic client gradients at (x, y), both blocks from one call.
+
+        The rows are added one at a time in client-index order
+        (``np.add.accumulate``): ``.sum(axis=0)`` may add them pairwise,
+        which rounds differently.
+        """
+        N = self.n_clients
+        GX, GY = self.grad(_rows(x, N), _rows(y, N), None)
+        return np.add.accumulate(GX)[-1] / N, np.add.accumulate(GY)[-1] / N
 
     def mean_grad_x(self, x, y) -> np.ndarray:
-        return self._client_mean(self.grad_x, x, y)
+        return self.mean_grad(x, y)[0]
 
     def mean_grad_y(self, x, y) -> np.ndarray:
-        return self._client_mean(self.grad_y, x, y)
+        return self.mean_grad(x, y)[1]
 
 
 def _raise_all(errors: list) -> None:
@@ -188,15 +274,11 @@ def make_saddle_problem(
 
     smooth = SmoothnessInfo(L_f=amp + np.linalg.norm(B_mean, 2) + mu, mu=mu)
 
-    def grad_x(n, x, y):
-        return amp * np.cos(x + phase[n]) + B[n] @ y + c[n]
-
-    def grad_y(n, x, y):
-        return B[n].T @ x - mu * y
-
-    def stoch_grad(n, x, y, rng_):
-        # intrinsic randomness none; the engine adds the heavy-tailed noise
-        return grad_x(n, x, y), grad_y(n, x, y)
+    def grad(X, Y, batch=None):
+        # no intrinsic randomness: the engine adds the heavy-tailed noise
+        GX = amp * np.cos(X + phase) + (B @ Y[..., None])[..., 0] + c
+        GY = (B.mT @ X[..., None])[..., 0] - mu * Y
+        return GX, GY
 
     def f_value(x, y):
         vals = amp * np.sin(x[None, :] + phase).sum(axis=1)
@@ -214,10 +296,8 @@ def make_saddle_problem(
         shape_x=Shape.vector(d_x),
         shape_y=Shape.vector(d_y),
         smooth=smooth,
-        grad_x=grad_x,
-        grad_y=grad_y,
-        stoch_grad=stoch_grad,
         f_value=f_value,
+        grad=grad,
         y_star=y_star,
         phi_grad=phi_grad,
     )
@@ -243,21 +323,29 @@ def auc_loss(w_out: float, w1: float, w2: float, w3: float, label: int, p_ratio:
     return float(loss)
 
 
-def _auc_batch_grads(A, b, x, w3, p):
-    """Gradient pair of the mean loss over a batch (features A, labels b)."""
-    d = A.shape[1]
-    w, w1, w2 = x[:d], x[d], x[d + 1]
-    h = A @ w
-    pos = b == 1
+def _auc_grads(A, pos, X, Y, p):
+    """Gradient pairs of each client's mean loss over its batch, one client per row.
+
+    A (K, B, dim) holds the batches' features and pos (K, B) their
+    positive-label masks; X (K, dim+2) and Y (K, 1) are the iterates and
+    p (K, 1) the positive ratios.  Returns (K, dim+2) and (K, 1).
+    """
+    d = A.shape[-1]
+    w1, w2, w3 = X[:, d, None], X[:, d + 1, None], Y[:, :1]
+    h = (A @ X[:, :d, None])[..., 0]
     neg = ~pos
     coeff = np.where(pos, 2.0 * (1.0 - p) * (h - w1) - 2.0 * (1.0 + w3) * (1.0 - p),
                      2.0 * p * (h - w2) + 2.0 * (1.0 + w3) * p)
-    gw = A.T @ coeff / len(b)
-    g1 = float(np.mean(-2.0 * (1.0 - p) * (h - w1) * pos))
-    g2 = float(np.mean(-2.0 * p * (h - w2) * neg))
-    g3 = float(np.mean(2.0 * (p * h * neg - (1.0 - p) * h * pos))) - 2.0 * p * (1.0 - p) * w3
-    gx = np.concatenate([gw, [g1, g2]])
-    return gx, np.array([g3])
+    gw = (A.mT @ coeff[..., None])[..., 0] / pos.shape[1]
+    g1 = np.mean(-2.0 * (1.0 - p) * (h - w1) * pos, axis=1)
+    g2 = np.mean(-2.0 * p * (h - w2) * neg, axis=1)
+    g3 = np.mean(2.0 * (p * h * neg - (1.0 - p) * h * pos), axis=1) - (2.0 * p * (1.0 - p) * w3)[:, 0]
+    return np.column_stack([gw, g1, g2]), g3[:, None]
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """0.0 + t_0 + t_1 + ..., one term at a time (np.sum adds pairwise, Python 3.12's sum() compensates)."""
+    return functools.reduce(operator.add, terms.tolist(), 0.0)
 
 
 def auc_errors(batch_size) -> list:
@@ -277,10 +365,11 @@ def make_auc_problem(
     The primal block is (w, w1, w2) in R^(model_dim + 2) with a linear
     score h = w . a; the dual is the scalar w3.  Each client uses its own
     positive ratio, or the pooled ratio when ``pooled_ratio`` is set (the
-    i.i.d. protocol).  ``stoch_grad`` draws a size-``batch_size``
-    minibatch from the client's shard with replacement, which keeps the
-    minibatch gradient exactly unbiased; ``batch_size=None`` makes it the
-    deterministic full-shard gradient.  When ``test_data`` is given the
+    i.i.d. protocol).  ``draw`` picks a size-``batch_size`` minibatch
+    from the client's shard with replacement, which keeps the minibatch
+    gradient exactly unbiased; ``batch_size=None`` makes every gradient
+    the deterministic full-shard one.  Shards of one size are evaluated as
+    one stack; shards may differ in size.  When ``test_data`` is given the
     problem exposes ``auc_eval(x)``: the exact pairwise AUC of the linear
     score on that set.
     """
@@ -300,66 +389,75 @@ def make_auc_problem(
     d = int(model_dim)
     pooled = float(np.mean(np.concatenate([s.labels for s in data_shards]) == 1))
     ratios = np.full(N, pooled) if pooled_ratio else np.array([s.positive_ratio for s in data_shards])
-    feats = [s.features for s in data_shards]
-    labs = [s.labels for s in data_shards]
+    sizes = [len(shard) for shard in data_shards]
+    # the shards of one size are held once, as one (K, m, dim) stack with
+    # its positive-label masks, positive ratios and client indices
+    by_size: dict = {}
+    for n, m in enumerate(sizes):
+        by_size.setdefault(m, []).append(n)
+    groups = [(np.array(rows), np.stack([data_shards[n].features for n in rows]),
+               np.stack([data_shards[n].labels == 1 for n in rows]), ratios[rows, None])
+              for rows in by_size.values()]
 
     # exact quadratic Hessians give the true smoothness constant per client
     L = 0.0
-    for n in range(N):
-        A, b, p = feats[n], labs[n], ratios[n]
-        m = len(b)
-        pos = b == 1
-        H = np.zeros((d + 3, d + 3))
-        wpos = 2.0 * (1.0 - p) * pos / m
-        wneg = 2.0 * p * (~pos) / m
-        H[:d, :d] = A.T @ (A * (wpos + wneg)[:, None])
-        apos = A.T @ wpos
-        aneg = A.T @ wneg
-        H[:d, d] = H[d, :d] = -apos
-        H[:d, d + 1] = H[d + 1, :d] = -aneg
-        H[d, d] = wpos.sum()
-        H[d + 1, d + 1] = wneg.sum()
-        cross = aneg - apos  # d/dw d/dw3 of 2(1+w3)(p h 1_neg - (1-p) h 1_pos)
-        H[:d, d + 2] = H[d + 2, :d] = cross
-        H[d + 2, d + 2] = -2.0 * p * (1.0 - p)
-        L = max(L, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
+    for rows, F, POS, P in groups:
+        for A, pos, p in zip(F, POS, P[:, 0]):
+            m = len(pos)
+            H = np.zeros((d + 3, d + 3))
+            wpos = 2.0 * (1.0 - p) * pos / m
+            wneg = 2.0 * p * (~pos) / m
+            H[:d, :d] = A.T @ (A * (wpos + wneg)[:, None])
+            apos = A.T @ wpos
+            aneg = A.T @ wneg
+            H[:d, d] = H[d, :d] = -apos
+            H[:d, d + 1] = H[d + 1, :d] = -aneg
+            H[d, d] = wpos.sum()
+            H[d + 1, d + 1] = wneg.sum()
+            cross = aneg - apos  # d/dw d/dw3 of 2(1+w3)(p h 1_neg - (1-p) h 1_pos)
+            H[:d, d + 2] = H[d + 2, :d] = cross
+            H[d + 2, d + 2] = -2.0 * p * (1.0 - p)
+            L = max(L, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
     mu = float(np.mean(2.0 * ratios * (1.0 - ratios)))
     smooth = SmoothnessInfo(L_f=L, mu=mu)
 
-    def grad_x(n, x, y):
-        return _auc_batch_grads(feats[n], labs[n], x, float(y[0]), ratios[n])[0]
+    def draw(n, rng, x, y):
+        return None if batch_size is None else rng.integers(0, sizes[n], size=batch_size)
 
-    def grad_y(n, x, y):
-        return _auc_batch_grads(feats[n], labs[n], x, float(y[0]), ratios[n])[1]
-
-    def stoch_grad(n, x, y, rng):
-        if batch_size is None:
-            return grad_x(n, x, y), grad_y(n, x, y)
-        idx = rng.integers(0, len(labs[n]), size=batch_size)
-        return _auc_batch_grads(feats[n][idx], labs[n][idx], x, float(y[0]), ratios[n])
+    def grad(X, Y, batch=None):
+        picks = [None] * N if batch is None else batch
+        GX, GY = np.empty((N, d + 2)), np.empty((N, 1))
+        for rows, F, POS, P in groups:
+            drawn = [picks[n] is not None for n in rows]
+            # one stacked call per group, or one per client if only some of it drew
+            parts = [slice(None)] if all(drawn) or not any(drawn) else [
+                slice(k, k + 1) for k in range(len(rows))]
+            for part in parts:
+                r, A, pos = rows[part], F[part], POS[part]
+                if picks[r[0]] is not None:
+                    k, idx = np.arange(len(r))[:, None], np.stack([picks[n] for n in r])
+                    A, pos = A[k, idx], pos[k, idx]
+                GX[r], GY[r] = _auc_grads(A, pos, X[r], Y[r], P[part])
+        return GX, GY
 
     def f_value(x, y):
         w, w1, w2, w3 = x[:d], x[d], x[d + 1], float(y[0])
-        total = 0.0
-        for n in range(N):
-            h = feats[n] @ w
-            pos = labs[n] == 1
-            p = ratios[n]
-            vals = (1.0 - p) * (h - w1) ** 2 * pos + p * (h - w2) ** 2 * (~pos)
-            vals = vals + 2.0 * (1.0 + w3) * (p * h * (~pos) - (1.0 - p) * h * pos)
-            total += float(vals.mean()) - p * (1.0 - p) * w3**2
-        return total / N
+        terms = np.empty(N)
+        for rows, F, POS, P in groups:
+            h = F @ w
+            vals = (1.0 - P) * (h - w1) ** 2 * POS + P * (h - w2) ** 2 * (~POS)
+            vals = vals + 2.0 * (1.0 + w3) * (P * h * (~POS) - (1.0 - P) * h * POS)
+            terms[rows] = np.mean(vals, axis=1) - (P * (1.0 - P))[:, 0] * w3**2
+        return _sum_in_order(terms) / N
 
     def y_star(x):
         # exact maximizer of the averaged concave quadratic in w3
         w = x[:d]
-        num = 0.0
-        for n in range(N):
-            h = feats[n] @ w
-            pos = labs[n] == 1
-            p = ratios[n]
-            num += float(np.mean(p * h * (~pos) - (1.0 - p) * h * pos))
-        return np.array([num / np.sum(ratios * (1.0 - ratios))])
+        terms = np.empty(N)
+        for rows, F, POS, P in groups:
+            h = F @ w
+            terms[rows] = np.mean(P * h * (~POS) - (1.0 - P) * h * POS, axis=1)
+        return np.array([_sum_in_order(terms) / np.sum(ratios * (1.0 - ratios))])
 
     auc_eval = None
     if test_data is not None:
@@ -373,10 +471,9 @@ def make_auc_problem(
         shape_x=Shape.vector(d + 2),
         shape_y=Shape.vector(1),
         smooth=smooth,
-        grad_x=grad_x,
-        grad_y=grad_y,
-        stoch_grad=stoch_grad,
         f_value=f_value,
+        grad=grad,
+        draw=draw,
         y_star=y_star,
         auc_eval=auc_eval,
     )

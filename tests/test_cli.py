@@ -212,6 +212,32 @@ def test_cmd_sweep_keeps_rows_after_invariant_violation(tmp_path, monkeypatch, c
     assert "cell seed=3: invariant violation" in capsys.readouterr().err
 
 
+def test_cmd_sweep_builds_each_problem_once(tmp_path, monkeypatch):
+    builds = []
+
+    def counting_build(config):
+        builds.append(config.N)
+        return build_problem(config)
+
+    monkeypatch.setattr(cli, "build_problem", counting_build)
+    cfg = parse_config(json.dumps({**SMALL, "T": 3}))
+    axes = {"algorithm": list(cli.ALGORITHMS), "s": [1.5, 1.8]}
+    assert cmd_sweep(cfg, axes, out=str(tmp_path / "grid")) == 0
+    assert builds == [2]
+    rows = (tmp_path / "grid" / "sweep_summary.csv").read_text().splitlines()[1:]
+    # each cell alone, so with a problem of its own, writes the same row
+    alone = []
+    for algorithm in axes["algorithm"]:
+        for s in axes["s"]:
+            out = tmp_path / f"{algorithm}-{s}"
+            assert cmd_sweep(cfg, {"algorithm": [algorithm], "s": [s]}, out=str(out)) == 0
+            alone += (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert rows == alone
+    builds.clear()
+    assert cmd_sweep(cfg, {"N": [2, 3], "seed": [1, 2]}, out=str(tmp_path / "n")) == 0
+    assert builds == [2, 3]
+
+
 def test_cmd_sweep_single_cell_matches_run(tmp_path):
     cfg = parse_config(json.dumps(SMALL))
     assert cmd_run(cfg, out=str(tmp_path / "run")) == 0

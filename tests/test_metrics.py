@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedminimax import HyperParams
 from fedminimax.fedopt import RoundRecord, RunTrace
@@ -79,6 +81,7 @@ def test_auc_score_separated_inverted_tied():
     assert auc_score(np.array([2.0, 3.0, 0.0, 1.0]), labels) == 1.0
     assert auc_score(np.array([0.0, 1.0, 2.0, 3.0]), labels) == 0.0
     assert auc_score(np.zeros(4), labels) == 0.5
+    assert auc_score(np.full(4, np.nan), labels) == 0.0  # no pair is ordered or tied
 
 
 def test_auc_score_matches_pairwise_count():
@@ -93,6 +96,29 @@ def test_auc_score_matches_pairwise_count():
         for sn in neg:
             count += 1.0 if sp > sn else (0.5 if sp == sn else 0.0)
     assert auc_score(scores, labels) == count / (len(pos) * len(neg))
+
+
+def pairwise_auc(scores, labels) -> float:
+    """The O(n_pos * n_neg) pairwise form: ordered pairs plus half the tied ones."""
+    s, b = np.asarray(scores, dtype=float), np.asarray(labels)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and nan pairs count as neither
+        diff = s[b == 1][:, None] - s[b == -1][None, :]
+        return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / diff.size)
+
+
+SCORE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n_pos=st.sampled_from([1, 2, 3]) | st.integers(1, 60),
+       n_neg=st.sampled_from([1, 2, 3]) | st.integers(1, 60), n_other=st.integers(0, 3),
+       tied=st.booleans())
+def test_auc_score_matches_pairwise_form(data, n_pos, n_neg, n_other, tied):
+    n = n_pos + n_neg + n_other
+    labels = np.array(data.draw(st.permutations([1] * n_pos + [-1] * n_neg + [0] * n_other)))
+    values = (st.integers(-3, 3).map(float) | SCORE_VALUES) if tied else st.floats(allow_nan=True)
+    scores = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    assert auc_score(scores, labels) == pairwise_auc(scores, labels)
 
 
 def test_auc_score_single_class_rejected():

@@ -2,11 +2,37 @@ import numpy as np
 import pytest
 
 from fedminimax import NoiseModel, Shape
-from fedminimax.noise import derive_stream, empirical_moment, sample, seed_errors, stream_states
+from fedminimax.noise import (derive_stream, empirical_moment, raw_draws, sample, scale_draws, seed_errors,
+                             stream_states)
 
 
-def draws(model, shape, n, seed=0, start_step=0):
-    return [sample(model, shape, derive_stream(seed, 0, 0, start_step + k)) for k in range(n)]
+def draws(model, shape, n, seed=0, start_step=0, chunk=10_000):
+    """(n,) + dims increments, the k-th drawn on stream (seed, 0, 0, start_step + k).
+
+    The states come from ``stream_states`` into one reused generator, and
+    each chunk's raw variates are scaled at once; the values equal
+    ``sample`` on ``derive_stream`` (``test_draws_match_derive_stream``).
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    out = np.empty((n, shape.size))
+    radii = np.empty(n)
+    for lo in range(0, n, chunk):
+        steps = np.arange(start_step + lo, start_step + min(lo + chunk, n))
+        keys = np.stack([np.zeros_like(steps), np.zeros_like(steps), steps], axis=1)
+        for k, state in enumerate(stream_states(seed, keys), start=lo):
+            rng.bit_generator.state = state
+            out[k], radii[k] = raw_draws(model, shape.size, rng)
+    return scale_draws(model, out, radii).reshape((n,) + shape.dims)
+
+
+def test_draws_match_derive_stream():
+    for model, shape in ((NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto", tail_exponent=1.55),
+                          Shape.vector(5)),
+                         (NoiseModel(s=1.5, sigma=0.7, family="student-t", tail_exponent=1.8),
+                          Shape.matrix(2, 3))):
+        got = draws(model, shape, 40, seed=7, start_step=3, chunk=16)
+        ref = [sample(model, shape, derive_stream(7, 0, 0, 3 + k)) for k in range(40)]
+        assert np.array_equal(got, np.stack(ref))
 
 
 def test_zero_sigma_gives_zero_vector():

@@ -3,11 +3,13 @@
 ``stream_states`` must give, draw for draw, the generator ``derive_stream``
 builds for the same key, over the whole seed and key domain.  The noise
 ``client_round`` injects must equal, bit for bit, a per-client reference:
-``stoch_grad`` on that client's ``derive_stream`` stream, then one
-increment per block from the per-client sampler below, for every noise
-family, vector and matrix blocks and AUC minibatches.
+the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
+at the iterates the batched ``grad`` saw, then one increment per block
+from the per-client sampler below, for every noise family, vector and
+matrix blocks and AUC minibatches.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -111,11 +113,11 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
     bx, by = sx.as_matrix().dims, sy.as_matrix().dims
     calls = []
 
-    def recording(n, x, y, rng):
-        calls.append((n, x.copy(), y.copy()))
-        return base.stoch_grad(n, x, y, rng)
+    def recording(X, Y, batch=None):
+        calls.append((X.copy(), Y.copy()))
+        return base.grad(X, Y, batch)
 
-    problem = fm.MinimaxProblem(**{**vars(base), "stoch_grad": recording})
+    problem = dataclasses.replace(base, grad=recording)
     x0 = data.draw(st.lists(st.floats(-2, 2), min_size=sx.size, max_size=sx.size))
     server = ServerState(np.reshape(x0, sx.dims), np.zeros(sy.dims), np.zeros(sx.dims),
                          np.zeros(sy.dims), np.zeros(sx.dims), np.zeros(sy.dims), round_idx)
@@ -124,14 +126,16 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
     _, _, G_x, G_y, _, _ = client_round(server, np.zeros((N,) + bx), np.zeros((N,) + by),
                                         problem, hp, "nsgda-m", seed, noise)
 
-    assert [n for n, _, _ in calls] == list(range(N)) * p  # step-major, client-minor
+    assert len(calls) == p  # one batched call per local step
     sum_x, sum_y = np.zeros((N,) + bx), np.zeros((N,) + by)
-    for k, (n, x, y) in enumerate(calls):
-        rng = derive_stream(seed, n, round_idx, k // N)
-        gx, gy = base.stoch_grad(n, x, y, rng)
-        gx, gy = gx + reference_sample(noise, sx, rng), gy + reference_sample(noise, sy, rng)
-        sum_x[n] += np.reshape(gx, bx)
-        sum_y[n] += np.reshape(gy, by)
+    for step, (X, Y) in enumerate(calls):
+        assert X.shape == (N,) + sx.dims and Y.shape == (N,) + sy.dims
+        for n in range(N):
+            rng = derive_stream(seed, n, round_idx, step)
+            gx, gy = base.stoch_grad(n, X[n], Y[n], rng)
+            gx, gy = gx + reference_sample(noise, sx, rng), gy + reference_sample(noise, sy, rng)
+            sum_x[n] += np.reshape(gx, bx)
+            sum_y[n] += np.reshape(gy, by)
     assert np.array_equal(G_x, sum_x / p) and np.array_equal(G_y, sum_y / p)
 
 

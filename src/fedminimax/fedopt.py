@@ -12,9 +12,11 @@ Four local update rules share this skeleton:
 * ``nsgda-m``      - momentum with control-variate correction, then a
                      fixed-length step along the normalized momentum.
 * ``muon-da``      - same momentum, but the step direction is the polar
-                     factor (orthonormalization) of the momentum matrix;
-                     vectors are treated as single-column matrices, for
-                     which the update coincides with nsgda-m.
+                     factor (orthonormalization) of the momentum matrix.
+                     A vector is a single-column matrix, whose polar
+                     factor is m / ||m||: such a block takes the
+                     normalized step itself, so muon-da on vectors is
+                     nsgda-m bit for bit.
 * ``sgda-clip``    - same momentum, step clipped to length eta * tau.
 * ``local-sgda-m`` - unnormalized baseline: locally recursive momentum,
                      no control variates, raw momentum step.  Under
@@ -45,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ALGORITHMS, HyperParams, NoiseModel
+from .core import ALGORITHMS, HyperParams, NoiseModel, hyperparam_errors
 from .linalg import newton_schulz_polar, svd_polar
 from .metrics import (
     BOUND_SLACK,
@@ -249,7 +251,16 @@ def normalized_step(Z, M, eta: float, direction: str, policy: str = "skip"):
 
 def muon_step(Z, M, eta: float, direction: str, ns_iters: int = 10,
               ns_mode: str = "iterative", policy: str = "skip"):
-    """Orthonormalized step: Z -+ eta * polar(M) per client; a vector block is d-by-1."""
+    """Orthonormalized step: Z -+ eta * polar(M) per client; a vector block is d-by-1.
+
+    The polar factor of a one-column or one-row matrix is M / ||M||_F, so
+    such a stack takes :func:`normalized_step` under either ``ns_mode``.
+    """
+    errors = hyperparam_errors(ns_iters=ns_iters, ns_mode=ns_mode)
+    if errors:
+        raise ValueError("; ".join(errors))
+    if 1 in np.shape(M)[-2:]:
+        return normalized_step(Z, M, eta, direction, policy)
     step = _signed(eta, direction)
     _, low = _momentum_norms(M, policy)
     safe = np.where(low, 1.0, M)  # the polar kernels reject a zero matrix

@@ -25,6 +25,15 @@ singular values.  Two routes are provided:
   is needed to lift small singular values fast enough; the cubic map only
   grows them by 1.5x per sweep and cannot reach 1e-6 in 10 sweeps at
   condition number 100.
+
+  The sweeps run in buffers allocated once per call: each product is
+  written with ``np.matmul(..., out=)`` and each ``c_k I`` of the Horner
+  scheme is added in place.  The first Horner step is ``c_4 B + c_3 I``,
+  since ``B @ (c_4 I)`` has one nonzero term per entry and equals
+  ``c_4 B`` exactly.  Every buffer is in C order and the Gram product
+  reads ``X.mT`` as a view: an F-order target (which ``np.empty_like``
+  of a transposed wide input would give) or a C-order copy of ``X.mT``
+  changes the last bits against fresh products.
 """
 
 from __future__ import annotations
@@ -96,12 +105,23 @@ def newton_schulz_polar(M, iters: int = 10) -> np.ndarray:
     row_sums = np.abs(A).sum(axis=-1, keepdims=True).max(axis=-2, keepdims=True)
     X = A / np.minimum(fro, np.sqrt(col_sums * row_sums))
     eye = np.eye(A.shape[-1])
-    for _ in range(int(iters)):
-        B = eye - X.mT @ X
-        P = _INV_SQRT_COEFFS[-1] * eye
-        for coeff in _INV_SQRT_COEFFS[-2::-1]:
-            P = coeff * eye + B @ P
-        X = X @ P
+    c_top, *c_rest = _INV_SQRT_COEFFS[::-1]
+    c_eyes = [c * eye for c in c_rest]
+    # C-order buffers and a view of X.mT keep the bits of fresh products (module docstring)
+    gram = X.shape[:-2] + eye.shape
+    B, P, Q = np.empty(gram), np.empty(gram), np.empty(gram)
+    bufs = np.empty(X.shape), np.empty(X.shape)
+    for k in range(int(iters)):
+        np.matmul(X.mT, X, out=B)
+        np.subtract(eye, B, out=B)
+        # B @ (c_top I) has one nonzero term per entry, so it equals c_top * B exactly
+        np.multiply(B, c_top, out=P)
+        P += c_eyes[0]
+        for c_eye in c_eyes[1:]:
+            np.matmul(B, P, out=Q)
+            Q += c_eye
+            P, Q = Q, P
+        X = np.matmul(X, P, out=bufs[k % 2])
     return X.mT if wide else X
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,18 @@ def test_muon_step_column_equals_normalized_step():
     m = stack([3.0, 4.0])
     a = muon_step(z, m, 0.1, "descend")
     b = normalized_step(z, m, 0.1, "descend")
-    assert np.allclose(a, b, atol=1e-12)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims", [(3, 1), (1, 3), (3, 2)], ids=["column", "row", "matrix"])
+@pytest.mark.parametrize("setting", [{"ns_mode": "fancy"}, {"ns_iters": 0}, {"ns_iters": 2.5}],
+                         ids=["mode", "iters-zero", "iters-fraction"])
+def test_muon_step_rejects_bad_polar_settings(dims, setting):
+    # checked before the rank-one route, so a vector block cannot skip them
+    Z, M = np.zeros((2,) + dims), np.ones((2,) + dims)
+    (field,) = setting
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        muon_step(Z, M, 0.1, "descend", **setting)
 
 
 def test_muon_step_scaled_identity():
@@ -276,15 +289,16 @@ def test_muon_on_promoted_vectors_matches_nsgda():
     prob = quiet_problem(n_clients=2, hetero=0.5, seed=3)
     noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
     a = run("nsgda-m", prob, HP, noise=noise, seed=5)
-    b = run("muon-da", prob, HP, noise=noise, seed=5)
-    for ra, rb in zip(a.records, b.records):
-        assert np.linalg.norm(ra.x - rb.x) <= 1e-8
-        assert ra.grad_phi_norm == pytest.approx(rb.grad_phi_norm, abs=1e-8)
+    for ns_mode in ("iterative", "exact-svd"):
+        b = run("muon-da", prob, dataclasses.replace(HP, ns_mode=ns_mode), noise=noise, seed=5)
+        assert len(a.records) == len(b.records) == HP.T
+        for ra, rb in zip(a.records, b.records):
+            for field in dataclasses.fields(ra):
+                va, vb = getattr(ra, field.name), getattr(rb, field.name)
+                assert (va is None and vb is None) or np.asarray(va).tobytes() == np.asarray(vb).tobytes()
 
 
 def test_muon_exact_svd_mode_matches_iterative():
-    import dataclasses
-
     prob = quiet_problem(n_clients=2, hetero=0.5, seed=3)
     noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
     a = run("muon-da", prob, HP, noise=noise, seed=5)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedminimax.linalg import (
     DegenerateMatrixError,
@@ -147,3 +149,56 @@ def test_orthonormality_defect_range_check():
         orthonormality_defect(np.eye(3), 4)
     with pytest.raises(ValueError):
         orthonormality_defect(np.eye(3), 0)
+
+
+# ---------------------------------------------------------------------------
+# the buffered kernel against the plain one it replaced
+
+
+def reference_newton_schulz_polar(M, iters):
+    """The Newton-Schulz kernel before its sweeps moved into preallocated buffers.
+
+    Kept verbatim from the pre-scale on, with a fresh array for every
+    product; input checks are dropped, as the inputs below are valid.
+    """
+    coeffs = (1.0, 1.0 / 2.0, 3.0 / 8.0, 5.0 / 16.0, 35.0 / 128.0)
+    A = np.asarray(M, dtype=float)
+    peak = np.abs(A).max(axis=(-2, -1), keepdims=True)
+    A = np.ascontiguousarray(np.ldexp(A, -np.frexp(peak)[1]))
+    flat = A.reshape(A.shape[:-2] + (-1,))
+    fro = np.sqrt(np.vecdot(flat, flat))[..., None, None]
+    wide = A.shape[-2] < A.shape[-1]
+    A = A.mT if wide else A
+    col_sums = np.abs(A).sum(axis=-2, keepdims=True).max(axis=-1, keepdims=True)
+    row_sums = np.abs(A).sum(axis=-1, keepdims=True).max(axis=-2, keepdims=True)
+    X = A / np.minimum(fro, np.sqrt(col_sums * row_sums))
+    eye = np.eye(A.shape[-1])
+    for _ in range(int(iters)):
+        B = eye - X.mT @ X
+        P = coeffs[-1] * eye
+        for coeff in coeffs[-2::-1]:
+            P = coeff * eye + B @ P
+        X = X @ P
+    return X.mT if wide else X
+
+
+@st.composite
+def polar_input(draw):
+    """Tall, square or wide, 2-D or an (N, m, n) stack, the smaller side up to 40, scaled by 2^k."""
+    kind = draw(st.sampled_from(["tall", "square", "wide"]))
+    a = draw(st.integers(1, 40))
+    b = draw(st.integers(a, 48))
+    dims = {"tall": (b, a), "square": (a, a), "wide": (a, b)}[kind]
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # columns of unequal length give condition numbers well above those of a Gaussian matrix
+    M = rng.standard_normal(lead + dims) * np.exp2(rng.integers(-4, 5, size=dims[-1]))
+    return np.ldexp(M, draw(st.integers(-40, 40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=polar_input(), iters=st.integers(1, 12))
+def test_newton_schulz_equals_unbuffered_kernel(M, iters):
+    out = newton_schulz_polar(M, iters)
+    want = reference_newton_schulz_polar(M, iters)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()

@@ -33,11 +33,15 @@ def block_dims(draw):
     return {"vector": (b, 1), "tall": (b, a), "square": (a, a), "wide": (a, b)}[kind]
 
 
+# one column or one row: the polar factor is M / ||M||_F
+RANK_ONE_DIMS = st.integers(1, 9).flatmap(lambda d: st.sampled_from([(d, 1), (1, d)]))
+
+
 @st.composite
-def client_stack(draw, zero_rows=True):
+def client_stack(draw, zero_rows=True, dims=block_dims()):
     """(N, m, n) stack with entries spanning several magnitudes; some rows may be all zero."""
     n_clients = draw(st.integers(1, 5))
-    dims = draw(block_dims())
+    dims = draw(dims)
     S = draw(arrays(float, (n_clients,) + dims, elements=ENTRY))
     S *= 10.0 ** draw(arrays(float, (n_clients, 1, 1), elements=st.floats(-3.0, 3.0)))
     if zero_rows:
@@ -80,6 +84,24 @@ def test_step_rule_stack_equals_slices(rule, inputs):
     zero = ~np.any(M, axis=(1, 2))
     if rule != "clip":  # zero momentum leaves that client where it was
         assert same(out[zero], Z[zero])
+
+
+@pytest.mark.parametrize("ns_mode", ["iterative", "exact-svd"])
+@settings(max_examples=60, deadline=None)
+@given(M=client_stack(dims=RANK_ONE_DIMS), data=st.data())
+def test_muon_step_on_rank_one_blocks_is_normalized_step(ns_mode, M, data):
+    Z = data.draw(arrays(float, M.shape, elements=ENTRY))
+    for direction in ("descend", "ascend"):
+        out = muon_step(Z, M, 0.1, direction, ns_mode=ns_mode)
+        assert out.tobytes() == normalized_step(Z, M, 0.1, direction).tobytes()
+    zero = np.flatnonzero(~np.any(M, axis=(1, 2)))
+    assert same(out[zero], Z[zero])  # "skip" leaves a zero-momentum client in place
+    if len(zero) == 0:
+        muon_step(Z, M, 0.1, "descend", ns_mode=ns_mode, policy="error")
+        return
+    with pytest.raises(DegenerateMomentumError) as exc:
+        muon_step(Z, M, 0.1, "descend", ns_mode=ns_mode, policy="error")
+    assert exc.value.client == zero[0]
 
 
 @settings(max_examples=60, deadline=None)

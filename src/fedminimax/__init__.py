@@ -35,10 +35,8 @@ from .problems import (
     MinimaxProblem,
     auc_loss,
     gen_imbalanced_data,
-    load_dataset_csv,
     make_auc_problem,
     make_saddle_problem,
-    save_dataset_csv,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +59,6 @@ __all__ = [
     "derive_stream",
     "empirical_moment",
     "gen_imbalanced_data",
-    "load_dataset_csv",
     "local_momentum",
     "make_auc_problem",
     "make_saddle_problem",
@@ -72,7 +69,6 @@ __all__ = [
     "phi_value_and_grad",
     "run",
     "sample",
-    "save_dataset_csv",
     "svd_polar",
     "theorem1_schedule",
     "theorem2_schedule",

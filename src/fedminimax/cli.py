@@ -65,9 +65,6 @@ CONFIG_DEFAULTS = {
     "schedule": "theorem1",
     "constants": (1.0, 1.0, 1.0),
     "out": None,
-    "momentum_warm_start": False,
-    "halt_on_divergence": False,
-    "phi_tol": 1e-8,
     # tau, ns_iters, ns_mode and zero_momentum_policy
     **{f.name: f.default for f in dataclasses.fields(HyperParams) if f.default is not dataclasses.MISSING},
 }
@@ -120,9 +117,6 @@ class ExperimentConfig:
     zero_momentum_policy: str
     noise: NoiseModel
     out: Optional[str]
-    momentum_warm_start: bool
-    halt_on_divergence: bool
-    phi_tol: float
 
 
 PROBLEM_KINDS = {"saddle": SaddleSpec, "auc": AucSpec}
@@ -299,11 +293,6 @@ def parse_config(text: str) -> ExperimentConfig:
     noise = None if noise_msgs else NoiseModel(**kwargs)
 
     out = _take(data, "out", (str, type(None)), errors, CONFIG_DEFAULTS["out"])
-    warm = _take(data, "momentum_warm_start", bool, errors, CONFIG_DEFAULTS["momentum_warm_start"])
-    halt = _take(data, "halt_on_divergence", bool, errors, CONFIG_DEFAULTS["halt_on_divergence"])
-    phi_tol = _take(data, "phi_tol", float, errors, CONFIG_DEFAULTS["phi_tol"])
-    if not phi_tol > 0:  # nan included, as the engine's check
-        errors.append(f"phi_tol: must be positive, got {phi_tol}")
 
     for key in data:
         errors.append(f"{key}: unknown key")
@@ -313,9 +302,7 @@ def parse_config(text: str) -> ExperimentConfig:
         algorithm=algorithm, problem=problem, N=N, p=p, T=T, seeds=seeds,
         schedule=schedule, constants=constants, explicit=explicit,
         tau=tau, ns_iters=ns_iters, ns_mode=ns_mode, zero_momentum_policy=policy,
-        noise=noise, out=out, momentum_warm_start=warm,
-        halt_on_divergence=halt, phi_tol=phi_tol,
-    )
+        noise=noise, out=out)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -377,9 +364,7 @@ def trace_filename(algorithm: str, seed: int) -> str:
 def _run_or_report(config: ExperimentConfig, problem, hp: HyperParams, seed: int, label: str):
     """The run of one seed under the config, or None after reporting an invariant violation."""
     try:
-        return run(config.algorithm, problem, hp, noise=config.noise, seed=seed,
-                   momentum_warm_start=config.momentum_warm_start,
-                   halt_on_divergence=config.halt_on_divergence, phi_tol=config.phi_tol)
+        return run(config.algorithm, problem, hp, noise=config.noise, seed=seed)
     except InternalInvariantViolation as exc:
         print(f"{label}: invariant violation during run: {exc}", file=sys.stderr)
         return None

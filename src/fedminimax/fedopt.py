@@ -61,6 +61,7 @@ from .noise import is_silent, raw_draws, scale_draws, seed_errors, stream_states
 from .problems import MinimaxProblem
 
 ZERO_MOMENTUM_TOL = 1e-15
+SUMMARY_WINDOW_FRAC = 0.1  # share of the rounds in each window of RunTrace.summary
 
 CSV_HEADER = ",".join(("round", "algo", "seed") + FINITE_FIELDS + ("auc",))
 CSV_COLUMNS = CSV_HEADER.count(",") + 1
@@ -131,13 +132,13 @@ class RunTrace:
     def diverged(self) -> bool:
         return any(r.diverged for r in self.records)
 
-    def summary(self, window_frac: float = 0.1) -> dict:
+    def summary(self) -> dict:
         """First/last-window means of the envelope gradient norm plus final AUC.
 
         Window means skip non-finite entries (diverged rounds) and come
         back nan when a window holds none.
         """
-        w = max(1, int(len(self.records) * window_frac))
+        w = max(1, int(len(self.records) * SUMMARY_WINDOW_FRAC))
         norms = [r.grad_phi_norm for r in self.records]
 
         def window_mean(vals):
@@ -216,6 +217,9 @@ def _client_norms(A) -> np.ndarray:
 
 def _momentum_norms(M, policy: str) -> tuple:
     """(N, 1, 1) momentum norms and the mask below tolerance; under "error" that client raises."""
+    errors = hyperparam_errors(zero_momentum_policy=policy)
+    if errors:
+        raise ValueError("; ".join(errors))
     nrm = _client_norms(M)[:, None, None]
     low = nrm <= ZERO_MOMENTUM_TOL
     if policy == "error" and low.any():
@@ -406,11 +410,8 @@ def run(
     hp: HyperParams,
     noise: Optional[NoiseModel] = None,
     seed: int = 0,
-    momentum_warm_start: bool = False,
-    halt_on_divergence: bool = False,
     x0=None,
     y0=None,
-    phi_tol: float = 1e-8,
 ) -> RunTrace:
     """Execute T communication rounds and return the per-round trace.
 
@@ -420,11 +421,9 @@ def run(
     (config, seed) pair the trace is bit-deterministic.
 
     Control variates and global momentum start at zero, so the very first
-    local momentum is beta * gradient; pass ``momentum_warm_start`` to
-    start the global momentum at the full deterministic gradient instead.
-    For the unnormalized baseline a non-finite iterate marks the trace as
-    diverged from that round on (the remaining records are flagged, or the
-    loop stops when ``halt_on_divergence`` is set); for the bounded
+    local momentum is beta * gradient.  For the unnormalized baseline a
+    non-finite iterate marks the trace as diverged from that round on (the
+    remaining records are flagged and carry nan); for the bounded
     algorithms the same event raises InternalInvariantViolation because
     their updates cannot produce it.  Their records also carry
     ``bounds_ok``, the per-round checks of ``verify_invariants``.
@@ -439,8 +438,8 @@ def run(
 
     x = np.zeros(problem.shape_x.dims) if x0 is None else np.array(x0, dtype=float)
     y = np.zeros(problem.shape_y.dims) if y0 is None else np.array(y0, dtype=float)
-    u0, v0 = problem.mean_grad(x, y) if momentum_warm_start else (np.zeros_like(x), np.zeros_like(y))
-    server = ServerState(x.copy(), y.copy(), u0, v0, np.zeros_like(x), np.zeros_like(y), 0)
+    server = ServerState(x.copy(), y.copy(), np.zeros_like(x), np.zeros_like(y),
+                         np.zeros_like(x), np.zeros_like(y), 0)
     G_prev_x = np.zeros((hp.N,) + problem.shape_x.as_matrix().dims)
     G_prev_y = np.zeros((hp.N,) + problem.shape_y.as_matrix().dims)
 
@@ -453,7 +452,7 @@ def run(
             continue
 
         with _overflow_guard(caps is not None):
-            phi, gphi = phi_value_and_grad(problem, server.x, tol=phi_tol)
+            phi, gphi = phi_value_and_grad(problem, server.x)
             f_val = float(problem.f_value(server.x, server.y))
         cen_x = float(np.linalg.norm(server.g_x - G_prev_x.sum(axis=0).reshape(x.shape) / hp.N))
         cen_y = float(np.linalg.norm(server.g_y - G_prev_y.sum(axis=0).reshape(y.shape) / hp.N))
@@ -493,8 +492,6 @@ def run(
             rec.diverged = True
             diverged = True
         records.append(rec)
-        if diverged and halt_on_divergence:
-            break
         G_prev_x, G_prev_y = G_x, G_y
         server = new_server
 

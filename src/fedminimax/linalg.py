@@ -42,6 +42,7 @@ import numpy as np
 
 # coefficients of the order-5 truncated series of (1 - b)^(-1/2)
 _INV_SQRT_COEFFS = (1.0, 1.0 / 2.0, 3.0 / 8.0, 5.0 / 16.0, 35.0 / 128.0)
+RANK_TOL = 1e-12  # svd_polar drops singular values below RANK_TOL * sigma_max
 
 
 class DegenerateMatrixError(ValueError):
@@ -59,10 +60,10 @@ def _as_matrix(M, max_ndim: int = 3) -> np.ndarray:
     return A
 
 
-def svd_polar(M, rank_tol: float = 1e-12) -> np.ndarray:
+def svd_polar(M) -> np.ndarray:
     """Exact polar factor via SVD, truncated to the numerical rank.
 
-    Singular values below ``rank_tol * sigma_max`` are dropped, so the
+    Singular values below ``RANK_TOL * sigma_max`` are dropped, so the
     result O satisfies O.T @ O = I on the retained rank-r subspace and
     has Frobenius norm sqrt(r).  An (N, m, n) stack is factored matrix by
     matrix, each truncated to its own rank.  Raises
@@ -72,7 +73,7 @@ def svd_polar(M, rank_tol: float = 1e-12) -> np.ndarray:
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if np.any(s[..., 0] <= 0.0):
         raise DegenerateMatrixError("cannot orthonormalize the zero matrix")
-    keep = s > rank_tol * s[..., :1]
+    keep = s > RANK_TOL * s[..., :1]
     return (U * keep[..., None, :]) @ Vt
 
 

@@ -1,12 +1,8 @@
 """Convergence metrics and the invariant verifier.
 
 ``phi_value_and_grad`` evaluates the primal envelope
-phi(x) = max_y f(x, y) and its gradient.  When the problem provides a
-closed-form inner maximizer this is exact; otherwise a full-batch
-gradient ascent with step 1/L_f is run until the dual gradient norm
-drops below ``tol`` (linear convergence under gradient dominance), and
-the primal gradient is evaluated at the approximate maximizer.  The
-resulting gradient error is bounded by L_f * tol / mu.
+phi(x) = max_y f(x, y) and its gradient exactly, at the problem's
+closed-form inner maximizer y*(x).
 
 ``verify_invariants`` replays the per-round guarantees of the federated
 engine over a finished trace and reports the worst violation of each.
@@ -83,42 +79,13 @@ def record_within_bounds(rec, caps: dict) -> bool:
                 and rec.centering_y <= centering_tol(rec.g_prev_norm_y))
 
 
-class ConvergenceError(RuntimeError):
-    """Inner maximization failed to reach the requested tolerance."""
+def phi_value_and_grad(problem, x):
+    """Value and gradient of the primal envelope phi(x) = max_y f(x, y), taken at y*(x).
 
-
-def ascend_dual(problem, x, tol: float = 1e-8, max_iters: int = 100_000, y0=None, record: bool = False):
-    """Full-batch gradient ascent on y at fixed x.
-
-    Returns (y, history) where history lists f(x, y_k) per iteration when
-    ``record`` is set (empty list otherwise).  The objective values are
-    non-decreasing for step 1/L_f.
+    The gradient is the problem's ``phi_grad`` or, without one, the
+    primal half of ``mean_grad`` at (x, y*(x)) (Danskin's theorem).
     """
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    y = np.zeros(problem.shape_y.dims) if y0 is None else np.array(y0, dtype=float)
-    step = 1.0 / problem.smooth.L_f
-    history = [float(problem.f_value(x, y))] if record else []
-    for _ in range(max_iters):
-        gy = problem.mean_grad_y(x, y)
-        if np.linalg.norm(gy) <= tol:
-            return y, history
-        y = y + step * gy
-        if record:
-            history.append(float(problem.f_value(x, y)))
-    raise ConvergenceError(
-        f"dual ascent did not reach tol={tol} within {max_iters} iterations"
-    )
-
-
-def phi_value_and_grad(problem, x, tol: float = 1e-8):
-    """Value and gradient of the primal envelope phi(x) = max_y f(x, y)."""
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    if problem.y_star is not None:
-        y = problem.y_star(x)
-    else:
-        y, _ = ascend_dual(problem, x, tol=tol)
+    y = problem.y_star(x)
     value = float(problem.f_value(x, y))
     grad = problem.phi_grad(x) if problem.phi_grad is not None else problem.mean_grad(x, y)[0]
     return value, np.asarray(grad, dtype=float)

@@ -32,7 +32,6 @@ after construction.
 
 from __future__ import annotations
 
-import csv
 import functools
 import operator
 from dataclasses import dataclass
@@ -69,29 +68,6 @@ class Dataset:
     @property
     def positive_ratio(self) -> float:
         return float(np.mean(self.labels == 1))
-
-
-def save_dataset_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as CSV: feature columns then a label column, with header."""
-    dim = dataset.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dim)] + ["label"])
-        for row, lab in zip(dataset.features, dataset.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [str(int(lab))])
-
-
-def load_dataset_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != "label":
-            raise ValueError(f"{path}: expected a header ending in 'label'")
-        feats, labs = [], []
-        for row in reader:
-            feats.append([float(v) for v in row[:-1]])
-            labs.append(int(row[-1]))
-    return Dataset(np.array(feats), np.array(labs))
 
 
 def _rows(a, n: int) -> np.ndarray:
@@ -131,9 +107,11 @@ class MinimaxProblem:
     ``grad``/``draw``.  A derived form is derived again by
     ``dataclasses.replace``, so it never goes stale.
 
-    ``y_star``/``phi_grad`` are the closed-form inner maximizer and
-    envelope gradient, or None: then ``phi_value_and_grad`` ascends the
-    dual or takes the primal half of ``mean_grad`` at y*.
+    ``y_star(x)`` is the closed-form inner maximizer, which every problem
+    must give; the exact metrics take the envelope phi(x) = f(x, y*(x))
+    from it.  ``phi_grad`` is the closed-form envelope gradient, or None:
+    then ``phi_value_and_grad`` takes the primal half of ``mean_grad`` at
+    (x, y*(x)).
     """
 
     n_clients: int
@@ -141,12 +119,12 @@ class MinimaxProblem:
     shape_y: Shape
     smooth: SmoothnessInfo
     f_value: Callable
+    y_star: Callable
     grad: Optional[Callable] = None
     draw: Optional[Callable] = None
     grad_x: Optional[Callable] = None
     grad_y: Optional[Callable] = None
     stoch_grad: Optional[Callable] = None
-    y_star: Optional[Callable] = None
     phi_grad: Optional[Callable] = None
     auc_eval: Optional[Callable] = None
 

@@ -97,10 +97,10 @@ def test_parse_collects_all_errors():
         msgs = "\n".join(exc.value.errors)
         assert f"{where} must be an integer in [0, 2**64)" in msgs and "T:" in msgs
     assert parse_config(json.dumps({"seed": 2**64 - 1})).seeds == (2**64 - 1,)
-    text = json.dumps({"constants": [float("nan"), 1, 1], "phi_tol": float("nan"), "T": 0})
-    with pytest.raises(ConfigError) as exc:  # nan breaks "positive" here as in the engine
+    text = json.dumps({"constants": [float("nan"), 1, 1], "T": 0})
+    with pytest.raises(ConfigError) as exc:  # nan is not positive
         parse_config(text)
-    assert sorted(e.split(":")[0] for e in exc.value.errors) == ["T", "constants", "phi_tol"]
+    assert sorted(e.split(":")[0] for e in exc.value.errors) == ["T", "constants"]
     for problem, extra, field in BAD_PROBLEMS:  # the problem makers' rules, checked up front
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps({"problem": problem, **extra, "T": 0}))
@@ -319,9 +319,16 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{\"algorithm\": \"sgd\"}")
     assert main(["run", "--config", str(cfg_path)]) == 1
-    cfg_path.write_text(json.dumps({**SMALL, "parallel_clients": True}))  # removed key
-    assert main(["run", "--config", str(cfg_path)]) == 1
     capsys.readouterr()
+    removed = {"parallel_clients": True, "phi_tol": 1e-8, "halt_on_divergence": False,
+               "momentum_warm_start": False}
+    for key, value in removed.items():  # removed keys are unknown, named before anything is written
+        cfg_path.write_text(json.dumps({**SMALL, key: value}))
+        out = tmp_path / f"out_{key}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert main(["sweep", "--config", str(cfg_path), "--axes", '{"T": [2]}', "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count(f"{key}: unknown key") == 2
     for k, (problem, extra, field) in enumerate(BAD_PROBLEMS):  # named before anything is written
         cfg_path.write_text(json.dumps({**SMALL, "problem": problem, **extra}))
         out = tmp_path / f"out{k}"

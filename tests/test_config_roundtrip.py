@@ -28,9 +28,6 @@ def reference_serialize(config) -> str:
             "sigma": config.noise.sigma, "tail_exponent": config.noise.tail_exponent,
         },
         "out": config.out,
-        "momentum_warm_start": config.momentum_warm_start,
-        "halt_on_divergence": config.halt_on_divergence,
-        "phi_tol": config.phi_tol,
     }
     prob = dataclasses.asdict(config.problem)
     prob["kind"] = "saddle" if isinstance(config.problem, SaddleSpec) else "auc"
@@ -94,8 +91,7 @@ def configs(draw) -> dict:
         "tau": reals(1e-3, 5.0), "ns_iters": st.integers(1, 20),
         "ns_mode": st.sampled_from(["iterative", "exact-svd"]),
         "zero_momentum_policy": st.sampled_from(["skip", "error"]), "noise": NOISE,
-        "out": st.none() | st.text(max_size=8), "momentum_warm_start": st.booleans(),
-        "halt_on_divergence": st.booleans(), "phi_tol": reals(1e-12, 1e-2)})))
+        "out": st.none() | st.text(max_size=8)})))
     data.update(draw(st.one_of(st.just({}), st.fixed_dictionaries({"seed": SEEDS}),
                                st.fixed_dictionaries({"seeds": st.lists(SEEDS, min_size=1, max_size=4)}))))
     data.update(draw(st.one_of(

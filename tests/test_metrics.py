@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from fedminimax import HyperParams
 from fedminimax.fedopt import RoundRecord, RunTrace
-from fedminimax.metrics import (
-    ConvergenceError,
-    ascend_dual,
-    auc_score,
-    phi_value_and_grad,
-    verify_invariants,
-)
+from fedminimax.metrics import auc_score, phi_value_and_grad, verify_invariants
 from fedminimax.problems import make_saddle_problem
 
 
@@ -37,17 +31,17 @@ def test_phi_on_pinned_quadratic():
     assert np.allclose(grad, x)
 
 
-def test_closed_form_and_ascent_paths_agree():
+def test_phi_grad_fallback_matches_closed_form():
+    # without phi_grad (as on AUC) the gradient is the primal half of mean_grad at y*(x)
     prob = make_saddle_problem(3, 4, 3, mu=1.0, amp=1.0, hetero=0.5, seed=9)
-    hidden = dataclasses.replace(prob, y_star=None, phi_grad=None)
+    fallback = dataclasses.replace(prob, phi_grad=None)
     rng = np.random.default_rng(0)
-    tol = 1e-9
     for _ in range(3):
         x = rng.standard_normal(4)
         v1, g1 = phi_value_and_grad(prob, x)
-        v2, g2 = phi_value_and_grad(hidden, x, tol=tol)
-        assert abs(v1 - v2) <= 10 * tol
-        assert np.linalg.norm(g1 - g2) <= 10 * tol * prob.smooth.kappa
+        v2, g2 = phi_value_and_grad(fallback, x)
+        assert v1 == v2
+        assert np.linalg.norm(g1 - g2) <= 1e-12
 
 
 def test_phi_grad_matches_finite_differences_of_phi():
@@ -58,22 +52,6 @@ def test_phi_grad_matches_finite_differences_of_phi():
         fd = central_diff(lambda z: phi_value_and_grad(prob, z)[0], x)
         _, grad = phi_value_and_grad(prob, x)
         assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(fd))
-
-
-def test_ascent_values_non_decreasing():
-    prob = make_saddle_problem(3, 4, 5, mu=0.8, amp=1.0, hetero=0.4, seed=12)
-    hidden = dataclasses.replace(prob, y_star=None, phi_grad=None)
-    x = np.random.default_rng(2).standard_normal(4)
-    _, history = ascend_dual(hidden, x, tol=1e-10, record=True)
-    assert len(history) > 2
-    assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
-
-
-def test_ascent_iteration_cap_raises():
-    prob = make_saddle_problem(2, 3, 3, mu=1.0, amp=1.0, hetero=0.2, seed=3)
-    hidden = dataclasses.replace(prob, y_star=None, phi_grad=None)
-    with pytest.raises(ConvergenceError):
-        ascend_dual(hidden, np.ones(3), tol=1e-13, max_iters=3)
 
 
 def test_auc_score_separated_inverted_tied():

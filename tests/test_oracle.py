@@ -193,10 +193,11 @@ def per_client_matrix_problem(n_clients=3, seed=0):
     def stoch_grad(n, X, Y, stream):
         return grad_x(n, X, Y) + stream.standard_normal(X.shape), grad_y(n, X, Y)
 
+    A_mean = A.mean(axis=0)
     return fm.MinimaxProblem(
         n_clients=n_clients, shape_x=fm.Shape.matrix(4, 2), shape_y=fm.Shape.matrix(3, 2),
         smooth=fm.SmoothnessInfo(L_f=4.0, mu=1.0), f_value=lambda X, Y: 0.0,
-        grad_x=grad_x, grad_y=grad_y, stoch_grad=stoch_grad)
+        y_star=lambda X: A_mean.T @ X, grad_x=grad_x, grad_y=grad_y, stoch_grad=stoch_grad)
 
 
 def test_per_client_callables_are_wrapped_into_the_batched_oracle():
@@ -240,7 +241,9 @@ def test_derived_forms_follow_dataclasses_replace():
 
 
 def test_problem_needs_a_gradient_oracle():
+    common = dict(n_clients=1, shape_x=fm.Shape.vector(1), shape_y=fm.Shape.vector(1),
+                  smooth=fm.SmoothnessInfo(L_f=1.0, mu=1.0), f_value=lambda x, y: 0.0)
     with pytest.raises(ValueError, match="needs the batched grad"):
-        fm.MinimaxProblem(n_clients=1, shape_x=fm.Shape.vector(1), shape_y=fm.Shape.vector(1),
-                          smooth=fm.SmoothnessInfo(L_f=1.0, mu=1.0), f_value=lambda x, y: 0.0,
-                          grad_x=lambda n, x, y: x)
+        fm.MinimaxProblem(**common, y_star=lambda x: x, grad_x=lambda n, x, y: x)
+    with pytest.raises(TypeError, match="y_star"):  # the exact metrics need the inner maximizer
+        fm.MinimaxProblem(**common, grad=lambda X, Y, batch=None: (X, -Y))

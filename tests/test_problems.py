@@ -6,10 +6,8 @@ from fedminimax.problems import (
     Dataset,
     auc_loss,
     gen_imbalanced_data,
-    load_dataset_csv,
     make_auc_problem,
     make_saddle_problem,
-    save_dataset_csv,
 )
 
 
@@ -246,12 +244,3 @@ def test_gen_data_degenerate_counts_rejected():
         gen_imbalanced_data(100, [0.5, 1.2], dim=2, separation=1.0)
     with pytest.raises(ValueError, match="0.99 of 10 samples gives 10 positives and 0 negatives"):
         gen_imbalanced_data(10, [0.99], dim=2, separation=1.0)
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    shards = gen_imbalanced_data(25, [0.2], dim=3, separation=1.0, seed=6)
-    path = tmp_path / "shard.csv"
-    save_dataset_csv(shards[0], path)
-    back = load_dataset_csv(path)
-    assert np.array_equal(back.features, shards[0].features)
-    assert np.array_equal(back.labels, shards[0].labels)

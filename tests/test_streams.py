@@ -85,10 +85,11 @@ def matrix_problem(n_clients=3, m=3, k=2, c=2, mu=1.0):
     def grad_y(n, X, Y):
         return A[n].T @ X - mu * Y
 
+    A_mean = A.mean(axis=0)
     return fm.MinimaxProblem(
         n_clients=n_clients, shape_x=fm.Shape.matrix(m, k), shape_y=fm.Shape.matrix(c, k),
-        smooth=fm.SmoothnessInfo(L_f=float(np.linalg.norm(A.mean(axis=0), 2)) + mu, mu=mu),
-        grad_x=grad_x, grad_y=grad_y,
+        smooth=fm.SmoothnessInfo(L_f=float(np.linalg.norm(A_mean, 2)) + mu, mu=mu),
+        y_star=lambda X: A_mean.T @ X / mu, grad_x=grad_x, grad_y=grad_y,
         stoch_grad=lambda n, X, Y, rng_: (grad_x(n, X, Y), grad_y(n, X, Y)),
         f_value=lambda X, Y: 0.0,
     )

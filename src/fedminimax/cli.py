@@ -65,7 +65,7 @@ CONFIG_DEFAULTS = {
     "schedule": "theorem1",
     "constants": (1.0, 1.0, 1.0),
     "out": None,
-    # tau, ns_iters, ns_mode and zero_momentum_policy
+    # tau and ns_mode
     **{f.name: f.default for f in dataclasses.fields(HyperParams) if f.default is not dataclasses.MISSING},
 }
 
@@ -112,9 +112,7 @@ class ExperimentConfig:
     constants: tuple
     explicit: Optional[dict]  # the six rates when schedule is None
     tau: float
-    ns_iters: int
     ns_mode: str
-    zero_momentum_policy: str
     noise: NoiseModel
     out: Optional[str]
 
@@ -279,11 +277,8 @@ def parse_config(text: str) -> ExperimentConfig:
         constants = tuple(float(c) for c in constants_raw)
 
     tau = _take(data, "tau", float, errors, CONFIG_DEFAULTS["tau"])
-    ns_iters = _take(data, "ns_iters", int, errors, CONFIG_DEFAULTS["ns_iters"])
     ns_mode = _take(data, "ns_mode", str, errors, CONFIG_DEFAULTS["ns_mode"])
-    policy = _take(data, "zero_momentum_policy", str, errors, CONFIG_DEFAULTS["zero_momentum_policy"])
-    errors += hyperparam_errors(N=N, p=p, T=T, tau=tau, ns_iters=ns_iters, ns_mode=ns_mode,
-                                zero_momentum_policy=policy, **explicit_given)
+    errors += hyperparam_errors(N=N, p=p, T=T, tau=tau, ns_mode=ns_mode, **explicit_given)
     if not hyperparam_errors(N=N):  # the problem rules hold per client
         errors += _problem_errors(problem, N)
 
@@ -301,8 +296,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         algorithm=algorithm, problem=problem, N=N, p=p, T=T, seeds=seeds,
         schedule=schedule, constants=constants, explicit=explicit,
-        tau=tau, ns_iters=ns_iters, ns_mode=ns_mode, zero_momentum_policy=policy,
-        noise=noise, out=out)
+        tau=tau, ns_mode=ns_mode, noise=noise, out=out)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -340,8 +334,7 @@ def resolve_hyperparams(config: ExperimentConfig, problem) -> HyperParams:
     schedule; the scheduled beta targets the normalized/orthonormalized
     methods.
     """
-    extras = dict(tau=config.tau, ns_iters=config.ns_iters, ns_mode=config.ns_mode,
-                  zero_momentum_policy=config.zero_momentum_policy)
+    extras = dict(tau=config.tau, ns_mode=config.ns_mode)
     if config.schedule is None:
         return HyperParams(N=config.N, p=config.p, T=config.T, **config.explicit, **extras)
     fn = theorem1_schedule if config.schedule == "theorem1" else theorem2_schedule
@@ -377,10 +370,13 @@ def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
     A seed whose run breaks an invariant is reported and skipped; the
     other seeds still run and write their traces.
     """
+    seeds = (seed_override,) if seed_override is not None else config.seeds
+    errors = [e for seed in seeds for e in seed_errors(seed)]
+    if errors:
+        raise ConfigError(errors)
     out_dir = _outdir(config, out)
     problem = build_problem(config)
     hp = resolve_hyperparams(config, problem)
-    seeds = (seed_override,) if seed_override is not None else config.seeds
     status = 0
     for seed in seeds:
         trace = _run_or_report(config, problem, hp, seed, f"seed {seed}")

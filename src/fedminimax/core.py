@@ -139,8 +139,8 @@ class HyperParams:
     (local) step sizes, ``beta_*`` the momentum mixing weights on the fresh
     stochastic gradient, ``p`` the local steps per communication round,
     ``T`` the number of rounds and ``N`` the client count.  ``tau`` is only
-    used by the clipping baseline.  ``ns_iters``/``ns_mode`` control the
-    orthonormalization inside the Muon-style update.
+    used by the clipping baseline.  ``ns_mode`` picks the polar kernel of
+    the Muon-style update: ten Newton-Schulz sweeps or an exact SVD.
     """
 
     gamma_x: float
@@ -153,9 +153,7 @@ class HyperParams:
     T: int
     N: int
     tau: float = 0.1
-    ns_iters: int = 10
     ns_mode: str = "iterative"
-    zero_momentum_policy: str = "skip"
 
     def __post_init__(self):
         errors = hyperparam_errors(**vars(self))
@@ -165,8 +163,8 @@ class HyperParams:
 
 _POSITIVE = ("gamma_x", "gamma_y", "eta_x", "eta_y", "tau")
 _UNIT_INTERVAL = ("beta_x", "beta_y")
-_COUNTS = ("p", "T", "N", "ns_iters")
-_CHOICES = {"ns_mode": ("iterative", "exact-svd"), "zero_momentum_policy": ("skip", "error")}
+_COUNTS = ("p", "T", "N")
+_CHOICES = {"ns_mode": ("iterative", "exact-svd")}
 
 
 def hyperparam_errors(**fields) -> list:
@@ -214,7 +212,7 @@ def theorem1_schedule(
     the constant the convergence analysis uses); beta is capped at 1 since
     the momentum recursion requires beta in (0, 1].  The scale constants
     ``c`` default to 1 and are user-tunable.  Extra keyword arguments
-    (tau, ns_iters, ...) pass through to :class:`HyperParams`.
+    (tau, ns_mode) pass through to :class:`HyperParams`.
     """
     errors = hyperparam_errors(N=N, p=p, T=T)
     if errors:

@@ -71,14 +71,6 @@ class ProtocolError(RuntimeError):
     """Client results do not match the round contract."""
 
 
-class DegenerateMomentumError(RuntimeError):
-    """Normalized update requested for a (numerically) zero momentum."""
-
-    def __init__(self, client: int, round: Optional[int] = None, block: Optional[str] = None):
-        super().__init__(f"client {client}, block {block}, round {round}: momentum norm below tolerance")
-        self.client, self.round, self.block = client, round, block
-
-
 class InternalInvariantViolation(RuntimeError):
     """A by-construction bound was breached: an implementation bug."""
 
@@ -215,16 +207,10 @@ def _client_norms(A) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def _momentum_norms(M, policy: str) -> tuple:
-    """(N, 1, 1) momentum norms and the mask below tolerance; under "error" that client raises."""
-    errors = hyperparam_errors(zero_momentum_policy=policy)
-    if errors:
-        raise ValueError("; ".join(errors))
+def _momentum_norms(M) -> tuple:
+    """(N, 1, 1) momentum norms and the mask of the clients below tolerance, which do not move."""
     nrm = _client_norms(M)[:, None, None]
-    low = nrm <= ZERO_MOMENTUM_TOL
-    if policy == "error" and low.any():
-        raise DegenerateMomentumError(int(np.argmax(low)))
-    return nrm, low
+    return nrm, nrm <= ZERO_MOMENTUM_TOL
 
 
 def local_momentum(G, g_global_prev, G_local_prev, u_global_prev, beta: float):
@@ -246,29 +232,29 @@ def _signed(eta: float, direction: str) -> float:
     return -eta if direction == "descend" else eta
 
 
-def normalized_step(Z, M, eta: float, direction: str, policy: str = "skip"):
-    """Fixed-length step: Z -+ eta * M / ||M|| per client; degenerate M handled per policy."""
+def normalized_step(Z, M, eta: float, direction: str):
+    """Fixed-length step: Z -+ eta * M / ||M|| per client; a client with zero momentum stays put."""
     step = _signed(eta, direction)
-    nrm, low = _momentum_norms(M, policy)
+    nrm, low = _momentum_norms(M)
     return np.where(low, Z, Z + step / np.where(low, 1.0, nrm) * M)
 
 
-def muon_step(Z, M, eta: float, direction: str, ns_iters: int = 10,
-              ns_mode: str = "iterative", policy: str = "skip"):
+def muon_step(Z, M, eta: float, direction: str, ns_mode: str = "iterative"):
     """Orthonormalized step: Z -+ eta * polar(M) per client; a vector block is d-by-1.
 
-    The polar factor of a one-column or one-row matrix is M / ||M||_F, so
-    such a stack takes :func:`normalized_step` under either ``ns_mode``.
+    The polar factor is 10 Newton-Schulz sweeps, or an SVD under "exact-svd".
+    That of a one-column or one-row matrix is M / ||M||_F, so such a stack
+    takes :func:`normalized_step` under either ``ns_mode``.
     """
-    errors = hyperparam_errors(ns_iters=ns_iters, ns_mode=ns_mode)
+    errors = hyperparam_errors(ns_mode=ns_mode)
     if errors:
         raise ValueError("; ".join(errors))
     if 1 in np.shape(M)[-2:]:
-        return normalized_step(Z, M, eta, direction, policy)
+        return normalized_step(Z, M, eta, direction)
     step = _signed(eta, direction)
-    _, low = _momentum_norms(M, policy)
+    _, low = _momentum_norms(M)
     safe = np.where(low, 1.0, M)  # the polar kernels reject a zero matrix
-    O = svd_polar(safe) if ns_mode == "exact-svd" else newton_schulz_polar(safe, ns_iters)
+    O = svd_polar(safe) if ns_mode == "exact-svd" else newton_schulz_polar(safe)
     return np.where(low, Z, Z + step * O)
 
 
@@ -319,15 +305,12 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
         DX, DY = np.empty((hp.N, size_x)), np.empty((hp.N, size_y))
         RX, RY = np.empty(hp.N), np.empty(hp.N)
 
-    def step(Z, M, eta, direction, block):
-        try:
-            if algorithm == "nsgda-m":
-                return normalized_step(Z, M, eta, direction, hp.zero_momentum_policy)
-            if algorithm == "muon-da":
-                return muon_step(Z, M, eta, direction, hp.ns_iters, hp.ns_mode, hp.zero_momentum_policy)
-            return clip_step(Z, M, eta, hp.tau, direction)
-        except DegenerateMomentumError as exc:
-            raise DegenerateMomentumError(exc.client, server.round, block) from None
+    def step(Z, M, eta, direction):
+        if algorithm == "nsgda-m":
+            return normalized_step(Z, M, eta, direction)
+        if algorithm == "muon-da":
+            return muon_step(Z, M, eta, direction, hp.ns_mode)
+        return clip_step(Z, M, eta, hp.tau, direction)
 
     caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
     stack_x, stack_y = (hp.N,) + problem.shape_x.dims, (hp.N,) + problem.shape_y.dims
@@ -360,8 +343,8 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
             else:
                 MX = local_momentum(GX, server.g_x.reshape(bx), G_prev_x, U, hp.beta_x)
                 MY = local_momentum(GY, server.g_y.reshape(by), G_prev_y, V, hp.beta_y)
-                X = step(X, MX, hp.eta_x, "descend", "x")
-                Y = step(Y, MY, hp.eta_y, "ascend", "y")
+                X = step(X, MX, hp.eta_x, "descend")
+                Y = step(Y, MY, hp.eta_y, "ascend")
             dx, dy = _client_norms(X - x0), _client_norms(Y - y0)
             # running max with max()'s rule over the steps: an earlier nan stays
             max_dx = dx if i == 0 else np.where(dx > max_dx, dx, max_dx)
@@ -375,7 +358,11 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
 
 
 def server_round(server: ServerState, X, Y, G_x, G_y, hp: HyperParams) -> ServerState:
-    """Aggregate the N clients' stacks, summed over axis 0, into the next server state."""
+    """Aggregate the N clients' stacks, summed over axis 0, into the next server state.
+
+    The sum adds the clients in index order, except on a block of one entry
+    (the AUC dual, a d_y=1 saddle), which numpy adds pairwise from N=8 up.
+    """
     if {len(S) for S in (X, Y, G_x, G_y)} != {hp.N}:
         raise ProtocolError(f"expected {hp.N} client results, got {len(G_x)}")
     g_x = G_x.sum(axis=0).reshape(server.x.shape) / hp.N
@@ -410,8 +397,6 @@ def run(
     hp: HyperParams,
     noise: Optional[NoiseModel] = None,
     seed: int = 0,
-    x0=None,
-    y0=None,
 ) -> RunTrace:
     """Execute T communication rounds and return the per-round trace.
 
@@ -420,10 +405,10 @@ def run(
     quantities the convergence analysis tracks.  Given an identical
     (config, seed) pair the trace is bit-deterministic.
 
-    Control variates and global momentum start at zero, so the very first
-    local momentum is beta * gradient.  For the unnormalized baseline a
-    non-finite iterate marks the trace as diverged from that round on (the
-    remaining records are flagged and carry nan); for the bounded
+    The iterates, control variates and global momentum start at zero, so
+    the very first local momentum is beta * gradient.  For the unnormalized
+    baseline a non-finite iterate marks the trace as diverged from that
+    round on (the remaining records are flagged and carry nan); for the bounded
     algorithms the same event raises InternalInvariantViolation because
     their updates cannot produce it.  Their records also carry
     ``bounds_ok``, the per-round checks of ``verify_invariants``.
@@ -436,10 +421,8 @@ def run(
     if errors:
         raise ValueError("; ".join(errors))
 
-    x = np.zeros(problem.shape_x.dims) if x0 is None else np.array(x0, dtype=float)
-    y = np.zeros(problem.shape_y.dims) if y0 is None else np.array(y0, dtype=float)
-    server = ServerState(x.copy(), y.copy(), np.zeros_like(x), np.zeros_like(y),
-                         np.zeros_like(x), np.zeros_like(y), 0)
+    dims_x, dims_y = problem.shape_x.dims, problem.shape_y.dims
+    server = ServerState(*(np.zeros(dims) for dims in (dims_x, dims_y) * 3), 0)
     G_prev_x = np.zeros((hp.N,) + problem.shape_x.as_matrix().dims)
     G_prev_y = np.zeros((hp.N,) + problem.shape_y.as_matrix().dims)
 
@@ -454,8 +437,8 @@ def run(
         with _overflow_guard(caps is not None):
             phi, gphi = phi_value_and_grad(problem, server.x)
             f_val = float(problem.f_value(server.x, server.y))
-        cen_x = float(np.linalg.norm(server.g_x - G_prev_x.sum(axis=0).reshape(x.shape) / hp.N))
-        cen_y = float(np.linalg.norm(server.g_y - G_prev_y.sum(axis=0).reshape(y.shape) / hp.N))
+        cen_x = float(np.linalg.norm(server.g_x - G_prev_x.sum(axis=0).reshape(dims_x) / hp.N))
+        cen_y = float(np.linalg.norm(server.g_y - G_prev_y.sum(axis=0).reshape(dims_y) / hp.N))
         auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
 
         X, Y, G_x, G_y, drift_x, drift_y = client_round(
@@ -479,7 +462,7 @@ def run(
                 centering_y=cen_y,
                 g_prev_norm_x=float(np.linalg.norm(server.g_x)),
                 g_prev_norm_y=float(np.linalg.norm(server.g_y)),
-                dist_x0=float(np.linalg.norm(server.x - x)),
+                dist_x0=float(np.linalg.norm(server.x)),
                 x=server.x.copy(),
                 y=server.y.copy(),
             )

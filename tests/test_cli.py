@@ -321,7 +321,7 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 1
     capsys.readouterr()
     removed = {"parallel_clients": True, "phi_tol": 1e-8, "halt_on_divergence": False,
-               "momentum_warm_start": False}
+               "momentum_warm_start": False, "ns_iters": 10, "zero_momentum_policy": "skip"}
     for key, value in removed.items():  # removed keys are unknown, named before anything is written
         cfg_path.write_text(json.dumps({**SMALL, key: value}))
         out = tmp_path / f"out_{key}"
@@ -336,6 +336,12 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
         assert main(["sweep", "--config", str(cfg_path), "--axes", '{"T": [2]}', "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.count(f"{field}: ") == 2
+    cfg_path.write_text(json.dumps(SMALL))
+    for seed in ("-1", str(2**64)):  # an override breaking the seed rule exits before any output
+        out = tmp_path / f"out_seed{seed}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", seed]) == 1
+        assert not out.exists()
+        assert "seed: must be an integer in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_readme_config_blocks_parse():

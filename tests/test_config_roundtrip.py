@@ -21,8 +21,7 @@ def reference_serialize(config) -> str:
         "N": config.N, "p": config.p, "T": config.T,
         "seeds": list(config.seeds),
         "constants": list(config.constants),
-        "tau": config.tau, "ns_iters": config.ns_iters, "ns_mode": config.ns_mode,
-        "zero_momentum_policy": config.zero_momentum_policy,
+        "tau": config.tau, "ns_mode": config.ns_mode,
         "noise": {
             "family": config.noise.family, "s": config.noise.s,
             "sigma": config.noise.sigma, "tail_exponent": config.noise.tail_exponent,
@@ -88,9 +87,8 @@ def configs(draw) -> dict:
     data.update(draw(st.fixed_dictionaries({}, optional={
         "algorithm": st.sampled_from(ALGORITHMS), "p": st.integers(1, 6), "T": st.integers(1, 500),
         "constants": st.lists(reals(0.01, 10.0), min_size=3, max_size=3),
-        "tau": reals(1e-3, 5.0), "ns_iters": st.integers(1, 20),
-        "ns_mode": st.sampled_from(["iterative", "exact-svd"]),
-        "zero_momentum_policy": st.sampled_from(["skip", "error"]), "noise": NOISE,
+        "tau": reals(1e-3, 5.0), "ns_mode": st.sampled_from(["iterative", "exact-svd"]),
+        "noise": NOISE,
         "out": st.none() | st.text(max_size=8)})))
     data.update(draw(st.one_of(st.just({}), st.fixed_dictionaries({"seed": SEEDS}),
                                st.fixed_dictionaries({"seeds": st.lists(SEEDS, min_size=1, max_size=4)}))))

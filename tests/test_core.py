@@ -54,8 +54,6 @@ def test_hyperparams_validation():
             HyperParams(**{**good, key: bad})
     with pytest.raises(ValueError):
         HyperParams(**good, ns_mode="fancy")
-    with pytest.raises(ValueError):
-        HyperParams(**good, zero_momentum_policy="explode")
 
 
 def test_schedule_worked_example():

@@ -5,7 +5,6 @@ import pytest
 
 from fedminimax import HyperParams, NoiseModel
 from fedminimax.fedopt import (
-    DegenerateMomentumError,
     InternalInvariantViolation,
     ProtocolError,
     ServerState,
@@ -75,11 +74,7 @@ def test_normalized_step_examples():
 
 def test_normalized_step_degenerate_policies():
     z = stack([1.0, 2.0])
-    assert np.array_equal(normalized_step(z, stack(np.zeros(2)), 0.1, "descend", policy="skip"), z)
-    with pytest.raises(DegenerateMomentumError):
-        normalized_step(z, stack(np.zeros(2)), 0.1, "descend", policy="error")
-    with pytest.raises(ValueError, match="^zero_momentum_policy: "):
-        normalized_step(z, stack(np.zeros(2)), 0.1, "descend", policy="bogus")
+    assert np.array_equal(normalized_step(z, stack(np.zeros(2)), 0.1, "descend"), z)
 
 
 def test_muon_step_column_equals_normalized_step():
@@ -91,12 +86,9 @@ def test_muon_step_column_equals_normalized_step():
 
 
 @pytest.mark.parametrize("dims", [(3, 1), (1, 3), (3, 2)], ids=["column", "row", "matrix"])
-@pytest.mark.parametrize("setting,field", [
-    ({"ns_mode": "fancy"}, "ns_mode"), ({"ns_iters": 0}, "ns_iters"), ({"ns_iters": 2.5}, "ns_iters"),
-    ({"policy": "bogus"}, "zero_momentum_policy"),
-], ids=["mode", "iters-zero", "iters-fraction", "policy"])
+@pytest.mark.parametrize("setting,field", [({"ns_mode": "fancy"}, "ns_mode")], ids=["mode"])
 def test_muon_step_rejects_bad_polar_settings(dims, setting, field):
-    # checked on either route, so a vector block cannot skip them
+    # checked on either route, so a vector block cannot skip it
     Z, M = np.zeros((2,) + dims), np.ones((2,) + dims)
     with pytest.raises(ValueError, match=f"^{field}: "):
         muon_step(Z, M, 0.1, "descend", **setting)
@@ -336,7 +328,7 @@ def test_unnormalized_baseline_divergence_flagged():
     prob = make_saddle_problem(2, 3, 3, mu=5.0, amp=0.0, hetero=0.0, seed=0)
     hp = HyperParams(gamma_x=10.0, gamma_y=10.0, eta_x=10.0, eta_y=10.0,
                      beta_x=0.9, beta_y=0.9, p=4, T=60, N=2)
-    trace = run("local-sgda-m", prob, hp, seed=0, y0=np.ones(3))
+    trace = run("local-sgda-m", prob, hp, seed=0)
     assert trace.diverged
     assert len(trace.records) == hp.T  # flagged records pad to T
     first_bad = next(i for i, r in enumerate(trace.records) if r.diverged)
@@ -347,13 +339,8 @@ def test_zero_momentum_policy_error_propagates():
     flat = make_saddle_problem(1, 2, 2, mu=1.0, amp=0.0, hetero=0.0,
                                base_coupling=np.zeros((2, 2)), base_shift=np.zeros(2))
     hp = HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.1, eta_y=0.1,
-                     beta_x=0.5, beta_y=0.5, p=1, T=2, N=1,
-                     zero_momentum_policy="error")
-    with pytest.raises(DegenerateMomentumError, match="client 0, block x, round 0"):
-        run("nsgda-m", flat, hp, seed=0)
-    hp_skip = HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.1, eta_y=0.1,
-                          beta_x=0.5, beta_y=0.5, p=1, T=2, N=1)
-    trace = run("nsgda-m", flat, hp_skip, seed=0)
+                     beta_x=0.5, beta_y=0.5, p=1, T=2, N=1)
+    trace = run("nsgda-m", flat, hp, seed=0)
     assert np.allclose(trace.final_state.x, 0.0)
 
 
@@ -365,6 +352,8 @@ def test_run_validates_inputs():
                          beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
     with pytest.raises(ValueError):
         run("nsgda-m", prob, bad_hp)
+    with pytest.raises(TypeError):  # every run starts at zero
+        run("nsgda-m", prob, HP, x0=np.ones(3))
 
 
 def test_potential_identity_recomputed_offline():

@@ -480,9 +480,19 @@ def cmd_verify(trace_path: str, config: ExperimentConfig) -> int:
     """Re-check the recorded invariants of a trace CSV against the config's bounds.
 
     Prints the human-readable report followed by a machine-readable CSV
-    block (invariant,rounds_checked,max_violation,slack,passed).
+    block (invariant,rounds_checked,max_violation,slack,passed).  Returns 1
+    without a report when the trace is not a run of the config: another
+    algorithm, or not config.T rounds (a truncated file).
     """
     trace = trace_from_csv(trace_path)
+    mismatch = []
+    if trace.algorithm != config.algorithm:
+        mismatch.append(f"algorithm {trace.algorithm!r}, the config's is {config.algorithm!r}")
+    if len(trace.records) != config.T:
+        mismatch.append(f"{len(trace.records)} rounds, the config's T is {config.T}")
+    if mismatch:
+        print(f"{trace_path}: not a run of this config: " + "; ".join(mismatch), file=sys.stderr)
+        return 1
     problem = build_problem(config)
     hp = resolve_hyperparams(config, problem)
     report = verify_invariants(trace, hp)

@@ -16,9 +16,9 @@ NOISE_FAMILIES = ("symmetrized-pareto", "student-t", "gaussian", "none")
 class Shape:
     """Shape of one parameter block: a vector of dimension d or an m-by-n matrix.
 
-    A vector of dimension d is interchangeable with a d-by-1 matrix; the
-    orthonormalized (Muon) update path treats vectors as single-column
-    matrices, in which case both reduce to plain L2 normalization.
+    The engine keeps each block in its own shape, stacked over clients as
+    (N,) + dims.  The polar factor of a vector is v / ||v||, so under the
+    orthonormalized (Muon) update a vector block takes the normalized step.
     """
 
     kind: str  # "vector" | "matrix"
@@ -52,12 +52,6 @@ class Shape:
     def cols(self) -> int:
         """Column count when viewed as a matrix; 1 for vectors."""
         return 1 if self.kind == "vector" else self.dims[1]
-
-    def as_matrix(self) -> "Shape":
-        """Promote a vector(d) to the equivalent d-by-1 matrix shape."""
-        if self.kind == "matrix":
-            return self
-        return Shape.matrix(self.dims[0], 1)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ Four local update rules share this skeleton:
                      fixed-length step along the normalized momentum.
 * ``muon-da``      - same momentum, but the step direction is the polar
                      factor (orthonormalization) of the momentum matrix.
-                     A vector is a single-column matrix, whose polar
-                     factor is m / ||m||: such a block takes the
+                     The polar factor of a vector, or of a one-column or
+                     one-row matrix, is m / ||m||: such a block takes the
                      normalized step itself, so muon-da on vectors is
                      nsgda-m bit for bit.
 * ``sgda-clip``    - same momentum, step clipped to length eta * tau.
@@ -30,14 +30,15 @@ constant across the round's local steps); it is not recursive over local
 steps.
 
 Clients are independent given the round-start server state, so they run
-stacked: iterates, control variates, momenta and drifts are (N, m, n)
-arrays, one slice per client (a d-vector is d-by-1).  Each local step
-makes each client's own draws, the problem's and the raw noise variates,
-from its (seed, client, round, step) stream (one reused generator, reset
-to states derived for the whole round at once), takes all N gradients
-from one batched ``problem.grad`` call and scales the noise for the
-whole stack; then momentum, step rule and drift act on the stack with
-each client's bits unchanged; ``server_round`` sums over axis 0.
+stacked: iterates, control variates and momenta are (N,) + block arrays,
+(N, d) for a vector block and (N, m, n) for a matrix, one row per client;
+drifts are (N,) vectors.  Each local step makes each client's own draws,
+the problem's and the raw noise variates, from its (seed, client, round,
+step) stream (one reused generator, reset to states derived for the whole
+round at once), takes all N gradients from one batched ``problem.grad``
+call and scales the noise for the whole stack; then momentum, step rule
+and drift act on the stack with each client's bits unchanged;
+``server_round`` sums over axis 0.
 """
 
 from __future__ import annotations
@@ -49,14 +50,7 @@ import numpy as np
 
 from .core import ALGORITHMS, HyperParams, NoiseModel, hyperparam_errors
 from .linalg import newton_schulz_polar, svd_polar
-from .metrics import (
-    BOUND_SLACK,
-    FINITE_FIELDS,
-    phi_value_and_grad,
-    record_finite,
-    record_within_bounds,
-    round_caps,
-)
+from .metrics import BOUND_SLACK, FINITE_FIELDS, phi_value_and_grad, record_finite, round_caps
 from .noise import is_silent, raw_draws, scale_draws, seed_errors, stream_states
 from .problems import MinimaxProblem
 
@@ -101,7 +95,6 @@ class RoundRecord:
     auc: Optional[float] = None
     diverged: bool = False
     # in-memory extras, not part of the CSV schema
-    bounds_ok: Optional[bool] = None  # this round's drift/step/centering checks
     centering_x: Optional[float] = None
     centering_y: Optional[float] = None
     g_prev_norm_x: Optional[float] = None
@@ -166,17 +159,20 @@ def trace_to_csv(trace: RunTrace, path) -> None:
 def trace_from_csv(path) -> RunTrace:
     """Rebuild a trace from CSV.
 
-    Memory-only fields (centering residuals, iterate snapshots) are not in
-    the schema and come back as None; rows containing non-finite values are
-    flagged as diverged.  Column counts default to 1 (vector runs), so
-    matrix-shaped traces should be verified in memory.
+    The rows must be one run: at least one, all with row 2's algo and seed,
+    and rounds 0, 1, 2, ... in order; else ValueError names the first row
+    that is not.  Memory-only fields (centering residuals, iterate
+    snapshots) are not in the schema and come back as None; rows containing
+    non-finite values are flagged as diverged.  Column counts default to 1
+    (vector runs), so matrix-shaped traces should be verified in memory.
     """
     with open(path, newline="") as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0] != CSV_HEADER:
         raise ValueError(f"{path}: row 1: expected header {CSV_HEADER!r}")
+    if len(raw) == 1:
+        raise ValueError(f"{path}: row 2: no records after the header")
     records = []
-    algo, seed = "", 0
     for idx, line in enumerate(raw[1:], start=2):
         parts = line.split(",")
         if len(parts) != CSV_COLUMNS:
@@ -188,37 +184,48 @@ def trace_from_csv(path) -> RunTrace:
             auc = None if parts[-1] == "" else float(parts[-1])
         except ValueError as exc:
             raise ValueError(f"{path}: row {idx}: {exc}") from None
+        if idx == 2:
+            run_algo, run_seed = algo, seed
+        if (algo, seed, t) != (run_algo, run_seed, len(records)):
+            raise ValueError(f"{path}: row {idx}: round {t} of {algo!r} seed {seed}, expected round "
+                             f"{len(records)} of row 2's {run_algo!r} seed {run_seed}")
         records.append(RoundRecord(
             t, **dict(zip(FINITE_FIELDS, nums)), auc=auc,
             diverged=not np.all(np.isfinite(nums)),
         ))
-    return RunTrace(algorithm=algo, seed=seed, records=records)
+    return RunTrace(algorithm=run_algo, seed=run_seed, records=records)
 
 
 # ---------------------------------------------------------------------------
-# step rules: capitalised arguments are (N, m, n) stacks, one slice per client
+# step rules: capitalised arguments are (N,) + block stacks, one row per client:
+# (N, d) for a vector block, (N, m, n) for a matrix
 
 
 def _client_norms(A) -> np.ndarray:
-    """Per-client Frobenius norms, each summed as np.linalg.norm sums that slice alone."""
-    if np.ndim(A) != 3:
-        raise ValueError(f"expected an (N, m, n) client stack, got shape {np.shape(A)}")
+    """Per-client Frobenius norms, each summed as np.linalg.norm sums that row alone."""
+    if np.ndim(A) not in (2, 3):
+        raise ValueError(f"expected an (N, d) or (N, m, n) client stack, got shape {np.shape(A)}")
     flat = np.reshape(A, (len(A), -1))
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def _per_client(v, A) -> np.ndarray:
+    """The length-N vector v shaped to broadcast over the rows of the stack A."""
+    return np.reshape(v, (-1,) + (1,) * (np.ndim(A) - 1))
+
+
 def _momentum_norms(M) -> tuple:
-    """(N, 1, 1) momentum norms and the mask of the clients below tolerance, which do not move."""
-    nrm = _client_norms(M)[:, None, None]
+    """Momentum norms broadcastable over M, and the mask of the clients below tolerance, which stay put."""
+    nrm = _per_client(_client_norms(M), M)
     return nrm, nrm <= ZERO_MOMENTUM_TOL
 
 
 def local_momentum(G, g_global_prev, G_local_prev, u_global_prev, beta: float):
-    """beta * (G + g_global_prev - G_local_prev) + (1 - beta) * u_global_prev; global terms are (m, n)."""
+    """beta * (G + g_global_prev - G_local_prev) + (1 - beta) * u_global_prev; global terms are blocks."""
     shape = np.shape(G)
-    if not (len(shape) == 3 and shape == np.shape(G_local_prev)
+    if not (len(shape) in (2, 3) and shape == np.shape(G_local_prev)
             and shape[1:] == np.shape(g_global_prev) == np.shape(u_global_prev)):
-        raise ValueError("momentum inputs must be (N, m, n) stacks over one (m, n) block")
+        raise ValueError("momentum inputs must be (N,) + block stacks over one block")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     return beta * (G + g_global_prev - G_local_prev) + (1.0 - beta) * u_global_prev
@@ -240,16 +247,17 @@ def normalized_step(Z, M, eta: float, direction: str):
 
 
 def muon_step(Z, M, eta: float, direction: str, ns_mode: str = "iterative"):
-    """Orthonormalized step: Z -+ eta * polar(M) per client; a vector block is d-by-1.
+    """Orthonormalized step: Z -+ eta * polar(M) per client.
 
     The polar factor is 10 Newton-Schulz sweeps, or an SVD under "exact-svd".
-    That of a one-column or one-row matrix is M / ||M||_F, so such a stack
-    takes :func:`normalized_step` under either ``ns_mode``.
+    That of a vector, or of a one-column or one-row matrix, is M / ||M||_F,
+    so an (N, d) stack and such an (N, m, n) stack take
+    :func:`normalized_step` under either ``ns_mode``.
     """
     errors = hyperparam_errors(ns_mode=ns_mode)
     if errors:
         raise ValueError("; ".join(errors))
-    if 1 in np.shape(M)[-2:]:
+    if np.ndim(M) == 2 or 1 in np.shape(M)[1:]:
         return normalized_step(Z, M, eta, direction)
     step = _signed(eta, direction)
     _, low = _momentum_norms(M)
@@ -264,7 +272,7 @@ def clip_step(Z, M, eta: float, tau: float, direction: str):
         raise ValueError(f"tau must be positive, got {tau}")
     step = _signed(eta, direction)
     scale = tau / np.maximum(_client_norms(M), tau)  # exactly 1.0 up to ||M|| = tau
-    return Z + (step * scale)[:, None, None] * M
+    return Z + _per_client(step * scale, M) * M
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +294,14 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     """Run the p local steps of all N clients from the round-start server state.
 
     Returns the final iterates, the new control variates (each client's
-    average stochastic gradient) as (N, m, n) stacks and each client's
+    average stochastic gradient) as (N,) + block stacks and each client's
     largest drift ||x_local - x_t||, checked against ``round_caps`` when bounded.
     At each step every client draws from its (seed, client, round, step)
     stream: first the problem's own ``draw``, then the raw ``noise``
     variates of x and y.  One ``grad`` call then gives all N gradients, and
     the noise is scaled and added for the whole stack at once.
     """
-    bx, by = problem.shape_x.as_matrix().dims, problem.shape_y.as_matrix().dims
-    x0, y0 = server.x.reshape(bx), server.y.reshape(by)
+    x0, y0 = server.x, server.y
     step_idx, client_idx = np.divmod(np.arange(hp.p * hp.N), hp.N)
     states = stream_states(master_seed, np.stack(
         [client_idx, np.full_like(client_idx, server.round), step_idx], axis=1))
@@ -313,23 +320,19 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
         return clip_step(Z, M, eta, hp.tau, direction)
 
     caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
-    stack_x, stack_y = (hp.N,) + problem.shape_x.dims, (hp.N,) + problem.shape_y.dims
     with _overflow_guard(caps is not None):
         X, Y = np.repeat(x0[None], hp.N, axis=0), np.repeat(y0[None], hp.N, axis=0)
         sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
-        U, V = server.u.reshape(bx), server.v.reshape(by)  # global momentum; local-sgda-m recurses
+        U, V = server.u, server.v  # global momentum; local-sgda-m recurses
         for i in range(hp.p):
-            # the iterates in each block's own shape, as the problem sees them
-            XB, YB = X.reshape(stack_x), Y.reshape(stack_y)
             batch = [None] * hp.N
             for n in range(hp.N):
                 rng.bit_generator.state = states[i * hp.N + n]
-                batch[n] = problem.draw(n, rng, XB[n], YB[n])
+                batch[n] = problem.draw(n, rng, X[n], Y[n])
                 if noisy:
                     DX[n], RX[n] = raw_draws(noise, size_x, rng)
                     DY[n], RY[n] = raw_draws(noise, size_y, rng)
-            GX, GY = problem.grad(XB, YB, batch)
-            GX, GY = GX.reshape(X.shape), GY.reshape(Y.shape)
+            GX, GY = problem.grad(X, Y, batch)
             if noisy:
                 GX = GX + scale_draws(noise, DX, RX).reshape(GX.shape)
                 GY = GY + scale_draws(noise, DY, RY).reshape(GY.shape)
@@ -341,8 +344,8 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
                 X = X - hp.eta_x * U
                 Y = Y + hp.eta_y * V
             else:
-                MX = local_momentum(GX, server.g_x.reshape(bx), G_prev_x, U, hp.beta_x)
-                MY = local_momentum(GY, server.g_y.reshape(by), G_prev_y, V, hp.beta_y)
+                MX = local_momentum(GX, server.g_x, G_prev_x, U, hp.beta_x)
+                MY = local_momentum(GY, server.g_y, G_prev_y, V, hp.beta_y)
                 X = step(X, MX, hp.eta_x, "descend")
                 Y = step(Y, MY, hp.eta_y, "ascend")
             dx, dy = _client_norms(X - x0), _client_norms(Y - y0)
@@ -363,12 +366,13 @@ def server_round(server: ServerState, X, Y, G_x, G_y, hp: HyperParams) -> Server
     The sum adds the clients in index order, except on a block of one entry
     (the AUC dual, a d_y=1 saddle), which numpy adds pairwise from N=8 up.
     """
-    if {len(S) for S in (X, Y, G_x, G_y)} != {hp.N}:
-        raise ProtocolError(f"expected {hp.N} client results, got {len(G_x)}")
-    g_x = G_x.sum(axis=0).reshape(server.x.shape) / hp.N
-    g_y = G_y.sum(axis=0).reshape(server.y.shape) / hp.N
-    disp_x = (X - server.x.reshape(X.shape[1:])).sum(axis=0).reshape(server.x.shape)
-    disp_y = (Y - server.y.reshape(Y.shape[1:])).sum(axis=0).reshape(server.y.shape)
+    shapes = [np.shape(S) for S in (X, Y, G_x, G_y)]
+    if shapes != [(hp.N,) + np.shape(b) for b in (server.x, server.y) * 2]:
+        raise ProtocolError(f"expected ({hp.N},) + block stacks of blocks x, y, x, y, got {shapes}")
+    g_x = G_x.sum(axis=0) / hp.N
+    g_y = G_y.sum(axis=0) / hp.N
+    disp_x = (X - server.x).sum(axis=0)
+    disp_y = (Y - server.y).sum(axis=0)
     x_new = server.x + (hp.gamma_x / (hp.eta_x * hp.N * hp.p)) * disp_x
     y_new = server.y + (hp.gamma_y / (hp.eta_y * hp.N * hp.p)) * disp_y
     u_new = hp.beta_x * g_x + (1.0 - hp.beta_x) * server.u
@@ -410,8 +414,8 @@ def run(
     baseline a non-finite iterate marks the trace as diverged from that
     round on (the remaining records are flagged and carry nan); for the bounded
     algorithms the same event raises InternalInvariantViolation because
-    their updates cannot produce it.  Their records also carry
-    ``bounds_ok``, the per-round checks of ``verify_invariants``.
+    their updates cannot produce it.  ``verify_invariants`` checks the
+    finished trace against their per-round bounds.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -423,8 +427,7 @@ def run(
 
     dims_x, dims_y = problem.shape_x.dims, problem.shape_y.dims
     server = ServerState(*(np.zeros(dims) for dims in (dims_x, dims_y) * 3), 0)
-    G_prev_x = np.zeros((hp.N,) + problem.shape_x.as_matrix().dims)
-    G_prev_y = np.zeros((hp.N,) + problem.shape_y.as_matrix().dims)
+    G_prev_x, G_prev_y = np.zeros((hp.N,) + dims_x), np.zeros((hp.N,) + dims_y)
 
     caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
     records: list = []
@@ -437,8 +440,8 @@ def run(
         with _overflow_guard(caps is not None):
             phi, gphi = phi_value_and_grad(problem, server.x)
             f_val = float(problem.f_value(server.x, server.y))
-        cen_x = float(np.linalg.norm(server.g_x - G_prev_x.sum(axis=0).reshape(dims_x) / hp.N))
-        cen_y = float(np.linalg.norm(server.g_y - G_prev_y.sum(axis=0).reshape(dims_y) / hp.N))
+        cen_x = float(np.linalg.norm(server.g_x - G_prev_x.sum(axis=0) / hp.N))
+        cen_y = float(np.linalg.norm(server.g_y - G_prev_y.sum(axis=0) / hp.N))
         auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
 
         X, Y, G_x, G_y, drift_x, drift_y = client_round(
@@ -466,8 +469,6 @@ def run(
                 x=server.x.copy(),
                 y=server.y.copy(),
             )
-        if caps is not None:
-            rec.bounds_ok = record_within_bounds(rec, caps)
         if not (_all_finite(new_server) and record_finite(rec)):
             if caps is not None:
                 raise InternalInvariantViolation(

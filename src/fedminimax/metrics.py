@@ -6,8 +6,8 @@ closed-form inner maximizer y*(x).
 
 ``verify_invariants`` replays the per-round guarantees of the federated
 engine over a finished trace and reports the worst violation of each.
-The bounds it checks (``round_caps``, ``centering_tol``, ``FINITE_FIELDS``)
-are the ones the engine asserts while it runs.
+It checks ``round_caps``, ``centering_tol`` and ``FINITE_FIELDS``; the
+engine asserts the drift caps and ``FINITE_FIELDS`` while it runs.
 """
 
 from __future__ import annotations
@@ -70,13 +70,6 @@ def centering_tol(g_prev_norm: float) -> float:
 
 def record_finite(rec) -> bool:
     return bool(np.all(np.isfinite([getattr(rec, f) for f in FINITE_FIELDS])))
-
-
-def record_within_bounds(rec, caps: dict) -> bool:
-    """The per-round checks of :func:`verify_invariants` applied to one record."""
-    return bool(all(getattr(rec, f) - cap <= BOUND_SLACK for f, cap in caps.items())
-                and rec.centering_x <= centering_tol(rec.g_prev_norm_x)
-                and rec.centering_y <= centering_tol(rec.g_prev_norm_y))
 
 
 def phi_value_and_grad(problem, x):

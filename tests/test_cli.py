@@ -299,6 +299,32 @@ def test_cmd_verify_flags_tampered_drift(tmp_path, capsys):
     assert "drift_x" in capsys.readouterr().out
 
 
+def test_cmd_verify_rejects_trace_of_another_run(tmp_path, capsys):
+    cfg = parse_config(json.dumps({**SMALL, "T": 5}))
+    cmd_run(cfg, out=str(tmp_path))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL, "T": 5}))
+    lines = (tmp_path / trace_filename("nsgda-m", 1)).read_text().splitlines()
+    capsys.readouterr()
+
+    def verify(rows):
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return main(["verify", "--trace", str(path), "--config", str(cfg_path)])
+
+    assert verify(lines) == 0
+    assert verify(lines[:3]) == 1  # the first two rounds of a half-written trace
+    assert "2 rounds, the config's T is 5" in capsys.readouterr().err
+    assert verify([lines[0]] + [ln.replace(",nsgda-m,", ",local-sgda-m,") for ln in lines[1:]]) == 1
+    assert "algorithm 'local-sgda-m'" in capsys.readouterr().err
+    mixed = [lines[0]] + [ln.replace(",nsgda-m,", f",{'muon-da' if k < 3 else 'sgda-clip'},")
+                          for k, ln in enumerate(lines[1:])]
+    assert verify(mixed) == 1
+    assert "row 5: " in capsys.readouterr().err
+    assert verify(lines[:1]) == 1
+    assert "row 2: no records" in capsys.readouterr().err
+
+
 def test_main_end_to_end(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(SMALL))

@@ -18,6 +18,7 @@ from fedminimax.fedopt import (
     trace_from_csv,
     trace_to_csv,
 )
+from fedminimax.metrics import verify_invariants
 from fedminimax.problems import make_saddle_problem
 
 HP = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
@@ -25,13 +26,8 @@ HP = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
 
 
 def stack(*rows):
-    """Client stack, one (m, n) slice per row: a vector becomes d-by-1, a matrix stays."""
-    return np.stack([np.asarray(r, dtype=float).reshape(np.shape(r)[0], -1) for r in rows])
-
-
-def block(v):
-    """A shared global vector as the d-by-1 block of a client stack."""
-    return np.asarray(v, dtype=float).reshape(-1, 1)
+    """Client stack, one block per row in its own shape: (N, d) for vectors, (N, m, n) for matrices."""
+    return np.stack([np.asarray(r, dtype=float) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -40,27 +36,27 @@ def block(v):
 
 def test_local_momentum_beta_one_disables_history():
     g = np.array([1.0, 2.0])
-    out = local_momentum(stack(g), block([0.5, 0.0]), stack([0.1, 0.0]), block([9.0, 9.0]), 1.0)
+    out = local_momentum(stack(g), np.array([0.5, 0.0]), stack([0.1, 0.0]), np.array([9.0, 9.0]), 1.0)
     assert np.allclose(out, stack(g + np.array([0.4, 0.0])))
 
 
 def test_local_momentum_midpoint():
-    out = local_momentum(stack([2.0, 0.0]), block(np.zeros(2)), stack(np.zeros(2)),
-                         block([0.0, 2.0]), 0.5)
+    out = local_momentum(stack([2.0, 0.0]), np.zeros(2), stack(np.zeros(2)),
+                         np.array([0.0, 2.0]), 0.5)
     assert np.allclose(out, stack([1.0, 1.0]))
 
 
 def test_local_momentum_single_client_correction_vanishes():
     g = np.array([0.3, -0.7])
     shared = np.array([1.1, 2.2])  # with N=1 the global variate equals the local one
-    out = local_momentum(stack(g), block(shared), stack(shared), block(np.zeros(2)), 0.25)
+    out = local_momentum(stack(g), shared, stack(shared), np.zeros(2), 0.25)
     assert np.allclose(out, stack(0.25 * g))
 
 
 def test_local_momentum_shape_mismatch():
     with pytest.raises(ValueError):
-        local_momentum(stack(np.zeros(2)), block(np.zeros(3)), stack(np.zeros(2)),
-                       block(np.zeros(2)), 0.5)
+        local_momentum(stack(np.zeros(2)), np.zeros(3), stack(np.zeros(2)),
+                       np.zeros(2), 0.5)
 
 
 def test_normalized_step_examples():
@@ -85,7 +81,8 @@ def test_muon_step_column_equals_normalized_step():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("dims", [(3, 1), (1, 3), (3, 2)], ids=["column", "row", "matrix"])
+@pytest.mark.parametrize("dims", [(3, 1), (1, 3), (3, 2), (3,)],
+                         ids=["column", "row", "matrix", "vector"])
 @pytest.mark.parametrize("setting,field", [({"ns_mode": "fancy"}, "ns_mode")], ids=["mode"])
 def test_muon_step_rejects_bad_polar_settings(dims, setting, field):
     # checked on either route, so a vector block cannot skip it
@@ -135,7 +132,7 @@ def test_clip_step_norm_bound():
     rng = np.random.default_rng(2)
     for _ in range(20):
         m = stack(rng.standard_normal(4) * 10 ** rng.uniform(-3, 3))
-        out = clip_step(np.zeros((1, 4, 1)), m, 1.0, 0.1, "descend")
+        out = clip_step(np.zeros((1, 4)), m, 1.0, 0.1, "descend")
         assert np.linalg.norm(out) <= 0.1 + 1e-12
 
 
@@ -154,11 +151,12 @@ def test_client_round_single_step_matches_manual():
     x0 = np.array([0.3, -0.1, 0.7])
     y0 = np.array([0.2, 0.0, -0.4])
     server = ServerState(x0, y0, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    X, _, G_x, _, drift_x, _ = client_round(server, np.zeros((1, 3, 1)), np.zeros((1, 3, 1)),
+    X, _, G_x, _, drift_x, _ = client_round(server, np.zeros((1, 3)), np.zeros((1, 3)),
                                             prob, hp, "nsgda-m", 0)
     g = prob.grad_x(0, x0, y0)
-    assert np.allclose(G_x, stack(g))
-    assert np.allclose(X, stack(x0 - hp.eta_x * g / np.linalg.norm(g)))
+    assert G_x.shape == X.shape == (1, 3)
+    assert np.allclose(G_x, g[None])
+    assert np.allclose(X, (x0 - hp.eta_x * g / np.linalg.norm(g))[None])
     assert drift_x[0] == pytest.approx(hp.eta_x)
 
 
@@ -167,8 +165,9 @@ def test_client_round_identical_clients_symmetry():
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
     server = ServerState(np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    X, _, G_x, _, _, _ = client_round(server, np.zeros((3, 3, 1)), np.zeros((3, 3, 1)),
+    X, _, G_x, _, _, _ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)),
                                       prob, hp, "nsgda-m", 0)
+    assert X.shape == G_x.shape == (3, 3)
     for n in range(1, 3):
         assert np.allclose(X[n], X[0])
         assert np.allclose(G_x[n], G_x[0])
@@ -192,7 +191,7 @@ def test_client_round_drift_violation_names_client_and_round(monkeypatch):
     tight = dict(max_drift_x=0.0, max_drift_y=1.0, server_step_x=1.0, server_step_y=1.0)
     monkeypatch.setattr(fedopt, "round_caps", lambda *args: tight)
     with pytest.raises(InternalInvariantViolation, match="client 0 drift exceeded .* round 5"):
-        client_round(server, np.zeros((2, 3, 1)), np.zeros((2, 3, 1)), prob, HP, "nsgda-m", 0)
+        client_round(server, np.zeros((2, 3)), np.zeros((2, 3)), prob, HP, "nsgda-m", 0)
 
 
 def test_server_round_mean_and_momentum():
@@ -200,8 +199,8 @@ def test_server_round_mean_and_momentum():
     server = ServerState(x, x.copy(), x.copy(), x.copy(), x.copy(), x.copy(), 0)
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=1.0, beta_y=1.0, p=1, T=1, N=2)
-    X = np.zeros((2, 2, 1))  # both clients end where they started
-    new = server_round(server, X, X, stack([1.0, 0.0], [3.0, 2.0]), np.zeros((2, 2, 1)), hp)
+    X = np.zeros((2, 2))  # both clients end where they started
+    new = server_round(server, X, X, stack([1.0, 0.0], [3.0, 2.0]), np.zeros((2, 2)), hp)
     assert np.allclose(new.g_x, [2.0, 1.0])
     assert np.allclose(new.u, [2.0, 1.0])  # beta=1: u_t = g_t
     assert np.allclose(new.x, x)  # zero displacement
@@ -212,8 +211,11 @@ def test_server_round_result_count_mismatch():
     x = np.zeros(2)
     server = ServerState(x, x, x, x, x, x, 0)
     with pytest.raises(ProtocolError):
-        empty = np.zeros((0, 2, 1))
+        empty = np.zeros((0, 2))
         server_round(server, empty, empty, empty, empty, HP)
+    columns = np.zeros((2, 2, 1))  # one client per row, but not in the block's own shape
+    with pytest.raises(ProtocolError, match="got"):
+        server_round(server, columns, columns, columns, columns, HP)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,7 @@ def test_centering_residual_negligible_every_round():
     for rec in trace.records:
         assert rec.centering_x <= 1e-7 * (1 + rec.g_prev_norm_x)
         assert rec.centering_y <= 1e-7 * (1 + rec.g_prev_norm_y)
-        assert rec.bounds_ok is True  # per-round invariant flag
+    assert verify_invariants(trace, hp).passed  # drift, step and centering of every round
 
 
 def test_iterate_travel_bounded():
@@ -398,3 +400,26 @@ def test_trace_csv_malformed_rows(tmp_path):
     broken.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="row 3"):
         trace_from_csv(broken)
+
+
+def relabel(line, column, value):
+    parts = line.split(",")
+    parts[column] = value
+    return ",".join(parts)
+
+
+@pytest.mark.parametrize("edit,row", [
+    (lambda lines: lines[:1], 2),  # header only
+    (lambda lines: lines[:3] + [relabel(lines[3], 1, "muon-da")] + lines[4:], 4),  # mixed algorithms
+    (lambda lines: lines[:2] + [relabel(lines[2], 2, "8")] + lines[3:], 3),  # another seed
+    (lambda lines: lines[:2] + [relabel(lines[2], 0, "7")] + lines[3:], 3),  # round out of place
+    (lambda lines: lines[:2] + lines[3:], 3),  # a missing round
+], ids=["header-only", "mixed-algo", "mixed-seed", "round-index", "round-missing"])
+def test_trace_csv_rows_must_be_one_run(tmp_path, edit, row):
+    trace = run("nsgda-m", quiet_problem(n_clients=2), HP, seed=0)
+    good = tmp_path / "good.csv"
+    trace_to_csv(trace, good)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"row {row}: "):
+        trace_from_csv(bad)

@@ -111,7 +111,6 @@ PROBLEMS = {
 def test_client_round_noise_matches_per_client_reference(kind, family, seed, round_idx, p, data):
     base, noise = PROBLEMS[kind], NOISES[family]
     N, sx, sy = base.n_clients, base.shape_x, base.shape_y
-    bx, by = sx.as_matrix().dims, sy.as_matrix().dims
     calls = []
 
     def recording(X, Y, batch=None):
@@ -124,19 +123,20 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
                          np.zeros(sy.dims), np.zeros(sx.dims), np.zeros(sy.dims), round_idx)
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5,
                         beta_y=0.5, p=p, T=1, N=N)
-    _, _, G_x, G_y, _, _ = client_round(server, np.zeros((N,) + bx), np.zeros((N,) + by),
+    _, _, G_x, G_y, _, _ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
                                         problem, hp, "nsgda-m", seed, noise)
 
     assert len(calls) == p  # one batched call per local step
-    sum_x, sum_y = np.zeros((N,) + bx), np.zeros((N,) + by)
+    assert G_x.shape == (N,) + sx.dims and G_y.shape == (N,) + sy.dims
+    sum_x, sum_y = np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims)
     for step, (X, Y) in enumerate(calls):
         assert X.shape == (N,) + sx.dims and Y.shape == (N,) + sy.dims
         for n in range(N):
             rng = derive_stream(seed, n, round_idx, step)
             gx, gy = base.stoch_grad(n, X[n], Y[n], rng)
             gx, gy = gx + reference_sample(noise, sx, rng), gy + reference_sample(noise, sy, rng)
-            sum_x[n] += np.reshape(gx, bx)
-            sum_y[n] += np.reshape(gy, by)
+            sum_x[n] += gx
+            sum_y[n] += gy
     assert np.array_equal(G_x, sum_x / p) and np.array_equal(G_y, sum_y / p)
 
 

@@ -1,0 +1,124 @@
+"""Print SHA-256 digests of a fixed set of runs, one line per run.
+
+Each line names a run and gives three digests: of its trace CSV, of its
+final server state together with the iterates of its last three records,
+and of ``verify_invariants(...).rows()``.  A sweep line gives the digest of
+its ``sweep_summary.csv``.  Two checkouts compute the same traces exactly
+when their outputs are equal::
+
+    python tools/trace_digest.py > new.txt    # in each checkout
+    diff old.txt new.txt
+
+The package is imported from ``src/`` of the checkout this file sits in,
+and ``bench/matrix_saddle.py`` from its ``bench/`` (read only).  BLAS is
+pinned to one thread before numpy loads, because the thread count changes
+the last bits of a ``muon-da`` trace on matrix blocks.
+
+Runs: the four algorithms on the d=10 and d_y=1 saddles (N=8, p=4, T=40)
+under symmetrized-Pareto and Student-t noise with s=1.5, seeds 1 and 2;
+the four algorithms on the CLI-default AUC problem (T=25); muon-da,
+nsgda-m and sgda-clip on the 32x16 / 16x16 matrix saddle under both
+``ns_mode`` values (T=12); one 4-algorithm x 2-tail-index CLI sweep.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
+
+import fedminimax as fm  # noqa: E402
+from fedminimax import cli  # noqa: E402
+from matrix_saddle import make_matrix_saddle  # noqa: E402
+
+ALGORITHMS = ("nsgda-m", "muon-da", "local-sgda-m", "sgda-clip")
+NOISES = {
+    "pareto": {"family": "symmetrized-pareto", "s": 1.5, "sigma": 1.0},
+    "student-t": {"family": "student-t", "s": 1.5, "sigma": 1.0},
+}
+SADDLES = {"d10": {"d_x": 10, "d_y": 10}, "dy1": {"d_x": 10, "d_y": 1}}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def array_bytes(arrays) -> bytes:
+    """Shape, dtype and raw bytes of each array, so a reshaped copy hashes differently."""
+    out = io.BytesIO()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        out.write(f"{a.shape}{a.dtype.str}".encode())
+        out.write(a.tobytes())
+    return out.getvalue()
+
+
+def digest_run(label, algorithm, problem, hp, noise, seed, tmp: Path) -> str:
+    trace = fm.run(algorithm, problem, hp, noise=noise, seed=seed)
+    path = tmp / "trace.csv"
+    fm.trace_to_csv(trace, path)
+    s = trace.final_state
+    last = [a for r in trace.records[-3:] for a in (r.x, r.y) if a is not None]
+    iterates = array_bytes([s.x, s.y, s.u, s.v, s.g_x, s.g_y] + last)
+    rows = repr(fm.verify_invariants(trace, hp).rows()).encode()
+    return (f"{label} trace={sha(path.read_bytes())} iterates={sha(iterates)} "
+            f"invariants={sha(rows)}")
+
+
+def digest_config(label, config: dict, tmp: Path) -> str:
+    """A run built from a JSON config the way ``fedminimax run`` builds it."""
+    cfg = cli.parse_config(json.dumps(config))
+    problem = cli.build_problem(cfg)
+    hp = cli.resolve_hyperparams(cfg, problem)
+    return digest_run(label, cfg.algorithm, problem, hp, cfg.noise, cfg.seeds[0], tmp)
+
+
+def lines(tmp: Path):
+    for name, spec in SADDLES.items():
+        for noise_name, noise in NOISES.items():
+            for algorithm in ALGORITHMS:
+                for seed in (1, 2):
+                    config = {"algorithm": algorithm, "N": 8, "p": 4, "T": 40, "seed": seed,
+                              "problem": {"kind": "saddle", "hetero": 0.5, **spec},
+                              "noise": noise}
+                    yield digest_config(f"saddle-{name} {noise_name} {algorithm} seed={seed}",
+                                        config, tmp)
+    for algorithm in ALGORITHMS:
+        config = {"algorithm": algorithm, "problem": "auc", "T": 25, "noise": NOISES["pareto"]}
+        yield digest_config(f"auc {algorithm}", config, tmp)
+    problem = make_matrix_saddle(8, 32, 16, 16)
+    noise = fm.NoiseModel(**NOISES["pareto"])
+    for ns_mode in ("iterative", "exact-svd"):
+        hp = fm.theorem2_schedule(8, 4, 12, problem.smooth, ns_mode=ns_mode)
+        for algorithm in ("muon-da", "nsgda-m", "sgda-clip"):
+            yield digest_run(f"matrix {ns_mode} {algorithm}", algorithm, problem, hp, noise, 1, tmp)
+    config = tmp / "sweep.json"
+    config.write_text(json.dumps({"problem": {"kind": "saddle", "hetero": 0.5}, "T": 40,
+                                  "seed": 1, "noise": NOISES["pareto"]}))
+    axes = json.dumps({"algorithm": list(ALGORITHMS), "s": [1.3, 1.8]})
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(["sweep", "--config", str(config), "--axes", axes, "--out", str(tmp)])
+    yield f"sweep status={status} summary={sha((tmp / 'sweep_summary.csv').read_bytes())}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in lines(Path(tmp)):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,9 @@ the last bits of a ``muon-da`` trace on matrix blocks.
 
 Runs: the four algorithms on the d=10 and d_y=1 saddles (N=8, p=4, T=40)
 under symmetrized-Pareto and Student-t noise with s=1.5, seeds 1 and 2;
-the four algorithms on the CLI-default AUC problem (T=25); muon-da,
+the four algorithms on the CLI-default AUC problem (T=25), on it with
+per-client ratios 0.05-0.4 with and without the pooled ratio, and on an
+unequal-shard full-shard AUC problem built with ``make_auc_problem``; muon-da,
 nsgda-m and sgda-clip on the 32x16 / 16x16 matrix saddle under both
 ``ns_mode`` values (T=12); one 4-algorithm x 2-tail-index CLI sweep.
 """
@@ -49,6 +51,7 @@ NOISES = {
     "student-t": {"family": "student-t", "s": 1.5, "sigma": 1.0},
 }
 SADDLES = {"d10": {"d_x": 10, "d_y": 10}, "dy1": {"d_x": 10, "d_y": 1}}
+AUC_RATIOS = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
 
 
 def sha(data: bytes) -> str:
@@ -85,6 +88,15 @@ def digest_config(label, config: dict, tmp: Path) -> str:
     return digest_run(label, cfg.algorithm, problem, hp, cfg.noise, cfg.seeds[0], tmp)
 
 
+def unequal_auc_problem():
+    """Seven shards in three sizes (one of them alone), every gradient on the full shard."""
+    shards = (fm.gen_imbalanced_data(400, [0.2, 0.3, 0.25], 20, 2.0, seed=3)
+              + fm.gen_imbalanced_data(640, [0.1, 0.15, 0.4], 20, 2.0, seed=4)
+              + fm.gen_imbalanced_data(250, [0.3], 20, 2.0, seed=5))
+    test = fm.gen_imbalanced_data(2000, [0.2], 20, 2.0, seed=6)[0]
+    return fm.make_auc_problem(shards, 20, batch_size=None, test_data=test)
+
+
 def lines(tmp: Path):
     for name, spec in SADDLES.items():
         for noise_name, noise in NOISES.items():
@@ -95,9 +107,18 @@ def lines(tmp: Path):
                               "noise": noise}
                     yield digest_config(f"saddle-{name} {noise_name} {algorithm} seed={seed}",
                                         config, tmp)
+    auc_specs = {"": "auc", " ratios": {"kind": "auc", "ratios": AUC_RATIOS},
+                 " ratios pooled": {"kind": "auc", "ratios": AUC_RATIOS, "pooled_ratio": True}}
+    for name, spec in auc_specs.items():
+        for algorithm in ALGORITHMS:
+            config = {"algorithm": algorithm, "problem": spec, "T": 25, "noise": NOISES["pareto"]}
+            yield digest_config(f"auc{name} {algorithm}", config, tmp)
+    problem = unequal_auc_problem()
+    noise = fm.NoiseModel(**NOISES["pareto"])
     for algorithm in ALGORITHMS:
-        config = {"algorithm": algorithm, "problem": "auc", "T": 25, "noise": NOISES["pareto"]}
-        yield digest_config(f"auc {algorithm}", config, tmp)
+        hp = fm.theorem1_schedule(problem.n_clients, 4, 25, problem.smooth)
+        yield digest_run(f"auc unequal full-shard {algorithm}", algorithm, problem, hp, noise, 1,
+                         tmp)
     problem = make_matrix_saddle(8, 32, 16, 16)
     noise = fm.NoiseModel(**NOISES["pareto"])
     for ns_mode in ("iterative", "exact-svd"):

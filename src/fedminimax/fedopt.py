@@ -50,7 +50,7 @@ import numpy as np
 
 from .core import ALGORITHMS, HyperParams, NoiseModel, hyperparam_errors
 from .linalg import newton_schulz_polar, svd_polar
-from .metrics import BOUND_SLACK, FINITE_FIELDS, phi_value_and_grad, record_finite, round_caps
+from .metrics import BOUND_SLACK, FINITE_FIELDS, record_finite, round_caps
 from .noise import is_silent, raw_draws, scale_draws, seed_errors, stream_states
 from .problems import MinimaxProblem
 
@@ -406,7 +406,8 @@ def run(
 
     Metrics in record t describe the round-start iterates (x_t, y_t) plus
     the momentum/control variates produced by round t itself, matching the
-    quantities the convergence analysis tracks.  Given an identical
+    quantities the convergence analysis tracks; the exact ones come from
+    one ``problem.round_metrics(x_t, y_t)`` call.  Given an identical
     (config, seed) pair the trace is bit-deterministic.
 
     The iterates, control variates and global momentum start at zero, so
@@ -438,8 +439,7 @@ def run(
             continue
 
         with _overflow_guard(caps is not None):
-            phi, gphi = phi_value_and_grad(problem, server.x)
-            f_val = float(problem.f_value(server.x, server.y))
+            phi, gphi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
         cen_x = float(np.linalg.norm(server.g_x - G_prev_x.sum(axis=0) / hp.N))
         cen_y = float(np.linalg.norm(server.g_y - G_prev_y.sum(axis=0) / hp.N))
         auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
@@ -448,7 +448,6 @@ def run(
             server, G_prev_x, G_prev_y, problem, hp, algorithm, seed, noise)
         new_server = server_round(server, X, Y, G_x, G_y, hp)
         with _overflow_guard(caps is not None):
-            mean_gx, mean_gy = problem.mean_grad(server.x, server.y)
             rec = RoundRecord(
                 t=t,
                 grad_phi_norm=float(np.linalg.norm(gphi)),

@@ -102,7 +102,7 @@ def auc_score(scores, labels) -> float:
         raise ValueError("auc_score needs at least one positive and one negative")
     keep = (is_pos | is_neg) & ~np.isnan(s)
     v, pos = s[keep], is_pos[keep]
-    order = np.argsort(v, kind="stable")
+    order = np.argsort(v)  # the order inside a run of tied scores leaves twice_u unchanged
     v, pos = v[order], pos[order]
     first = np.ones(v.size, dtype=bool)
     first[1:] = v[1:] != v[:-1]

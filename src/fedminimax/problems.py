@@ -26,8 +26,12 @@ result equals, bit for bit, the per-client formula evaluated on client n
 alone: stacked products are matmuls (``B @ Y[..., None]``), never einsum,
 and per-client means reduce along each row.  A mean over clients adds
 the rows one at a time in client-index order, never with
-``.sum(axis=0)``, which may add them pairwise.  Problems are immutable
-after construction.
+``.sum(axis=0)``, which may add them pairwise.  ``round_metrics(x, y)``
+gives the engine a round's exact metrics in one call: phi(x), its
+gradient, f(x, y) and both halves of ``mean_grad(x, y)``.  By default it
+is built from ``phi_value_and_grad``, ``f_value`` and ``mean_grad``; the
+AUC problem gives its own, which scores the shards once for all of them
+and returns the same bits.  Problems are immutable after construction.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Shape, SmoothnessInfo
-from .metrics import auc_score
+from .metrics import auc_score, phi_value_and_grad
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,15 @@ def _derived(fn) -> bool:
     return isinstance(getattr(fn, "__self__", None), MinimaxProblem)
 
 
+def _client_mean(G: np.ndarray) -> np.ndarray:
+    """(1/N) sum_n G[n], the rows added one at a time in client-index order.
+
+    ``np.add.accumulate`` adds them in order; ``.sum(axis=0)`` may add them
+    pairwise, which rounds differently.
+    """
+    return np.add.accumulate(G)[-1] / len(G)
+
+
 @dataclass(frozen=True)
 class MinimaxProblem:
     """Oracle bundle for min_x max_y (1/N) sum_n f_n(x, y).
@@ -112,6 +125,15 @@ class MinimaxProblem:
     from it.  ``phi_grad`` is the closed-form envelope gradient, or None:
     then ``phi_value_and_grad`` takes the primal half of ``mean_grad`` at
     (x, y*(x)).
+
+    ``round_metrics(x, y) -> (phi, grad_phi, f, mean_gx, mean_gy)`` is
+    every exact metric of a round in one call: ``phi_value_and_grad`` at
+    x, ``f_value(x, y)`` and ``mean_grad(x, y)``, and by default it makes
+    exactly those calls.  A problem may give a faster version with the
+    same bits; it names the callables it reproduces in its ``made_for``
+    attribute, the tuple (grad, f_value, y_star, phi_grad).  It is kept
+    only while those are the problem's own: a ``dataclasses.replace`` of
+    any of them, or a version without ``made_for``, gets the default.
     """
 
     n_clients: int
@@ -127,6 +149,7 @@ class MinimaxProblem:
     stoch_grad: Optional[Callable] = None
     phi_grad: Optional[Callable] = None
     auc_eval: Optional[Callable] = None
+    round_metrics: Optional[Callable] = None
 
     def __post_init__(self):
         def given(name):
@@ -143,8 +166,15 @@ class MinimaxProblem:
             derived = {"grad": self._clients_grad, "draw": self._clients_draw}
         else:
             raise ValueError("a problem needs the batched grad, or grad_x, grad_y and stoch_grad")
+        made_for = (derived.get("grad", self.grad), self.f_value, self.y_star, self.phi_grad)
+        if getattr(self.round_metrics, "made_for", None) != made_for:
+            derived["round_metrics"] = self._round_metrics
         for name, fn in derived.items():
             object.__setattr__(self, name, fn)
+
+    def _round_metrics(self, x, y) -> tuple:
+        phi, grad_phi = phi_value_and_grad(self, x)
+        return (phi, grad_phi, float(self.f_value(x, y))) + self.mean_grad(x, y)
 
     def _clients_draw(self, n, rng, x, y):
         return self.stoch_grad(n, x, y, rng)
@@ -171,15 +201,10 @@ class MinimaxProblem:
         return self._client_view(n, x, y, self.draw(n, rng, x, y))
 
     def mean_grad(self, x, y) -> tuple:
-        """(1/N) sum_n of the deterministic client gradients at (x, y), both blocks from one call.
-
-        The rows are added one at a time in client-index order
-        (``np.add.accumulate``): ``.sum(axis=0)`` may add them pairwise,
-        which rounds differently.
-        """
+        """(1/N) sum_n of the deterministic client gradients at (x, y), both blocks from one call."""
         N = self.n_clients
         GX, GY = self.grad(_rows(x, N), _rows(y, N), None)
-        return np.add.accumulate(GX)[-1] / N, np.add.accumulate(GY)[-1] / N
+        return _client_mean(GX), _client_mean(GY)
 
     def mean_grad_x(self, x, y) -> np.ndarray:
         return self.mean_grad(x, y)[0]
@@ -301,24 +326,74 @@ def auc_loss(w_out: float, w1: float, w2: float, w3: float, label: int, p_ratio:
     return float(loss)
 
 
-def _auc_grads(A, pos, X, Y, p):
-    """Gradient pairs of each client's mean loss over its batch, one client per row.
+class _AucTerms:
+    """The AUC loss of K clients over their batches at one primal point, one client per row.
 
-    A (K, B, dim) holds the batches' features and pos (K, B) their
-    positive-label masks; X (K, dim+2) and Y (K, 1) are the iterates and
-    p (K, 1) the positive ratios.  Returns (K, dim+2) and (K, 1).
+    A (K, B, dim) holds the batches' features, pos (K, B) their
+    positive-label masks and p (K, 1) the positive ratios; h (K, B) are
+    the scores w . a at the primal point (w, w1, w2), with w1 and w2
+    scalars or (K, 1) columns.  The terms that do not depend on the dual
+    w3 are computed on first use and kept, so the losses and gradients
+    at several duals share them.
+    """
+
+    def __init__(self, A, pos, p, h, w1, w2):
+        self.A, self.pos, self.p, self.h, self.w1, self.w2 = A, pos, p, h, w1, w2
+
+    @functools.cached_property
+    def neg(self):
+        return ~self.pos
+
+    @functools.cached_property
+    def hw(self):
+        """(h - w1, h - w2)."""
+        return self.h - self.w1, self.h - self.w2
+
+    @functools.cached_property
+    def lin(self):
+        """p h 1_neg - (1-p) h 1_pos, the part of the loss that 2(1 + w3) multiplies."""
+        p, h = self.p, self.h
+        return p * h * self.neg - (1.0 - p) * h * self.pos
+
+    @functools.cached_property
+    def sq(self):
+        """(1-p) (h-w1)^2 1_pos + p (h-w2)^2 1_neg, the part of the loss free of w3."""
+        (hw1, hw2), p = self.hw, self.p
+        return (1.0 - p) * hw1 ** 2 * self.pos + p * hw2 ** 2 * self.neg
+
+    @functools.cached_property
+    def primal(self):
+        """2(1-p)(h-w1), 2p(h-w2), the gradient entries g1 and g2, and g3 less its w3 term."""
+        (hw1, hw2), p, pos, neg = self.hw, self.p, self.pos, self.neg
+        g1 = np.mean(-2.0 * (1.0 - p) * hw1 * pos, axis=1)
+        g2 = np.mean(-2.0 * p * hw2 * neg, axis=1)
+        g3 = np.mean(2.0 * self.lin, axis=1)
+        return 2.0 * (1.0 - p) * hw1, 2.0 * p * hw2, g1, g2, g3
+
+    def losses(self, w3: float) -> np.ndarray:
+        """Each client's mean loss at the dual w3, (K,)."""
+        p = self.p
+        return np.mean(self.sq + 2.0 * (1.0 + w3) * self.lin, axis=1) - (p * (1.0 - p))[:, 0] * w3**2
+
+    def grads(self, w3) -> tuple:
+        """Each client's mean-loss gradient pair at the dual w3 (a scalar or (K, 1)): (K, dim+2), (K, 1)."""
+        a, b, g1, g2, g3 = self.primal
+        p, pos = self.p, self.pos
+        coeff = np.where(pos, a - 2.0 * (1.0 + w3) * (1.0 - p), b + 2.0 * (1.0 + w3) * p)
+        gw = (self.A.mT @ coeff[..., None])[..., 0] / pos.shape[1]
+        g3 = g3 - (2.0 * p * (1.0 - p) * w3)[:, 0]
+        return np.column_stack([gw, g1, g2]), g3[:, None]
+
+
+def _auc_grads(A, pos, X, Y, p):
+    """Gradient pairs of each client's mean loss over its batch at its own iterates.
+
+    X (K, dim+2) and Y (K, 1) are the iterates, one client per row; the
+    rest is as in ``_AucTerms``.  Returns (K, dim+2) and (K, 1).
     """
     d = A.shape[-1]
-    w1, w2, w3 = X[:, d, None], X[:, d + 1, None], Y[:, :1]
     h = (A @ X[:, :d, None])[..., 0]
-    neg = ~pos
-    coeff = np.where(pos, 2.0 * (1.0 - p) * (h - w1) - 2.0 * (1.0 + w3) * (1.0 - p),
-                     2.0 * p * (h - w2) + 2.0 * (1.0 + w3) * p)
-    gw = (A.mT @ coeff[..., None])[..., 0] / pos.shape[1]
-    g1 = np.mean(-2.0 * (1.0 - p) * (h - w1) * pos, axis=1)
-    g2 = np.mean(-2.0 * p * (h - w2) * neg, axis=1)
-    g3 = np.mean(2.0 * (p * h * neg - (1.0 - p) * h * pos), axis=1) - (2.0 * p * (1.0 - p) * w3)[:, 0]
-    return np.column_stack([gw, g1, g2]), g3[:, None]
+    return _AucTerms(A, pos, p, h, X[:, d, None], X[:, d + 1, None]).grads(Y[:, :1])
 
 
 def _sum_in_order(terms: np.ndarray) -> float:
@@ -397,6 +472,7 @@ def make_auc_problem(
             H[d + 2, d + 2] = -2.0 * p * (1.0 - p)
             L = max(L, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
     mu = float(np.mean(2.0 * ratios * (1.0 - ratios)))
+    w3_weight = np.sum(ratios * (1.0 - ratios))  # minus the w3^2 coefficient of the summed losses
     smooth = SmoothnessInfo(L_f=L, mu=mu)
 
     def draw(n, rng, x, y):
@@ -418,24 +494,43 @@ def make_auc_problem(
                 GX[r], GY[r] = _auc_grads(A, pos, X[r], Y[r], P[part])
         return GX, GY
 
-    def f_value(x, y):
-        w, w1, w2, w3 = x[:d], x[d], x[d + 1], float(y[0])
+    def scored(x):
+        """Every shard group's loss terms at x, each group's scores F @ w computed once."""
+        return [(rows, _AucTerms(F, POS, P, F @ x[:d], x[d], x[d + 1])) for rows, F, POS, P in groups]
+
+    def value(groups_at, w3):
         terms = np.empty(N)
-        for rows, F, POS, P in groups:
-            h = F @ w
-            vals = (1.0 - P) * (h - w1) ** 2 * POS + P * (h - w2) ** 2 * (~POS)
-            vals = vals + 2.0 * (1.0 + w3) * (P * h * (~POS) - (1.0 - P) * h * POS)
-            terms[rows] = np.mean(vals, axis=1) - (P * (1.0 - P))[:, 0] * w3**2
+        for rows, terms_at in groups_at:
+            terms[rows] = terms_at.losses(w3)
         return _sum_in_order(terms) / N
 
-    def y_star(x):
+    def dual_max(groups_at):
         # exact maximizer of the averaged concave quadratic in w3
-        w = x[:d]
         terms = np.empty(N)
-        for rows, F, POS, P in groups:
-            h = F @ w
-            terms[rows] = np.mean(P * h * (~POS) - (1.0 - P) * h * POS, axis=1)
-        return np.array([_sum_in_order(terms) / np.sum(ratios * (1.0 - ratios))])
+        for rows, terms_at in groups_at:
+            terms[rows] = np.mean(terms_at.lin, axis=1)
+        return np.array([_sum_in_order(terms) / w3_weight])
+
+    def mean_grad_at(groups_at, w3):
+        GX, GY = np.empty((N, d + 2)), np.empty((N, 1))
+        for rows, terms_at in groups_at:
+            GX[rows], GY[rows] = terms_at.grads(w3)
+        return _client_mean(GX), _client_mean(GY)
+
+    def f_value(x, y):
+        return value(scored(x), float(y[0]))
+
+    def y_star(x):
+        return dual_max(scored(x))
+
+    def round_metrics(x, y):
+        # phi at y*(x), f at y and the two client means share one scoring of the shards
+        groups_at = scored(x)
+        w3_star = dual_max(groups_at)[0]
+        phi, grad_phi = value(groups_at, float(w3_star)), mean_grad_at(groups_at, w3_star)[0]
+        return (phi, grad_phi, value(groups_at, float(y[0]))) + mean_grad_at(groups_at, y[0])
+
+    round_metrics.made_for = (grad, f_value, y_star, None)
 
     auc_eval = None
     if test_data is not None:
@@ -454,6 +549,7 @@ def make_auc_problem(
         draw=draw,
         y_star=y_star,
         auc_eval=auc_eval,
+        round_metrics=round_metrics,
     )
 
 

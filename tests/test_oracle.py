@@ -247,3 +247,85 @@ def test_problem_needs_a_gradient_oracle():
         fm.MinimaxProblem(**common, y_star=lambda x: x, grad_x=lambda n, x, y: x)
     with pytest.raises(TypeError, match="y_star"):  # the exact metrics need the inner maximizer
         fm.MinimaxProblem(**common, grad=lambda X, Y, batch=None: (X, -Y))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_metrics_are_the_separate_calls(problem, x, y):
+    """``round_metrics(x, y)`` equals phi_value_and_grad(x), f_value(x, y) and mean_grad(x, y) bit for bit."""
+    phi, grad_phi, f, mean_gx, mean_gy = problem.round_metrics(x, y)
+    phi_ref, grad_phi_ref = fm.phi_value_and_grad(problem, x)
+    mean_gx_ref, mean_gy_ref = problem.mean_grad(x, y)
+    assert type(phi) is float and same_bits(phi, phi_ref)
+    assert same_bits(grad_phi, grad_phi_ref)
+    assert type(f) is float and same_bits(f, float(problem.f_value(x, y)))
+    assert same_bits(mean_gx, mean_gx_ref) and same_bits(mean_gy, mean_gy_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_clients=st.integers(1, 8), dim=st.integers(1, 6), equal=st.booleans(),
+       batch_size=st.sampled_from([None, 1, 16]), pooled=st.booleans(),
+       point=st.sampled_from(["random", "at y*", "warm"]), seed=SEEDS)
+def test_auc_round_metrics_are_the_separate_calls(n_clients, dim, equal, batch_size, pooled, point,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    sizes = [40] * n_clients if equal else rng.integers(20, 60, size=n_clients).tolist()
+    shards = auc_shards(n_clients, sizes, dim, seed % 1000)
+    problem = fm.make_auc_problem(shards, dim, batch_size=batch_size, pooled_ratio=pooled)
+    assert problem.round_metrics.made_for == (problem.grad, problem.f_value, problem.y_star, None)
+    if point == "warm":  # the iterates a short run reaches
+        hp = fm.theorem1_schedule(n_clients, 2, 3, problem.smooth)
+        state = fm.run("nsgda-m", problem, hp, seed=seed % 1000).final_state
+        x, y = state.x, state.y
+    else:
+        x = rng.standard_normal(dim + 2)
+        y = problem.y_star(x) if point == "at y*" else rng.standard_normal(1)
+    assert_metrics_are_the_separate_calls(problem, x, y)
+
+
+def test_default_round_metrics_are_the_separate_calls():
+    rng = np.random.default_rng(5)
+    saddle = fm.make_saddle_problem(3, 4, 2, hetero=0.5, seed=2)
+    adapter = per_client_matrix_problem()
+    assert saddle.round_metrics == saddle._round_metrics
+    assert adapter.round_metrics == adapter._round_metrics
+    for _ in range(5):
+        assert_metrics_are_the_separate_calls(saddle, rng.standard_normal(4), rng.standard_normal(2))
+        assert_metrics_are_the_separate_calls(
+            adapter, rng.standard_normal((4, 2)), rng.standard_normal((3, 2)))
+
+
+def test_auc_round_metrics_never_outlive_the_callables_they_reproduce():
+    shards = fm.gen_imbalanced_data(60, [0.2, 0.3, 0.4], dim=3, separation=1.0, seed=2)
+    base = fm.make_auc_problem(shards, 3, batch_size=8)
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal(5), rng.standard_normal(1)
+
+    def doubled_grad(X, Y, batch=None):
+        GX, GY = base.grad(X, Y, batch)
+        return 2.0 * GX, 2.0 * GY
+
+    replaced = {
+        "grad": doubled_grad,
+        "f_value": lambda x, y: 2.0 * base.f_value(x, y),
+        "y_star": lambda x: base.y_star(x) + 0.5,
+        "phi_grad": lambda x: np.ones_like(x),
+    }
+    for name, fn in replaced.items():
+        problem = dataclasses.replace(base, **{name: fn})
+        assert problem.round_metrics == problem._round_metrics, name
+        assert_metrics_are_the_separate_calls(problem, x, y)
+    # so run records what the new callables give: f doubles, the iterates stay
+    hp = fm.theorem1_schedule(3, 2, 4, base.smooth)
+    trace = fm.run("nsgda-m", base, hp, seed=1)
+    twice = fm.run("nsgda-m", dataclasses.replace(base, f_value=replaced["f_value"]), hp, seed=1)
+    assert [r.f_value for r in twice.records] == [2.0 * r.f_value for r in trace.records]
+    assert all(np.array_equal(a.x, b.x) for a, b in zip(trace.records, twice.records))
+    # a replace of a field the metrics do not read keeps the one-pass version
+    assert dataclasses.replace(base, auc_eval=None).round_metrics is base.round_metrics
+    # one given without made_for is not trusted either
+    unnamed = dataclasses.replace(base, round_metrics=lambda x, y: None)
+    assert unnamed.round_metrics == unnamed._round_metrics

@@ -338,11 +338,7 @@ class _AucTerms:
     """
 
     def __init__(self, A, pos, p, h, w1, w2):
-        self.A, self.pos, self.p, self.h, self.w1, self.w2 = A, pos, p, h, w1, w2
-
-    @functools.cached_property
-    def neg(self):
-        return ~self.pos
+        self.A, self.pos, self.neg, self.p, self.h, self.w1, self.w2 = A, pos, ~pos, p, h, w1, w2
 
     @functools.cached_property
     def hw(self):
@@ -372,11 +368,11 @@ class _AucTerms:
 
     def losses(self, w3: float) -> np.ndarray:
         """Each client's mean loss at the dual w3, (K,)."""
-        p = self.p
-        return np.mean(self.sq + 2.0 * (1.0 + w3) * self.lin, axis=1) - (p * (1.0 - p))[:, 0] * w3**2
+        vals = self.sq + 2.0 * (1.0 + w3) * self.lin
+        return np.mean(vals, axis=1) - (self.p * (1.0 - self.p))[:, 0] * w3**2
 
     def grads(self, w3) -> tuple:
-        """Each client's mean-loss gradient pair at the dual w3 (a scalar or (K, 1)): (K, dim+2), (K, 1)."""
+        """Each client's gradient pair at the dual w3, a scalar or (K, 1): (K, dim+2), (K, 1)."""
         a, b, g1, g2, g3 = self.primal
         p, pos = self.p, self.pos
         coeff = np.where(pos, a - 2.0 * (1.0 + w3) * (1.0 - p), b + 2.0 * (1.0 + w3) * p)
@@ -496,7 +492,8 @@ def make_auc_problem(
 
     def scored(x):
         """Every shard group's loss terms at x, each group's scores F @ w computed once."""
-        return [(rows, _AucTerms(F, POS, P, F @ x[:d], x[d], x[d + 1])) for rows, F, POS, P in groups]
+        return [(rows, _AucTerms(F, POS, P, F @ x[:d], x[d], x[d + 1]))
+                for rows, F, POS, P in groups]
 
     def value(groups_at, w3):
         terms = np.empty(N)

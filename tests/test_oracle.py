@@ -255,7 +255,7 @@ def same_bits(a, b):
 
 
 def assert_metrics_are_the_separate_calls(problem, x, y):
-    """``round_metrics(x, y)`` equals phi_value_and_grad(x), f_value(x, y) and mean_grad(x, y) bit for bit."""
+    """``round_metrics(x, y)`` is phi_value_and_grad(x), f_value(x, y) and mean_grad(x, y), bit for bit."""
     phi, grad_phi, f, mean_gx, mean_gy = problem.round_metrics(x, y)
     phi_ref, grad_phi_ref = fm.phi_value_and_grad(problem, x)
     mean_gx_ref, mean_gy_ref = problem.mean_grad(x, y)
@@ -293,7 +293,8 @@ def test_default_round_metrics_are_the_separate_calls():
     assert saddle.round_metrics == saddle._round_metrics
     assert adapter.round_metrics == adapter._round_metrics
     for _ in range(5):
-        assert_metrics_are_the_separate_calls(saddle, rng.standard_normal(4), rng.standard_normal(2))
+        assert_metrics_are_the_separate_calls(
+            saddle, rng.standard_normal(4), rng.standard_normal(2))
         assert_metrics_are_the_separate_calls(
             adapter, rng.standard_normal((4, 2)), rng.standard_normal((3, 2)))
 

@@ -41,7 +41,6 @@ from .core import (
     hyperparam_errors,
     noise_errors,
     theorem1_schedule,
-    theorem2_schedule,
 )
 from .fedopt import InternalInvariantViolation, run, trace_from_csv, trace_to_csv
 from .metrics import verify_invariants
@@ -337,8 +336,7 @@ def resolve_hyperparams(config: ExperimentConfig, problem) -> HyperParams:
     extras = dict(tau=config.tau, ns_mode=config.ns_mode)
     if config.schedule is None:
         return HyperParams(N=config.N, p=config.p, T=config.T, **config.explicit, **extras)
-    fn = theorem1_schedule if config.schedule == "theorem1" else theorem2_schedule
-    hp = fn(config.N, config.p, config.T, problem.smooth, config.constants, **extras)
+    hp = theorem1_schedule(config.N, config.p, config.T, problem.smooth, config.constants, **extras)
     if config.algorithm in ("local-sgda-m", "sgda-clip"):
         hp = dataclasses.replace(hp, beta_x=BASELINE_BETA, beta_y=BASELINE_BETA)
     return hp
@@ -495,6 +493,7 @@ def cmd_verify(trace_path: str, config: ExperimentConfig) -> int:
         return 1
     problem = build_problem(config)
     hp = resolve_hyperparams(config, problem)
+    trace = dataclasses.replace(trace, cols_x=problem.shape_x.cols, cols_y=problem.shape_y.cols)
     report = verify_invariants(trace, hp)
     print(report.summary())
     print(f"result: {'all invariants pass' if report.passed else 'INVARIANT VIOLATION'}")

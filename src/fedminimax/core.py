@@ -6,6 +6,7 @@ cheap to copy with ``dataclasses.replace``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 ALGORITHMS = ("nsgda-m", "muon-da", "local-sgda-m", "sgda-clip")
@@ -175,7 +176,8 @@ def hyperparam_errors(**fields) -> list:
         elif name in _UNIT_INTERVAL:
             ok, want = 0.0 < v <= 1.0, "must lie in (0, 1]"
         elif name in _COUNTS:
-            ok, want = int(v) == v and v >= 1, "must be a positive integer"
+            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+            want = "must be a positive integer"
         elif name in _CHOICES:
             ok, want = v in _CHOICES[name], f"must be one of {_CHOICES[name]}"
             v = repr(v)
@@ -195,6 +197,10 @@ def theorem1_schedule(
     **overrides,
 ) -> HyperParams:
     """Hyperparameters under which the normalized method attains its guaranteed rate.
+
+    ``theorem2_schedule`` is this same function: the guarantee of the
+    orthonormalized (Muon-style) method has the same orders in N, p, T and
+    kappa, so it takes the same schedule.
 
     With kappa = L_f/mu, the schedule is
 
@@ -233,17 +239,4 @@ def theorem1_schedule(
     )
 
 
-def theorem2_schedule(
-    N: int,
-    p: int,
-    T: int,
-    smooth: SmoothnessInfo,
-    c: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    **overrides,
-) -> HyperParams:
-    """Schedule for the orthonormalized (Muon-style) method.
-
-    Identical functional form to :func:`theorem1_schedule`; the guarantee
-    for the matrix update has the same orders in N, p, T and kappa.
-    """
-    return theorem1_schedule(N, p, T, smooth, c, **overrides)
+theorem2_schedule = theorem1_schedule

@@ -109,8 +109,8 @@ class RunTrace:
     algorithm: str
     seed: int
     records: list
-    cols_x: int = 1  # column count of the primal block viewed as a matrix
-    cols_y: int = 1
+    cols_x: Optional[int] = 1  # column count of the primal block viewed as a matrix; None if unknown
+    cols_y: Optional[int] = 1
     final_state: Optional[ServerState] = None
 
     @property
@@ -163,8 +163,10 @@ def trace_from_csv(path) -> RunTrace:
     and rounds 0, 1, 2, ... in order; else ValueError names the first row
     that is not.  Memory-only fields (centering residuals, iterate
     snapshots) are not in the schema and come back as None; rows containing
-    non-finite values are flagged as diverged.  Column counts default to 1
-    (vector runs), so matrix-shaped traces should be verified in memory.
+    non-finite values are flagged as diverged.  The block column counts are
+    not in the schema either: they come back as None, so checking a
+    ``muon-da`` trace raises until the caller fills them in from the
+    problem (``dataclasses.replace``).
     """
     with open(path, newline="") as fh:
         raw = fh.read().splitlines()
@@ -193,7 +195,7 @@ def trace_from_csv(path) -> RunTrace:
             t, **dict(zip(FINITE_FIELDS, nums)), auc=auc,
             diverged=not np.all(np.isfinite(nums)),
         ))
-    return RunTrace(algorithm=run_algo, seed=run_seed, records=records)
+    return RunTrace(algorithm=run_algo, seed=run_seed, records=records, cols_x=None, cols_y=None)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +363,7 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
 
 
 def server_round(server: ServerState, X, Y, G_x, G_y, hp: HyperParams) -> ServerState:
-    """Aggregate the N clients' stacks, summed over axis 0, into the next server state.
-
-    The sum adds the clients in index order, except on a block of one entry
-    (the AUC dual, a d_y=1 saddle), which numpy adds pairwise from N=8 up.
-    """
+    """Aggregate the N clients' stacks, summed over axis 0, into the next server state."""
     shapes = [np.shape(S) for S in (X, Y, G_x, G_y)]
     if shapes != [(hp.N,) + np.shape(b) for b in (server.x, server.y) * 2]:
         raise ProtocolError(f"expected ({hp.N},) + block stacks of blocks x, y, x, y, got {shapes}")

@@ -28,16 +28,21 @@ FINITE_FIELDS = (
 )
 
 
-def step_bound(algorithm: str, cols: int, hp: HyperParams) -> Optional[float]:
+def step_bound(algorithm: str, cols: Optional[int], hp: HyperParams) -> Optional[float]:
     """Length of one update direction of ``algorithm`` on a block with ``cols`` columns.
 
     1 for the normalized step, sqrt(cols) for the polar step (its Frobenius
     norm is sqrt(rank) <= sqrt(cols)), tau for the clipped step, and None
-    for the unnormalized baseline, which has no such bound.
+    for the unnormalized baseline, which has no such bound.  ``cols=None``
+    means the count is unknown, and the polar step's bound then raises
+    ValueError rather than guess.
     """
     if algorithm == "nsgda-m":
         return 1.0
     if algorithm == "muon-da":
+        if cols is None:
+            raise ValueError("muon-da: the block's column count is unknown (cols=None), "
+                             "so its sqrt(cols) step bound is too")
         return np.sqrt(cols)
     if algorithm == "sgda-clip":
         return hp.tau
@@ -46,7 +51,8 @@ def step_bound(algorithm: str, cols: int, hp: HyperParams) -> Optional[float]:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def round_caps(algorithm: str, cols_x: int, cols_y: int, hp: HyperParams) -> Optional[dict]:
+def round_caps(algorithm: str, cols_x: Optional[int], cols_y: Optional[int],
+               hp: HyperParams) -> Optional[dict]:
     """Caps on a round record's length fields, or None for an unbounded algorithm.
 
     p local steps move a client at most eta * p * step_bound from the
@@ -165,13 +171,14 @@ def verify_invariants(trace, hp: HyperParams) -> InvariantReport:
 
     Covered: client drift bounds, server step bounds, centering of the
     control-variate corrections, finiteness of every recorded value
-    (bounded algorithms only), and the cumulative travel bound
-    ||x_t - x_0|| <= t * gamma_x.  The base bounds eta*p (drift) and
-    gamma (server step) pick up a sqrt(cols) factor for the
-    orthonormalized update on matrix blocks, and a tau factor for the
-    clipping baseline, whose step length is eta * min(tau, ||m||).  The
-    unnormalized baseline has no such bounds; its checks are reported
-    with zero rounds.
+    (bounded algorithms only), and ``travel_x``: the running sum of the
+    recorded server steps of the first t rounds is at most t times the
+    server-step bound.  That sum bounds ||x_t - x_0||, which the check
+    does not read.  The base bounds eta*p (drift) and gamma (server step)
+    pick up a sqrt(cols) factor for the orthonormalized update on matrix
+    blocks, and a tau factor for the clipping baseline, whose step length
+    is eta * min(tau, ||m||).  The unnormalized baseline has no such
+    bounds; its checks are reported with zero rounds.
     """
     recs = [r for r in trace.records if not r.diverged]
     checks = []

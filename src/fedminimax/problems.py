@@ -24,9 +24,7 @@ client stacks, and ``draw(n, rng, x, y)`` makes one client's random
 choices (the AUC minibatch) on that client's stream.  Row n of a batched
 result equals, bit for bit, the per-client formula evaluated on client n
 alone: stacked products are matmuls (``B @ Y[..., None]``), never einsum,
-and per-client means reduce along each row.  A mean over clients adds
-the rows one at a time in client-index order, never with
-``.sum(axis=0)``, which may add them pairwise.  ``round_metrics(x, y)``
+and per-client means reduce along each row.  ``round_metrics(x, y)``
 gives the engine a round's exact metrics in one call: phi(x), its
 gradient, f(x, y) and both halves of ``mean_grad(x, y)``.  By default it
 is built from ``phi_value_and_grad``, ``f_value`` and ``mean_grad``; the
@@ -37,7 +35,6 @@ and returns the same bits.  Problems are immutable after construction.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -86,15 +83,6 @@ def _no_draw(n, rng, x, y):
 def _derived(fn) -> bool:
     """True for an oracle a MinimaxProblem derived from its other form (a bound method of one)."""
     return isinstance(getattr(fn, "__self__", None), MinimaxProblem)
-
-
-def _client_mean(G: np.ndarray) -> np.ndarray:
-    """(1/N) sum_n G[n], the rows added one at a time in client-index order.
-
-    ``np.add.accumulate`` adds them in order; ``.sum(axis=0)`` may add them
-    pairwise, which rounds differently.
-    """
-    return np.add.accumulate(G)[-1] / len(G)
 
 
 @dataclass(frozen=True)
@@ -204,7 +192,7 @@ class MinimaxProblem:
         """(1/N) sum_n of the deterministic client gradients at (x, y), both blocks from one call."""
         N = self.n_clients
         GX, GY = self.grad(_rows(x, N), _rows(y, N), None)
-        return _client_mean(GX), _client_mean(GY)
+        return GX.sum(axis=0) / N, GY.sum(axis=0) / N
 
     def mean_grad_x(self, x, y) -> np.ndarray:
         return self.mean_grad(x, y)[0]
@@ -392,11 +380,6 @@ def _auc_grads(A, pos, X, Y, p):
     return _AucTerms(A, pos, p, h, X[:, d, None], X[:, d + 1, None]).grads(Y[:, :1])
 
 
-def _sum_in_order(terms: np.ndarray) -> float:
-    """0.0 + t_0 + t_1 + ..., one term at a time (np.sum adds pairwise, Python 3.12's sum() compensates)."""
-    return functools.reduce(operator.add, terms.tolist(), 0.0)
-
-
 def auc_errors(batch_size) -> list:
     """Every rule ``make_auc_problem`` puts on its minibatch size."""
     return [] if batch_size is None or batch_size >= 1 else [f"batch_size: must be >= 1, got {batch_size}"]
@@ -499,20 +482,20 @@ def make_auc_problem(
         terms = np.empty(N)
         for rows, terms_at in groups_at:
             terms[rows] = terms_at.losses(w3)
-        return _sum_in_order(terms) / N
+        return float(terms.sum(axis=0)) / N
 
     def dual_max(groups_at):
         # exact maximizer of the averaged concave quadratic in w3
         terms = np.empty(N)
         for rows, terms_at in groups_at:
             terms[rows] = np.mean(terms_at.lin, axis=1)
-        return np.array([_sum_in_order(terms) / w3_weight])
+        return np.array([terms.sum(axis=0) / w3_weight])
 
     def mean_grad_at(groups_at, w3):
         GX, GY = np.empty((N, d + 2)), np.empty((N, 1))
         for rows, terms_at in groups_at:
             GX[rows], GY[rows] = terms_at.grads(w3)
-        return _client_mean(GX), _client_mean(GY)
+        return GX.sum(axis=0) / N, GY.sum(axis=0) / N
 
     def f_value(x, y):
         return value(scored(x), float(y[0]))

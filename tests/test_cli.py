@@ -285,6 +285,15 @@ def test_cmd_verify_fresh_trace_passes(tmp_path):
     assert cmd_verify(str(tmp_path / trace_filename("nsgda-m", 1)), cfg) == 0
 
 
+def test_cmd_verify_takes_the_column_counts_from_the_problem(tmp_path):
+    # the CSV does not hold them, and the muon-da bound refuses to guess
+    cfg = parse_config(json.dumps({**SMALL, "algorithm": "muon-da"}))
+    assert cmd_run(cfg, out=str(tmp_path)) == 0
+    path = tmp_path / trace_filename("muon-da", 1)
+    assert trace_from_csv(path).cols_x is None
+    assert cmd_verify(str(path), cfg) == 0
+
+
 def test_cmd_verify_flags_tampered_drift(tmp_path, capsys):
     cfg = parse_config(json.dumps(SMALL))
     cmd_run(cfg, out=str(tmp_path))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedminimax import HyperParams, NoiseModel
+from fedminimax import HyperParams, MinimaxProblem, NoiseModel, Shape, SmoothnessInfo, theorem2_schedule
 from fedminimax.fedopt import (
     InternalInvariantViolation,
     ProtocolError,
@@ -383,6 +383,44 @@ def test_trace_csv_round_trip(tmp_path):
         assert a.grad_phi_norm == b.grad_phi_norm  # 17 digits round-trips exactly
         assert a.max_drift_x == b.max_drift_x
         assert b.auc is None
+
+
+def matrix_saddle(n_clients=4, m=12, k=6, c=6, mu=1.0, lam=1.0, seed=0):
+    """f_n(X, Y) = <X, A_n Y> + <C_n, X> + (lam/2)||X||^2 - (mu/2)||Y||^2, X m-by-k, Y c-by-k."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n_clients, m, c)) / np.sqrt(m)
+    C = rng.standard_normal((n_clients, m, k))
+    A_mean = A.mean(axis=0)
+
+    def grad(X, Y, batch=None):
+        return A @ Y + C + lam * X, A.mT @ X - mu * Y
+
+    return MinimaxProblem(
+        n_clients=n_clients, shape_x=Shape.matrix(m, k), shape_y=Shape.matrix(c, k),
+        smooth=SmoothnessInfo(L_f=max(lam, mu) + max(np.linalg.norm(a, 2) for a in A), mu=mu),
+        f_value=lambda X, Y: 0.0, y_star=lambda X: A_mean.T @ X / mu, grad=grad)
+
+
+def test_matrix_trace_from_csv_needs_its_column_counts(tmp_path):
+    problem = matrix_saddle()
+    hp = theorem2_schedule(4, 2, 10, problem.smooth)
+    noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
+    trace = run("muon-da", problem, hp, noise=noise, seed=1)
+    assert (trace.cols_x, trace.cols_y) == (6, 6)
+    assert verify_invariants(trace, hp).passed
+    path = tmp_path / "trace.csv"
+    trace_to_csv(trace, path)
+    back = trace_from_csv(path)
+    assert (back.cols_x, back.cols_y) == (None, None)  # the schema does not hold them
+    with pytest.raises(ValueError, match=r"column count is unknown \(cols=None\)"):
+        verify_invariants(back, hp)
+    assert verify_invariants(dataclasses.replace(back, cols_x=6, cols_y=6), hp).passed
+    # guessing a vector would fail this trace
+    assert not verify_invariants(dataclasses.replace(back, cols_x=1, cols_y=1), hp).passed
+    # the other algorithms' bounds do not read the column count
+    vector_run = run("nsgda-m", problem, hp, noise=noise, seed=1)
+    trace_to_csv(vector_run, path)
+    assert verify_invariants(trace_from_csv(path), hp).passed
 
 
 def test_trace_csv_malformed_rows(tmp_path):

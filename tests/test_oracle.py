@@ -2,9 +2,9 @@
 
 Every row of ``grad(X, Y, batch)`` must equal the per-client reference
 formula below evaluated on that client alone, and ``mean_grad`` must equal
-the client-order sum ``g_0 + g_1 + ...`` of those references divided by N
-(a pairwise ``.sum(axis=0)`` differs in the last bits).  The references
-are written out here, independent of the package's stacked arithmetic.
+the server's ``.sum(axis=0)`` of those reference rows divided by N.  The
+references are written out here, independent of the package's stacked
+arithmetic.
 """
 
 import dataclasses
@@ -57,15 +57,13 @@ def reference_auc(A, b, x, w3, p):
     return np.concatenate([gw, [g1, g2]]), np.array([g3])
 
 
-def client_order_mean(grads):
-    total = grads[0]
-    for g in grads[1:]:
-        total = total + g
-    return total / len(grads)
+def server_mean(rows):
+    """The client mean as ``server_round`` takes it: the stacked rows summed over axis 0, over N."""
+    return np.stack(rows).sum(axis=0) / len(rows)
 
 
 def assert_rows_and_mean(problem, pair, X, Y, batch=None):
-    """Rows of ``grad`` equal ``pair(n, x_n, y_n)``; ``mean_grad`` at X[0], Y[0] equals the client-order mean."""
+    """Rows of ``grad`` equal ``pair(n, x_n, y_n)``; ``mean_grad`` at X[0], Y[0] is their server mean."""
     N = problem.n_clients
     GX, GY = problem.grad(X, Y, batch)
     for n in range(N):
@@ -73,8 +71,8 @@ def assert_rows_and_mean(problem, pair, X, Y, batch=None):
         assert np.array_equal(GX[n], gx) and np.array_equal(GY[n], gy), f"client {n}"
     refs = [pair(n, X[0], Y[0], None) for n in range(N)]
     mean_x, mean_y = problem.mean_grad(X[0], Y[0])
-    assert np.array_equal(mean_x, client_order_mean([gx for gx, _ in refs]))
-    assert np.array_equal(mean_y, client_order_mean([gy for _, gy in refs]))
+    assert np.array_equal(mean_x, server_mean([gx for gx, _ in refs]))
+    assert np.array_equal(mean_y, server_mean([gy for _, gy in refs]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,33 +136,39 @@ def test_auc_grad_rows_match_reference(n_clients, dim, equal, batch_size, pooled
     assert_rows_and_mean(problem, pair, X, Y)
 
 
-def test_auc_dual_mean_is_client_order_sum():
-    # eight one-entry dual rows: the case where a pairwise sum rounds differently
-    shards = fm.gen_imbalanced_data(50, [0.1, 0.12, 0.15, 0.2, 0.22, 0.25, 0.3, 0.4], dim=3,
-                                    separation=1.0, seed=4)
-    problem = fm.make_auc_problem(shards, 3, batch_size=None)
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        x, y = rng.standard_normal(5), rng.standard_normal(1)
-        refs = [reference_auc(s.features, s.labels, x, float(y[0]), s.positive_ratio) for s in shards]
-        mean_x, mean_y = problem.mean_grad(x, y)
-        assert np.array_equal(mean_y, client_order_mean([gy for _, gy in refs]))
-        assert np.array_equal(mean_x, client_order_mean([gx for gx, _ in refs]))
+AUC_RATIOS = [0.1, 0.12, 0.15, 0.2, 0.22, 0.25, 0.3, 0.4]
+
+
+@pytest.mark.parametrize("algorithm", fm.ALGORITHMS)
+def test_exact_metrics_add_clients_as_the_server_does(algorithm):
+    # with beta = 1, p = 1 and no noise the server's momentum is the client mean
+    # of the round-start gradients, so each grad_err is that mean less itself;
+    # eight one-entry dual rows are where a differently ordered sum would round apart
+    saddle = fm.make_saddle_problem(8, 10, 1, hetero=0.5, seed=3)
+    auc = fm.make_auc_problem(fm.gen_imbalanced_data(50, AUC_RATIOS, dim=3, separation=1.0, seed=4),
+                              3, batch_size=None)
+    hp = fm.HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01, beta_x=1.0, beta_y=1.0,
+                        p=1, T=200, N=8)
+    for problem in (saddle, auc):
+        trace = fm.run(algorithm, problem, hp, seed=1)
+        assert not trace.diverged
+        assert [(r.grad_err_x, r.grad_err_y) for r in trace.records] == [(0.0, 0.0)] * hp.T
 
 
 def reference_auc_f_and_y_star(shards, x, y):
-    """The AUC objective and dual maximizer, summed client by client from 0.0."""
+    """The AUC objective and dual maximizer, the per-client terms summed as the server sums."""
     d = shards[0].features.shape[1]
     w, w1, w2, w3 = x[:d], x[d], x[d + 1], float(y[0])
-    total, num = 0.0, 0.0
+    losses, lins = [], []
     for s in shards:
         h, pos, p = s.features @ w, s.labels == 1, s.positive_ratio
         vals = (1.0 - p) * (h - w1) ** 2 * pos + p * (h - w2) ** 2 * (~pos)
         vals = vals + 2.0 * (1.0 + w3) * (p * h * (~pos) - (1.0 - p) * h * pos)
-        total += float(vals.mean()) - p * (1.0 - p) * w3**2
-        num += float(np.mean(p * h * (~pos) - (1.0 - p) * h * pos))
+        losses.append(float(vals.mean()) - p * (1.0 - p) * w3**2)
+        lins.append(float(np.mean(p * h * (~pos) - (1.0 - p) * h * pos)))
     ratios = np.array([s.positive_ratio for s in shards])
-    return total / len(shards), np.array([num / np.sum(ratios * (1.0 - ratios))])
+    return (np.array(losses).sum(axis=0) / len(shards),
+            np.array([np.array(lins).sum(axis=0) / np.sum(ratios * (1.0 - ratios))]))
 
 
 @settings(max_examples=40, deadline=None)

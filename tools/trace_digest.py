@@ -1,8 +1,10 @@
 """Print SHA-256 digests of a fixed set of runs, one line per run.
 
-Each line names a run and gives three digests: of its trace CSV, of its
+Each line names a run and gives four digests: of its trace CSV, of its
 final server state together with the iterates of its last three records,
-and of ``verify_invariants(...).rows()``.  A sweep line gives the digest of
+of ``verify_invariants(...).rows()`` on the trace in memory, and of the
+same rows on the trace read back from its CSV, with the column counts
+filled in from the problem as ``fedminimax verify`` fills them.  A sweep line gives the digest of
 its ``sweep_summary.csv``.  Two checkouts compute the same traces exactly
 when their outputs are equal::
 
@@ -26,6 +28,7 @@ nsgda-m and sgda-clip on the 32x16 / 16x16 matrix saddle under both
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -76,8 +79,11 @@ def digest_run(label, algorithm, problem, hp, noise, seed, tmp: Path) -> str:
     last = [a for r in trace.records[-3:] for a in (r.x, r.y) if a is not None]
     iterates = array_bytes([s.x, s.y, s.u, s.v, s.g_x, s.g_y] + last)
     rows = repr(fm.verify_invariants(trace, hp).rows()).encode()
+    back = dataclasses.replace(fm.trace_from_csv(path), cols_x=problem.shape_x.cols,
+                               cols_y=problem.shape_y.cols)
+    disk_rows = repr(fm.verify_invariants(back, hp).rows()).encode()
     return (f"{label} trace={sha(path.read_bytes())} iterates={sha(iterates)} "
-            f"invariants={sha(rows)}")
+            f"invariants={sha(rows)} disk={sha(disk_rows)}")
 
 
 def digest_config(label, config: dict, tmp: Path) -> str:

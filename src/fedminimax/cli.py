@@ -160,6 +160,24 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _drop_non_finite(data: dict, prefix: str, errors) -> dict:
+    """data, nested objects included, without the keys that hold a non-finite number, each reported.
+
+    json.loads reads NaN, Infinity and 1e999 (or a 309-digit integer) as
+    numbers beyond the float range, which no config field takes.
+    """
+    out = {}
+    for key, v in data.items():
+        if isinstance(v, dict):
+            out[key] = _drop_non_finite(v, f"{prefix}{key}.", errors)
+        elif any(_is_number(n) and not abs(n) <= sys.float_info.max
+                 for n in (v if isinstance(v, list) else [v])):
+            errors.append(f"{prefix}{key}: numbers must be finite, got {v}")
+        else:
+            out[key] = v
+    return out
+
+
 def _parse_problem(raw, errors):
     if isinstance(raw, str):
         raw = {"kind": raw}
@@ -220,7 +238,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a JSON object"])
-    data = dict(data)
+    data = _drop_non_finite(data, "", errors)
 
     algorithm = _take(data, "algorithm", str, errors, CONFIG_DEFAULTS["algorithm"])
     if algorithm not in ALGORITHMS:

@@ -6,6 +6,7 @@ cheap to copy with ``dataclasses.replace``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -17,42 +18,36 @@ NOISE_FAMILIES = ("symmetrized-pareto", "student-t", "gaussian", "none")
 class Shape:
     """Shape of one parameter block: a vector of dimension d or an m-by-n matrix.
 
-    The engine keeps each block in its own shape, stacked over clients as
-    (N,) + dims.  The polar factor of a vector is v / ||v||, so under the
-    orthonormalized (Muon) update a vector block takes the normalized step.
+    One dim makes a vector, two a matrix.  The engine keeps each block in
+    its own shape, stacked over clients as (N,) + dims.  The polar factor
+    of a vector is v / ||v||, so under the orthonormalized (Muon) update a
+    vector block takes the normalized step.
     """
 
-    kind: str  # "vector" | "matrix"
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in ("vector", "matrix"):
-            raise ValueError(f"unknown shape kind {self.kind!r}")
-        want = 1 if self.kind == "vector" else 2
-        if len(self.dims) != want:
-            raise ValueError(f"{self.kind} shape needs {want} dims, got {self.dims}")
+        if len(self.dims) not in (1, 2):
+            raise ValueError(f"a shape needs 1 dim (vector) or 2 (matrix), got {self.dims}")
         if any(int(d) != d or d < 1 for d in self.dims):
             raise ValueError(f"shape dims must be positive integers, got {self.dims}")
 
     @staticmethod
     def vector(d: int) -> "Shape":
-        return Shape("vector", (int(d),))
+        return Shape((int(d),))
 
     @staticmethod
     def matrix(m: int, n: int) -> "Shape":
-        return Shape("matrix", (int(m), int(n)))
+        return Shape((int(m), int(n)))
 
     @property
     def size(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     @property
     def cols(self) -> int:
         """Column count when viewed as a matrix; 1 for vectors."""
-        return 1 if self.kind == "vector" else self.dims[1]
+        return 1 if len(self.dims) == 1 else self.dims[1]
 
 
 @dataclass(frozen=True)
@@ -117,11 +112,11 @@ def noise_errors(s, sigma, family, tail_exponent) -> list:
     rules = (
         ("family", family in NOISE_FAMILIES, f"must be one of {NOISE_FAMILIES}, got {family!r}"),
         ("s", 1.0 < s <= 2.0, f"tail index must lie in (1, 2], got {s}"),
-        ("sigma", sigma >= 0, f"must be >= 0, got {sigma}"),
+        ("sigma", 0 <= sigma < math.inf, f"must be >= 0 and finite, got {sigma}"),
         ("s", family != "gaussian" or s == 2.0, "gaussian noise is only valid with s=2"),
         ("sigma", family != "none" or sigma == 0.0, f"family 'none' forces sigma=0, got {sigma}"),
-        ("tail_exponent", family not in ("symmetrized-pareto", "student-t") or tail > s,
-         f"must exceed s, got {tail} <= {s}"),
+        ("tail_exponent", family not in ("symmetrized-pareto", "student-t") or s < tail < math.inf,
+         f"must be finite and exceed s, got {tail} with s={s}"),
     )
     return [f"{name}: {want}" for name, ok, want in rules if not ok]
 
@@ -172,7 +167,7 @@ def hyperparam_errors(**fields) -> list:
     errors = []
     for name, v in fields.items():
         if name in _POSITIVE:
-            ok, want = v > 0, "must be positive"
+            ok, want = 0 < v < math.inf, "must be positive and finite"
         elif name in _UNIT_INTERVAL:
             ok, want = 0.0 < v <= 1.0, "must lie in (0, 1]"
         elif name in _COUNTS:

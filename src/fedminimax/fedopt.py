@@ -43,7 +43,7 @@ and drift act on the stack with each client's bits unchanged;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -82,6 +82,9 @@ class ServerState:
 
 @dataclass
 class RoundRecord:
+    """One round of a trace.  ``diverged`` is never passed: it is set, true
+    when a value of ``FINITE_FIELDS`` is not finite."""
+
     t: int
     grad_phi_norm: float
     f_value: float
@@ -93,7 +96,7 @@ class RoundRecord:
     server_step_y: float
     potential: float
     auc: Optional[float] = None
-    diverged: bool = False
+    diverged: bool = field(init=False)
     # in-memory extras, not part of the CSV schema
     centering_x: Optional[float] = None
     centering_y: Optional[float] = None
@@ -102,6 +105,9 @@ class RoundRecord:
     dist_x0: Optional[float] = None
     x: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.diverged = not record_finite(self)
 
 
 @dataclass
@@ -162,8 +168,9 @@ def trace_from_csv(path) -> RunTrace:
     The rows must be one run: at least one, all with row 2's algo and seed,
     and rounds 0, 1, 2, ... in order; else ValueError names the first row
     that is not.  Memory-only fields (centering residuals, iterate
-    snapshots) are not in the schema and come back as None; rows containing
-    non-finite values are flagged as diverged.  The block column counts are
+    snapshots, ``dist_x0``) are not in the schema and come back as None; a
+    row's ``diverged`` flag follows from its values, as in memory.  The
+    block column counts are
     not in the schema either: they come back as None, so checking a
     ``muon-da`` trace raises until the caller fills them in from the
     problem (``dataclasses.replace``).
@@ -191,10 +198,7 @@ def trace_from_csv(path) -> RunTrace:
         if (algo, seed, t) != (run_algo, run_seed, len(records)):
             raise ValueError(f"{path}: row {idx}: round {t} of {algo!r} seed {seed}, expected round "
                              f"{len(records)} of row 2's {run_algo!r} seed {run_seed}")
-        records.append(RoundRecord(
-            t, **dict(zip(FINITE_FIELDS, nums)), auc=auc,
-            diverged=not np.all(np.isfinite(nums)),
-        ))
+        records.append(RoundRecord(t, **dict(zip(FINITE_FIELDS, nums)), auc=auc))
     return RunTrace(algorithm=run_algo, seed=run_seed, records=records, cols_x=None, cols_y=None)
 
 
@@ -284,7 +288,7 @@ def clip_step(Z, M, eta: float, tau: float, direction: str):
 def _overflow_guard(bounded: bool):
     """Let the unnormalized baseline overflow under heavy tails.
 
-    Its divergence is detected from the aggregated state afterwards; for
+    Its divergence is detected from the round's record afterwards; for
     the bounded algorithms floating-point errors keep numpy's settings.
     """
     return np.errstate() if bounded else np.errstate(over="ignore", invalid="ignore")
@@ -382,15 +386,8 @@ def server_round(server: ServerState, X, Y, G_x, G_y, hp: HyperParams) -> Server
 # full run
 
 
-def _all_finite(server: ServerState) -> bool:
-    return all(
-        np.all(np.isfinite(a))
-        for a in (server.x, server.y, server.u, server.v, server.g_x, server.g_y)
-    )
-
-
 def _nan_record(t: int) -> RoundRecord:
-    return RoundRecord(t, **dict.fromkeys(FINITE_FIELDS, float("nan")), diverged=True)
+    return RoundRecord(t, **dict.fromkeys(FINITE_FIELDS, float("nan")))
 
 
 def run(
@@ -409,11 +406,12 @@ def run(
     (config, seed) pair the trace is bit-deterministic.
 
     The iterates, control variates and global momentum start at zero, so
-    the very first local momentum is beta * gradient.  For the unnormalized
-    baseline a non-finite iterate marks the trace as diverged from that
-    round on (the remaining records are flagged and carry nan); for the bounded
-    algorithms the same event raises InternalInvariantViolation because
-    their updates cannot produce it.  ``verify_invariants`` checks the
+    the very first local momentum is beta * gradient.  A non-finite server
+    state shows in the round's record (x, y through ``server_step_*``; u, v
+    and, as beta > 0, g through ``grad_err_*``).  For the unnormalized
+    baseline a diverged record ends the run (the remaining records carry
+    nan); the bounded algorithms cannot produce one, so it raises
+    InternalInvariantViolation.  ``verify_invariants`` checks the
     finished trace against their per-round bounds.
     """
     if algorithm not in ALGORITHMS:
@@ -430,9 +428,8 @@ def run(
 
     caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
     records: list = []
-    diverged = False
     for t in range(hp.T):
-        if diverged:
+        if records and records[-1].diverged:
             records.append(_nan_record(t))
             continue
 
@@ -466,12 +463,8 @@ def run(
                 x=server.x.copy(),
                 y=server.y.copy(),
             )
-        if not (_all_finite(new_server) and record_finite(rec)):
-            if caps is not None:
-                raise InternalInvariantViolation(
-                    f"{algorithm} produced a non-finite value at round {t}")
-            rec.diverged = True
-            diverged = True
+        if rec.diverged and caps is not None:
+            raise InternalInvariantViolation(f"{algorithm} produced a non-finite value at round {t}")
         records.append(rec)
         G_prev_x, G_prev_y = G_x, G_y
         server = new_server

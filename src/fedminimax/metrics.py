@@ -6,8 +6,9 @@ closed-form inner maximizer y*(x).
 
 ``verify_invariants`` replays the per-round guarantees of the federated
 engine over a finished trace and reports the worst violation of each.
-It checks ``round_caps``, ``centering_tol`` and ``FINITE_FIELDS``; the
-engine asserts the drift caps and ``FINITE_FIELDS`` while it runs.
+It checks ``round_caps``, ``centering_tol`` and each record's
+``diverged`` flag, which ``record_finite`` sets from ``FINITE_FIELDS``;
+the engine asserts the drift caps and that flag while it runs.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ def centering_tol(g_prev_norm: float) -> float:
 
 
 def record_finite(rec) -> bool:
+    """Whether every one of the record's ``FINITE_FIELDS`` is finite."""
     return bool(np.all(np.isfinite([getattr(rec, f) for f in FINITE_FIELDS])))
 
 
@@ -170,46 +172,31 @@ def verify_invariants(trace, hp: HyperParams) -> InvariantReport:
     """Check the engine's per-round guarantees over a finished trace.
 
     Covered: client drift bounds, server step bounds, centering of the
-    control-variate corrections, finiteness of every recorded value
-    (bounded algorithms only), and ``travel_x``: the running sum of the
-    recorded server steps of the first t rounds is at most t times the
-    server-step bound.  That sum bounds ||x_t - x_0||, which the check
-    does not read.  The base bounds eta*p (drift) and gamma (server step)
-    pick up a sqrt(cols) factor for the orthonormalized update on matrix
-    blocks, and a tau factor for the clipping baseline, whose step length
-    is eta * min(tau, ||m||).  The unnormalized baseline has no such
-    bounds; its checks are reported with zero rounds.
+    control-variate corrections, no diverged record (bounded algorithms
+    only), and ``travel_x``: ||x_t - x_0|| (``dist_x0``) is at most t times
+    the server-step bound.  The base bounds eta*p (drift) and gamma (server
+    step) pick up a sqrt(cols) factor for the orthonormalized update on
+    matrix blocks, and a tau factor for the clipping baseline, whose step
+    length is eta * min(tau, ||m||).  The unnormalized baseline has no such
+    bounds; its drift checks run on zero rounds, as do the checks of fields
+    no record carries (``dist_x0`` and centering are not in the CSV).
     """
     recs = [r for r in trace.records if not r.diverged]
-    checks = []
-
     caps = round_caps(trace.algorithm, trace.cols_x, trace.cols_y, hp)
-    if caps is not None:
-        for field, cap in caps.items():
-            checks.append(_bound_check(
-                field.removeprefix("max_"), [getattr(r, field) for r in recs], cap, BOUND_SLACK))
-        steps = np.asarray([r.server_step_x for r in recs], dtype=float)
-        travel = np.cumsum(np.concatenate([[0.0], steps[:-1]]))
-        tt = np.arange(len(recs), dtype=float)
-        checks.append(_bound_check(
-            "travel_x", travel, tt * (caps["server_step_x"] + BOUND_SLACK), BOUND_SLACK))
-        finite = all(record_finite(r) for r in trace.records)
-        checks.append(InvariantCheck("finite_records", len(trace.records),
-                                     0.0 if finite else float("inf"), 0.0, finite))
+    if caps is None:
+        checks = [_bound_check(name, [], 0.0, BOUND_SLACK) for name in ("drift_x", "drift_y")]
     else:
-        checks.append(InvariantCheck("drift_x", 0, 0.0, BOUND_SLACK, True))
-        checks.append(InvariantCheck("drift_y", 0, 0.0, BOUND_SLACK, True))
-
-    have_centering = [r for r in recs if r.centering_x is not None]
-    if have_centering:
-        tol_x = [centering_tol(r.g_prev_norm_x) for r in have_centering]
-        tol_y = [centering_tol(r.g_prev_norm_y) for r in have_centering]
+        checks = [_bound_check(field.removeprefix("max_"), [getattr(r, field) for r in recs],
+                               cap, BOUND_SLACK) for field, cap in caps.items()]
+        travel = [r for r in recs if r.dist_x0 is not None]
         checks.append(_bound_check(
-            "centering_x", [r.centering_x for r in have_centering], tol_x, 0.0))
+            "travel_x", [r.dist_x0 for r in travel],
+            [r.t * (caps["server_step_x"] + BOUND_SLACK) for r in travel], BOUND_SLACK))
         checks.append(_bound_check(
-            "centering_y", [r.centering_y for r in have_centering], tol_y, 0.0))
-    else:
-        checks.append(InvariantCheck("centering_x", 0, 0.0, 0.0, True))
-        checks.append(InvariantCheck("centering_y", 0, 0.0, 0.0, True))
-
+            "finite_records", [np.inf if r.diverged else 0.0 for r in trace.records], 0.0, 0.0))
+    centered = [r for r in recs if r.centering_x is not None]
+    for axis in ("x", "y"):
+        checks.append(_bound_check(
+            f"centering_{axis}", [getattr(r, f"centering_{axis}") for r in centered],
+            [centering_tol(getattr(r, f"g_prev_norm_{axis}")) for r in centered], 0.0))
     return InvariantReport(checks)

@@ -108,6 +108,35 @@ def test_parse_collects_all_errors():
         assert f"{field}: " in msgs and "T: " in msgs
 
 
+EXPLICIT = {k: v for k, v in SMALL.items() if k != "schedule"}
+EXPLICIT.update(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01, beta_x=0.5, beta_y=0.5)
+# configs with the placeholder "@" where a non-finite number goes, that number's
+# JSON literal, and the key its error must name
+NON_FINITE = [
+    ({**SMALL, "algorithm": "sgda-clip", "tau": "@"}, "1e999", "tau"),
+    ({**EXPLICIT, "gamma_x": "@"}, "Infinity", "gamma_x"),
+    ({**SMALL, "noise": {**SMALL["noise"], "sigma": "@"}}, "Infinity", "noise.sigma"),
+    ({**SMALL, "noise": {**SMALL["noise"], "tail_exponent": "@"}}, "1e999", "noise.tail_exponent"),
+    ({**SMALL, "constants": [1, "@", 1]}, "Infinity", "constants"),
+    ({**SMALL, "problem": {**SMALL["problem"], "hetero": "@"}}, "Infinity", "problem.hetero"),
+    ({**SMALL, "problem": {"kind": "auc", "n_per_client": 100, "dim": 4, "test_size": 200,
+                           "separation": "@"}}, "Infinity", "problem.separation"),
+]
+
+
+@pytest.mark.parametrize("config,literal,key", NON_FINITE, ids=[key for *_, key in NON_FINITE])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, config, literal, key):
+    text = json.dumps(config).replace('"@"', literal)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert f"{key}: numbers must be finite, got " in "\n".join(exc.value.errors)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"{key}: numbers must be finite" in capsys.readouterr().err
+
+
 def test_parse_rejects_gaussian_with_low_s():
     text = json.dumps({"noise": {"family": "gaussian", "s": 1.5, "sigma": 1.0}})
     with pytest.raises(ConfigError, match="gaussian"):

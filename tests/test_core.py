@@ -10,6 +10,10 @@ def test_shape_vector_matrix():
     assert v.size == 5 and v.cols == 1
     m = Shape.matrix(3, 4)
     assert m.size == 12 and m.cols == 4
+    assert (v, m) == (Shape((5,)), Shape((3, 4)))  # a shape is its dims
+    for dims in ((), (2, 3, 4)):
+        with pytest.raises(ValueError, match="1 dim"):
+            Shape(dims)
 
 
 @pytest.mark.parametrize("bad", [0, -1])
@@ -41,6 +45,11 @@ def test_noise_model_validation():
         NoiseModel(s=2.0, sigma=1.0, family="none")  # none forces sigma=0
     with pytest.raises(ValueError):
         NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto", tail_exponent=1.4)
+    for bad in (np.inf, np.nan):  # the scale and the tail exponent are finite
+        with pytest.raises(ValueError, match="^sigma: must be >= 0 and finite"):
+            NoiseModel(s=1.5, sigma=bad, family="student-t")
+        with pytest.raises(ValueError, match="^tail_exponent: must be finite and exceed s"):
+            NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto", tail_exponent=bad)
 
 
 def test_hyperparams_validation():
@@ -58,6 +67,9 @@ def test_hyperparams_validation():
         with pytest.raises(ValueError, match=f"^{key}: must be a positive integer, got {bad}$"):
             HyperParams(**{**good, key: bad})
     assert HyperParams(**{**good, "p": np.int64(2)}).p == 2
+    for key in ("gamma_x", "gamma_y", "eta_x", "eta_y", "tau"):  # a rate is finite
+        with pytest.raises(ValueError, match=f"^{key}: must be positive and finite, got inf$"):
+            HyperParams(**{**good, key: float("inf")})
 
 
 def test_schedule_worked_example():

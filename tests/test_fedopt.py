@@ -7,6 +7,7 @@ from fedminimax import HyperParams, MinimaxProblem, NoiseModel, Shape, Smoothnes
 from fedminimax.fedopt import (
     InternalInvariantViolation,
     ProtocolError,
+    RoundRecord,
     ServerState,
     clip_step,
     client_round,
@@ -335,6 +336,32 @@ def test_unnormalized_baseline_divergence_flagged():
     assert len(trace.records) == hp.T  # flagged records pad to T
     first_bad = next(i for i, r in enumerate(trace.records) if r.diverged)
     assert all(r.diverged for r in trace.records[first_bad:])
+
+
+def test_diverged_is_derived_from_the_record_values():
+    values = dict(grad_phi_norm=1.0, f_value=0.0, grad_err_x=0.1, grad_err_y=0.1,
+                  max_drift_x=0.0, max_drift_y=0.0, server_step_x=0.0, server_step_y=0.0,
+                  potential=4.0)
+    assert not RoundRecord(0, **values).diverged
+    assert RoundRecord(0, **{**values, "server_step_y": np.inf}).diverged
+    assert not RoundRecord(0, **values, auc=np.nan).diverged  # auc is not a finite field
+    with pytest.raises(TypeError):
+        RoundRecord(0, **values, diverged=True)
+
+
+def test_diverged_run_reads_back_from_csv_alike(tmp_path):
+    prob = make_saddle_problem(2, 3, 3, mu=5.0, amp=0.0, hetero=0.0, seed=0)
+    hp = HyperParams(gamma_x=10.0, gamma_y=10.0, eta_x=10.0, eta_y=10.0,
+                     beta_x=0.9, beta_y=0.9, p=4, T=60, N=2)
+    noise = NoiseModel(s=1.2, sigma=1.0, family="symmetrized-pareto")
+    trace = run("local-sgda-m", prob, hp, noise=noise, seed=3)
+    flags = [r.diverged for r in trace.records]
+    assert any(flags) and not all(flags)
+    path = tmp_path / "trace.csv"
+    trace_to_csv(trace, path)
+    back = trace_from_csv(path)
+    assert [r.diverged for r in back.records] == flags
+    np.testing.assert_equal(back.summary(), trace.summary())  # nan equals nan here
 
 
 def test_zero_momentum_policy_error_propagates():

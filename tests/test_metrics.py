@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedminimax import HyperParams
 from fedminimax.fedopt import RoundRecord, RunTrace
-from fedminimax.metrics import auc_score, phi_value_and_grad, verify_invariants
+from fedminimax.metrics import BOUND_SLACK, auc_score, phi_value_and_grad, verify_invariants
 from fedminimax.problems import make_saddle_problem
 
 
@@ -163,6 +163,33 @@ def test_verify_flags_server_step(algorithm, cols_x, bound):
     failed = {c.name: c for c in verify_invariants(outside, HP).checks if not c.passed}
     assert "server_step_x" in failed and "server_step_y" not in failed
     assert failed["server_step_x"].max_violation == pytest.approx(JUST_OUTSIDE, rel=1e-6)
+
+
+@BOUNDED
+def test_verify_flags_travel_beyond_t_server_steps(algorithm, cols_x, bound):
+    cap = HP.gamma_x * bound
+    trace = make_trace(algorithm, drift=0.0, step=0.0, cols_x=cols_x)
+    for rec in trace.records:
+        rec.dist_x0 = rec.t * cap  # ||x_t - x_0|| at t server steps of full length
+    report = verify_invariants(trace, HP)
+    assert report.passed
+    travel = next(c for c in report.checks if c.name == "travel_x")
+    assert travel.rounds_checked == len(trace.records)
+    trace.records[-1].dist_x0 += JUST_OUTSIDE
+    failed = {c.name: c for c in verify_invariants(trace, HP).checks if not c.passed}
+    assert set(failed) == {"travel_x"}  # the recorded server steps are all within their bound
+    last = trace.records[-1].t
+    assert failed["travel_x"].max_violation == pytest.approx(
+        JUST_OUTSIDE - last * BOUND_SLACK, rel=1e-6)
+
+
+def test_verify_checks_travel_only_where_recorded():
+    trace = make_trace()  # as read from CSV: no record carries dist_x0
+    travel = next(c for c in verify_invariants(trace, HP).checks if c.name == "travel_x")
+    assert (travel.rounds_checked, travel.passed) == (0, True)
+    trace.records[2].dist_x0 = 1.0  # far beyond 2 server steps
+    travel = next(c for c in verify_invariants(trace, HP).checks if c.name == "travel_x")
+    assert (travel.rounds_checked, travel.passed) == (1, False)
 
 
 def test_verify_skips_bounds_for_unnormalized_baseline():

@@ -82,8 +82,10 @@ class ServerState:
 
 @dataclass
 class RoundRecord:
-    """One round of a trace.  ``diverged`` is never passed: it is set, true
-    when a value of ``FINITE_FIELDS`` is not finite."""
+    """One round of a trace.
+
+    ``diverged`` is set, not passed: true when a ``FINITE_FIELDS`` value is not finite.
+    """
 
     t: int
     grad_phi_norm: float
@@ -170,10 +172,9 @@ def trace_from_csv(path) -> RunTrace:
     that is not.  Memory-only fields (centering residuals, iterate
     snapshots, ``dist_x0``) are not in the schema and come back as None; a
     row's ``diverged`` flag follows from its values, as in memory.  The
-    block column counts are
-    not in the schema either: they come back as None, so checking a
-    ``muon-da`` trace raises until the caller fills them in from the
-    problem (``dataclasses.replace``).
+    block column counts are not in the schema either: they come back as
+    None, so checking a ``muon-da`` trace raises until the caller fills
+    them in from the problem (``dataclasses.replace``).
     """
     with open(path, newline="") as fh:
         raw = fh.read().splitlines()
@@ -464,7 +465,8 @@ def run(
                 y=server.y.copy(),
             )
         if rec.diverged and caps is not None:
-            raise InternalInvariantViolation(f"{algorithm} produced a non-finite value at round {t}")
+            raise InternalInvariantViolation(
+                f"{algorithm} produced a non-finite value at round {t}")
         records.append(rec)
         G_prev_x, G_prev_y = G_x, G_y
         server = new_server

@@ -1,10 +1,11 @@
 """Print SHA-256 digests of a fixed set of runs, one line per run.
 
-Each line names a run and gives four digests: of its trace CSV, of its
+Each line names a run and gives five digests: of its trace CSV, of its
 final server state together with the iterates of its last three records,
-of ``verify_invariants(...).rows()`` on the trace in memory, and of the
-same rows on the trace read back from its CSV, with the column counts
-filled in from the problem as ``fedminimax verify`` fills them.  A sweep line gives the digest of
+of ``verify_invariants(...).rows()`` on the trace in memory, of the same
+rows on the trace read back from its CSV, with the column counts filled
+in from the problem as ``fedminimax verify`` fills them, and of each
+record's in-memory ``(centering_x, centering_y)`` pair.  A sweep line gives the digest of
 its ``sweep_summary.csv``.  Two checkouts compute the same traces exactly
 when their outputs are equal::
 
@@ -82,8 +83,9 @@ def digest_run(label, algorithm, problem, hp, noise, seed, tmp: Path) -> str:
     back = dataclasses.replace(fm.trace_from_csv(path), cols_x=problem.shape_x.cols,
                                cols_y=problem.shape_y.cols)
     disk_rows = repr(fm.verify_invariants(back, hp).rows()).encode()
+    centering = repr([(r.centering_x, r.centering_y) for r in trace.records]).encode()
     return (f"{label} trace={sha(path.read_bytes())} iterates={sha(iterates)} "
-            f"invariants={sha(rows)} disk={sha(disk_rows)}")
+            f"invariants={sha(rows)} disk={sha(disk_rows)} centering={sha(centering)}")
 
 
 def digest_config(label, config: dict, tmp: Path) -> str:

@@ -33,7 +33,6 @@ from .noise import derive_stream, empirical_moment, sample
 from .problems import (
     Dataset,
     MinimaxProblem,
-    auc_loss,
     gen_imbalanced_data,
     make_auc_problem,
     make_saddle_problem,
@@ -53,7 +52,6 @@ __all__ = [
     "ServerState",
     "Shape",
     "SmoothnessInfo",
-    "auc_loss",
     "auc_score",
     "clip_step",
     "derive_stream",

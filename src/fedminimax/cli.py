@@ -571,15 +571,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             config = _load_config_arg(args.config)
             return cmd_verify(args.trace, config)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError or a malformed trace CSV
         print(exc, file=sys.stderr)
         return 1
-    except ValueError as exc:  # malformed trace CSV
-        print(exc, file=sys.stderr)
-        return 1
-    except InternalInvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

@@ -43,6 +43,7 @@ and drift act on the stack with each client's bits unchanged;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -286,13 +287,9 @@ def clip_step(Z, M, eta: float, tau: float, direction: str):
 # one round
 
 
-def _overflow_guard(bounded: bool):
-    """Let the unnormalized baseline overflow under heavy tails.
-
-    Its divergence is detected from the round's record afterwards; for
-    the bounded algorithms floating-point errors keep numpy's settings.
-    """
-    return np.errstate() if bounded else np.errstate(over="ignore", invalid="ignore")
+def _applied_centering(M, G, u, beta: float) -> float:
+    """||mean_n((M_n - (1 - beta) u) / beta - G_n)||: the mean correction the momentum stack M applied."""
+    return float(np.linalg.norm(((M - (1.0 - beta) * u) / beta - G).sum(axis=0) / len(M)))
 
 
 def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
@@ -300,9 +297,11 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
                  noise: Optional[NoiseModel] = None) -> tuple:
     """Run the p local steps of all N clients from the round-start server state.
 
-    Returns the final iterates, the new control variates (each client's
-    average stochastic gradient) as (N,) + block stacks and each client's
-    largest drift ||x_local - x_t||, checked against ``round_caps`` when bounded.
+    Returns the final iterates and the new control variates (each client's
+    average stochastic gradient) as (N,) + block stacks, each client's
+    largest drift ||x_local - x_t|| per block, and each block's centering
+    residual: the mean correction the step-0 momentum applied, 0.0 for
+    ``local-sgda-m``, which applies none.  It checks nothing; ``run`` does.
     At each step every client draws from its (seed, client, round, step)
     stream: first the problem's own ``draw``, then the raw ``noise``
     variates of x and y.  One ``grad`` call then gives all N gradients, and
@@ -326,45 +325,42 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
             return muon_step(Z, M, eta, direction, hp.ns_mode)
         return clip_step(Z, M, eta, hp.tau, direction)
 
-    caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
-    with _overflow_guard(caps is not None):
-        X, Y = np.repeat(x0[None], hp.N, axis=0), np.repeat(y0[None], hp.N, axis=0)
-        sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
-        U, V = server.u, server.v  # global momentum; local-sgda-m recurses
-        for i in range(hp.p):
-            batch = [None] * hp.N
-            for n in range(hp.N):
-                rng.bit_generator.state = states[i * hp.N + n]
-                batch[n] = problem.draw(n, rng, X[n], Y[n])
-                if noisy:
-                    DX[n], RX[n] = raw_draws(noise, size_x, rng)
-                    DY[n], RY[n] = raw_draws(noise, size_y, rng)
-            GX, GY = problem.grad(X, Y, batch)
+    X, Y = np.repeat(x0[None], hp.N, axis=0), np.repeat(y0[None], hp.N, axis=0)
+    sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
+    U, V = server.u, server.v  # global momentum; local-sgda-m recurses
+    cen_x = cen_y = 0.0
+    for i in range(hp.p):
+        batch = [None] * hp.N
+        for n in range(hp.N):
+            rng.bit_generator.state = states[i * hp.N + n]
+            batch[n] = problem.draw(n, rng, X[n], Y[n])
             if noisy:
-                GX = GX + scale_draws(noise, DX, RX).reshape(GX.shape)
-                GY = GY + scale_draws(noise, DY, RY).reshape(GY.shape)
-            sum_gx += GX
-            sum_gy += GY
-            if algorithm == "local-sgda-m":
-                U = hp.beta_x * GX + (1.0 - hp.beta_x) * U
-                V = hp.beta_y * GY + (1.0 - hp.beta_y) * V
-                X = X - hp.eta_x * U
-                Y = Y + hp.eta_y * V
-            else:
-                MX = local_momentum(GX, server.g_x, G_prev_x, U, hp.beta_x)
-                MY = local_momentum(GY, server.g_y, G_prev_y, V, hp.beta_y)
-                X = step(X, MX, hp.eta_x, "descend")
-                Y = step(Y, MY, hp.eta_y, "ascend")
-            dx, dy = _client_norms(X - x0), _client_norms(Y - y0)
-            # running max with max()'s rule over the steps: an earlier nan stays
-            max_dx = dx if i == 0 else np.where(dx > max_dx, dx, max_dx)
-            max_dy = dy if i == 0 else np.where(dy > max_dy, dy, max_dy)
-    if caps is not None:
-        over = (max_dx - caps["max_drift_x"] > BOUND_SLACK) | (max_dy - caps["max_drift_y"] > BOUND_SLACK)
-        if over.any():
-            raise InternalInvariantViolation(
-                f"client {int(np.argmax(over))} drift exceeded its bound at round {server.round}")
-    return X, Y, sum_gx / hp.p, sum_gy / hp.p, max_dx, max_dy
+                DX[n], RX[n] = raw_draws(noise, size_x, rng)
+                DY[n], RY[n] = raw_draws(noise, size_y, rng)
+        GX, GY = problem.grad(X, Y, batch)
+        if noisy:
+            GX = GX + scale_draws(noise, DX, RX).reshape(GX.shape)
+            GY = GY + scale_draws(noise, DY, RY).reshape(GY.shape)
+        sum_gx += GX
+        sum_gy += GY
+        if algorithm == "local-sgda-m":
+            U = hp.beta_x * GX + (1.0 - hp.beta_x) * U
+            V = hp.beta_y * GY + (1.0 - hp.beta_y) * V
+            X = X - hp.eta_x * U
+            Y = Y + hp.eta_y * V
+        else:
+            MX = local_momentum(GX, server.g_x, G_prev_x, U, hp.beta_x)
+            MY = local_momentum(GY, server.g_y, G_prev_y, V, hp.beta_y)
+            if i == 0:
+                cen_x = _applied_centering(MX, GX, U, hp.beta_x)
+                cen_y = _applied_centering(MY, GY, V, hp.beta_y)
+            X = step(X, MX, hp.eta_x, "descend")
+            Y = step(Y, MY, hp.eta_y, "ascend")
+        dx, dy = _client_norms(X - x0), _client_norms(Y - y0)
+        # running max with max()'s rule over the steps: an earlier nan stays
+        max_dx = dx if i == 0 else np.where(dx > max_dx, dx, max_dx)
+        max_dy = dy if i == 0 else np.where(dy > max_dy, dy, max_dy)
+    return X, Y, sum_gx / hp.p, sum_gy / hp.p, max_dx, max_dy, cen_x, cen_y
 
 
 def server_round(server: ServerState, X, Y, G_x, G_y, hp: HyperParams) -> ServerState:
@@ -391,6 +387,20 @@ def _nan_record(t: int) -> RoundRecord:
     return RoundRecord(t, **dict.fromkeys(FINITE_FIELDS, float("nan")))
 
 
+def _judge(algorithm: str, rec: RoundRecord, caps: dict, drifts: dict) -> None:
+    """Raise InternalInvariantViolation if a bounded record is not finite or beyond a cap by ``BOUND_SLACK``.
+
+    A field without a cap has cap inf.  A broken drift cap names the client
+    with the largest drift on that block.
+    """
+    for name in FINITE_FIELDS:
+        value, cap = getattr(rec, name), caps.get(name, np.inf)
+        if not (math.isfinite(value) and value - cap <= BOUND_SLACK):
+            client = f" (largest: client {int(np.argmax(drifts[name]))})" if name in drifts else ""
+            raise InternalInvariantViolation(
+                f"{algorithm} round {rec.t}: {name} = {value!r} exceeds its cap {cap!r}{client}")
+
+
 def run(
     algorithm: str,
     problem: MinimaxProblem,
@@ -407,13 +417,15 @@ def run(
     (config, seed) pair the trace is bit-deterministic.
 
     The iterates, control variates and global momentum start at zero, so
-    the very first local momentum is beta * gradient.  A non-finite server
-    state shows in the round's record (x, y through ``server_step_*``; u, v
-    and, as beta > 0, g through ``grad_err_*``).  For the unnormalized
-    baseline a diverged record ends the run (the remaining records carry
-    nan); the bounded algorithms cannot produce one, so it raises
-    InternalInvariantViolation.  ``verify_invariants`` checks the
-    finished trace against their per-round bounds.
+    the very first local momentum is beta * gradient.  Overflow is let
+    through: a non-finite server state shows in the round's record (x, y
+    through ``server_step_*``; u, v and, as beta > 0, g through
+    ``grad_err_*``).  For the unnormalized baseline a diverged record ends
+    the run (the remaining records carry nan).  For the bounded algorithms
+    a diverged record, or a drift or server step beyond its ``round_caps``
+    cap, raises InternalInvariantViolation as the round ends;
+    ``verify_invariants`` checks the same on the finished trace, and
+    ``travel_x`` and centering only there.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -429,21 +441,18 @@ def run(
 
     caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
     records: list = []
-    for t in range(hp.T):
-        if records and records[-1].diverged:
-            records.append(_nan_record(t))
-            continue
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(hp.T):
+            if records and records[-1].diverged:
+                records.append(_nan_record(t))
+                continue
 
-        with _overflow_guard(caps is not None):
             phi, gphi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
-        cen_x = float(np.linalg.norm(server.g_x - G_prev_x.sum(axis=0) / hp.N))
-        cen_y = float(np.linalg.norm(server.g_y - G_prev_y.sum(axis=0) / hp.N))
-        auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
+            auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
 
-        X, Y, G_x, G_y, drift_x, drift_y = client_round(
-            server, G_prev_x, G_prev_y, problem, hp, algorithm, seed, noise)
-        new_server = server_round(server, X, Y, G_x, G_y, hp)
-        with _overflow_guard(caps is not None):
+            X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(
+                server, G_prev_x, G_prev_y, problem, hp, algorithm, seed, noise)
+            new_server = server_round(server, X, Y, G_x, G_y, hp)
             rec = RoundRecord(
                 t=t,
                 grad_phi_norm=float(np.linalg.norm(gphi)),
@@ -464,12 +473,11 @@ def run(
                 x=server.x.copy(),
                 y=server.y.copy(),
             )
-        if rec.diverged and caps is not None:
-            raise InternalInvariantViolation(
-                f"{algorithm} produced a non-finite value at round {t}")
-        records.append(rec)
-        G_prev_x, G_prev_y = G_x, G_y
-        server = new_server
+            if caps is not None:
+                _judge(algorithm, rec, caps, {"max_drift_x": drift_x, "max_drift_y": drift_y})
+            records.append(rec)
+            G_prev_x, G_prev_y = G_x, G_y
+            server = new_server
 
     return RunTrace(
         algorithm=algorithm,

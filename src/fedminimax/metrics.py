@@ -7,8 +7,10 @@ closed-form inner maximizer y*(x).
 ``verify_invariants`` replays the per-round guarantees of the federated
 engine over a finished trace and reports the worst violation of each.
 It checks ``round_caps``, ``centering_tol`` and each record's
-``diverged`` flag, which ``record_finite`` sets from ``FINITE_FIELDS``;
-the engine asserts the drift caps and that flag while it runs.
+``diverged`` flag, which ``record_finite`` sets from ``FINITE_FIELDS``.
+For the bounded algorithms the engine raises on a broken ``round_caps``
+cap or a diverged record while it runs; ``travel_x`` and the centering
+residuals are checked only here.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        labs = np.asarray(self.labels, dtype=int)
+        labs = np.asarray(self.labels)  # checked as given, before the cast to int could truncate
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError(f"features must be a nonempty (n, dim) array, got {feats.shape}")
         if labs.shape != (feats.shape[0],):
@@ -61,7 +61,7 @@ class Dataset:
         if not np.all(np.isin(labs, (-1, 1))):
             raise ValueError("labels must be +1 or -1")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "labels", labs.astype(int))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -292,26 +292,6 @@ def make_saddle_problem(
         y_star=y_star,
         phi_grad=phi_grad,
     )
-
-
-def auc_loss(w_out: float, w1: float, w2: float, w3: float, label: int, p_ratio: float) -> float:
-    """Pairwise-ranking surrogate loss for one scored example.
-
-    ``w_out`` is the model's raw score h, ``label`` the example's class in
-    {+1, -1}, and ``p_ratio`` the positive-class ratio of the
-    distribution.  Concave quadratic in the dual scalar ``w3`` with
-    curvature -2 * p_ratio * (1 - p_ratio).
-    """
-    if not (0.0 < p_ratio < 1.0):
-        raise ValueError(f"p_ratio must lie in (0, 1), got {p_ratio}")
-    if label not in (1, -1):
-        raise ValueError(f"label must be +1 or -1, got {label}")
-    h, p = float(w_out), float(p_ratio)
-    pos, neg = label == 1, label == -1
-    loss = (1.0 - p) * (h - w1) ** 2 * pos + p * (h - w2) ** 2 * neg
-    loss += 2.0 * (1.0 + w3) * (p * h * neg - (1.0 - p) * h * pos)
-    loss -= p * (1.0 - p) * w3**2
-    return float(loss)
 
 
 class _AucTerms:

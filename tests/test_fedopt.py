@@ -152,13 +152,14 @@ def test_client_round_single_step_matches_manual():
     x0 = np.array([0.3, -0.1, 0.7])
     y0 = np.array([0.2, 0.0, -0.4])
     server = ServerState(x0, y0, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    X, _, G_x, _, drift_x, _ = client_round(server, np.zeros((1, 3)), np.zeros((1, 3)),
-                                            prob, hp, "nsgda-m", 0)
+    X, _, G_x, _, drift_x, _, cen_x, _ = client_round(server, np.zeros((1, 3)), np.zeros((1, 3)),
+                                                      prob, hp, "nsgda-m", 0)
     g = prob.grad_x(0, x0, y0)
     assert G_x.shape == X.shape == (1, 3)
     assert np.allclose(G_x, g[None])
     assert np.allclose(X, (x0 - hp.eta_x * g / np.linalg.norm(g))[None])
     assert drift_x[0] == pytest.approx(hp.eta_x)
+    assert cen_x == 0.0  # beta = 1 and zero control variates: the correction is exactly zero
 
 
 def test_client_round_identical_clients_symmetry():
@@ -166,8 +167,7 @@ def test_client_round_identical_clients_symmetry():
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
     server = ServerState(np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    X, _, G_x, _, _, _ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)),
-                                      prob, hp, "nsgda-m", 0)
+    X, _, G_x, *_ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)), prob, hp, "nsgda-m", 0)
     assert X.shape == G_x.shape == (3, 3)
     for n in range(1, 3):
         assert np.allclose(X[n], X[0])
@@ -186,13 +186,31 @@ def test_client_round_drift_within_bound():
 def test_client_round_drift_violation_names_client_and_round(monkeypatch):
     import fedminimax.fedopt as fedopt
 
+    real = fedopt.client_round
+
+    def drifting(server, *args):
+        out = list(real(server, *args))
+        if server.round == 2:
+            out[4] = out[4] * np.array([1.0, 10.0])  # client 1 leaves its x drift bound
+        return tuple(out)
+
+    monkeypatch.setattr(fedopt, "client_round", drifting)
     prob = quiet_problem(n_clients=2, hetero=0.5, seed=3)
-    server = ServerState(np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
-                         np.zeros(3), 5)
-    tight = dict(max_drift_x=0.0, max_drift_y=1.0, server_step_x=1.0, server_step_y=1.0)
-    monkeypatch.setattr(fedopt, "round_caps", lambda *args: tight)
-    with pytest.raises(InternalInvariantViolation, match="client 0 drift exceeded .* round 5"):
-        client_round(server, np.zeros((2, 3)), np.zeros((2, 3)), prob, HP, "nsgda-m", 0)
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"nsgda-m round 2: max_drift_x = .* exceeds its cap .*client 1"):
+        run("nsgda-m", prob, HP, seed=0)
+
+
+def test_run_checks_the_server_step_while_it_runs(monkeypatch):
+    import fedminimax.fedopt as fedopt
+
+    real = fedopt.round_caps
+    monkeypatch.setattr(fedopt, "round_caps",
+                        lambda *args: {**real(*args), "server_step_x": 1e-6})
+    prob = quiet_problem(n_clients=2, hetero=0.5, seed=3)
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"nsgda-m round 0: server_step_x = .* exceeds its cap 1e-06$"):
+        run("nsgda-m", prob, HP, seed=0)
 
 
 def test_server_round_mean_and_momentum():
@@ -307,14 +325,55 @@ def test_muon_exact_svd_mode_matches_iterative():
 
 def test_centering_residual_negligible_every_round():
     prob = quiet_problem(n_clients=3, hetero=0.8, seed=6)
-    hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
-                     beta_x=0.5, beta_y=0.5, p=2, T=10, N=3)
     noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
-    trace = run("nsgda-m", prob, hp, noise=noise, seed=2)
-    for rec in trace.records:
-        assert rec.centering_x <= 1e-7 * (1 + rec.g_prev_norm_x)
-        assert rec.centering_y <= 1e-7 * (1 + rec.g_prev_norm_y)
-    assert verify_invariants(trace, hp).passed  # drift, step and centering of every round
+    for beta in (0.5, 1e-4):  # a small beta divides the read-back rounding by beta
+        hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
+                         beta_x=beta, beta_y=beta, p=2, T=10, N=3)
+        trace = run("nsgda-m", prob, hp, noise=noise, seed=2)
+        for rec in trace.records:
+            assert rec.centering_x <= 1e-7 * (1 + rec.g_prev_norm_x)
+            assert rec.centering_y <= 1e-7 * (1 + rec.g_prev_norm_y)
+        assert verify_invariants(trace, hp).passed  # drift, step and centering of every round
+
+
+def centering_run(algorithm="nsgda-m"):
+    prob = make_saddle_problem(8, 10, 10, mu=1.0, amp=1.0, hetero=0.5, seed=0)
+    hp = theorem2_schedule(8, 4, 40, prob.smooth)
+    noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
+    trace = run(algorithm, prob, hp, noise=noise, seed=1)
+    return trace, {c.name: c for c in verify_invariants(trace, hp).checks}
+
+
+def test_centering_reads_the_correction_the_momentum_applied(monkeypatch):
+    import fedminimax.fedopt as fedopt
+
+    real = fedopt.local_momentum
+
+    def half_global_variate(G, g_global_prev, G_local_prev, u_global_prev, beta):
+        return real(G, 0.5 * g_global_prev, G_local_prev, u_global_prev, beta)
+
+    monkeypatch.setattr(fedopt, "local_momentum", half_global_variate)
+    _, checks = centering_run()
+    assert not checks["centering_x"].passed and checks["centering_x"].max_violation > 1e-3
+
+
+def test_centering_catches_a_stale_control_variate(monkeypatch):
+    import fedminimax.fedopt as fedopt
+
+    real = fedopt.client_round
+
+    def never_refreshed(server, G_prev_x, G_prev_y, *args):  # the round-0 variates, every round
+        return real(server, np.zeros_like(G_prev_x), np.zeros_like(G_prev_y), *args)
+
+    monkeypatch.setattr(fedopt, "client_round", never_refreshed)
+    _, checks = centering_run()
+    assert not checks["centering_x"].passed and checks["centering_x"].max_violation > 1e-3
+
+
+def test_unnormalized_baseline_reports_zero_centering():
+    trace, checks = centering_run("local-sgda-m")
+    assert all(r.centering_x == r.centering_y == 0.0 for r in trace.records if not r.diverged)
+    assert checks["centering_x"].passed and checks["centering_y"].passed
 
 
 def test_iterate_travel_bounded():

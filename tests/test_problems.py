@@ -4,7 +4,6 @@ import pytest
 from fedminimax import Shape
 from fedminimax.problems import (
     Dataset,
-    auc_loss,
     gen_imbalanced_data,
     make_auc_problem,
     make_saddle_problem,
@@ -90,32 +89,14 @@ def test_saddle_rejects_bad_mu():
 
 
 # ---------------------------------------------------------------------------
-# auc loss and problem
+# auc data and problem
 
 
-def test_auc_loss_zero_case():
-    for p in (0.1, 0.5, 0.9):
-        assert auc_loss(0.0, 0.0, 0.0, 0.0, 1, p) == 0.0
-
-
-def test_auc_loss_direct_substitution():
-    # h=1, b=-1, p=0.5: 0.5*1 + 2*0.5*1 = 1.5
-    assert auc_loss(1.0, 0.0, 0.0, 0.0, -1, 0.5) == pytest.approx(1.5)
-    # h=1, w1=1, b=+1, p=0.5: 0 + 2*(-0.5) = -1
-    assert auc_loss(1.0, 1.0, 0.0, 0.0, 1, 0.5) == pytest.approx(-1.0)
-
-
-def test_auc_loss_concave_quadratic_in_w3():
-    p = 0.3
-    f = lambda w3: auc_loss(0.7, 0.1, -0.2, w3, -1, p)
-    second = f(1.0) - 2 * f(0.0) + f(-1.0)
-    assert second == pytest.approx(-2 * p * (1 - p))
-
-
-def test_auc_loss_validates_p_ratio():
-    for bad in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            auc_loss(0.0, 0.0, 0.0, 0.0, 1, bad)
+def test_dataset_rejects_labels_that_are_not_exactly_plus_or_minus_one():
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
+        Dataset(np.ones((2, 3)), [1.9, -1.5])  # an int cast would truncate these to 1 and -1
+    ds = Dataset(np.ones((2, 3)), [1.0, -1.0])
+    assert ds.labels.dtype.kind == "i" and ds.labels.tolist() == [1, -1]
 
 
 def two_point_problem():

@@ -123,8 +123,8 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
                          np.zeros(sy.dims), np.zeros(sx.dims), np.zeros(sy.dims), round_idx)
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5,
                         beta_y=0.5, p=p, T=1, N=N)
-    _, _, G_x, G_y, _, _ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
-                                        problem, hp, "nsgda-m", seed, noise)
+    _, _, G_x, G_y, *_ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
+                                      problem, hp, "nsgda-m", seed, noise)
 
     assert len(calls) == p  # one batched call per local step
     assert G_x.shape == (N,) + sx.dims and G_y.shape == (N,) + sy.dims

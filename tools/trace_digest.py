@@ -24,6 +24,11 @@ per-client ratios 0.05-0.4 with and without the pooled ratio, and on an
 unequal-shard full-shard AUC problem built with ``make_auc_problem``; muon-da,
 nsgda-m and sgda-clip on the 32x16 / 16x16 matrix saddle under both
 ``ns_mode`` values (T=12); one 4-algorithm x 2-tail-index CLI sweep.
+Then, through the CLI: a 3-seed ``fedminimax run`` on the d=10 saddle (one
+line per seed's trace); a sweep over the four algorithms x s in {1.2, 1.8}
+x seeds {1, 2} on that saddle with explicit rates at which every
+local-sgda-m cell diverges at round 30 of 40 while the others go on; and
+a sweep over the algorithm axis on the CLI-default AUC problem.
 """
 
 from __future__ import annotations
@@ -140,6 +145,36 @@ def lines(tmp: Path):
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main(["sweep", "--config", str(config), "--axes", axes, "--out", str(tmp)])
     yield f"sweep status={status} summary={sha((tmp / 'sweep_summary.csv').read_bytes())}"
+    yield from cli_lines(tmp)
+
+
+def sweep_line(label, config: dict, axes: dict, tmp: Path) -> str:
+    path = tmp / "sweep.json"
+    path.write_text(json.dumps(config))
+    out = tmp / "sweep"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(["sweep", "--config", str(path), "--axes", json.dumps(axes),
+                           "--out", str(out)])
+    return f"{label} status={status} summary={sha((out / 'sweep_summary.csv').read_bytes())}"
+
+
+def cli_lines(tmp: Path):
+    saddle = {"problem": {"kind": "saddle", "hetero": 0.5}, "N": 8, "p": 4, "T": 40,
+              "noise": NOISES["pareto"]}
+    path = tmp / "run.json"
+    path.write_text(json.dumps(dict(saddle, seeds=[1, 2, 3])))
+    out = tmp / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(["run", "--config", str(path), "--out", str(out)])
+    for seed in (1, 2, 3):
+        trace = out / cli.trace_filename("nsgda-m", seed)
+        yield f"cli-run saddle-d10 seed={seed} status={status} trace={sha(trace.read_bytes())}"
+    diverging = dict(saddle, gamma_x=10.0, gamma_y=10.0, eta_x=40.0, eta_y=40.0,
+                     beta_x=0.9, beta_y=0.9)
+    yield sweep_line("sweep saddle-d10 diverging", diverging,
+                     {"algorithm": list(ALGORITHMS), "s": [1.2, 1.8], "seed": [1, 2]}, tmp)
+    yield sweep_line("sweep auc", {"problem": "auc", "T": 25, "noise": NOISES["pareto"]},
+                     {"algorithm": list(ALGORITHMS)}, tmp)
 
 
 def main() -> int:

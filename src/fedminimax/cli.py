@@ -42,7 +42,7 @@ from .core import (
     noise_errors,
     theorem1_schedule,
 )
-from .fedopt import InternalInvariantViolation, run, trace_from_csv, trace_to_csv
+from .fedopt import InternalInvariantViolation, RunSpec, run_stack, trace_from_csv, trace_to_csv
 from .metrics import verify_invariants
 from .noise import seed_errors
 from .problems import (auc_errors, gen_imbalanced_data, imbalanced_data_errors, make_auc_problem,
@@ -370,21 +370,22 @@ def trace_filename(algorithm: str, seed: int) -> str:
     return f"trace_{algorithm}_seed{seed}.csv"
 
 
-def _run_or_report(config: ExperimentConfig, problem, hp: HyperParams, seed: int, label: str):
-    """The run of one seed under the config, or None after reporting an invariant violation."""
-    try:
-        return run(config.algorithm, problem, hp, noise=config.noise, seed=seed)
-    except InternalInvariantViolation as exc:
-        print(f"{label}: invariant violation during run: {exc}", file=sys.stderr)
+def _reported(label: str, result):
+    """The trace a stack returned for one run, or None after reporting the run's invariant violation."""
+    if isinstance(result, InternalInvariantViolation):
+        print(f"{label}: invariant violation during run: {result}", file=sys.stderr)
         return None
+    return result
 
 
 def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
             seed_override: Optional[int] = None) -> int:
     """Run one experiment per seed, write trace CSVs, verify invariants.
 
-    A seed whose run breaks an invariant is reported and skipped; the
-    other seeds still run and write their traces.
+    The seeds run as one stack (``run_stack``); when it ends, each seed's
+    trace is written and verified in seed order.  A seed whose run breaks
+    an invariant is reported and skipped; the other seeds still run and
+    write their traces.
     """
     seeds = (seed_override,) if seed_override is not None else config.seeds
     errors = [e for seed in seeds for e in seed_errors(seed)]
@@ -393,9 +394,10 @@ def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
     out_dir = _outdir(config, out)
     problem = build_problem(config)
     hp = resolve_hyperparams(config, problem)
+    results = run_stack(problem, [RunSpec(config.algorithm, hp, config.noise, seed) for seed in seeds])
     status = 0
-    for seed in seeds:
-        trace = _run_or_report(config, problem, hp, seed, f"seed {seed}")
+    for seed, result in zip(seeds, results):
+        trace = _reported(f"seed {seed}", result)
         if trace is None:
             status = 2
             continue
@@ -430,12 +432,14 @@ def _sweep_cell(base: str, overrides) -> ExperimentConfig:
 
 
 def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -> int:
-    """Run the cartesian grid, writing each cell's summary row as soon as it finishes.
+    """Run the cartesian grid, writing the summary rows of each stack of cells as it ends.
 
     Every cell is parsed before anything is written, each axis value alone
-    first. Cells with the same problem spec and N share one built problem.
-    A cell that breaks an invariant is reported and skipped; the command
-    then returns 2.
+    first.  Each maximal run of consecutive cells with the same problem
+    spec, N, p and T is one stack (``run_stack``); its rows are written in
+    cell order when it ends.  Cells with the same problem spec and N share
+    one built problem.  A cell that breaks an invariant is reported and
+    skipped; the command then returns 2.
     """
     if not isinstance(axes, dict) or not axes:
         raise ConfigError(["axes: need a nonempty JSON object"])
@@ -463,31 +467,34 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
     path = os.path.join(out_dir, "sweep_summary.csv")
     status, written = 0, 0
     problems = {}  # (problem spec, N) -> its problem, built once: problems are immutable
+    stacks = itertools.groupby(zip(combos, cells), key=lambda cc: (cc[1].problem, cc[1].N, cc[1].p, cc[1].T))
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for combo, cell in zip(combos, cells):
-            key = (cell.problem, cell.N)
-            if key not in problems:
-                problems[key] = build_problem(cell)
-            problem = problems[key]
-            hp = resolve_hyperparams(cell, problem)
-            seed = cell.seeds[0]
-            label = "cell " + " ".join(f"{a}={v}" for a, v in zip(names, combo))
-            trace = _run_or_report(cell, problem, hp, seed, label)
-            if trace is None:
-                status = 2
-                continue
-            s = trace.summary()
-            fh.write(",".join([
-                cell.algorithm, str(hp.p), str(hp.T), str(hp.N),
-                format(cell.noise.s, ".17g"), str(seed),
-                format(s["first_window_grad_phi"], ".17g"),
-                format(s["final_window_grad_phi"], ".17g"),
-                "" if s["final_auc"] is None else format(s["final_auc"], ".17g"),
-                "1" if s["diverged"] else "0",
-            ]) + "\n")
+        for (spec, N, _, _), stack in stacks:
+            stack = list(stack)
+            if (spec, N) not in problems:
+                problems[spec, N] = build_problem(stack[0][1])
+            problem = problems[spec, N]
+            hps = [resolve_hyperparams(cell, problem) for _, cell in stack]
+            results = run_stack(problem, [RunSpec(cell.algorithm, hp, cell.noise, cell.seeds[0])
+                                          for (_, cell), hp in zip(stack, hps)])
+            for (combo, cell), hp, result in zip(stack, hps, results):
+                label = "cell " + " ".join(f"{a}={v}" for a, v in zip(names, combo))
+                trace = _reported(label, result)
+                if trace is None:
+                    status = 2
+                    continue
+                s = trace.summary()
+                fh.write(",".join([
+                    cell.algorithm, str(hp.p), str(hp.T), str(hp.N),
+                    format(cell.noise.s, ".17g"), str(cell.seeds[0]),
+                    format(s["first_window_grad_phi"], ".17g"),
+                    format(s["final_window_grad_phi"], ".17g"),
+                    "" if s["final_auc"] is None else format(s["final_auc"], ".17g"),
+                    "1" if s["diverged"] else "0",
+                ]) + "\n")
+                written += 1
             fh.flush()
-            written += 1
     print(f"wrote {path} ({written} cells)")
     return status
 

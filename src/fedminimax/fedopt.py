@@ -29,21 +29,32 @@ stochastic gradient with the *previous round's global* momentum (held
 constant across the round's local steps); it is not recursive over local
 steps.
 
-Clients are independent given the round-start server state, so they run
-stacked: iterates, control variates and momenta are (N,) + block arrays,
-(N, d) for a vector block and (N, m, n) for a matrix, one row per client;
-drifts are (N,) vectors.  Each local step makes each client's own draws,
-the problem's and the raw noise variates, from its (seed, client, round,
-step) stream (one reused generator, reset to states derived for the whole
-round at once), takes all N gradients from one batched ``problem.grad``
-call and scales the noise for the whole stack; then momentum, step rule
-and drift act on the stack with each client's bits unchanged;
-``server_round`` sums over axis 0.
+Clients are independent given the round-start server state, and runs
+are independent of each other, so both run stacked.  ``run_stack`` takes
+S runs that share the problem and (N, p, T), each with its own
+algorithm, hyperparameters, noise model and seed; ``run`` is its S = 1
+case.  Iterates, control variates and momenta are (S*N,) + block arrays,
+(S*N, d) for a vector block and (S*N, m, n) for a matrix, one row per
+client, run s owning rows s*N to s*N + N - 1; drifts are (S*N,) vectors.
+Each local step makes each client's own draws, the problem's and the raw
+noise variates, from its (seed, client, round, step) stream (one reused
+generator, reset to states derived for a chunk of rounds of all the runs
+at once), takes each run's N gradients from one batched ``problem.grad``
+call and scales the noise for all rows at once, each with its run's
+radius scale; then momentum and step rule act once per range of runs
+that share (algorithm, hyperparameters), and drift once on the stack,
+with each client's bits unchanged.  The server round, exact metrics,
+record and checks are per run; ``server_round`` sums a run's clients
+over axis 0.  A run leaves the stack when it raises or, for the
+unnormalized baseline, diverges, and the others go on.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,7 +63,8 @@ import numpy as np
 from .core import ALGORITHMS, HyperParams, NoiseModel, hyperparam_errors
 from .linalg import newton_schulz_polar, svd_polar
 from .metrics import BOUND_SLACK, FINITE_FIELDS, record_finite, round_caps
-from .noise import is_silent, raw_draws, scale_draws, seed_errors, stream_states
+from .noise import (STREAM_CHUNK, is_silent, radius_sampler, radius_scale, round_states, scale_draws,
+                    seed_errors)
 from .problems import MinimaxProblem
 
 ZERO_MOMENTUM_TOL = 1e-15
@@ -153,7 +165,11 @@ def _fmt(v: float) -> str:
 
 
 def trace_to_csv(trace: RunTrace, path) -> None:
-    """Write the trace in the stable 13-column schema (17 significant digits)."""
+    """Write the trace in the stable 13-column schema (17 significant digits).
+
+    The file appears whole or not at all: the rows go to a temporary file
+    in the same directory, which then replaces ``path`` in one rename.
+    """
     lines = [CSV_HEADER]
     for r in trace.records:
         lines.append(",".join([
@@ -161,8 +177,15 @@ def trace_to_csv(trace: RunTrace, path) -> None:
             *(_fmt(getattr(r, f)) for f in FINITE_FIELDS),
             "" if r.auc is None else _fmt(r.auc),
         ]))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    partial = f"{os.fspath(path)}.{os.getpid()}.part"
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def trace_from_csv(path) -> RunTrace:
@@ -229,10 +252,13 @@ def _momentum_norms(M) -> tuple:
 
 
 def local_momentum(G, g_global_prev, G_local_prev, u_global_prev, beta: float):
-    """beta * (G + g_global_prev - G_local_prev) + (1 - beta) * u_global_prev; global terms are blocks."""
+    """beta * (G + g_global_prev - G_local_prev) + (1 - beta) * u_global_prev.
+
+    The global terms are blocks, or stacks like G holding each row's block.
+    """
     shape = np.shape(G)
     if not (len(shape) in (2, 3) and shape == np.shape(G_local_prev)
-            and shape[1:] == np.shape(g_global_prev) == np.shape(u_global_prev)):
+            and all(np.shape(a) in (shape, shape[1:]) for a in (g_global_prev, u_global_prev))):
         raise ValueError("momentum inputs must be (N,) + block stacks over one block")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -284,7 +310,26 @@ def clip_step(Z, M, eta: float, tau: float, direction: str):
 
 
 # ---------------------------------------------------------------------------
-# one round
+# one round of a stack of runs
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One run of a stack: every argument of :func:`run` but the problem, which the stack shares."""
+
+    algorithm: str
+    hp: HyperParams
+    noise: Optional[NoiseModel] = None
+    seed: int = 0
+
+
+def _groups(specs: list) -> list:
+    """(first, stop, algorithm, hp) of each maximal range of consecutive runs sharing (algorithm, hp)."""
+    groups, first = [], 0
+    for (algorithm, hp), runs in itertools.groupby(specs, key=lambda spec: (spec.algorithm, spec.hp)):
+        groups.append((first, first + len(list(runs)), algorithm, hp))
+        first = groups[-1][1]
+    return groups
 
 
 def _applied_centering(M, G, u, beta: float) -> float:
@@ -292,75 +337,117 @@ def _applied_centering(M, G, u, beta: float) -> float:
     return float(np.linalg.norm(((M - (1.0 - beta) * u) / beta - G).sum(axis=0) / len(M)))
 
 
-def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
-                 problem: MinimaxProblem, hp: HyperParams, algorithm: str, master_seed: int,
-                 noise: Optional[NoiseModel] = None) -> tuple:
-    """Run the p local steps of all N clients from the round-start server state.
+def _joined(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    Returns the final iterates and the new control variates (each client's
-    average stochastic gradient) as (N,) + block stacks, each client's
-    largest drift ||x_local - x_t|| per block, and each block's centering
-    residual: the mean correction the step-0 momentum applied, 0.0 for
-    ``local-sgda-m``, which applies none.  It checks nothing; ``run`` does.
+
+def client_round(servers: list, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
+                 problem: MinimaxProblem, specs: list, states=None) -> tuple:
+    """Run the p local steps of all N clients of every run in a stack from its round-start server state.
+
+    The stack is S runs (``specs``, one ``ServerState`` each, all at one
+    round) that share the problem and (N, p); run s owns rows s*N to
+    s*N + N - 1 of every (S*N,) + block stack.  Returns the final iterates
+    and the new control variates (each client's average stochastic
+    gradient) as such stacks, each client's largest drift ||x_local - x_t||
+    per block as (S*N,) vectors, and each run's centering residual per
+    block: the mean correction its step-0 momentum applied, 0.0 for
+    ``local-sgda-m``, which applies none.  It checks nothing; ``run_stack``
+    does.  ``states`` are the round's stream states in (step, run, client)
+    order (``round_states``), derived here if not given.
+
     At each step every client draws from its (seed, client, round, step)
-    stream: first the problem's own ``draw``, then the raw ``noise``
-    variates of x and y.  One ``grad`` call then gives all N gradients, and
-    the noise is scaled and added for the whole stack at once.
+    stream: first the problem's own ``draw``, unless the problem draws
+    nothing, then the raw ``noise`` variates of x and y.  One ``grad`` call
+    per run gives its N gradients, and the noise is scaled and added for
+    all noisy rows at once.  Momentum and step rule act once per range of
+    consecutive runs that share (algorithm, hp), the drifts once for the
+    stack; every row keeps the bits of its run alone.
     """
-    x0, y0 = server.x, server.y
-    step_idx, client_idx = np.divmod(np.arange(hp.p * hp.N), hp.N)
-    states = stream_states(master_seed, np.stack(
-        [client_idx, np.full_like(client_idx, server.round), step_idx], axis=1))
+    S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
+    if states is None:
+        states = round_states([spec.seed for spec in specs], N, p, servers[0].round, 1)
     rng = np.random.Generator(np.random.PCG64(0))  # reset to each client's stream before use
-    noisy = not is_silent(noise)
+    bits, normal, draws = rng.bit_generator, rng.standard_normal, problem.draws
+    noisy = [s for s, spec in enumerate(specs) if not is_silent(spec.noise)]
+    first = {s: k * N for k, s in enumerate(noisy)}  # a noisy run's first row in DX and the others
+    radius = {s: radius_sampler(specs[s].noise, rng) for s in noisy}
     if noisy:
         size_x, size_y = problem.shape_x.size, problem.shape_y.size
-        DX, DY = np.empty((hp.N, size_x)), np.empty((hp.N, size_y))
-        RX, RY = np.empty(hp.N), np.empty(hp.N)
+        DX, DY = np.empty((len(noisy) * N, size_x)), np.empty((len(noisy) * N, size_y))
+        RX, RY = np.empty(len(noisy) * N), np.empty(len(noisy) * N)
+        scale = np.repeat([radius_scale(specs[s].noise) for s in noisy], N)
+        noisy_rows = np.concatenate([np.arange(s * N, s * N + N) for s in noisy])
+    groups = _groups(specs)
 
-    def step(Z, M, eta, direction):
-        if algorithm == "nsgda-m":
-            return normalized_step(Z, M, eta, direction)
-        if algorithm == "muon-da":
-            return muon_step(Z, M, eta, direction, hp.ns_mode)
-        return clip_step(Z, M, eta, hp.tau, direction)
+    def per_run(blocks):
+        return np.repeat(np.stack(blocks), N, axis=0)
 
-    X, Y = np.repeat(x0[None], hp.N, axis=0), np.repeat(y0[None], hp.N, axis=0)
+    X0, Y0 = per_run([sv.x for sv in servers]), per_run([sv.y for sv in servers])
+    U, V = per_run([sv.u for sv in servers]), per_run([sv.v for sv in servers])  # local-sgda-m recurses
+    g_x, g_y = per_run([sv.g_x for sv in servers]), per_run([sv.g_y for sv in servers])
+    X, Y = X0, Y0
     sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
-    U, V = server.u, server.v  # global momentum; local-sgda-m recurses
-    cen_x = cen_y = 0.0
-    for i in range(hp.p):
-        batch = [None] * hp.N
-        for n in range(hp.N):
-            rng.bit_generator.state = states[i * hp.N + n]
-            batch[n] = problem.draw(n, rng, X[n], Y[n])
-            if noisy:
-                DX[n], RX[n] = raw_draws(noise, size_x, rng)
-                DY[n], RY[n] = raw_draws(noise, size_y, rng)
-        GX, GY = problem.grad(X, Y, batch)
+    cen_x, cen_y = [0.0] * S, [0.0] * S
+    for i in range(p):
+        batch = [None] * (S * N) if draws else None
+        for s in range(S) if draws else noisy:
+            for n in range(N):
+                row = s * N + n
+                bits.state = states[i * S * N + row]
+                if draws:
+                    batch[row] = problem.draw(n, rng, X[row], Y[row])
+                if s in radius:
+                    j = first[s] + n
+                    normal(out=DX[j])
+                    RX[j] = radius[s]()
+                    normal(out=DY[j])
+                    RY[j] = radius[s]()
+        grads = [problem.grad(X[s * N:s * N + N], Y[s * N:s * N + N],
+                              None if batch is None else batch[s * N:s * N + N]) for s in range(S)]
+        GX, GY = _joined([gx for gx, _ in grads]), _joined([gy for _, gy in grads])
         if noisy:
-            GX = GX + scale_draws(noise, DX, RX).reshape(GX.shape)
-            GY = GY + scale_draws(noise, DY, RY).reshape(GY.shape)
+            inc_x = scale_draws(DX, RX, scale).reshape((-1,) + GX.shape[1:])
+            inc_y = scale_draws(DY, RY, scale).reshape((-1,) + GY.shape[1:])
+            if len(noisy) == S:
+                GX, GY = GX + inc_x, GY + inc_y
+            else:  # GX and GY are joined copies here
+                GX[noisy_rows] += inc_x
+                GY[noisy_rows] += inc_y
         sum_gx += GX
         sum_gy += GY
-        if algorithm == "local-sgda-m":
-            U = hp.beta_x * GX + (1.0 - hp.beta_x) * U
-            V = hp.beta_y * GY + (1.0 - hp.beta_y) * V
-            X = X - hp.eta_x * U
-            Y = Y + hp.eta_y * V
-        else:
-            MX = local_momentum(GX, server.g_x, G_prev_x, U, hp.beta_x)
-            MY = local_momentum(GY, server.g_y, G_prev_y, V, hp.beta_y)
+        steps_x, steps_y = [], []
+        for a, b, algorithm, hp in groups:
+            r = slice(a * N, b * N)
+            if algorithm == "local-sgda-m":
+                U[r] = hp.beta_x * GX[r] + (1.0 - hp.beta_x) * U[r]
+                V[r] = hp.beta_y * GY[r] + (1.0 - hp.beta_y) * V[r]
+                steps_x.append(X[r] - hp.eta_x * U[r])
+                steps_y.append(Y[r] + hp.eta_y * V[r])
+                continue
+            MX = local_momentum(GX[r], g_x[r], G_prev_x[r], U[r], hp.beta_x)
+            MY = local_momentum(GY[r], g_y[r], G_prev_y[r], V[r], hp.beta_y)
             if i == 0:
-                cen_x = _applied_centering(MX, GX, U, hp.beta_x)
-                cen_y = _applied_centering(MY, GY, V, hp.beta_y)
-            X = step(X, MX, hp.eta_x, "descend")
-            Y = step(Y, MY, hp.eta_y, "ascend")
-        dx, dy = _client_norms(X - x0), _client_norms(Y - y0)
+                for s in range(a, b):
+                    q, rs = slice((s - a) * N, (s - a + 1) * N), slice(s * N, s * N + N)
+                    cen_x[s] = _applied_centering(MX[q], GX[rs], U[rs], hp.beta_x)
+                    cen_y[s] = _applied_centering(MY[q], GY[rs], V[rs], hp.beta_y)
+            steps_x.append(_step(algorithm, hp, X[r], MX, hp.eta_x, "descend"))
+            steps_y.append(_step(algorithm, hp, Y[r], MY, hp.eta_y, "ascend"))
+        X, Y = _joined(steps_x), _joined(steps_y)
+        dx, dy = _client_norms(X - X0), _client_norms(Y - Y0)
         # running max with max()'s rule over the steps: an earlier nan stays
         max_dx = dx if i == 0 else np.where(dx > max_dx, dx, max_dx)
         max_dy = dy if i == 0 else np.where(dy > max_dy, dy, max_dy)
-    return X, Y, sum_gx / hp.p, sum_gy / hp.p, max_dx, max_dy, cen_x, cen_y
+    return X, Y, sum_gx / p, sum_gy / p, max_dx, max_dy, cen_x, cen_y
+
+
+def _step(algorithm: str, hp: HyperParams, Z, M, eta: float, direction: str):
+    if algorithm == "nsgda-m":
+        return normalized_step(Z, M, eta, direction)
+    if algorithm == "muon-da":
+        return muon_step(Z, M, eta, direction, hp.ns_mode)
+    return clip_step(Z, M, eta, hp.tau, direction)
 
 
 def server_round(server: ServerState, X, Y, G_x, G_y, hp: HyperParams) -> ServerState:
@@ -401,6 +488,117 @@ def _judge(algorithm: str, rec: RoundRecord, caps: dict, drifts: dict) -> None:
                 f"{algorithm} round {rec.t}: {name} = {value!r} exceeds its cap {cap!r}{client}")
 
 
+def _check_run(problem: MinimaxProblem, spec: RunSpec) -> None:
+    if spec.algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {spec.algorithm!r}; choose from {ALGORITHMS}")
+    if spec.hp.N != problem.n_clients:
+        raise ValueError(f"hp.N={spec.hp.N} does not match problem.n_clients={problem.n_clients}")
+    errors = seed_errors(spec.seed)
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
+def run_stack(problem: MinimaxProblem, specs: list) -> list:
+    """Run a stack of runs that share the problem and (N, p, T) as one engine pass.
+
+    Returns one entry per spec, in order: the run's ``RunTrace``, or the
+    ``InternalInvariantViolation`` that ended it.  Each run's trace is,
+    bit for bit, the trace of ``run`` on that spec alone.  Every round, the
+    exact metrics, server round, record and checks are per run, and one
+    ``client_round`` runs the local steps of the whole stack, whose rows
+    are grouped by (algorithm, hp) in the order the groups first appear.
+    A run leaves the stack at the round it raises, or, for the
+    unnormalized baseline, at its first diverged record (the rest of its
+    records carry nan); the other runs go on.  The stream states are
+    derived for all the runs still in, as many rounds at a time as
+    ``STREAM_CHUNK`` streams hold.
+    """
+    specs = list(specs)
+    if not specs:
+        raise ValueError("a stack needs at least one run")
+    for spec in specs:
+        _check_run(problem, spec)
+    N, p, T = specs[0].hp.N, specs[0].hp.p, specs[0].hp.T
+    if any((spec.hp.N, spec.hp.p, spec.hp.T) != (N, p, T) for spec in specs):
+        raise ValueError("the runs of a stack must share N, p and T")
+
+    first = {}
+    for spec in specs:
+        first.setdefault((spec.algorithm, spec.hp), len(first))
+    live = sorted(range(len(specs)), key=lambda k: first[(specs[k].algorithm, specs[k].hp)])
+    dims_x, dims_y = problem.shape_x.dims, problem.shape_y.dims
+    servers = [ServerState(*(np.zeros(dims) for dims in (dims_x, dims_y) * 3), 0) for _ in specs]
+    G_prev_x, G_prev_y = np.zeros((len(live) * N,) + dims_x), np.zeros((len(live) * N,) + dims_y)
+    caps = [round_caps(spec.algorithm, problem.shape_x.cols, problem.shape_y.cols, spec.hp)
+            for spec in specs]
+    records: list = [[] for _ in specs]
+    raised: dict = {}
+    states, chunk_end = None, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            if not live:
+                break
+            width = p * len(live) * N  # streams per round
+            if states is None or t == chunk_end:
+                chunk_start, chunk_end = t, min(t + max(1, STREAM_CHUNK // width), T)
+                states = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t)
+            metrics = [problem.round_metrics(servers[k].x, servers[k].y) for k in live]
+            aucs = [None if problem.auc_eval is None else float(problem.auc_eval(servers[k].x))
+                    for k in live]
+            X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(
+                [servers[k] for k in live], G_prev_x, G_prev_y, problem, [specs[k] for k in live],
+                states[(t - chunk_start) * width:(t - chunk_start + 1) * width])
+            stay = []
+            for j, k in enumerate(live):
+                server, rows = servers[k], slice(j * N, j * N + N)
+                new_server = server_round(server, X[rows], Y[rows], G_x[rows], G_y[rows], specs[k].hp)
+                phi, gphi, f_val, mean_gx, mean_gy = metrics[j]
+                rec = RoundRecord(
+                    t=t,
+                    grad_phi_norm=float(np.linalg.norm(gphi)),
+                    f_value=f_val,
+                    grad_err_x=float(np.linalg.norm(mean_gx - new_server.u)),
+                    grad_err_y=float(np.linalg.norm(mean_gy - new_server.v)),
+                    max_drift_x=max(drift_x[rows].tolist()),
+                    max_drift_y=max(drift_y[rows].tolist()),
+                    server_step_x=float(np.linalg.norm(new_server.x - server.x)),
+                    server_step_y=float(np.linalg.norm(new_server.y - server.y)),
+                    potential=3.0 * phi + (phi - f_val),
+                    auc=aucs[j],
+                    centering_x=cen_x[j],
+                    centering_y=cen_y[j],
+                    g_prev_norm_x=float(np.linalg.norm(server.g_x)),
+                    g_prev_norm_y=float(np.linalg.norm(server.g_y)),
+                    dist_x0=float(np.linalg.norm(server.x)),
+                    x=server.x.copy(),
+                    y=server.y.copy(),
+                )
+                if caps[k] is not None:
+                    try:
+                        _judge(specs[k].algorithm, rec, caps[k],
+                               {"max_drift_x": drift_x[rows], "max_drift_y": drift_y[rows]})
+                    except InternalInvariantViolation as exc:
+                        raised[k] = exc
+                        continue
+                records[k].append(rec)
+                servers[k] = new_server
+                if not rec.diverged:
+                    stay.append(j)
+            if len(stay) < len(live):  # a run left: the next round derives the streams of the rest
+                rows = (np.array(stay, dtype=int)[:, None] * N + np.arange(N)).ravel()
+                G_x, G_y, live, states = G_x[rows], G_y[rows], [live[j] for j in stay], None
+            G_prev_x, G_prev_y = G_x, G_y
+
+    return [raised[k] if k in raised else RunTrace(
+        algorithm=spec.algorithm,
+        seed=spec.seed,
+        records=records[k] + [_nan_record(t) for t in range(len(records[k]), T)],
+        cols_x=problem.shape_x.cols,
+        cols_y=problem.shape_y.cols,
+        final_state=servers[k],
+    ) for k, spec in enumerate(specs)]
+
+
 def run(
     algorithm: str,
     problem: MinimaxProblem,
@@ -414,7 +612,8 @@ def run(
     the momentum/control variates produced by round t itself, matching the
     quantities the convergence analysis tracks; the exact ones come from
     one ``problem.round_metrics(x_t, y_t)`` call.  Given an identical
-    (config, seed) pair the trace is bit-deterministic.
+    (config, seed) pair the trace is bit-deterministic.  This is the
+    one-run stack of :func:`run_stack`.
 
     The iterates, control variates and global momentum start at zero, so
     the very first local momentum is beta * gradient.  Overflow is let
@@ -427,63 +626,7 @@ def run(
     ``verify_invariants`` checks the same on the finished trace, and
     ``travel_x`` and centering only there.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    if hp.N != problem.n_clients:
-        raise ValueError(f"hp.N={hp.N} does not match problem.n_clients={problem.n_clients}")
-    errors = seed_errors(seed)
-    if errors:
-        raise ValueError("; ".join(errors))
-
-    dims_x, dims_y = problem.shape_x.dims, problem.shape_y.dims
-    server = ServerState(*(np.zeros(dims) for dims in (dims_x, dims_y) * 3), 0)
-    G_prev_x, G_prev_y = np.zeros((hp.N,) + dims_x), np.zeros((hp.N,) + dims_y)
-
-    caps = round_caps(algorithm, problem.shape_x.cols, problem.shape_y.cols, hp)
-    records: list = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(hp.T):
-            if records and records[-1].diverged:
-                records.append(_nan_record(t))
-                continue
-
-            phi, gphi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
-            auc = float(problem.auc_eval(server.x)) if problem.auc_eval is not None else None
-
-            X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(
-                server, G_prev_x, G_prev_y, problem, hp, algorithm, seed, noise)
-            new_server = server_round(server, X, Y, G_x, G_y, hp)
-            rec = RoundRecord(
-                t=t,
-                grad_phi_norm=float(np.linalg.norm(gphi)),
-                f_value=f_val,
-                grad_err_x=float(np.linalg.norm(mean_gx - new_server.u)),
-                grad_err_y=float(np.linalg.norm(mean_gy - new_server.v)),
-                max_drift_x=max(drift_x.tolist()),
-                max_drift_y=max(drift_y.tolist()),
-                server_step_x=float(np.linalg.norm(new_server.x - server.x)),
-                server_step_y=float(np.linalg.norm(new_server.y - server.y)),
-                potential=3.0 * phi + (phi - f_val),
-                auc=auc,
-                centering_x=cen_x,
-                centering_y=cen_y,
-                g_prev_norm_x=float(np.linalg.norm(server.g_x)),
-                g_prev_norm_y=float(np.linalg.norm(server.g_y)),
-                dist_x0=float(np.linalg.norm(server.x)),
-                x=server.x.copy(),
-                y=server.y.copy(),
-            )
-            if caps is not None:
-                _judge(algorithm, rec, caps, {"max_drift_x": drift_x, "max_drift_y": drift_y})
-            records.append(rec)
-            G_prev_x, G_prev_y = G_x, G_y
-            server = new_server
-
-    return RunTrace(
-        algorithm=algorithm,
-        seed=seed,
-        records=records,
-        cols_x=problem.shape_x.cols,
-        cols_y=problem.shape_y.cols,
-        final_state=server,
-    )
+    result, = run_stack(problem, [RunSpec(algorithm, hp, noise, seed)])
+    if isinstance(result, InternalInvariantViolation):
+        raise result
+    return result

@@ -10,18 +10,24 @@ finite: exactly a bounded-s-th-moment noise source and nothing stronger.
 
 Every draw comes from a stream keyed by (master seed, client, round,
 step).  :func:`derive_stream` builds one such stream; :func:`stream_states`
-gives the PCG64 states of many keys in one vectorized pass, so a caller
-can reset a single reused Generator to each key instead of building one
-per key.  Sampling is split the same way: :func:`raw_draws` takes one
-client's variates from its stream and :func:`scale_draws` turns the
-stacked variates of many clients into noise increments at once;
-:func:`sample` is the one-client case of the two.
+gives the PCG64 states of many keys, under one master seed or one per key,
+in one vectorized pass, so a caller can reset a single reused Generator to
+each key instead of building one per key.  :func:`round_states` derives
+every stream of a stack of runs over as many rounds as ``STREAM_CHUNK``
+streams hold.  The
+states come back as a :class:`StreamStates`, which builds each state dict
+only when it is read.  Sampling is split the same way: :func:`raw_draws`
+takes one client's variates from its stream (``radius_sampler`` draws the
+radius variate alone) and :func:`scale_draws` turns the stacked variates of
+many clients, each row with its own radius scale, into noise increments at
+once; :func:`sample` is the one-client case of the two.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from .core import NoiseModel, Shape
 
 SEED_LIMIT = 2**64  # master seeds lie in [0, SEED_LIMIT)
 KEY_LIMIT = 2**32  # client, round and step lie in [0, KEY_LIMIT)
+STREAM_CHUNK = 512  # streams one round_states pass derives, rounded to whole rounds (at least one)
 
 
 def seed_errors(seed) -> list:
@@ -76,40 +83,90 @@ def _shift_xor(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-def stream_states(master_seed: int, keys) -> list:
-    """PCG64 states of :func:`derive_stream` for every (client, round, step) row of ``keys``.
+class StreamStates(Sequence):
+    """PCG64 states of many stream keys; each state dict is built when it is read.
 
-    Row k's state, assigned to ``generator.bit_generator.state``, makes the
-    generator draw exactly what ``derive_stream(master_seed, *keys[k])``
-    draws.  The seed must lie in [0, 2**64) and every key entry in
-    [0, 2**32): there SeedSequence hashes the seed into its 4-word pool
-    before the spawn words, and each spawn word is one 32-bit word, so the
-    spawn words of all keys mix in with fixed hash constants, as (4, K)
-    arrays.
+    Item k, assigned to ``generator.bit_generator.state``, makes the
+    generator draw what the k-th key's :func:`derive_stream` draws.  A
+    slice is a view on the same states.
     """
-    errors = seed_errors(master_seed)
+
+    def __init__(self, states: list, incs: list, rows: range = None):
+        self._states, self._incs = states, incs
+        self._rows = range(len(incs)) if rows is None else rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        row = self._rows[k]
+        if isinstance(row, range):
+            return StreamStates(self._states, self._incs, row)
+        return {"bit_generator": "PCG64", "state": {"state": self._states[row], "inc": self._incs[row]},
+                "has_uint32": 0, "uinteger": 0}
+
+
+def _seed_pools(seeds) -> np.ndarray:
+    """The 4-word entropy pool SeedSequence hashes each master seed into, one column per seed."""
+    errors = [e for seed in seeds for e in seed_errors(seed)]
     if errors:
         raise ValueError("; ".join(errors))
+    return np.array([np.random.SeedSequence(int(seed)).pool for seed in seeds], dtype=np.uint32).T
+
+
+def _states(pool: np.ndarray, words: np.ndarray) -> StreamStates:
+    """The states of the (client, round, step) columns of the (3, K) uint32 ``words``, column k hashed on top of pool column k."""
+    for j in range(3):  # the client, round and step words, in spawn-key order
+        hashed = _shift_xor((words[j] ^ _SPAWN_XOR[j]) * _SPAWN_MUL[j])
+        pool = _shift_xor(_MIX_MULT_L * pool - _MIX_MULT_R * hashed)
+    out = _shift_xor((pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()  # little-endian pairs
+    states, incs = [], []
+    for sh, sl, qh, ql in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one more step
+        inc = ((qh << 64 | ql) << 1 | 1) & _MASK128
+        states.append(((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128)
+        incs.append(inc)
+    return StreamStates(states, incs)
+
+
+def stream_states(seeds, keys) -> StreamStates:
+    """PCG64 states of :func:`derive_stream` for every (client, round, step) row of ``keys``.
+
+    ``seeds`` is one master seed for every row, or a sequence of one per
+    row; row k's state makes a generator draw exactly what
+    ``derive_stream(seed_k, *keys[k])`` draws.  Each seed must lie in
+    [0, 2**64) and every key entry in [0, 2**32): there SeedSequence hashes
+    the seed into its 4-word pool before the spawn words, and each spawn
+    word is one 32-bit word, so the spawn words of all keys mix in with
+    fixed hash constants, as (4, K) arrays.
+    """
     K = np.asarray(keys)
     if K.ndim != 2 or K.shape[1] != 3 or not np.issubdtype(K.dtype, np.integer):
         raise ValueError(f"keys must be a (K, 3) integer array, got {K.dtype} {K.shape}")
     if K.size and (K.min() < 0 or K.max() >= KEY_LIMIT):
         raise ValueError("keys must lie in [0, 2**32)")
     words = K.T.astype(np.uint32)
-    pool = np.random.SeedSequence(int(master_seed)).pool[:, None]
-    for j in range(3):  # the client, round and step words, in spawn-key order
-        hashed = _shift_xor((words[j] ^ _SPAWN_XOR[j]) * _SPAWN_MUL[j])
-        pool = _shift_xor(_MIX_MULT_L * pool - _MIX_MULT_R * hashed)
-    out = _shift_xor((pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]).astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()  # little-endian pairs
-    states = []
-    for sh, sl, qh, ql in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one more step
-        inc = ((qh << 64 | ql) << 1 | 1) & _MASK128
-        state = ((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    if np.ndim(seeds) == 0:
+        return _states(_seed_pools([seeds]), words)
+    seeds = list(seeds)
+    if len(seeds) != len(K):
+        raise ValueError(f"need one seed per key row, got {len(seeds)} seeds for {len(K)} rows")
+    distinct = {seed: j for j, seed in enumerate(dict.fromkeys(seeds))}
+    return _states(_seed_pools(distinct)[:, [distinct[seed] for seed in seeds]], words)
+
+
+def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> StreamStates:
+    """The states of a stack of runs, one master seed each, over ``rounds`` rounds from ``first_round``.
+
+    Item ((r * steps + i) * len(seeds) + s) * clients + n is the stream of
+    run s's client n at step i of round first_round + r, in one
+    :func:`stream_states` pass.
+    """
+    if not 0 <= first_round <= first_round + rounds <= KEY_LIMIT:
+        raise ValueError("keys must lie in [0, 2**32)")
+    r, i, s, n = np.indices((rounds, steps, len(seeds), clients), dtype=np.uint32).reshape(4, -1)
+    return _states(_seed_pools(seeds)[:, s], np.stack([n, r + np.uint32(first_round), i]))
 
 
 def _pareto_scale(model: NoiseModel) -> float:
@@ -136,37 +193,47 @@ def is_silent(model) -> bool:
     return model is None or model.family == "none" or model.sigma == 0.0
 
 
-def raw_draws(model: NoiseModel, size: int, stream: np.random.Generator) -> tuple:
-    """One client's variates for an increment of ``size`` entries: ``size`` normals, then the radius variate."""
-    direction = stream.standard_normal(size)
+def radius_scale(model: NoiseModel) -> float:
+    """The factor that makes a ``radius_sampler`` variate a radius with E[radius^s] = sigma^s."""
     if model.family == "symmetrized-pareto":
-        return direction, stream.pareto(model.tail_exponent)
+        return _pareto_scale(model)
     if model.family == "student-t":
-        return direction, stream.standard_t(model.tail_exponent)
+        return _student_t_scale(model)
+    return model.sigma  # gaussian
+
+
+def radius_sampler(model: NoiseModel, stream: np.random.Generator):
+    """A callable that draws the model's radius variate from ``stream``: 1 + Pareto(t), |t(nu)| or |N(0, 1)|."""
+    tail = model.tail_exponent
+    if model.family == "symmetrized-pareto":
+        return lambda: 1.0 + stream.pareto(tail)
+    if model.family == "student-t":
+        return lambda: abs(stream.standard_t(tail))
     if model.family == "gaussian":
-        return direction, stream.standard_normal()
+        return lambda: abs(stream.standard_normal())
     raise ValueError(f"noise family {model.family!r} draws nothing")
 
 
-def scale_draws(model: NoiseModel, directions: np.ndarray, radii) -> np.ndarray:
+def raw_draws(model: NoiseModel, size: int, stream: np.random.Generator) -> tuple:
+    """One client's variates for an increment of ``size`` entries: ``size`` normals, then the radius variate."""
+    direction = stream.standard_normal(size)
+    return direction, radius_sampler(model, stream)()
+
+
+def scale_draws(directions: np.ndarray, radii, scale) -> np.ndarray:
     """Noise increments from stacked normals (..., size) and radius variates (...), e.g. one row per client.
 
     Each row is normalized by its own norm (an all-zero row, of measure
-    zero, becomes the first unit vector) and scaled by its radius; every
-    row equals, bit for bit, the increment of that row alone.
+    zero, becomes the first unit vector) and scaled to the radius
+    ``scale * radii``, where ``scale`` is one ``radius_scale`` or one per
+    row; every row equals, bit for bit, the increment of that row alone.
     """
     nrm = np.sqrt(np.vecdot(directions, directions))
     if np.count_nonzero(nrm) < nrm.size:  # measure-zero guard
         zero = nrm == 0.0
         directions = np.where(zero[..., None] & (np.arange(directions.shape[-1]) == 0), 1.0, directions)
         nrm = np.where(zero, 1.0, nrm)
-    if model.family == "symmetrized-pareto":
-        radius = _pareto_scale(model) * (1.0 + radii)
-    elif model.family == "student-t":
-        radius = _student_t_scale(model) * np.abs(radii)
-    else:  # gaussian; raw_draws rejects every other family
-        radius = model.sigma * np.abs(radii)
-    return radius[..., None] * (directions / nrm[..., None])
+    return (scale * radii)[..., None] * (directions / nrm[..., None])
 
 
 def sample(model: NoiseModel, shape: Shape, stream: np.random.Generator) -> np.ndarray:
@@ -174,7 +241,7 @@ def sample(model: NoiseModel, shape: Shape, stream: np.random.Generator) -> np.n
     if is_silent(model):
         return np.zeros(shape.dims)
     direction, radius = raw_draws(model, shape.size, stream)
-    return scale_draws(model, direction, np.float64(radius)).reshape(shape.dims)
+    return scale_draws(direction, np.float64(radius), radius_scale(model)).reshape(shape.dims)
 
 
 def empirical_moment(samples, s: float) -> float:

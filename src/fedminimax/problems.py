@@ -160,6 +160,11 @@ class MinimaxProblem:
         for name, fn in derived.items():
             object.__setattr__(self, name, fn)
 
+    @property
+    def draws(self) -> bool:
+        """False for a problem given without ``draw``, which makes no random choices."""
+        return self.draw is not _no_draw
+
     def _round_metrics(self, x, y) -> tuple:
         phi, grad_phi = phi_value_and_grad(self, x)
         return (phi, grad_phi, float(self.f_value(x, y))) + self.mean_grad(x, y)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedminimax import cli
+from fedminimax import cli, fedopt
 from fedminimax.cli import (
     ConfigError,
     build_problem,
@@ -19,7 +19,7 @@ from fedminimax.cli import (
     serialize_config,
     trace_filename,
 )
-from fedminimax.fedopt import InternalInvariantViolation, trace_from_csv
+from fedminimax.fedopt import trace_from_csv
 
 MINIMAL = json.dumps({
     "algorithm": "nsgda-m", "problem": "saddle", "T": 10, "N": 2, "p": 1,
@@ -198,21 +198,31 @@ def test_cmd_run_byte_identical(tmp_path):
     assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def inject_drift_fault(monkeypatch, seed, client=1, at_round=1):
+    """Inside the stack, client_round reports 10x the x drift for run ``seed``'s client at one round."""
+    real = fedopt.client_round
+
+    def faulty(servers, G_prev_x, G_prev_y, problem, specs, *rest):
+        out = list(real(servers, G_prev_x, G_prev_y, problem, specs, *rest))
+        if servers[0].round == at_round:
+            out[4] = out[4].copy()
+            for j, spec in enumerate(specs):
+                if spec.seed == seed:
+                    out[4][j * problem.n_clients + client] *= 10.0
+        return tuple(out)
+
+    monkeypatch.setattr(fedopt, "client_round", faulty)
+
+
 def test_cmd_run_keeps_going_after_invariant_violation(tmp_path, monkeypatch, capsys):
-    real_run = cli.run
-
-    def failing_run(*args, seed, **kwargs):
-        if seed == 1:
-            raise InternalInvariantViolation("injected")
-        return real_run(*args, seed=seed, **kwargs)
-
-    monkeypatch.setattr(cli, "run", failing_run)
+    inject_drift_fault(monkeypatch, seed=1)
     base = {k: v for k, v in SMALL.items() if k != "seed"}
     cfg = parse_config(json.dumps({**base, "T": 3, "seeds": [1, 2]}))
     assert cmd_run(cfg, out=str(tmp_path)) == 2
     assert not (tmp_path / trace_filename("nsgda-m", 1)).exists()
     assert (tmp_path / trace_filename("nsgda-m", 2)).exists()
-    assert "seed 1: invariant violation" in capsys.readouterr().err
+    assert re.search(r"seed 1: invariant violation during run: nsgda-m round 1: max_drift_x = .*client 1",
+                     capsys.readouterr().err)
 
 
 def test_cmd_sweep_grid_cardinality(tmp_path):
@@ -225,20 +235,14 @@ def test_cmd_sweep_grid_cardinality(tmp_path):
 
 
 def test_cmd_sweep_keeps_rows_after_invariant_violation(tmp_path, monkeypatch, capsys):
-    real_run = cli.run
-
-    def failing_run(*args, seed, **kwargs):
-        if seed == 3:  # the third of four cells
-            raise InternalInvariantViolation("injected")
-        return real_run(*args, seed=seed, **kwargs)
-
-    monkeypatch.setattr(cli, "run", failing_run)
+    inject_drift_fault(monkeypatch, seed=3)  # the third of four cells
     cfg = parse_config(json.dumps({**SMALL, "T": 3}))
     assert cmd_sweep(cfg, {"seed": [1, 2, 3, 4]}, out=str(tmp_path)) == 2
     lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
     assert lines[0] == cli.SWEEP_HEADER
     assert [row.split(",")[5] for row in lines[1:]] == ["1", "2", "4"]
-    assert "cell seed=3: invariant violation" in capsys.readouterr().err
+    assert re.search(r"cell seed=3: invariant violation during run: nsgda-m round 1: max_drift_x = .*client 1",
+                     capsys.readouterr().err)
 
 
 def test_cmd_sweep_builds_each_problem_once(tmp_path, monkeypatch):

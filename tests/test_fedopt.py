@@ -1,13 +1,20 @@
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedminimax import HyperParams, MinimaxProblem, NoiseModel, Shape, SmoothnessInfo, theorem2_schedule
+from fedminimax import (ALGORITHMS, HyperParams, MinimaxProblem, NoiseModel, Shape, SmoothnessInfo,
+                        theorem2_schedule)
+from fedminimax import fedopt
 from fedminimax.fedopt import (
     InternalInvariantViolation,
     ProtocolError,
     RoundRecord,
+    RunSpec,
     ServerState,
     clip_step,
     client_round,
@@ -15,12 +22,13 @@ from fedminimax.fedopt import (
     muon_step,
     normalized_step,
     run,
+    run_stack,
     server_round,
     trace_from_csv,
     trace_to_csv,
 )
 from fedminimax.metrics import verify_invariants
-from fedminimax.problems import make_saddle_problem
+from fedminimax.problems import gen_imbalanced_data, make_auc_problem, make_saddle_problem
 
 HP = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                  beta_x=0.5, beta_y=0.5, p=2, T=4, N=2)
@@ -152,14 +160,14 @@ def test_client_round_single_step_matches_manual():
     x0 = np.array([0.3, -0.1, 0.7])
     y0 = np.array([0.2, 0.0, -0.4])
     server = ServerState(x0, y0, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    X, _, G_x, _, drift_x, _, cen_x, _ = client_round(server, np.zeros((1, 3)), np.zeros((1, 3)),
-                                                      prob, hp, "nsgda-m", 0)
+    X, _, G_x, _, drift_x, _, cen_x, _ = client_round([server], np.zeros((1, 3)), np.zeros((1, 3)),
+                                                      prob, [RunSpec("nsgda-m", hp)])
     g = prob.grad_x(0, x0, y0)
     assert G_x.shape == X.shape == (1, 3)
     assert np.allclose(G_x, g[None])
     assert np.allclose(X, (x0 - hp.eta_x * g / np.linalg.norm(g))[None])
     assert drift_x[0] == pytest.approx(hp.eta_x)
-    assert cen_x == 0.0  # beta = 1 and zero control variates: the correction is exactly zero
+    assert cen_x == [0.0]  # beta = 1 and zero control variates: the correction is exactly zero
 
 
 def test_client_round_identical_clients_symmetry():
@@ -167,7 +175,7 @@ def test_client_round_identical_clients_symmetry():
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
     server = ServerState(np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    X, _, G_x, *_ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)), prob, hp, "nsgda-m", 0)
+    X, _, G_x, *_ = client_round([server], np.zeros((3, 3)), np.zeros((3, 3)), prob, [RunSpec("nsgda-m", hp)])
     assert X.shape == G_x.shape == (3, 3)
     for n in range(1, 3):
         assert np.allclose(X[n], X[0])
@@ -188,9 +196,9 @@ def test_client_round_drift_violation_names_client_and_round(monkeypatch):
 
     real = fedopt.client_round
 
-    def drifting(server, *args):
-        out = list(real(server, *args))
-        if server.round == 2:
+    def drifting(servers, *args):
+        out = list(real(servers, *args))
+        if servers[0].round == 2:
             out[4] = out[4] * np.array([1.0, 10.0])  # client 1 leaves its x drift bound
         return tuple(out)
 
@@ -547,3 +555,146 @@ def test_trace_csv_rows_must_be_one_run(tmp_path, edit, row):
     bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=f"row {row}: "):
         trace_from_csv(bad)
+
+
+# ---------------------------------------------------------------------------
+# stacks of runs
+
+
+def adapter_matrix_saddle(n_clients=3, m=4, k=3, c=3, mu=1.0, lam=1.0, seed=2):
+    """``matrix_saddle`` given by per-client callables, so its grad is the per-client adapter."""
+    base = matrix_saddle(n_clients, m, k, c, mu, lam, seed)
+    rows = lambda a, n: np.repeat(a[None], n_clients, axis=0)  # noqa: E731
+
+    def grad_x(n, X, Y):
+        return base.grad(rows(X, n), rows(Y, n))[0][n]
+
+    def grad_y(n, X, Y):
+        return base.grad(rows(X, n), rows(Y, n))[1][n]
+
+    return MinimaxProblem(
+        n_clients=n_clients, shape_x=base.shape_x, shape_y=base.shape_y, smooth=base.smooth,
+        f_value=base.f_value, y_star=base.y_star, grad_x=grad_x, grad_y=grad_y,
+        stoch_grad=lambda n, X, Y, rng: (grad_x(n, X, Y), grad_y(n, X, Y)))
+
+
+STACK_PROBLEMS = {
+    "saddle-d10": make_saddle_problem(3, 10, 10, hetero=0.5, seed=1),
+    "saddle-dy1": make_saddle_problem(3, 10, 1, hetero=0.5, seed=2),
+    "auc-minibatch": make_auc_problem(
+        gen_imbalanced_data(40, [0.2, 0.3, 0.25], dim=3, separation=2.0, seed=2), 3, batch_size=5,
+        test_data=gen_imbalanced_data(30, [0.3], dim=3, separation=2.0, seed=4)[0]),
+    "matrix-adapter": adapter_matrix_saddle(),
+}
+STACK_NOISES = [
+    None,
+    NoiseModel(family="none"),
+    NoiseModel(s=1.2, sigma=1.0, family="symmetrized-pareto"),
+    NoiseModel(s=1.8, sigma=1.0, family="symmetrized-pareto"),
+    NoiseModel(s=1.5, sigma=0.7, family="student-t", tail_exponent=1.8),
+    NoiseModel(s=2.0, sigma=1.3, family="gaussian"),
+]
+STACK_T, STACK_P = 5, 2
+
+
+def stack_hps(N):
+    """Rates every algorithm runs under; the last makes local-sgda-m overflow within a few rounds."""
+    common = dict(p=STACK_P, T=STACK_T, N=N)
+    return [
+        HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01, beta_x=0.5, beta_y=0.5, **common),
+        HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.02, beta_x=0.9, beta_y=0.3, tau=0.5,
+                    ns_mode="exact-svd", **common),
+        HyperParams(gamma_x=1e30, gamma_y=1e30, eta_x=1e30, eta_y=1e30, beta_x=0.9, beta_y=0.9, **common),
+    ]
+
+
+def record_bytes(rec):
+    return [np.asarray(getattr(rec, f.name)).tobytes() for f in dataclasses.fields(rec)]
+
+
+def assert_same_run(stacked, solo, tmp):
+    """The stacked run equals its solo run bit for bit: CSV bytes, every record field and final_state."""
+    if isinstance(solo, InternalInvariantViolation):
+        assert isinstance(stacked, InternalInvariantViolation) and str(stacked) == str(solo)
+        return
+    paths = [os.path.join(tmp, name) for name in ("stacked.csv", "solo.csv")]
+    for trace, path in zip((stacked, solo), paths):
+        trace_to_csv(trace, path)
+    assert [open(path, "rb").read() for path in paths][0] == open(paths[1], "rb").read()
+    assert [record_bytes(r) for r in stacked.records] == [record_bytes(r) for r in solo.records]
+    assert [(r.centering_x, r.centering_y) for r in stacked.records] == [
+        (r.centering_x, r.centering_y) for r in solo.records]
+    a, b = stacked.final_state, solo.final_state
+    assert a.round == b.round
+    for name in ("x", "y", "u", "v", "g_x", "g_y"):
+        assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+
+
+def solo_run(problem, spec):
+    try:
+        return run(spec.algorithm, problem, spec.hp, noise=spec.noise, seed=spec.seed)
+    except InternalInvariantViolation as exc:
+        return exc
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_PROBLEMS))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_each_run_of_a_stack_equals_its_solo_run(kind, data):
+    problem = STACK_PROBLEMS[kind]
+    hps = stack_hps(problem.n_clients)
+    run_specs = st.builds(
+        lambda algorithm, h, noise, seed: RunSpec(
+            algorithm, hps[h] if algorithm == "local-sgda-m" else hps[h % 2], noise, seed),
+        st.sampled_from(ALGORITHMS), st.integers(0, 2), st.sampled_from(STACK_NOISES),
+        st.sampled_from([0, 1, 2, 2**64 - 1]))
+    specs = data.draw(st.lists(run_specs, min_size=1, max_size=6))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedopt, "STREAM_CHUNK", data.draw(st.sampled_from([8, fedopt.STREAM_CHUNK])))
+        stacked = run_stack(problem, specs)
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec, result in zip(specs, stacked):
+            assert_same_run(result, solo_run(problem, spec), tmp)
+
+
+def test_stack_goes_on_after_a_local_sgda_m_run_diverges(tmp_path):
+    problem = STACK_PROBLEMS["saddle-d10"]
+    steady, _, wild = stack_hps(problem.n_clients)
+    noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
+    specs = [RunSpec("nsgda-m", steady, noise, 1), RunSpec("local-sgda-m", wild, noise, 2),
+             RunSpec("sgda-clip", steady, noise, 3), RunSpec("local-sgda-m", steady, noise, 4)]
+    stacked = run_stack(problem, specs)
+    flags = [r.diverged for r in stacked[1].records]
+    assert any(flags) and not all(flags)  # it left the stack mid-run
+    assert not any(trace.diverged for k, trace in enumerate(stacked) if k != 1)
+    for spec, result in zip(specs, stacked):
+        assert_same_run(result, solo_run(problem, spec), tmp_path)
+
+
+def test_run_stack_validates_its_runs():
+    problem = quiet_problem(n_clients=2)
+    with pytest.raises(ValueError, match="at least one run"):
+        run_stack(problem, [])
+    with pytest.raises(ValueError, match="share N, p and T"):
+        run_stack(problem, [RunSpec("nsgda-m", HP), RunSpec("nsgda-m", dataclasses.replace(HP, T=5))])
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        run_stack(problem, [RunSpec("nsgda-m", HP), RunSpec("sgd", HP)])
+
+
+def test_trace_csv_write_is_all_or_nothing(tmp_path, monkeypatch):
+    trace = run("nsgda-m", quiet_problem(n_clients=2), HP, seed=0)
+    path = tmp_path / "trace.csv"
+    path.write_text("earlier trace\n")
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fedopt.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        trace_to_csv(trace, path)
+    assert path.read_text() == "earlier trace\n"  # not truncated
+    assert os.listdir(tmp_path) == ["trace.csv"]  # and no partial file left
+    monkeypatch.undo()
+    trace_to_csv(trace, path)
+    assert trace_from_csv(path).records[-1].t == HP.T - 1
+    assert os.listdir(tmp_path) == ["trace.csv"]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fedminimax import NoiseModel, Shape
-from fedminimax.noise import (derive_stream, empirical_moment, raw_draws, sample, scale_draws, seed_errors,
-                             stream_states)
+from fedminimax.noise import (derive_stream, empirical_moment, radius_scale, raw_draws, sample, scale_draws,
+                             seed_errors, stream_states)
 
 
 def draws(model, shape, n, seed=0, start_step=0, chunk=10_000):
@@ -22,7 +22,7 @@ def draws(model, shape, n, seed=0, start_step=0, chunk=10_000):
         for k, state in enumerate(stream_states(seed, keys), start=lo):
             rng.bit_generator.state = state
             out[k], radii[k] = raw_draws(model, shape.size, rng)
-    return scale_draws(model, out, radii).reshape((n,) + shape.dims)
+    return scale_draws(out, radii, radius_scale(model)).reshape((n,) + shape.dims)
 
 
 def test_draws_match_derive_stream():

@@ -1,7 +1,9 @@
 """Property tests: bulk-derived streams and stacked noise equal their one-at-a-time references.
 
 ``stream_states`` must give, draw for draw, the generator ``derive_stream``
-builds for the same key, over the whole seed and key domain.  The noise
+builds for the same key, over the whole seed and key domain, under one
+seed or one per key; so must ``round_states`` and the chunks of rounds a
+stack of runs derives its streams in.  The noise
 ``client_round`` injects must equal, bit for bit, a per-client reference:
 the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
 at the iterates the batched ``grad`` saw, then one increment per block
@@ -18,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedminimax as fm
-from fedminimax.fedopt import ServerState, client_round
-from fedminimax.noise import _pareto_scale, _student_t_scale, derive_stream, sample, stream_states
+from fedminimax import fedopt
+from fedminimax.fedopt import RunSpec, ServerState, client_round
+from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, round_states, sample,
+                              stream_states)
 
 SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 KEY = st.tuples(*(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1) for _ in range(3)))
@@ -123,8 +127,8 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
                          np.zeros(sy.dims), np.zeros(sx.dims), np.zeros(sy.dims), round_idx)
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5,
                         beta_y=0.5, p=p, T=1, N=N)
-    _, _, G_x, G_y, *_ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
-                                      problem, hp, "nsgda-m", seed, noise)
+    _, _, G_x, G_y, *_ = client_round([server], np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
+                                      problem, [RunSpec("nsgda-m", hp, noise, seed)])
 
     assert len(calls) == p  # one batched call per local step
     assert G_x.shape == (N,) + sx.dims and G_y.shape == (N,) + sy.dims
@@ -148,3 +152,55 @@ def test_run_rejects_seed_outside_stream_domain():
             fm.run("nsgda-m", problem, hp, seed=seed)
     trace = fm.run("nsgda-m", problem, hp, seed=2**64 - 1)
     assert len(trace.records) == 2 and math.isfinite(trace.records[-1].grad_phi_norm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(SEEDS, KEY), min_size=1, max_size=6))
+def test_stream_states_with_one_seed_per_key_match_derive_stream(rows):
+    states = stream_states([seed for seed, _ in rows], [key for _, key in rows])
+    assert [states[k] for k in range(len(rows))] == [
+        derive_stream(seed, *key).bit_generator.state for seed, key in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=3),
+       first_round=st.sampled_from([0, 2**32 - 3]) | st.integers(0, 2**32 - 3),
+       rounds=st.integers(1, 3), clients=st.integers(1, 3), steps=st.integers(1, 2))
+def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, clients, steps):
+    states = round_states(seeds, clients, steps, first_round, rounds)
+    assert len(states) == rounds * steps * len(seeds) * clients
+    k = 0
+    for r in range(rounds):
+        for i in range(steps):
+            for s, seed in enumerate(seeds):
+                for n in range(clients):
+                    assert states[k] == derive_stream(seed, n, first_round + r, i).bit_generator.state
+                    k += 1
+    assert list(states[1:]) == [states[k] for k in range(1, len(states))]  # a slice is a view
+    with pytest.raises(ValueError, match="keys"):
+        round_states(seeds, clients, steps, 2**32 - rounds + 1, rounds)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+       chunk=st.sampled_from([1, 5, 12, STREAM_CHUNK]), T=st.integers(1, 7))
+def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T):
+    """Every client_round of a stack gets, state for state, its runs' derive_stream states."""
+    problem = fm.make_saddle_problem(2, 2, 2, hetero=0.5, seed=1)
+    hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5, beta_y=0.5,
+                        p=2, T=T, N=2)
+    seen = []
+
+    def recording(servers, G_prev_x, G_prev_y, problem, specs, states):
+        seen.append((servers[0].round, [spec.seed for spec in specs], states))
+        return client_round(servers, G_prev_x, G_prev_y, problem, specs, states)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedopt, "STREAM_CHUNK", chunk)
+        mp.setattr(fedopt, "client_round", recording)
+        fedopt.run_stack(problem, [RunSpec("nsgda-m", hp, NOISES["gaussian"], seed) for seed in seeds])
+    assert [t for t, _, _ in seen] == list(range(T))
+    for t, stacked, states in seen:
+        want = [derive_stream(seed, n, t, i).bit_generator.state
+                for i in range(2) for seed in stacked for n in range(2)]
+        assert list(states) == want

@@ -467,19 +467,23 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
     path = os.path.join(out_dir, "sweep_summary.csv")
     status, written = 0, 0
     problems = {}  # (problem spec, N) -> its problem, built once: problems are immutable
-    stacks = itertools.groupby(zip(combos, cells), key=lambda cc: (cc[1].problem, cc[1].N, cc[1].p, cc[1].T))
+
+    def stack_key(k):  # consecutive cells that agree on these run as one stack
+        return cells[k].problem, cells[k].N, cells[k].p, cells[k].T
+
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for (spec, N, _, _), stack in stacks:
+        for (spec, N, _, _), stack in itertools.groupby(range(len(cells)), key=stack_key):
             stack = list(stack)
             if (spec, N) not in problems:
-                problems[spec, N] = build_problem(stack[0][1])
+                problems[spec, N] = build_problem(cells[stack[0]])
             problem = problems[spec, N]
-            hps = [resolve_hyperparams(cell, problem) for _, cell in stack]
-            results = run_stack(problem, [RunSpec(cell.algorithm, hp, cell.noise, cell.seeds[0])
-                                          for (_, cell), hp in zip(stack, hps)])
-            for (combo, cell), hp, result in zip(stack, hps, results):
-                label = "cell " + " ".join(f"{a}={v}" for a, v in zip(names, combo))
+            hps = [resolve_hyperparams(cells[k], problem) for k in stack]
+            results = run_stack(problem, [RunSpec(cells[k].algorithm, hp, cells[k].noise, cells[k].seeds[0])
+                                          for k, hp in zip(stack, hps)])
+            for k, hp, result in zip(stack, hps, results):
+                cell = cells[k]
+                label = "cell " + " ".join(f"{a}={v}" for a, v in zip(names, combos[k]))
                 trace = _reported(label, result)
                 if trace is None:
                     status = 2

@@ -369,15 +369,13 @@ def client_round(servers: list, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
         states = round_states([spec.seed for spec in specs], N, p, servers[0].round, 1)
     rng = np.random.Generator(np.random.PCG64(0))  # reset to each client's stream before use
     bits, normal, draws = rng.bit_generator, rng.standard_normal, problem.draws
-    noisy = [s for s, spec in enumerate(specs) if not is_silent(spec.noise)]
-    first = {s: k * N for k, s in enumerate(noisy)}  # a noisy run's first row in DX and the others
-    radius = {s: radius_sampler(specs[s].noise, rng) for s in noisy}
-    if noisy:
-        size_x, size_y = problem.shape_x.size, problem.shape_y.size
-        DX, DY = np.empty((len(noisy) * N, size_x)), np.empty((len(noisy) * N, size_y))
-        RX, RY = np.empty(len(noisy) * N), np.empty(len(noisy) * N)
-        scale = np.repeat([radius_scale(specs[s].noise) for s in noisy], N)
-        noisy_rows = np.concatenate([np.arange(s * N, s * N + N) for s in noisy])
+    radius = {s: radius_sampler(spec.noise, rng) for s, spec in enumerate(specs) if not is_silent(spec.noise)}
+    if radius:  # the raw variates of every row; only the noisy runs' rows are drawn and used
+        DX, DY = np.empty((S * N, problem.shape_x.size)), np.empty((S * N, problem.shape_y.size))
+        RX, RY = np.empty(S * N), np.empty(S * N)
+        noisy = (slice(None) if len(radius) == S
+                 else np.concatenate([np.arange(s * N, s * N + N) for s in radius]))
+        scale = np.repeat([radius_scale(specs[s].noise) for s in radius], N)
     groups = _groups(specs)
 
     def per_run(blocks):
@@ -391,29 +389,28 @@ def client_round(servers: list, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
     cen_x, cen_y = [0.0] * S, [0.0] * S
     for i in range(p):
         batch = [None] * (S * N) if draws else None
-        for s in range(S) if draws else noisy:
+        for s in range(S) if draws else radius:
             for n in range(N):
                 row = s * N + n
                 bits.state = states[i * S * N + row]
                 if draws:
                     batch[row] = problem.draw(n, rng, X[row], Y[row])
                 if s in radius:
-                    j = first[s] + n
-                    normal(out=DX[j])
-                    RX[j] = radius[s]()
-                    normal(out=DY[j])
-                    RY[j] = radius[s]()
+                    normal(out=DX[row])
+                    RX[row] = radius[s]()
+                    normal(out=DY[row])
+                    RY[row] = radius[s]()
         grads = [problem.grad(X[s * N:s * N + N], Y[s * N:s * N + N],
                               None if batch is None else batch[s * N:s * N + N]) for s in range(S)]
         GX, GY = _joined([gx for gx, _ in grads]), _joined([gy for _, gy in grads])
-        if noisy:
-            inc_x = scale_draws(DX, RX, scale).reshape((-1,) + GX.shape[1:])
-            inc_y = scale_draws(DY, RY, scale).reshape((-1,) + GY.shape[1:])
-            if len(noisy) == S:
+        if radius:
+            inc_x = scale_draws(DX[noisy], RX[noisy], scale).reshape((-1,) + GX.shape[1:])
+            inc_y = scale_draws(DY[noisy], RY[noisy], scale).reshape((-1,) + GY.shape[1:])
+            if len(radius) == S:
                 GX, GY = GX + inc_x, GY + inc_y
             else:  # GX and GY are joined copies here
-                GX[noisy_rows] += inc_x
-                GY[noisy_rows] += inc_y
+                GX[noisy] += inc_x
+                GY[noisy] += inc_y
         sum_gx += GX
         sum_gy += GY
         steps_x, steps_y = [], []
@@ -488,16 +485,6 @@ def _judge(algorithm: str, rec: RoundRecord, caps: dict, drifts: dict) -> None:
                 f"{algorithm} round {rec.t}: {name} = {value!r} exceeds its cap {cap!r}{client}")
 
 
-def _check_run(problem: MinimaxProblem, spec: RunSpec) -> None:
-    if spec.algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {spec.algorithm!r}; choose from {ALGORITHMS}")
-    if spec.hp.N != problem.n_clients:
-        raise ValueError(f"hp.N={spec.hp.N} does not match problem.n_clients={problem.n_clients}")
-    errors = seed_errors(spec.seed)
-    if errors:
-        raise ValueError("; ".join(errors))
-
-
 def run_stack(problem: MinimaxProblem, specs: list) -> list:
     """Run a stack of runs that share the problem and (N, p, T) as one engine pass.
 
@@ -517,7 +504,13 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     if not specs:
         raise ValueError("a stack needs at least one run")
     for spec in specs:
-        _check_run(problem, spec)
+        if spec.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {spec.algorithm!r}; choose from {ALGORITHMS}")
+        if spec.hp.N != problem.n_clients:
+            raise ValueError(f"hp.N={spec.hp.N} does not match problem.n_clients={problem.n_clients}")
+        errors = seed_errors(spec.seed)
+        if errors:
+            raise ValueError("; ".join(errors))
     N, p, T = specs[0].hp.N, specs[0].hp.p, specs[0].hp.T
     if any((spec.hp.N, spec.hp.p, spec.hp.T) != (N, p, T) for spec in specs):
         raise ValueError("the runs of a stack must share N, p and T")

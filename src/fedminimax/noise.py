@@ -14,13 +14,12 @@ gives the PCG64 states of many keys, under one master seed or one per key,
 in one vectorized pass, so a caller can reset a single reused Generator to
 each key instead of building one per key.  :func:`round_states` derives
 every stream of a stack of runs over as many rounds as ``STREAM_CHUNK``
-streams hold.  The
-states come back as a :class:`StreamStates`, which builds each state dict
-only when it is read.  Sampling is split the same way: :func:`raw_draws`
-takes one client's variates from its stream (``radius_sampler`` draws the
-radius variate alone) and :func:`scale_draws` turns the stacked variates of
-many clients, each row with its own radius scale, into noise increments at
-once; :func:`sample` is the one-client case of the two.
+streams hold.  The states come back as a :class:`StreamStates`, which
+builds each state dict only when it is read.  Sampling is split the same
+way: a client's variates are its normals, then the radius variate that
+:func:`radius_sampler` draws, and :func:`scale_draws` turns the stacked
+variates of many clients, each row with its own :func:`radius_scale`, into
+noise increments at once; :func:`sample` is the one-client case.
 """
 
 from __future__ import annotations
@@ -115,7 +114,10 @@ def _seed_pools(seeds) -> np.ndarray:
 
 
 def _states(pool: np.ndarray, words: np.ndarray) -> StreamStates:
-    """The states of the (client, round, step) columns of the (3, K) uint32 ``words``, column k hashed on top of pool column k."""
+    """The states of the (client, round, step) columns of the (3, K) uint32 ``words``.
+
+    Column k is hashed on top of column k of the (4, K) or (4, 1) ``pool``.
+    """
     for j in range(3):  # the client, round and step words, in spawn-key order
         hashed = _shift_xor((words[j] ^ _SPAWN_XOR[j]) * _SPAWN_MUL[j])
         pool = _shift_xor(_MIX_MULT_L * pool - _MIX_MULT_R * hashed)
@@ -160,8 +162,8 @@ def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int)
     """The states of a stack of runs, one master seed each, over ``rounds`` rounds from ``first_round``.
 
     Item ((r * steps + i) * len(seeds) + s) * clients + n is the stream of
-    run s's client n at step i of round first_round + r, in one
-    :func:`stream_states` pass.
+    run s's client n at step i of round first_round + r; all come from
+    one vectorized pass, as in :func:`stream_states`.
     """
     if not 0 <= first_round <= first_round + rounds <= KEY_LIMIT:
         raise ValueError("keys must lie in [0, 2**32)")
@@ -203,7 +205,7 @@ def radius_scale(model: NoiseModel) -> float:
 
 
 def radius_sampler(model: NoiseModel, stream: np.random.Generator):
-    """A callable that draws the model's radius variate from ``stream``: 1 + Pareto(t), |t(nu)| or |N(0, 1)|."""
+    """A callable drawing the model's radius variate from ``stream``: 1 + Pareto(t), |t(nu)| or |N(0, 1)|."""
     tail = model.tail_exponent
     if model.family == "symmetrized-pareto":
         return lambda: 1.0 + stream.pareto(tail)
@@ -212,12 +214,6 @@ def radius_sampler(model: NoiseModel, stream: np.random.Generator):
     if model.family == "gaussian":
         return lambda: abs(stream.standard_normal())
     raise ValueError(f"noise family {model.family!r} draws nothing")
-
-
-def raw_draws(model: NoiseModel, size: int, stream: np.random.Generator) -> tuple:
-    """One client's variates for an increment of ``size`` entries: ``size`` normals, then the radius variate."""
-    direction = stream.standard_normal(size)
-    return direction, radius_sampler(model, stream)()
 
 
 def scale_draws(directions: np.ndarray, radii, scale) -> np.ndarray:
@@ -240,8 +236,9 @@ def sample(model: NoiseModel, shape: Shape, stream: np.random.Generator) -> np.n
     """Draw one noise increment of the given shape from the model."""
     if is_silent(model):
         return np.zeros(shape.dims)
-    direction, radius = raw_draws(model, shape.size, stream)
-    return scale_draws(direction, np.float64(radius), radius_scale(model)).reshape(shape.dims)
+    direction = stream.standard_normal(shape.size)
+    radius = np.float64(radius_sampler(model, stream)())
+    return scale_draws(direction, radius, radius_scale(model)).reshape(shape.dims)
 
 
 def empirical_moment(samples, s: float) -> float:

@@ -241,8 +241,8 @@ def test_cmd_sweep_keeps_rows_after_invariant_violation(tmp_path, monkeypatch, c
     lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
     assert lines[0] == cli.SWEEP_HEADER
     assert [row.split(",")[5] for row in lines[1:]] == ["1", "2", "4"]
-    assert re.search(r"cell seed=3: invariant violation during run: nsgda-m round 1: max_drift_x = .*client 1",
-                     capsys.readouterr().err)
+    assert re.search(r"cell seed=3: invariant violation during run: "
+                     r"nsgda-m round 1: max_drift_x = .*client 1", capsys.readouterr().err)
 
 
 def test_cmd_sweep_builds_each_problem_once(tmp_path, monkeypatch):

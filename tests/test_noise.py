@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedminimax import NoiseModel, Shape
-from fedminimax.noise import (derive_stream, empirical_moment, radius_scale, raw_draws, sample, scale_draws,
+from fedminimax.noise import (derive_stream, empirical_moment, radius_sampler, radius_scale, sample, scale_draws,
                              seed_errors, stream_states)
 
 
@@ -14,6 +14,7 @@ def draws(model, shape, n, seed=0, start_step=0, chunk=10_000):
     ``sample`` on ``derive_stream`` (``test_draws_match_derive_stream``).
     """
     rng = np.random.Generator(np.random.PCG64(0))
+    radius = radius_sampler(model, rng)
     out = np.empty((n, shape.size))
     radii = np.empty(n)
     for lo in range(0, n, chunk):
@@ -21,7 +22,8 @@ def draws(model, shape, n, seed=0, start_step=0, chunk=10_000):
         keys = np.stack([np.zeros_like(steps), np.zeros_like(steps), steps], axis=1)
         for k, state in enumerate(stream_states(seed, keys), start=lo):
             rng.bit_generator.state = state
-            out[k], radii[k] = raw_draws(model, shape.size, rng)
+            rng.standard_normal(out=out[k])
+            radii[k] = radius()
     return scale_draws(out, radii, radius_scale(model)).reshape((n,) + shape.dims)
 
 

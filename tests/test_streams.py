@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import fedminimax as fm
 from fedminimax import fedopt
 from fedminimax.fedopt import RunSpec, ServerState, client_round
-from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, round_states, sample,
-                              stream_states)
+from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, round_states,
+                              sample, stream_states)
 
 SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 KEY = st.tuples(*(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1) for _ in range(3)))

@@ -378,8 +378,8 @@ def client_round(servers: list, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
         scale = np.repeat([radius_scale(specs[s].noise) for s in radius], N)
     groups = _groups(specs)
 
-    def per_run(blocks):
-        return np.repeat(np.stack(blocks), N, axis=0)
+    def per_run(blocks):  # each run's block on each of its rows
+        return np.repeat(np.array(blocks), N, axis=0)
 
     X0, Y0 = per_run([sv.x for sv in servers]), per_run([sv.y for sv in servers])
     U, V = per_run([sv.u for sv in servers]), per_run([sv.v for sv in servers])  # local-sgda-m recurses

@@ -3,8 +3,8 @@
 ``stream_states`` must give, draw for draw, the generator ``derive_stream``
 builds for the same key, over the whole seed and key domain, under one
 seed or one per key; so must ``round_states`` and the chunks of rounds a
-stack of runs derives its streams in.  The noise
-``client_round`` injects must equal, bit for bit, a per-client reference:
+stack of runs derives its streams in.  The noise ``client_round``
+injects must equal, bit for bit, a per-client reference:
 the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
 at the iterates the batched ``grad`` saw, then one increment per block
 from the per-client sampler below, for every noise family, vector and
@@ -172,7 +172,7 @@ def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, c
     k = 0
     for r in range(rounds):
         for i in range(steps):
-            for s, seed in enumerate(seeds):
+            for seed in seeds:
                 for n in range(clients):
                     assert states[k] == derive_stream(seed, n, first_round + r, i).bit_generator.state
                     k += 1

@@ -10,10 +10,10 @@ finite: exactly a bounded-s-th-moment noise source and nothing stronger.
 
 Every draw comes from a stream keyed by (master seed, client, round,
 step).  :func:`derive_stream` builds one such stream; :func:`stream_states`
-gives the PCG64 states of many keys, under one master seed or one per key,
-in one vectorized pass, so a caller can reset a single reused Generator to
-each key instead of building one per key.  :func:`round_states` derives
-every stream of a stack of runs over as many rounds as ``STREAM_CHUNK``
+gives the PCG64 states of many keys in one vectorized pass, so a caller
+can reset a single reused Generator to each key instead of building one
+per key.  :func:`round_states` does the same for every stream of a stack
+of runs, one master seed each, over as many rounds as ``STREAM_CHUNK``
 streams hold.  The states come back as a :class:`StreamStates`, which
 builds each state dict only when it is read.  Sampling is split the same
 way: a client's variates are its normals, then the radius variate that
@@ -132,30 +132,24 @@ def _states(pool: np.ndarray, words: np.ndarray) -> StreamStates:
     return StreamStates(states, incs)
 
 
-def stream_states(seeds, keys) -> StreamStates:
+def stream_states(master_seed: int, keys) -> StreamStates:
     """PCG64 states of :func:`derive_stream` for every (client, round, step) row of ``keys``.
 
-    ``seeds`` is one master seed for every row, or a sequence of one per
-    row; row k's state makes a generator draw exactly what
-    ``derive_stream(seed_k, *keys[k])`` draws.  Each seed must lie in
-    [0, 2**64) and every key entry in [0, 2**32): there SeedSequence hashes
-    the seed into its 4-word pool before the spawn words, and each spawn
-    word is one 32-bit word, so the spawn words of all keys mix in with
-    fixed hash constants, as (4, K) arrays.
+    Row k's state, assigned to ``generator.bit_generator.state``, makes the
+    generator draw exactly what ``derive_stream(master_seed, *keys[k])``
+    draws.  The seed must lie in [0, 2**64) and every key entry in
+    [0, 2**32): there SeedSequence hashes the seed into its 4-word pool
+    before the spawn words, and each spawn word is one 32-bit word, so the
+    spawn words of all keys mix in with fixed hash constants, as (4, K)
+    arrays.
     """
+    pool = _seed_pools([master_seed])
     K = np.asarray(keys)
     if K.ndim != 2 or K.shape[1] != 3 or not np.issubdtype(K.dtype, np.integer):
         raise ValueError(f"keys must be a (K, 3) integer array, got {K.dtype} {K.shape}")
     if K.size and (K.min() < 0 or K.max() >= KEY_LIMIT):
         raise ValueError("keys must lie in [0, 2**32)")
-    words = K.T.astype(np.uint32)
-    if np.ndim(seeds) == 0:
-        return _states(_seed_pools([seeds]), words)
-    seeds = list(seeds)
-    if len(seeds) != len(K):
-        raise ValueError(f"need one seed per key row, got {len(seeds)} seeds for {len(K)} rows")
-    distinct = {seed: j for j, seed in enumerate(dict.fromkeys(seeds))}
-    return _states(_seed_pools(distinct)[:, [distinct[seed] for seed in seeds]], words)
+    return _states(pool, K.T.astype(np.uint32))
 
 
 def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> StreamStates:

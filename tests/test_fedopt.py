@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedminimax import (ALGORITHMS, HyperParams, MinimaxProblem, NoiseModel, Shape, SmoothnessInfo,
+from fedminimax import (ALGORITHMS, HyperParams, MinimaxProblem, NoiseModel, Shape, SmoothnessInfo, fedopt,
                         theorem2_schedule)
-from fedminimax import fedopt
 from fedminimax.fedopt import (
     InternalInvariantViolation,
     ProtocolError,
@@ -564,18 +563,16 @@ def test_trace_csv_rows_must_be_one_run(tmp_path, edit, row):
 def adapter_matrix_saddle(n_clients=3, m=4, k=3, c=3, mu=1.0, lam=1.0, seed=2):
     """``matrix_saddle`` given by per-client callables, so its grad is the per-client adapter."""
     base = matrix_saddle(n_clients, m, k, c, mu, lam, seed)
-    rows = lambda a, n: np.repeat(a[None], n_clients, axis=0)  # noqa: E731
 
-    def grad_x(n, X, Y):
-        return base.grad(rows(X, n), rows(Y, n))[0][n]
-
-    def grad_y(n, X, Y):
-        return base.grad(rows(X, n), rows(Y, n))[1][n]
+    def client_grads(n, X, Y):  # row n of the batched grad with every client at (X, Y)
+        GX, GY = base.grad(np.repeat(X[None], n_clients, axis=0), np.repeat(Y[None], n_clients, axis=0))
+        return GX[n], GY[n]
 
     return MinimaxProblem(
         n_clients=n_clients, shape_x=base.shape_x, shape_y=base.shape_y, smooth=base.smooth,
-        f_value=base.f_value, y_star=base.y_star, grad_x=grad_x, grad_y=grad_y,
-        stoch_grad=lambda n, X, Y, rng: (grad_x(n, X, Y), grad_y(n, X, Y)))
+        f_value=base.f_value, y_star=base.y_star,
+        grad_x=lambda n, X, Y: client_grads(n, X, Y)[0], grad_y=lambda n, X, Y: client_grads(n, X, Y)[1],
+        stoch_grad=lambda n, X, Y, rng: client_grads(n, X, Y))
 
 
 STACK_PROBLEMS = {
@@ -617,10 +614,13 @@ def assert_same_run(stacked, solo, tmp):
     if isinstance(solo, InternalInvariantViolation):
         assert isinstance(stacked, InternalInvariantViolation) and str(stacked) == str(solo)
         return
-    paths = [os.path.join(tmp, name) for name in ("stacked.csv", "solo.csv")]
-    for trace, path in zip((stacked, solo), paths):
+    csv = []
+    for trace in (stacked, solo):
+        path = os.path.join(tmp, "trace.csv")
         trace_to_csv(trace, path)
-    assert [open(path, "rb").read() for path in paths][0] == open(paths[1], "rb").read()
+        with open(path, "rb") as fh:
+            csv.append(fh.read())
+    assert csv[0] == csv[1]
     assert [record_bytes(r) for r in stacked.records] == [record_bytes(r) for r in solo.records]
     assert [(r.centering_x, r.centering_y) for r in stacked.records] == [
         (r.centering_x, r.centering_y) for r in solo.records]
@@ -638,7 +638,7 @@ def solo_run(problem, spec):
 
 
 @pytest.mark.parametrize("kind", sorted(STACK_PROBLEMS))
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_each_run_of_a_stack_equals_its_solo_run(kind, data):
     problem = STACK_PROBLEMS[kind]

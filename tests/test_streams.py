@@ -1,10 +1,10 @@
 """Property tests: bulk-derived streams and stacked noise equal their one-at-a-time references.
 
 ``stream_states`` must give, draw for draw, the generator ``derive_stream``
-builds for the same key, over the whole seed and key domain, under one
-seed or one per key; so must ``round_states`` and the chunks of rounds a
-stack of runs derives its streams in.  The noise ``client_round``
-injects must equal, bit for bit, a per-client reference:
+builds for the same key, over the whole seed and key domain; so must
+``round_states``, which derives the streams of several seeds at once, and
+the chunks of rounds a stack of runs derives its streams in.  The noise
+``client_round`` injects must equal, bit for bit, a per-client reference:
 the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
 at the iterates the batched ``grad`` saw, then one increment per block
 from the per-client sampler below, for every noise family, vector and
@@ -152,14 +152,6 @@ def test_run_rejects_seed_outside_stream_domain():
             fm.run("nsgda-m", problem, hp, seed=seed)
     trace = fm.run("nsgda-m", problem, hp, seed=2**64 - 1)
     assert len(trace.records) == 2 and math.isfinite(trace.records[-1].grad_phi_norm)
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(SEEDS, KEY), min_size=1, max_size=6))
-def test_stream_states_with_one_seed_per_key_match_derive_stream(rows):
-    states = stream_states([seed for seed, _ in rows], [key for _, key in rows])
-    assert [states[k] for k in range(len(rows))] == [
-        derive_stream(seed, *key).bit_generator.state for seed, key in rows]
 
 
 @settings(max_examples=40, deadline=None)

@@ -671,6 +671,31 @@ def test_stack_goes_on_after_a_local_sgda_m_run_diverges(tmp_path):
         assert_same_run(result, solo_run(problem, spec), tmp_path)
 
 
+def test_stack_goes_on_after_a_run_raises(tmp_path, monkeypatch):
+    problem = STACK_PROBLEMS["saddle-d10"]
+    steady = stack_hps(problem.n_clients)[0]
+    noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
+    real = fedopt.client_round
+
+    def faulty(servers, G_prev_x, G_prev_y, problem, specs, *rest):  # seed 2's client 1 drifts at round 2
+        out = list(real(servers, G_prev_x, G_prev_y, problem, specs, *rest))
+        if servers[0].round == 2:
+            out[4] = out[4].copy()
+            for j, spec in enumerate(specs):
+                if spec.seed == 2:
+                    out[4][j * problem.n_clients + 1] *= 10.0
+        return tuple(out)
+
+    monkeypatch.setattr(fedopt, "client_round", faulty)
+    specs = [RunSpec("nsgda-m", steady, noise, 1), RunSpec("sgda-clip", steady, noise, 2),
+             RunSpec("muon-da", steady, noise, 3)]
+    stacked = run_stack(problem, specs)
+    assert isinstance(stacked[1], InternalInvariantViolation)
+    assert "sgda-clip round 2: max_drift_x" in str(stacked[1]) and "client 1" in str(stacked[1])
+    for spec, result in zip(specs, stacked):
+        assert_same_run(result, solo_run(problem, spec), tmp_path)
+
+
 def test_run_stack_validates_its_runs():
     problem = quiet_problem(n_clients=2)
     with pytest.raises(ValueError, match="at least one run"):

@@ -17,6 +17,7 @@ from .core import (
 )
 from .fedopt import (
     RoundRecord,
+    RunSpec,
     RunTrace,
     ServerState,
     clip_step,
@@ -24,6 +25,7 @@ from .fedopt import (
     muon_step,
     normalized_step,
     run,
+    run_stack,
     trace_from_csv,
     trace_to_csv,
 )
@@ -48,6 +50,7 @@ __all__ = [
     "MinimaxProblem",
     "NoiseModel",
     "RoundRecord",
+    "RunSpec",
     "RunTrace",
     "ServerState",
     "Shape",
@@ -66,6 +69,7 @@ __all__ = [
     "orthonormality_defect",
     "phi_value_and_grad",
     "run",
+    "run_stack",
     "sample",
     "svd_polar",
     "theorem1_schedule",

@@ -36,17 +36,22 @@ algorithm, hyperparameters, noise model and seed; ``run`` is its S = 1
 case.  Iterates, control variates and momenta are (S*N,) + block arrays,
 (S*N, d) for a vector block and (S*N, m, n) for a matrix, one row per
 client, run s owning rows s*N to s*N + N - 1; drifts are (S*N,) vectors.
+The server state holds the runs' (S,) + block stacks.
 Each local step makes each client's own draws, the problem's and the raw
 noise variates, from its (seed, client, round, step) stream (one reused
 generator, reset to states derived for a chunk of rounds of all the runs
-at once), takes each run's N gradients from one batched ``problem.grad``
-call and scales the noise for all rows at once, each with its run's
-radius scale; then momentum and step rule act once per range of runs
-that share (algorithm, hyperparameters), and drift once on the stack,
-with each client's bits unchanged.  The server round, exact metrics,
-record and checks are per run; ``server_round`` sums a run's clients
-over axis 0.  A run leaves the stack when it raises or, for the
-unnormalized baseline, diverges, and the others go on.
+at once), takes the gradients of all S*N rows from one batched
+``problem.grad`` call and scales the noise for all rows at once, each
+with its run's radius scale; then momentum and step rule act once per
+range of runs that share (algorithm, hyperparameters), and drift once on
+the stack, with each client's bits unchanged.  Each round the exact
+metrics of all S round-start points come from one
+``problem.round_metrics`` call, and ``server_round`` and the record
+norms act once on the stack: a run's clients are summed over the client
+axis of the (S, N) + block view, as ``.sum(axis=0)`` sums them alone,
+and each run's coefficients come from its own hyperparameters.  Records,
+checks and exits are per run: a run leaves the stack when it raises or,
+for the unnormalized baseline, diverges, and the others go on.
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ class InternalInvariantViolation(RuntimeError):
 
 @dataclass
 class ServerState:
+    """The server's blocks; inside ``run_stack`` each field is the (S,) + block stack of S runs."""
+
     x: np.ndarray
     y: np.ndarray
     u: np.ndarray  # global momentum, primal
@@ -234,15 +241,22 @@ def trace_from_csv(path) -> RunTrace:
 
 def _client_norms(A) -> np.ndarray:
     """Per-client Frobenius norms, each summed as np.linalg.norm sums that row alone."""
-    if np.ndim(A) not in (2, 3):
-        raise ValueError(f"expected an (N, d) or (N, m, n) client stack, got shape {np.shape(A)}")
-    flat = np.reshape(A, (len(A), -1))
+    A = np.asarray(A)
+    if A.ndim not in (2, 3):
+        raise ValueError(f"expected an (N, d) or (N, m, n) client stack, got shape {A.shape}")
+    flat = A.reshape(len(A), -1)
     return np.sqrt(np.vecdot(flat, flat))
+
+
+def _row_norms(*stacks) -> list:
+    """The ``_client_norms`` of several (S,) + block stacks from one call: a list of S floats per stack."""
+    flat = np.concatenate([np.asarray(A).reshape(len(A), -1) for A in stacks])
+    return _client_norms(flat).reshape(len(stacks), -1).tolist()
 
 
 def _per_client(v, A) -> np.ndarray:
     """The length-N vector v shaped to broadcast over the rows of the stack A."""
-    return np.reshape(v, (-1,) + (1,) * (np.ndim(A) - 1))
+    return v.reshape((-1,) + (1,) * (np.ndim(A) - 1))
 
 
 def _momentum_norms(M) -> tuple:
@@ -332,41 +346,47 @@ def _groups(specs: list) -> list:
     return groups
 
 
-def _applied_centering(M, G, u, beta: float) -> float:
-    """||mean_n((M_n - (1 - beta) u) / beta - G_n)||: the mean correction the momentum stack M applied."""
-    return float(np.linalg.norm(((M - (1.0 - beta) * u) / beta - G).sum(axis=0) / len(M)))
+def _by_run(A, N: int) -> np.ndarray:
+    """The (S, N) + block view of an (S*N,) + block stack: run s's clients along axis 1 of row s."""
+    return A.reshape((-1, N) + A.shape[1:])
+
+
+def _applied_centering(M, G, U, beta: float, N: int) -> np.ndarray:
+    """Per run ||mean_n((M_n - (1 - beta) U_n) / beta - G_n)||: the mean correction its momentum applied."""
+    return _client_norms(_by_run((M - (1.0 - beta) * U) / beta - G, N).sum(axis=1) / N)
 
 
 def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def client_round(servers: list, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
+def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
                  problem: MinimaxProblem, specs: list, states=None) -> tuple:
     """Run the p local steps of all N clients of every run in a stack from its round-start server state.
 
-    The stack is S runs (``specs``, one ``ServerState`` each, all at one
-    round) that share the problem and (N, p); run s owns rows s*N to
-    s*N + N - 1 of every (S*N,) + block stack.  Returns the final iterates
-    and the new control variates (each client's average stochastic
-    gradient) as such stacks, each client's largest drift ||x_local - x_t||
-    per block as (S*N,) vectors, and each run's centering residual per
-    block: the mean correction its step-0 momentum applied, 0.0 for
-    ``local-sgda-m``, which applies none.  It checks nothing; ``run_stack``
-    does.  ``states`` are the round's stream states in (step, run, client)
-    order (``round_states``), derived here if not given.
+    The stack is S runs (``specs``) that share the problem and (N, p); the
+    server state holds their (S,) + block stacks at one round, and run s
+    owns rows s*N to s*N + N - 1 of every (S*N,) + block stack.  Returns
+    the final iterates and the new control variates (each client's average
+    stochastic gradient) as such stacks, each client's largest drift
+    ||x_local - x_t|| per block as (S*N,) vectors, and each run's
+    centering residual per block as (S,) vectors: the mean correction its
+    step-0 momentum applied, 0.0 for ``local-sgda-m``, which applies none.
+    It checks nothing; ``run_stack`` does.  ``states`` are the round's
+    stream states in (step, run, client) order (``round_states``), derived
+    here if not given.
 
     At each step every client draws from its (seed, client, round, step)
     stream: first the problem's own ``draw``, unless the problem draws
     nothing, then the raw ``noise`` variates of x and y.  One ``grad`` call
-    per run gives its N gradients, and the noise is scaled and added for
-    all noisy rows at once.  Momentum and step rule act once per range of
-    consecutive runs that share (algorithm, hp), the drifts once for the
-    stack; every row keeps the bits of its run alone.
+    gives the gradients of all S*N rows, and the noise is scaled and added
+    for all noisy rows at once.  Momentum and step rule act once per range
+    of consecutive runs that share (algorithm, hp), the drifts once for
+    the stack; every row keeps the bits of its run alone.
     """
     S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
     if states is None:
-        states = round_states([spec.seed for spec in specs], N, p, servers[0].round, 1)
+        states = round_states([spec.seed for spec in specs], N, p, server.round, 1)
     rng = np.random.Generator(np.random.PCG64(0))  # reset to each client's stream before use
     bits, normal, draws = rng.bit_generator, rng.standard_normal, problem.draws
     radius = {s: radius_sampler(spec.noise, rng) for s, spec in enumerate(specs) if not is_silent(spec.noise)}
@@ -378,15 +398,15 @@ def client_round(servers: list, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
         scale = np.repeat([radius_scale(specs[s].noise) for s in radius], N)
     groups = _groups(specs)
 
-    def per_run(blocks):  # each run's block on each of its rows
-        return np.repeat(np.array(blocks), N, axis=0)
+    def per_client(blocks):  # each run's block on each of its rows
+        return np.repeat(blocks, N, axis=0)
 
-    X0, Y0 = per_run([sv.x for sv in servers]), per_run([sv.y for sv in servers])
-    U, V = per_run([sv.u for sv in servers]), per_run([sv.v for sv in servers])  # local-sgda-m recurses
-    g_x, g_y = per_run([sv.g_x for sv in servers]), per_run([sv.g_y for sv in servers])
+    X0, Y0 = per_client(server.x), per_client(server.y)
+    U, V = per_client(server.u), per_client(server.v)  # local-sgda-m recurses
+    g_x, g_y = per_client(server.g_x), per_client(server.g_y)
     X, Y = X0, Y0
     sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
-    cen_x, cen_y = [0.0] * S, [0.0] * S
+    cen_x, cen_y = np.zeros(S), np.zeros(S)
     for i in range(p):
         batch = [None] * (S * N) if draws else None
         for s in range(S) if draws else radius:
@@ -400,15 +420,14 @@ def client_round(servers: list, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
                     RX[row] = radius[s]()
                     normal(out=DY[row])
                     RY[row] = radius[s]()
-        grads = [problem.grad(X[s * N:s * N + N], Y[s * N:s * N + N],
-                              None if batch is None else batch[s * N:s * N + N]) for s in range(S)]
-        GX, GY = _joined([gx for gx, _ in grads]), _joined([gy for _, gy in grads])
+        GX, GY = problem.grad(X, Y, batch)
         if radius:
             inc_x = scale_draws(DX[noisy], RX[noisy], scale).reshape((-1,) + GX.shape[1:])
             inc_y = scale_draws(DY[noisy], RY[noisy], scale).reshape((-1,) + GY.shape[1:])
             if len(radius) == S:
                 GX, GY = GX + inc_x, GY + inc_y
-            else:  # GX and GY are joined copies here
+            else:  # into copies: the oracle's arrays are not the engine's to write
+                GX, GY = GX.copy(), GY.copy()
                 GX[noisy] += inc_x
                 GY[noisy] += inc_y
         sum_gx += GX
@@ -425,10 +444,8 @@ def client_round(servers: list, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
             MX = local_momentum(GX[r], g_x[r], G_prev_x[r], U[r], hp.beta_x)
             MY = local_momentum(GY[r], g_y[r], G_prev_y[r], V[r], hp.beta_y)
             if i == 0:
-                for s in range(a, b):
-                    q, rs = slice((s - a) * N, (s - a + 1) * N), slice(s * N, s * N + N)
-                    cen_x[s] = _applied_centering(MX[q], GX[rs], U[rs], hp.beta_x)
-                    cen_y[s] = _applied_centering(MY[q], GY[rs], V[rs], hp.beta_y)
+                cen_x[a:b] = _applied_centering(MX, GX[r], U[r], hp.beta_x, N)
+                cen_y[a:b] = _applied_centering(MY, GY[r], V[r], hp.beta_y, N)
             steps_x.append(_step(algorithm, hp, X[r], MX, hp.eta_x, "descend"))
             steps_y.append(_step(algorithm, hp, Y[r], MY, hp.eta_y, "ascend"))
         X, Y = _joined(steps_x), _joined(steps_y)
@@ -447,20 +464,41 @@ def _step(algorithm: str, hp: HyperParams, Z, M, eta: float, direction: str):
     return clip_step(Z, M, eta, hp.tau, direction)
 
 
-def server_round(server: ServerState, X, Y, G_x, G_y, hp: HyperParams) -> ServerState:
-    """Aggregate the N clients' stacks, summed over axis 0, into the next server state."""
-    shapes = [np.shape(S) for S in (X, Y, G_x, G_y)]
-    if shapes != [(hp.N,) + np.shape(b) for b in (server.x, server.y) * 2]:
-        raise ProtocolError(f"expected ({hp.N},) + block stacks of blocks x, y, x, y, got {shapes}")
-    g_x = G_x.sum(axis=0) / hp.N
-    g_y = G_y.sum(axis=0) / hp.N
-    disp_x = (X - server.x).sum(axis=0)
-    disp_y = (Y - server.y).sum(axis=0)
-    x_new = server.x + (hp.gamma_x / (hp.eta_x * hp.N * hp.p)) * disp_x
-    y_new = server.y + (hp.gamma_y / (hp.eta_y * hp.N * hp.p)) * disp_y
-    u_new = hp.beta_x * g_x + (1.0 - hp.beta_x) * server.u
-    v_new = hp.beta_y * g_y + (1.0 - hp.beta_y) * server.v
+def server_round(server: ServerState, X, Y, G_x, G_y, hps: list) -> ServerState:
+    """Aggregate every run's N clients into its next server state, for a stack of S runs at once.
+
+    ``server`` holds the runs' (S,) + block stacks and ``hps`` their
+    hyperparameters; X, Y, G_x and G_y are (S*N,) + block client stacks,
+    run s owning rows s*N to s*N + N - 1.  Each run's clients are summed
+    over the client axis of the (S, N) + block view, as ``.sum(axis=0)``
+    sums one run's (N,) + block stack, and each run's coefficients are a
+    column from its own ``hp``.
+    """
+    S, N = len(hps), hps[0].N
+    want_x, want_y = (S * N,) + server.x.shape[1:], (S * N,) + server.y.shape[1:]
+    if not (len(server.x) == len(server.y) == S and X.shape == G_x.shape == want_x
+            and Y.shape == G_y.shape == want_y):
+        raise ProtocolError(f"expected {want_x} and {want_y} stacks of {S} runs' clients for x, y, x, y, got "
+                            f"{[np.shape(A) for A in (X, Y, G_x, G_y)]}")
+    # per run: the server step per unit of summed displacement and the momentum weights,
+    # as columns that broadcast over the x and y blocks
+    rates = np.array([[hp.gamma_x / (hp.eta_x * hp.N * hp.p), hp.beta_x, 1.0 - hp.beta_x,
+                       hp.gamma_y / (hp.eta_y * hp.N * hp.p), hp.beta_y, 1.0 - hp.beta_y] for hp in hps]).T
+    step_x, beta_x, keep_x = rates[:3].reshape((3, S) + (1,) * (server.x.ndim - 1))
+    step_y, beta_y, keep_y = rates[3:].reshape((3, S) + (1,) * (server.y.ndim - 1))
+    g_x = _by_run(G_x, N).sum(axis=1) / N
+    g_y = _by_run(G_y, N).sum(axis=1) / N
+    x_new = server.x + step_x * (_by_run(X, N) - server.x[:, None]).sum(axis=1)
+    y_new = server.y + step_y * (_by_run(Y, N) - server.y[:, None]).sum(axis=1)
+    u_new = beta_x * g_x + keep_x * server.u
+    v_new = beta_y * g_y + keep_y * server.v
     return ServerState(x_new, y_new, u_new, v_new, g_x, g_y, server.round + 1)
+
+
+def _runs(server: ServerState, index) -> ServerState:
+    """The runs ``index`` selects from a stacked state, in arrays of their own."""
+    blocks = (server.x, server.y, server.u, server.v, server.g_x, server.g_y)
+    return ServerState(*(np.array(block[index]) for block in blocks), server.round)
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +528,12 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
 
     Returns one entry per spec, in order: the run's ``RunTrace``, or the
     ``InternalInvariantViolation`` that ended it.  Each run's trace is,
-    bit for bit, the trace of ``run`` on that spec alone.  Every round, the
-    exact metrics, server round, record and checks are per run, and one
-    ``client_round`` runs the local steps of the whole stack, whose rows
-    are grouped by (algorithm, hp) in the order the groups first appear.
+    bit for bit, the trace of ``run`` on that spec alone.  Every round
+    makes one ``round_metrics`` call for the points of all the runs still
+    in, one ``client_round`` for their local steps (one ``grad`` call per
+    step), one ``server_round`` and one pass of record norms over the
+    stack, whose rows are grouped by (algorithm, hp) in the order the
+    groups first appear; each run's record, checks and exit are its own.
     A run leaves the stack at the round it raises, or, for the
     unnormalized baseline, at its first diverged record (the rest of its
     records carry nan); the other runs go on.  The stream states are
@@ -520,12 +560,12 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
         first.setdefault((spec.algorithm, spec.hp), len(first))
     live = sorted(range(len(specs)), key=lambda k: first[(specs[k].algorithm, specs[k].hp)])
     dims_x, dims_y = problem.shape_x.dims, problem.shape_y.dims
-    servers = [ServerState(*(np.zeros(dims) for dims in (dims_x, dims_y) * 3), 0) for _ in specs]
+    server = ServerState(*(np.zeros((len(live),) + dims) for dims in (dims_x, dims_y) * 3), 0)
     G_prev_x, G_prev_y = np.zeros((len(live) * N,) + dims_x), np.zeros((len(live) * N,) + dims_y)
     caps = [round_caps(spec.algorithm, problem.shape_x.cols, problem.shape_y.cols, spec.hp)
             for spec in specs]
     records: list = [[] for _ in specs]
-    raised: dict = {}
+    raised, final = {}, {}
     states, chunk_end = None, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
@@ -535,52 +575,57 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
             if states is None or t == chunk_end:
                 chunk_start, chunk_end = t, min(t + max(1, STREAM_CHUNK // width), T)
                 states = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t)
-            metrics = [problem.round_metrics(servers[k].x, servers[k].y) for k in live]
-            aucs = [None if problem.auc_eval is None else float(problem.auc_eval(servers[k].x))
-                    for k in live]
+            phi, grad_phi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
+            aucs = [None if problem.auc_eval is None else float(problem.auc_eval(x)) for x in server.x]
             X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(
-                [servers[k] for k in live], G_prev_x, G_prev_y, problem, [specs[k] for k in live],
+                server, G_prev_x, G_prev_y, problem, [specs[k] for k in live],
                 states[(t - chunk_start) * width:(t - chunk_start + 1) * width])
+            new = server_round(server, X, Y, G_x, G_y, [specs[k].hp for k in live])
+            # each record field for every run at once, one Python float per run
+            phi_norm, err_x, step_x, prev_x, dist_x0 = _row_norms(
+                grad_phi, mean_gx - new.u, new.x - server.x, server.g_x, server.x)
+            err_y, step_y, prev_y = _row_norms(mean_gy - new.v, new.y - server.y, server.g_y)
+            fields = {
+                "grad_phi_norm": phi_norm,
+                "f_value": f_val.tolist(),
+                "grad_err_x": err_x,
+                "grad_err_y": err_y,
+                # Python's max() over each run's clients: a first nan stays, a later one is skipped
+                "max_drift_x": [max(clients) for clients in drift_x.reshape(-1, N).tolist()],
+                "max_drift_y": [max(clients) for clients in drift_y.reshape(-1, N).tolist()],
+                "server_step_x": step_x,
+                "server_step_y": step_y,
+                "potential": (3.0 * phi + (phi - f_val)).tolist(),
+                "centering_x": cen_x.tolist(),
+                "centering_y": cen_y.tolist(),
+                "g_prev_norm_x": prev_x,
+                "g_prev_norm_y": prev_y,
+                "dist_x0": dist_x0,
+            }
+            values = zip(*fields.values())
             stay = []
-            for j, k in enumerate(live):
-                server, rows = servers[k], slice(j * N, j * N + N)
-                new_server = server_round(server, X[rows], Y[rows], G_x[rows], G_y[rows], specs[k].hp)
-                phi, gphi, f_val, mean_gx, mean_gy = metrics[j]
-                rec = RoundRecord(
-                    t=t,
-                    grad_phi_norm=float(np.linalg.norm(gphi)),
-                    f_value=f_val,
-                    grad_err_x=float(np.linalg.norm(mean_gx - new_server.u)),
-                    grad_err_y=float(np.linalg.norm(mean_gy - new_server.v)),
-                    max_drift_x=max(drift_x[rows].tolist()),
-                    max_drift_y=max(drift_y[rows].tolist()),
-                    server_step_x=float(np.linalg.norm(new_server.x - server.x)),
-                    server_step_y=float(np.linalg.norm(new_server.y - server.y)),
-                    potential=3.0 * phi + (phi - f_val),
-                    auc=aucs[j],
-                    centering_x=cen_x[j],
-                    centering_y=cen_y[j],
-                    g_prev_norm_x=float(np.linalg.norm(server.g_x)),
-                    g_prev_norm_y=float(np.linalg.norm(server.g_y)),
-                    dist_x0=float(np.linalg.norm(server.x)),
-                    x=server.x.copy(),
-                    y=server.y.copy(),
-                )
+            for j, (k, row) in enumerate(zip(live, values)):
+                rec = RoundRecord(t=t, **dict(zip(fields, row)), auc=aucs[j],
+                                  x=server.x[j].copy(), y=server.y[j].copy())
                 if caps[k] is not None:
+                    clients = slice(j * N, j * N + N)
                     try:
                         _judge(specs[k].algorithm, rec, caps[k],
-                               {"max_drift_x": drift_x[rows], "max_drift_y": drift_y[rows]})
+                               {"max_drift_x": drift_x[clients], "max_drift_y": drift_y[clients]})
                     except InternalInvariantViolation as exc:
                         raised[k] = exc
                         continue
                 records[k].append(rec)
-                servers[k] = new_server
-                if not rec.diverged:
+                if rec.diverged:
+                    final[k] = _runs(new, j)
+                else:
                     stay.append(j)
             if len(stay) < len(live):  # a run left: the next round derives the streams of the rest
                 rows = (np.array(stay, dtype=int)[:, None] * N + np.arange(N)).ravel()
                 G_x, G_y, live, states = G_x[rows], G_y[rows], [live[j] for j in stay], None
-            G_prev_x, G_prev_y = G_x, G_y
+                new = _runs(new, stay)
+            server, G_prev_x, G_prev_y = new, G_x, G_y
+    final.update((k, _runs(server, j)) for j, k in enumerate(live))
 
     return [raised[k] if k in raised else RunTrace(
         algorithm=spec.algorithm,
@@ -588,7 +633,7 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
         records=records[k] + [_nan_record(t) for t in range(len(records[k]), T)],
         cols_x=problem.shape_x.cols,
         cols_y=problem.shape_y.cols,
-        final_state=servers[k],
+        final_state=final[k],
     ) for k, spec in enumerate(specs)]
 
 
@@ -604,7 +649,7 @@ def run(
     Metrics in record t describe the round-start iterates (x_t, y_t) plus
     the momentum/control variates produced by round t itself, matching the
     quantities the convergence analysis tracks; the exact ones come from
-    one ``problem.round_metrics(x_t, y_t)`` call.  Given an identical
+    ``problem.round_metrics`` at (x_t, y_t).  Given an identical
     (config, seed) pair the trace is bit-deterministic.  This is the
     one-run stack of :func:`run_stack`.
 

@@ -18,18 +18,22 @@ Two desk-scale problem families are provided:
   quadratic, so exact smoothness constants and the exact inner maximizer
   are available.
 
-The oracle contract (``MinimaxProblem``): all N clients' gradients come
-from one batched call, ``grad(X, Y, batch)``, over ``(N,) + dims``
-client stacks, and ``draw(n, rng, x, y)`` makes one client's random
-choices (the AUC minibatch) on that client's stream.  Row n of a batched
-result equals, bit for bit, the per-client formula evaluated on client n
-alone: stacked products are matmuls (``B @ Y[..., None]``), never einsum,
-and per-client means reduce along each row.  ``round_metrics(x, y)``
-gives the engine a round's exact metrics in one call: phi(x), its
-gradient, f(x, y) and both halves of ``mean_grad(x, y)``.  By default it
-is built from ``phi_value_and_grad``, ``f_value`` and ``mean_grad``; the
-AUC problem gives its own, which scores the shards once for all of them
-and returns the same bits.  Problems are immutable after construction.
+The oracle contract (``MinimaxProblem``): the gradients of every client
+of a whole stack of K runs come from one batched call,
+``grad(X, Y, batch)``, over ``(K*N,) + dims`` row stacks, row r being
+client r mod N; ``draw(n, rng, x, y)`` makes one client's random choices
+(the AUC minibatch) on that client's stream.  Row r of a batched result
+equals, bit for bit, the per-client formula evaluated on its client
+alone: stacked products are batched matrix-vector products
+(``B @ Y[..., None]``), never one matrix-matrix product, and per-client
+means reduce along each row.  ``round_metrics(X, Y)`` gives the engine
+the exact metrics of S points, one per run, in one call: at each point
+phi(x), its gradient, f(x, y) and both halves of ``mean_grad(x, y)``,
+each point's values the bits of the one-point calls.  By default it
+loops ``phi_value_and_grad``, ``f_value`` and ``mean_grad`` over the
+points; the saddle gives its own, one pass over all the points, and the
+AUC problem one that scores the shards once per point for all of them.
+Problems are immutable after construction.
 """
 
 from __future__ import annotations
@@ -80,6 +84,11 @@ def _no_draw(n, rng, x, y):
     return None
 
 
+def _by_point(rows) -> tuple:
+    """The metric tuples of S points as (S,) values and (S,) + dims blocks, entry s from row s."""
+    return tuple(np.array(column, dtype=float) for column in zip(*rows))
+
+
 def _derived(fn) -> bool:
     """True for an oracle a MinimaxProblem derived from its other form (a bound method of one)."""
     return isinstance(getattr(fn, "__self__", None), MinimaxProblem)
@@ -90,12 +99,13 @@ class MinimaxProblem:
     """Oracle bundle for min_x max_y (1/N) sum_n f_n(x, y).
 
     ``grad(X, Y, batch) -> (GX, GY)`` is the batched gradient oracle:
-    X and Y are ``(N,) + dims`` client stacks, row n is client n's
-    iterate, and row n of GX/GY is client n's gradient there.
-    ``draw(n, rng, x, y)`` makes client n's own random choices for one
-    stochastic gradient at its iterates (x, y), on its stream ``rng``;
-    ``batch`` is the list of the N clients' draws.  A None batch, or a
-    None entry, asks for that client's deterministic gradient.  The
+    X and Y are ``(K*N,) + dims`` row stacks of K runs' N clients each,
+    row r is client r mod N's iterate, and row r of GX/GY is that
+    client's gradient there.  ``draw(n, rng, x, y)`` makes client n's own
+    random choices for one stochastic gradient at its iterates (x, y), on
+    its stream ``rng``; ``batch`` is the list of the K*N rows' draws.  A
+    None batch, or a None entry, asks for that row's deterministic
+    gradient.  The
     stream is valid only during ``draw``: the engine draws its
     heavy-tailed noise from the same stream right after it.  A problem
     without ``draw`` draws nothing.
@@ -103,7 +113,7 @@ class MinimaxProblem:
     A problem may instead be given by per-client callables
     ``grad_x(n, x, y)``, ``grad_y(n, x, y)`` and ``stoch_grad(n, x, y, rng)``;
     they are wrapped once into ``grad``/``draw`` with a Python loop over
-    the clients (``draw`` then calls ``stoch_grad`` and keeps its pair).
+    the rows (``draw`` then calls ``stoch_grad`` and keeps its pair).
     A problem given by ``grad`` gets the per-client callables as views of
     ``grad``/``draw``.  A derived form is derived again by
     ``dataclasses.replace``, so it never goes stale.
@@ -114,11 +124,14 @@ class MinimaxProblem:
     then ``phi_value_and_grad`` takes the primal half of ``mean_grad`` at
     (x, y*(x)).
 
-    ``round_metrics(x, y) -> (phi, grad_phi, f, mean_gx, mean_gy)`` is
-    every exact metric of a round in one call: ``phi_value_and_grad`` at
-    x, ``f_value(x, y)`` and ``mean_grad(x, y)``, and by default it makes
-    exactly those calls.  A problem may give a faster version with the
-    same bits; it names the callables it reproduces in its ``made_for``
+    ``round_metrics(X, Y) -> (phi, grad_phi, f, mean_gx, mean_gy)`` is
+    every exact metric of a round of S runs in one call: X and Y are
+    ``(S,) + dims`` stacks of points, and entry s of each result is
+    ``phi_value_and_grad`` at X[s], ``f_value(X[s], Y[s])`` or
+    ``mean_grad(X[s], Y[s])``, as (S,) values and (S,) + dims blocks.  By
+    default it makes exactly those calls, point by point.  A problem may
+    give a faster version with the same bits; it names the callables it
+    reproduces in its ``made_for``
     attribute, the tuple (grad, f_value, y_star, phi_grad).  It is kept
     only while those are the problem's own: a ``dataclasses.replace`` of
     any of them, or a version without ``made_for``, gets the default.
@@ -165,16 +178,20 @@ class MinimaxProblem:
         """False for a problem given without ``draw``, which makes no random choices."""
         return self.draw is not _no_draw
 
-    def _round_metrics(self, x, y) -> tuple:
-        phi, grad_phi = phi_value_and_grad(self, x)
-        return (phi, grad_phi, float(self.f_value(x, y))) + self.mean_grad(x, y)
+    def _round_metrics(self, X, Y) -> tuple:
+        def at(x, y):
+            phi, grad_phi = phi_value_and_grad(self, x)
+            return (phi, grad_phi, float(self.f_value(x, y))) + self.mean_grad(x, y)
+
+        return _by_point([at(x, y) for x, y in zip(X, Y)])
 
     def _clients_draw(self, n, rng, x, y):
         return self.stoch_grad(n, x, y, rng)
 
     def _clients_grad(self, X, Y, batch=None):
-        pairs = [(self.grad_x(n, X[n], Y[n]), self.grad_y(n, X[n], Y[n])) if pair is None else pair
-                 for n, pair in enumerate([None] * self.n_clients if batch is None else batch)]
+        N = self.n_clients
+        pairs = [(self.grad_x(r % N, X[r], Y[r]), self.grad_y(r % N, X[r], Y[r])) if pair is None
+                 else pair for r, pair in enumerate([None] * len(X) if batch is None else batch)]
         return (np.array([gx for gx, _ in pairs], dtype=float),
                 np.array([gy for _, gy in pairs], dtype=float))
 
@@ -271,21 +288,52 @@ def make_saddle_problem(
     smooth = SmoothnessInfo(L_f=amp + np.linalg.norm(B_mean, 2) + mu, mu=mu)
 
     def grad(X, Y, batch=None):
-        # no intrinsic randomness: the engine adds the heavy-tailed noise
-        GX = amp * np.cos(X + phase) + (B @ Y[..., None])[..., 0] + c
-        GY = (B.mT @ X[..., None])[..., 0] - mu * Y
-        return GX, GY
+        # no intrinsic randomness: the engine adds the heavy-tailed noise; K > 1 runs'
+        # rows are viewed as (K, N, d) so the (N, ...) parameters broadcast, at a cost
+        # one run's rows need not pay
+        X3, Y3 = ((X, Y) if len(X) == n_clients
+                  else (X.reshape(-1, n_clients, d_x), Y.reshape(-1, n_clients, d_y)))
+        GX = amp * np.cos(X3 + phase) + (B @ Y3[..., None])[..., 0] + c
+        GY = (B.mT @ X3[..., None])[..., 0] - mu * Y3
+        return GX.reshape(X.shape), GY.reshape(Y.shape)
+
+    def f_values(X, *Ys):
+        """For each (S,) + dims dual stack Y, f at the points (X[s], Y[s]), (S,).
+
+        Point s has the same bits in a stack of any size: the coupling x^T B_n y is two
+        batched matrix-vector products (an einsum over the stack rounds apart on some
+        shapes), and the client mean is the sum over the client axis divided by N.
+        """
+        sines, shift = amp * np.sin(X[:, None, :] + phase).sum(axis=2), (c @ X[..., None])[..., 0]
+
+        def at(Y):
+            coupling = ((B @ Y[:, None, :, None])[..., 0] @ X[..., None])[..., 0]
+            return (sines + coupling + shift).sum(axis=1) / n_clients - 0.5 * mu * np.vecdot(Y, Y)
+
+        return [at(Y) for Y in Ys]
 
     def f_value(x, y):
-        vals = amp * np.sin(x[None, :] + phase).sum(axis=1)
-        vals = vals + np.einsum("i,nij,j->n", x, B, y) + c @ x
-        return float(vals.mean() - 0.5 * mu * np.dot(y, y))
+        return float(f_values(x[None], y[None])[0][0])
 
     def y_star(x):
         return B_mean.T @ x / mu
 
     def phi_grad(x):
         return amp * np.cos(x[None, :] + phase).mean(axis=0) + c_mean + B_mean @ (B_mean.T @ x) / mu
+
+    def round_metrics(X, Y):
+        # every point at once: y_star, phi_grad and the client means as batched
+        # matrix-vector products, so each point keeps the bits of its one-point calls
+        S = len(X)
+        BX = B_mean.T @ X[..., None]
+        grad_phi = (amp * (np.cos(X[:, None, :] + phase).sum(axis=1) / n_clients) + c_mean
+                    + (B_mean @ BX)[..., 0] / mu)
+        GX, GY = grad(np.repeat(X, n_clients, axis=0), np.repeat(Y, n_clients, axis=0))
+        phi, f = f_values(X, BX[..., 0] / mu, Y)
+        return (phi, grad_phi, f, GX.reshape(S, n_clients, d_x).sum(axis=1) / n_clients,
+                GY.reshape(S, n_clients, d_y).sum(axis=1) / n_clients)
+
+    round_metrics.made_for = (grad, f_value, y_star, phi_grad)
 
     return MinimaxProblem(
         n_clients=n_clients,
@@ -296,6 +344,7 @@ def make_saddle_problem(
         grad=grad,
         y_star=y_star,
         phi_grad=phi_grad,
+        round_metrics=round_metrics,
     )
 
 
@@ -443,19 +492,20 @@ def make_auc_problem(
         return None if batch_size is None else rng.integers(0, sizes[n], size=batch_size)
 
     def grad(X, Y, batch=None):
-        picks = [None] * N if batch is None else batch
-        GX, GY = np.empty((N, d + 2)), np.empty((N, 1))
-        for rows, F, POS, P in groups:
-            drawn = [picks[n] is not None for n in rows]
-            # one stacked call per group, or one per client if only some of it drew
-            parts = [slice(None)] if all(drawn) or not any(drawn) else [
-                slice(k, k + 1) for k in range(len(rows))]
-            for part in parts:
-                r, A, pos = rows[part], F[part], POS[part]
-                if picks[r[0]] is not None:
-                    k, idx = np.arange(len(r))[:, None], np.stack([picks[n] for n in r])
-                    A, pos = A[k, idx], pos[k, idx]
-                GX[r], GY[r] = _auc_grads(A, pos, X[r], Y[r], P[part])
+        GX, GY = np.empty((len(X), d + 2)), np.empty((len(X), 1))
+        for run in range(0, len(X), N):  # one run's N clients at a time
+            picks = [None] * N if batch is None else batch[run:run + N]
+            for rows, F, POS, P in groups:
+                drawn = [picks[n] is not None for n in rows]
+                # one stacked call per group, or one per client if only some of it drew
+                parts = [slice(None)] if all(drawn) or not any(drawn) else [
+                    slice(k, k + 1) for k in range(len(rows))]
+                for part in parts:
+                    r, A, pos = rows[part], F[part], POS[part]
+                    if picks[r[0]] is not None:
+                        k, idx = np.arange(len(r))[:, None], np.stack([picks[n] for n in r])
+                        A, pos = A[k, idx], pos[k, idx]
+                    GX[run + r], GY[run + r] = _auc_grads(A, pos, X[run + r], Y[run + r], P[part])
         return GX, GY
 
     def scored(x):
@@ -488,12 +538,15 @@ def make_auc_problem(
     def y_star(x):
         return dual_max(scored(x))
 
-    def round_metrics(x, y):
+    def point_metrics(x, y):
         # phi at y*(x), f at y and the two client means share one scoring of the shards
         groups_at = scored(x)
         w3_star = dual_max(groups_at)[0]
         phi, grad_phi = value(groups_at, float(w3_star)), mean_grad_at(groups_at, w3_star)[0]
         return (phi, grad_phi, value(groups_at, float(y[0]))) + mean_grad_at(groups_at, y[0])
+
+    def round_metrics(X, Y):
+        return _by_point([point_metrics(x, y) for x, y in zip(X, Y)])
 
     round_metrics.made_for = (grad, f_value, y_star, None)
 

@@ -202,9 +202,9 @@ def inject_drift_fault(monkeypatch, seed, client=1, at_round=1):
     """Inside the stack, client_round reports 10x the x drift for run ``seed``'s client at one round."""
     real = fedopt.client_round
 
-    def faulty(servers, G_prev_x, G_prev_y, problem, specs, *rest):
-        out = list(real(servers, G_prev_x, G_prev_y, problem, specs, *rest))
-        if servers[0].round == at_round:
+    def faulty(server, G_prev_x, G_prev_y, problem, specs, *rest):
+        out = list(real(server, G_prev_x, G_prev_y, problem, specs, *rest))
+        if server.round == at_round:
             out[4] = out[4].copy()
             for j, spec in enumerate(specs):
                 if spec.seed == seed:

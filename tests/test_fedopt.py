@@ -158,23 +158,23 @@ def test_client_round_single_step_matches_manual():
                      beta_x=1.0, beta_y=1.0, p=1, T=1, N=1)
     x0 = np.array([0.3, -0.1, 0.7])
     y0 = np.array([0.2, 0.0, -0.4])
-    server = ServerState(x0, y0, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    X, _, G_x, _, drift_x, _, cen_x, _ = client_round([server], np.zeros((1, 3)), np.zeros((1, 3)),
+    server = ServerState(x0[None], y0[None], *np.zeros((4, 1, 3)), 0)  # a stack of one run
+    X, _, G_x, _, drift_x, _, cen_x, _ = client_round(server, np.zeros((1, 3)), np.zeros((1, 3)),
                                                       prob, [RunSpec("nsgda-m", hp)])
     g = prob.grad_x(0, x0, y0)
     assert G_x.shape == X.shape == (1, 3)
     assert np.allclose(G_x, g[None])
     assert np.allclose(X, (x0 - hp.eta_x * g / np.linalg.norm(g))[None])
     assert drift_x[0] == pytest.approx(hp.eta_x)
-    assert cen_x == [0.0]  # beta = 1 and zero control variates: the correction is exactly zero
+    assert cen_x.tolist() == [0.0]  # beta = 1 and zero control variates: the correction is exactly zero
 
 
 def test_client_round_identical_clients_symmetry():
     prob = quiet_problem(n_clients=3, hetero=0.0)
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
-    server = ServerState(np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), 0)
-    X, _, G_x, *_ = client_round([server], np.zeros((3, 3)), np.zeros((3, 3)), prob, [RunSpec("nsgda-m", hp)])
+    server = ServerState(np.ones((1, 3)), *np.zeros((5, 1, 3)), 0)  # a stack of one run
+    X, _, G_x, *_ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)), prob, [RunSpec("nsgda-m", hp)])
     assert X.shape == G_x.shape == (3, 3)
     for n in range(1, 3):
         assert np.allclose(X[n], X[0])
@@ -195,9 +195,9 @@ def test_client_round_drift_violation_names_client_and_round(monkeypatch):
 
     real = fedopt.client_round
 
-    def drifting(servers, *args):
-        out = list(real(servers, *args))
-        if servers[0].round == 2:
+    def drifting(server, *args):
+        out = list(real(server, *args))
+        if server.round == 2:
             out[4] = out[4] * np.array([1.0, 10.0])  # client 1 leaves its x drift bound
         return tuple(out)
 
@@ -221,27 +221,27 @@ def test_run_checks_the_server_step_while_it_runs(monkeypatch):
 
 
 def test_server_round_mean_and_momentum():
-    x = np.zeros(2)
+    x = np.zeros((1, 2))  # a stack of one run
     server = ServerState(x, x.copy(), x.copy(), x.copy(), x.copy(), x.copy(), 0)
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=1.0, beta_y=1.0, p=1, T=1, N=2)
     X = np.zeros((2, 2))  # both clients end where they started
-    new = server_round(server, X, X, stack([1.0, 0.0], [3.0, 2.0]), np.zeros((2, 2)), hp)
-    assert np.allclose(new.g_x, [2.0, 1.0])
-    assert np.allclose(new.u, [2.0, 1.0])  # beta=1: u_t = g_t
+    new = server_round(server, X, X, stack([1.0, 0.0], [3.0, 2.0]), np.zeros((2, 2)), [hp])
+    assert np.allclose(new.g_x, [[2.0, 1.0]])
+    assert np.allclose(new.u, [[2.0, 1.0]])  # beta=1: u_t = g_t
     assert np.allclose(new.x, x)  # zero displacement
     assert new.round == 1
 
 
 def test_server_round_result_count_mismatch():
-    x = np.zeros(2)
+    x = np.zeros((1, 2))  # a stack of one run
     server = ServerState(x, x, x, x, x, x, 0)
     with pytest.raises(ProtocolError):
         empty = np.zeros((0, 2))
-        server_round(server, empty, empty, empty, empty, HP)
+        server_round(server, empty, empty, empty, empty, [HP])
     columns = np.zeros((2, 2, 1))  # one client per row, but not in the block's own shape
     with pytest.raises(ProtocolError, match="got"):
-        server_round(server, columns, columns, columns, columns, HP)
+        server_round(server, columns, columns, columns, columns, [HP])
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +677,9 @@ def test_stack_goes_on_after_a_run_raises(tmp_path, monkeypatch):
     noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
     real = fedopt.client_round
 
-    def faulty(servers, G_prev_x, G_prev_y, problem, specs, *rest):  # seed 2's client 1 drifts at round 2
-        out = list(real(servers, G_prev_x, G_prev_y, problem, specs, *rest))
-        if servers[0].round == 2:
+    def faulty(server, G_prev_x, G_prev_y, problem, specs, *rest):  # seed 2's client 1 drifts at round 2
+        out = list(real(server, G_prev_x, G_prev_y, problem, specs, *rest))
+        if server.round == 2:
             out[4] = out[4].copy()
             for j, spec in enumerate(specs):
                 if spec.seed == 2:
@@ -694,6 +694,13 @@ def test_stack_goes_on_after_a_run_raises(tmp_path, monkeypatch):
     assert "sgda-clip round 2: max_drift_x" in str(stacked[1]) and "client 1" in str(stacked[1])
     for spec, result in zip(specs, stacked):
         assert_same_run(result, solo_run(problem, spec), tmp_path)
+
+
+def test_package_exports_the_stack_api():
+    import fedminimax as fm
+
+    assert fm.run_stack is fedopt.run_stack and fm.RunSpec is fedopt.RunSpec
+    assert {"run_stack", "RunSpec"} <= set(fm.__all__)
 
 
 def test_run_stack_validates_its_runs():

@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedminimax as fm
@@ -258,15 +258,19 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def assert_metrics_are_the_separate_calls(problem, x, y):
-    """``round_metrics(x, y)`` is phi_value_and_grad(x), f_value(x, y) and mean_grad(x, y), bit for bit."""
-    phi, grad_phi, f, mean_gx, mean_gy = problem.round_metrics(x, y)
-    phi_ref, grad_phi_ref = fm.phi_value_and_grad(problem, x)
-    mean_gx_ref, mean_gy_ref = problem.mean_grad(x, y)
-    assert type(phi) is float and same_bits(phi, phi_ref)
-    assert same_bits(grad_phi, grad_phi_ref)
-    assert type(f) is float and same_bits(f, float(problem.f_value(x, y)))
-    assert same_bits(mean_gx, mean_gx_ref) and same_bits(mean_gy, mean_gy_ref)
+def assert_metrics_are_the_separate_calls(problem, X, Y):
+    """``round_metrics(X, Y)`` on K points is, at each point, phi_value_and_grad(x), f_value(x, y) and
+    mean_grad(x, y), bit for bit."""
+    phi, grad_phi, f, mean_gx, mean_gy = problem.round_metrics(X, Y)
+    assert phi.shape == f.shape == (len(X),)
+    assert grad_phi.shape == mean_gx.shape == X.shape and mean_gy.shape == Y.shape
+    for k, (x, y) in enumerate(zip(X, Y)):
+        phi_ref, grad_phi_ref = fm.phi_value_and_grad(problem, x)
+        mean_gx_ref, mean_gy_ref = problem.mean_grad(x, y)
+        assert same_bits(phi[k], phi_ref), f"point {k}"
+        assert same_bits(grad_phi[k], grad_phi_ref), f"point {k}"
+        assert same_bits(f[k], float(problem.f_value(x, y))), f"point {k}"
+        assert same_bits(mean_gx[k], mean_gx_ref) and same_bits(mean_gy[k], mean_gy_ref), f"point {k}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,20 +291,22 @@ def test_auc_round_metrics_are_the_separate_calls(n_clients, dim, equal, batch_s
     else:
         x = rng.standard_normal(dim + 2)
         y = problem.y_star(x) if point == "at y*" else rng.standard_normal(1)
-    assert_metrics_are_the_separate_calls(problem, x, y)
+    assert_metrics_are_the_separate_calls(problem, x[None], y[None])
 
 
 def test_default_round_metrics_are_the_separate_calls():
     rng = np.random.default_rng(5)
-    saddle = fm.make_saddle_problem(3, 4, 2, hetero=0.5, seed=2)
+    base = fm.make_saddle_problem(3, 4, 2, hetero=0.5, seed=2)
+    saddle = dataclasses.replace(base, f_value=lambda x, y: base.f_value(x, y))  # not the one made for
     adapter = per_client_matrix_problem()
+    assert base.round_metrics.made_for == (base.grad, base.f_value, base.y_star, base.phi_grad)
     assert saddle.round_metrics == saddle._round_metrics
     assert adapter.round_metrics == adapter._round_metrics
-    for _ in range(5):
+    for points in (1, 3, 5):
         assert_metrics_are_the_separate_calls(
-            saddle, rng.standard_normal(4), rng.standard_normal(2))
+            saddle, rng.standard_normal((points, 4)), rng.standard_normal((points, 2)))
         assert_metrics_are_the_separate_calls(
-            adapter, rng.standard_normal((4, 2)), rng.standard_normal((3, 2)))
+            adapter, rng.standard_normal((points, 4, 2)), rng.standard_normal((points, 3, 2)))
 
 
 def test_auc_round_metrics_never_outlive_the_callables_they_reproduce():
@@ -322,7 +328,7 @@ def test_auc_round_metrics_never_outlive_the_callables_they_reproduce():
     for name, fn in replaced.items():
         problem = dataclasses.replace(base, **{name: fn})
         assert problem.round_metrics == problem._round_metrics, name
-        assert_metrics_are_the_separate_calls(problem, x, y)
+        assert_metrics_are_the_separate_calls(problem, x[None], y[None])
     # so run records what the new callables give: f doubles, the iterates stay
     hp = fm.theorem1_schedule(3, 2, 4, base.smooth)
     trace = fm.run("nsgda-m", base, hp, seed=1)
@@ -334,3 +340,74 @@ def test_auc_round_metrics_never_outlive_the_callables_they_reproduce():
     # one given without made_for is not trusted either
     unnamed = dataclasses.replace(base, round_metrics=lambda x, y: None)
     assert unnamed.round_metrics == unnamed._round_metrics
+
+
+def stack_problem(kind, n_clients, dim, batch_size, pooled, equal, seed):
+    if kind == "adapter":
+        return per_client_matrix_problem(n_clients, seed)
+    if kind.startswith("saddle"):
+        d_y = 1 if kind == "saddle-dy1" else 2 + seed % 9
+        return fm.make_saddle_problem(n_clients, dim, d_y, mu=0.7, amp=1.3, hetero=0.5, seed=seed)
+    rng = np.random.default_rng(seed)
+    sizes = [40] * n_clients if equal else rng.integers(20, 60, size=n_clients).tolist()
+    dim = 1 + dim % 6
+    return fm.make_auc_problem(auc_shards(n_clients, sizes, dim, seed), dim, batch_size=batch_size,
+                               pooled_ratio=pooled)
+
+
+@settings(max_examples=120, deadline=None)
+@example(kind="saddle", runs=3, n_clients=1, dim=2, batch_size=None, pooled=False, equal=False,
+         partial=False, seed=1)  # where an einsum over the stack rounded f apart from the one-point call
+@given(kind=st.sampled_from(["saddle-dy1", "saddle", "auc", "adapter"]), runs=st.integers(1, 6),
+       n_clients=st.integers(1, 6), dim=st.integers(1, 12), batch_size=st.sampled_from([None, 1, 7]),
+       pooled=st.booleans(), equal=st.booleans(), partial=st.booleans(), seed=SEEDS)
+def test_stacked_oracle_and_metrics_are_the_per_run_calls(kind, runs, n_clients, dim, batch_size, pooled,
+                                                         equal, partial, seed):
+    """``grad`` on K runs' (K*N,) rows is the per-run calls on each run's N rows, and
+    ``round_metrics`` on K points is the one-point calls at each point, bit for bit."""
+    problem = stack_problem(kind, n_clients, dim, batch_size, pooled, equal, seed % 1000)
+    rng = np.random.default_rng(seed)
+    dims_x, dims_y = problem.shape_x.dims, problem.shape_y.dims
+    X = 3.0 * rng.standard_normal((runs * n_clients,) + dims_x)
+    Y = 3.0 * rng.standard_normal((runs * n_clients,) + dims_y)
+    batch = None
+    if problem.draws:  # row r draws as client r mod N, on a stream of its own
+        batch = [problem.draw(r % n_clients, np.random.default_rng([seed, r]), X[r], Y[r])
+                 for r in range(len(X))]
+        if partial:  # some rows ask for their deterministic gradient
+            batch = [None if rng.random() < 0.5 else entry for entry in batch]
+    GX, GY = problem.grad(X, Y, batch)
+    for k in range(runs):
+        rows = slice(k * n_clients, (k + 1) * n_clients)
+        gx, gy = problem.grad(X[rows], Y[rows], None if batch is None else batch[rows])
+        assert same_bits(GX[rows], gx) and same_bits(GY[rows], gy), f"run {k}"
+    points_x, points_y = X[::n_clients], Y[::n_clients]
+    if kind != "adapter":  # a point at its own y*(x), where phi = f
+        points_y[0] = problem.y_star(points_x[0])
+    assert_metrics_are_the_separate_calls(problem, points_x, points_y)
+
+
+def test_run_stack_makes_one_oracle_call_per_step_and_one_metrics_call_per_round():
+    base = fm.make_saddle_problem(3, 4, 2, hetero=0.5, seed=2)
+    calls = {}
+
+    def grad(X, Y, batch=None):
+        calls["grad"] += 1
+        return base.grad(X, Y, batch)
+
+    def round_metrics(X, Y):
+        calls["round_metrics"] += 1
+        return base.round_metrics(X, Y)
+
+    round_metrics.made_for = (grad, base.f_value, base.y_star, base.phi_grad)
+    problem = dataclasses.replace(base, grad=grad, round_metrics=round_metrics)
+    assert problem.round_metrics is round_metrics
+    hp = fm.theorem1_schedule(3, 3, 6, problem.smooth)
+    noise = fm.NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
+    algorithms = ["nsgda-m", "local-sgda-m", "sgda-clip", "muon-da", "nsgda-m"]
+    for runs in (1, 5):
+        calls.update(grad=0, round_metrics=0)
+        specs = [fm.RunSpec(algorithm, hp, noise, seed) for seed, algorithm in enumerate(algorithms[:runs])]
+        traces = fm.run_stack(problem, specs)
+        assert all(isinstance(trace, fm.RunTrace) and not trace.diverged for trace in traces)
+        assert calls == {"grad": hp.p * hp.T, "round_metrics": hp.T}, runs

@@ -123,11 +123,11 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
 
     problem = dataclasses.replace(base, grad=recording)
     x0 = data.draw(st.lists(st.floats(-2, 2), min_size=sx.size, max_size=sx.size))
-    server = ServerState(np.reshape(x0, sx.dims), np.zeros(sy.dims), np.zeros(sx.dims),
-                         np.zeros(sy.dims), np.zeros(sx.dims), np.zeros(sy.dims), round_idx)
+    server = ServerState(np.reshape(x0, (1,) + sx.dims),  # a stack of one run
+                         *(np.zeros((1,) + shape.dims) for shape in (sy, sx, sy, sx, sy)), round_idx)
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5,
                         beta_y=0.5, p=p, T=1, N=N)
-    _, _, G_x, G_y, *_ = client_round([server], np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
+    _, _, G_x, G_y, *_ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
                                       problem, [RunSpec("nsgda-m", hp, noise, seed)])
 
     assert len(calls) == p  # one batched call per local step
@@ -183,9 +183,9 @@ def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T):
                         p=2, T=T, N=2)
     seen = []
 
-    def recording(servers, G_prev_x, G_prev_y, problem, specs, states):
-        seen.append((servers[0].round, [spec.seed for spec in specs], states))
-        return client_round(servers, G_prev_x, G_prev_y, problem, specs, states)
+    def recording(server, G_prev_x, G_prev_y, problem, specs, states):
+        seen.append((server.round, [spec.seed for spec in specs], states))
+        return client_round(server, G_prev_x, G_prev_y, problem, specs, states)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fedopt, "STREAM_CHUNK", chunk)

@@ -3,7 +3,7 @@
 Usage (from the repository root)::
 
     python tools/bench_pairs.py --base HEAD --out BENCH_16.json \
-        --workload cli-sweep --workload saddle-engine --pairs 10 --seconds 10
+        [--workload cli-sweep ...] [--pairs 10] [--seconds S] [--seeds 901 902]
 
 ``--base`` is exported with ``git archive`` and the working tree (every
 tracked file as it is on disk, plus the untracked files git does not
@@ -12,7 +12,8 @@ from clean checkouts and nothing is fetched.  Each pair runs
 ``bench/run.py --workload W --seed S --seconds N`` once on each side, one
 process at a time; the side that goes first alternates from pair to pair,
 so a drift in machine speed falls on both sides alike.  Pair i uses seed
-``seeds[i % len(seeds)]``.
+``seeds[i % len(seeds)]``.  The workloads, the run length and the
+end-to-end metrics default to those ``BENCHMARK.json`` declares.
 
 The record holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the pairs the change won (lower is better for every
@@ -35,7 +36,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("round_ms", "setup_s", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = [metric["name"] for metric in BENCHMARK["end_to_end"]]  # every one lower-is-better
 
 
 def git(*args) -> bytes:
@@ -99,12 +101,14 @@ def summarize(pairs: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", default="HEAD", help="git ref of the parent side (default HEAD)")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="repeatable; default: every workload of BENCHMARK.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=[901])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_<pr>.json")
     args = parser.parse_args(argv)
+    workloads = args.workload or [workload["name"] for workload in BENCHMARK["workloads"]]
 
     record = {"base": None, "head": "working tree", "pairs": args.pairs, "seconds": args.seconds,
               "seeds": args.seeds, "workloads": {}}
@@ -114,7 +118,7 @@ def main(argv=None) -> int:
             tree.mkdir()
         record["base"] = export_ref(args.base, trees["base"])
         export_working_tree(trees["head"])
-        for workload in args.workload:
+        for workload in workloads:
             pairs = []
             for i in range(args.pairs):
                 seed = args.seeds[i % len(args.seeds)]

@@ -248,12 +248,6 @@ def _client_norms(A) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def _row_norms(*stacks) -> list:
-    """The ``_client_norms`` of several (S,) + block stacks from one call: a list of S floats per stack."""
-    flat = np.concatenate([np.asarray(A).reshape(len(A), -1) for A in stacks])
-    return _client_norms(flat).reshape(len(stacks), -1).tolist()
-
-
 def _per_client(v, A) -> np.ndarray:
     """The length-N vector v shaped to broadcast over the rows of the stack A."""
     return v.reshape((-1,) + (1,) * (np.ndim(A) - 1))
@@ -582,25 +576,22 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
                 states[(t - chunk_start) * width:(t - chunk_start + 1) * width])
             new = server_round(server, X, Y, G_x, G_y, [specs[k].hp for k in live])
             # each record field for every run at once, one Python float per run
-            phi_norm, err_x, step_x, prev_x, dist_x0 = _row_norms(
-                grad_phi, mean_gx - new.u, new.x - server.x, server.g_x, server.x)
-            err_y, step_y, prev_y = _row_norms(mean_gy - new.v, new.y - server.y, server.g_y)
             fields = {
-                "grad_phi_norm": phi_norm,
+                "grad_phi_norm": _client_norms(grad_phi).tolist(),
                 "f_value": f_val.tolist(),
-                "grad_err_x": err_x,
-                "grad_err_y": err_y,
+                "grad_err_x": _client_norms(mean_gx - new.u).tolist(),
+                "grad_err_y": _client_norms(mean_gy - new.v).tolist(),
                 # Python's max() over each run's clients: a first nan stays, a later one is skipped
                 "max_drift_x": [max(clients) for clients in drift_x.reshape(-1, N).tolist()],
                 "max_drift_y": [max(clients) for clients in drift_y.reshape(-1, N).tolist()],
-                "server_step_x": step_x,
-                "server_step_y": step_y,
+                "server_step_x": _client_norms(new.x - server.x).tolist(),
+                "server_step_y": _client_norms(new.y - server.y).tolist(),
                 "potential": (3.0 * phi + (phi - f_val)).tolist(),
                 "centering_x": cen_x.tolist(),
                 "centering_y": cen_y.tolist(),
-                "g_prev_norm_x": prev_x,
-                "g_prev_norm_y": prev_y,
-                "dist_x0": dist_x0,
+                "g_prev_norm_x": _client_norms(server.g_x).tolist(),
+                "g_prev_norm_y": _client_norms(server.g_y).tolist(),
+                "dist_x0": _client_norms(server.x).tolist(),
             }
             values = zip(*fields.values())
             stay = []

@@ -288,11 +288,9 @@ def make_saddle_problem(
     smooth = SmoothnessInfo(L_f=amp + np.linalg.norm(B_mean, 2) + mu, mu=mu)
 
     def grad(X, Y, batch=None):
-        # no intrinsic randomness: the engine adds the heavy-tailed noise; K > 1 runs'
-        # rows are viewed as (K, N, d) so the (N, ...) parameters broadcast, at a cost
-        # one run's rows need not pay
-        X3, Y3 = ((X, Y) if len(X) == n_clients
-                  else (X.reshape(-1, n_clients, d_x), Y.reshape(-1, n_clients, d_y)))
+        # no intrinsic randomness: the engine adds the heavy-tailed noise; K runs' rows
+        # are viewed as (K, N, d) so the (N, ...) parameters broadcast
+        X3, Y3 = X.reshape(-1, n_clients, d_x), Y.reshape(-1, n_clients, d_y)
         GX = amp * np.cos(X3 + phase) + (B @ Y3[..., None])[..., 0] + c
         GY = (B.mT @ X3[..., None])[..., 0] - mu * Y3
         return GX.reshape(X.shape), GY.reshape(Y.shape)

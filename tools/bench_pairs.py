@@ -3,19 +3,23 @@
 Usage (from the repository root)::
 
     python tools/bench_pairs.py --base HEAD --out BENCH_16.json \
-        [--workload cli-sweep ...] [--pairs 10] [--seconds S] [--seeds 901 902]
+        [--workload cli-sweep ...] [--seeds 901 902]
 
-``--base`` is exported with ``git archive`` and the working tree (every
-tracked file as it is on disk, plus the untracked files git does not
-ignore) is copied, each into a temporary directory, so both sides run
-from clean checkouts and nothing is fetched.  Each pair runs
+The working tree (every tracked file as it is on disk, plus the untracked
+files git does not ignore) is written as a git tree object through a
+temporary index; that tree and ``--base`` are each exported with ``git
+archive`` into a temporary directory, so both sides run from clean
+checkouts and nothing is fetched.  Each of the ``PAIRS`` pairs runs
 ``bench/run.py --workload W --seed S --seconds N`` once on each side, one
-process at a time; the side that goes first alternates from pair to pair,
-so a drift in machine speed falls on both sides alike.  Pair i uses seed
-``seeds[i % len(seeds)]``.  The workloads, the run length and the
-end-to-end metrics default to those ``BENCHMARK.json`` declares.
+process at a time, N being ``BENCHMARK.json``'s ``run_seconds``; the side
+that goes first alternates from pair to pair, so a drift in machine speed
+falls on both sides alike.  Pair i uses seed ``seeds[i % len(seeds)]``.
+The workloads default to those ``BENCHMARK.json`` declares.
 
-The record holds, per workload and end-to-end metric, each side's values,
+The record names both sides: the base commit, and the head's tree hash
+with the commit it was taken on and the paths that differ from that commit
+(``git status --porcelain``).  It holds, per workload and end-to-end
+metric, each side's values,
 median and quartiles, the pairs the change won (lower is better for every
 metric) and the change of the median; each side's failed-run counts; and
 the environment the numbers were taken in: ``nproc``, the numpy version
@@ -27,7 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import shutil
+import os
 import statistics
 import subprocess
 import sys
@@ -38,35 +42,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = [metric["name"] for metric in BENCHMARK["end_to_end"]]  # every one lower-is-better
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10
 
 
-def git(*args) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+def git(*args, env=None) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, env=env).stdout
 
 
-def export_ref(ref: str, dest: Path) -> str:
-    """Extract ``ref``'s tree into ``dest``; returns its commit."""
-    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
+def export_tree(treeish: str, dest: Path) -> None:
+    """Extract ``treeish`` (a commit or a tree) into ``dest``."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", treeish))) as tar:
         tar.extractall(dest, filter="data")
-    return commit
 
 
-def export_working_tree(dest: Path) -> None:
-    """Copy the tracked files as they are on disk and the untracked files git does not ignore."""
-    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0")
-    for name in filter(None, (n.decode() for n in names)):
-        src = ROOT / name
-        if src.is_file():  # a tracked file deleted on disk is left out
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(src, dest / name)
+def working_tree() -> dict:
+    """The working tree as a git tree object, with the commit it sits on and the paths that differ from it."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "--all", env=env)
+        tree = git("write-tree", env=env).decode().strip()
+    return {"commit": git("rev-parse", "HEAD").decode().strip(), "tree": tree,
+            "changed": git("status", "--porcelain").decode().splitlines()}
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(tree: Path, workload: str, seed: int) -> dict:
     """One ``bench/run.py`` process: its result line and the environment line before it."""
     done = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True, check=False)
+         "--seconds", str(SECONDS)], cwd=tree, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py {workload} seed {seed} in {tree} exited with "
@@ -104,28 +109,27 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload of BENCHMARK.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=[901])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_<pr>.json")
     args = parser.parse_args(argv)
     workloads = args.workload or [workload["name"] for workload in BENCHMARK["workloads"]]
 
-    record = {"base": None, "head": "working tree", "pairs": args.pairs, "seconds": args.seconds,
+    base = git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
+    head = working_tree()
+    record = {"base": base, "head": head, "pairs": PAIRS, "seconds": SECONDS,
               "seeds": args.seeds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
-        for tree in trees.values():
-            tree.mkdir()
-        record["base"] = export_ref(args.base, trees["base"])
-        export_working_tree(trees["head"])
+        for side, treeish in (("base", base), ("head", head["tree"])):
+            trees[side].mkdir()
+            export_tree(treeish, trees[side])
         for workload in workloads:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seeds[i % len(args.seeds)]
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                pair = {side: bench_once(trees[side], workload, seed, args.seconds) for side in order}
+                pair = {side: bench_once(trees[side], workload, seed) for side in order}
                 pairs.append(pair)
-                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
+                print(f"{workload} pair {i + 1}/{PAIRS} seed {seed}: " + "  ".join(
                     f"{side} {pair[side]['result']['metrics']['round_ms']['value']:.4f} ms"
                     for side in ("base", "head")), flush=True)
             env = pairs[0]["head"]["env"]
@@ -133,8 +137,8 @@ def main(argv=None) -> int:
                 "metrics": summarize(pairs),
                 "failed": {side: [run[side]["result"]["failed"] for run in pairs]
                            for side in ("base", "head")},
-                "seeds": [args.seeds[i % len(args.seeds)] for i in range(args.pairs)],
-                "first": ["base" if i % 2 == 0 else "head" for i in range(args.pairs)],
+                "seeds": [args.seeds[i % len(args.seeds)] for i in range(PAIRS)],
+                "first": ["base" if i % 2 == 0 else "head" for i in range(PAIRS)],
             }
             record.setdefault("env", {key: env.get(key) for key in (
                 "nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads")})

@@ -25,8 +25,11 @@ unequal-shard full-shard AUC problem built with ``make_auc_problem``; muon-da,
 nsgda-m and sgda-clip on the 32x16 / 16x16 matrix saddle under both
 ``ns_mode`` values (T=12); one 4-algorithm x 2-tail-index CLI sweep.
 Then, through the CLI: a 3-seed ``fedminimax run`` on the d=10 saddle (one
-line per seed's trace); a sweep over the four algorithms x s in {1.2, 1.8}
-x seeds {1, 2} on that saddle with explicit rates at which every
+line per seed's trace); a ``fedminimax run`` of local-sgda-m on that
+saddle with explicit rates at which it diverges before round 40, whose
+trace must end in nan rows (the line gives their count, the exit status
+and the trace digest); a sweep over the four algorithms x s in {1.2, 1.8}
+x seeds {1, 2} on that saddle with those rates, at which every
 local-sgda-m cell diverges at round 30 of 40 while the others go on; and
 a sweep over the algorithm axis on the CLI-default AUC problem.
 """
@@ -171,6 +174,17 @@ def cli_lines(tmp: Path):
         yield f"cli-run saddle-d10 seed={seed} status={status} trace={sha(trace.read_bytes())}"
     diverging = dict(saddle, gamma_x=10.0, gamma_y=10.0, eta_x=40.0, eta_y=40.0,
                      beta_x=0.9, beta_y=0.9)
+    path.write_text(json.dumps(dict(diverging, algorithm="local-sgda-m", seed=1)))
+    out = tmp / "run-diverging"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(["run", "--config", str(path), "--out", str(out)])
+    trace = out / cli.trace_filename("local-sgda-m", 1)
+    rows = fm.trace_from_csv(trace).records
+    nan_rows = len(rows) - next(t for t, r in enumerate(rows) if r.diverged)
+    if not np.isnan(rows[-1].grad_phi_norm):
+        raise AssertionError("the diverging local-sgda-m run should end in nan rows")
+    yield (f"cli-run saddle-d10 diverging local-sgda-m status={status} nan_rows={nan_rows} "
+           f"trace={sha(trace.read_bytes())}")
     yield sweep_line("sweep saddle-d10 diverging", diverging,
                      {"algorithm": list(ALGORITHMS), "s": [1.2, 1.8], "seed": [1, 2]}, tmp)
     yield sweep_line("sweep auc", {"problem": "auc", "T": 25, "noise": NOISES["pareto"]},

@@ -42,7 +42,7 @@ from .core import (
     noise_errors,
     theorem1_schedule,
 )
-from .fedopt import InternalInvariantViolation, RunSpec, run_stack, trace_from_csv, trace_to_csv
+from .fedopt import InternalInvariantViolation, RunSpec, format_number, run_stack, trace_from_csv, trace_to_csv
 from .metrics import verify_invariants
 from .noise import seed_errors
 from .problems import (auc_errors, gen_imbalanced_data, imbalanced_data_errors, make_auc_problem,
@@ -380,12 +380,13 @@ def _reported(label: str, result):
 
 def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
             seed_override: Optional[int] = None) -> int:
-    """Run one experiment per seed, write trace CSVs, verify invariants.
+    """Run one experiment per seed and write its trace CSV.
 
-    The seeds run as one stack (``run_stack``); when it ends, each seed's
-    trace is written and verified in seed order.  A seed whose run breaks
-    an invariant is reported and skipped; the other seeds still run and
-    write their traces.
+    The seeds run as one stack (``run_stack``), which judges every record
+    by the per-round rule as it runs, so each trace it returns has passed;
+    the traces are written in seed order when it ends.  A seed whose run
+    breaks an invariant is reported and skipped (exit 2); the others
+    still run and write their traces.
     """
     seeds = (seed_override,) if seed_override is not None else config.seeds
     errors = [e for seed in seeds for e in seed_errors(seed)]
@@ -403,15 +404,11 @@ def cmd_run(config: ExperimentConfig, out: Optional[str] = None,
             continue
         path = os.path.join(out_dir, trace_filename(config.algorithm, seed))
         trace_to_csv(trace, path)
-        report = verify_invariants(trace, hp)
         summary = trace.summary()
         print(f"seed {seed}: wrote {path}  "
               f"grad_phi first={summary['first_window_grad_phi']:.4g} "
               f"final={summary['final_window_grad_phi']:.4g} "
-              f"diverged={summary['diverged']} invariants={'ok' if report.passed else 'FAIL'}")
-        if not report.passed:
-            print(report.summary(), file=sys.stderr)
-            status = 2
+              f"diverged={summary['diverged']} invariants=ok")
     return status
 
 
@@ -438,8 +435,9 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
     first.  Each maximal run of consecutive cells with the same problem
     spec, N, p and T is one stack (``run_stack``); its rows are written in
     cell order when it ends.  Cells with the same problem spec and N share
-    one built problem.  A cell that breaks an invariant is reported and
-    skipped; the command then returns 2.
+    one built problem.  The stack judges every record by the per-round
+    rule as it runs; a cell that breaks it is reported and skipped, and
+    the command then returns 2.
     """
     if not isinstance(axes, dict) or not axes:
         raise ConfigError(["axes: need a nonempty JSON object"])
@@ -491,10 +489,10 @@ def cmd_sweep(config: ExperimentConfig, axes: dict, out: Optional[str] = None) -
                 s = trace.summary()
                 fh.write(",".join([
                     cell.algorithm, str(hp.p), str(hp.T), str(hp.N),
-                    format(cell.noise.s, ".17g"), str(cell.seeds[0]),
-                    format(s["first_window_grad_phi"], ".17g"),
-                    format(s["final_window_grad_phi"], ".17g"),
-                    "" if s["final_auc"] is None else format(s["final_auc"], ".17g"),
+                    format_number(cell.noise.s), str(cell.seeds[0]),
+                    format_number(s["first_window_grad_phi"]),
+                    format_number(s["final_window_grad_phi"]),
+                    "" if s["final_auc"] is None else format_number(s["final_auc"]),
                     "1" if s["diverged"] else "0",
                 ]) + "\n")
                 written += 1
@@ -528,7 +526,7 @@ def cmd_verify(trace_path: str, config: ExperimentConfig) -> int:
     print(f"result: {'all invariants pass' if report.passed else 'INVARIANT VIOLATION'}")
     print("invariant,rounds_checked,max_violation,slack,passed")
     for name, rounds, violation, slack, passed in report.rows():
-        print(f"{name},{rounds},{format(violation, '.17g')},{format(slack, '.17g')},{int(passed)}")
+        print(f"{name},{rounds},{format_number(violation)},{format_number(slack)},{int(passed)}")
     return 0 if report.passed else 2
 
 

@@ -151,10 +151,20 @@ class HyperParams:
             raise ValueError("; ".join(errors))
 
 
-_POSITIVE = ("gamma_x", "gamma_y", "eta_x", "eta_y", "tau")
-_UNIT_INTERVAL = ("beta_x", "beta_y")
+# a rule on a real HyperParams field: its test, and what a breach message says it wants
+POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+UNIT_INTERVAL = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_RULES = {**dict.fromkeys(("gamma_x", "gamma_y", "eta_x", "eta_y", "tau"), POSITIVE),
+          **dict.fromkeys(("beta_x", "beta_y"), UNIT_INTERVAL)}
 _COUNTS = ("p", "T", "N")
 _CHOICES = {"ns_mode": ("iterative", "exact-svd")}
+
+
+def require(rule: tuple, name: str, v) -> None:
+    """Raise ValueError "<name>: <want>, got <v>" unless v keeps ``rule`` (``POSITIVE``, ``UNIT_INTERVAL``)."""
+    holds, want = rule
+    if not holds(v):
+        raise ValueError(f"{name}: {want}, got {v}")
 
 
 def hyperparam_errors(**fields) -> list:
@@ -166,10 +176,9 @@ def hyperparam_errors(**fields) -> list:
     """
     errors = []
     for name, v in fields.items():
-        if name in _POSITIVE:
-            ok, want = 0 < v < math.inf, "must be positive and finite"
-        elif name in _UNIT_INTERVAL:
-            ok, want = 0.0 < v <= 1.0, "must lie in (0, 1]"
+        if name in _RULES:
+            holds, want = _RULES[name]
+            ok = holds(v)
         elif name in _COUNTS:
             ok = isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
             want = "must be a positive integer"

@@ -30,44 +30,31 @@ constant across the round's local steps); it is not recursive over local
 steps.
 
 Clients are independent given the round-start server state, and runs
-are independent of each other, so both run stacked.  ``run_stack`` takes
+are independent of each other, so both run stacked: ``run_stack`` takes
 S runs that share the problem and (N, p, T), each with its own
-algorithm, hyperparameters, noise model and seed; ``run`` is its S = 1
-case.  Iterates, control variates and momenta are (S*N,) + block arrays,
-(S*N, d) for a vector block and (S*N, m, n) for a matrix, one row per
-client, run s owning rows s*N to s*N + N - 1; drifts are (S*N,) vectors.
-The server state holds the runs' (S,) + block stacks.
-Each local step makes each client's own draws, the problem's and the raw
-noise variates, from its (seed, client, round, step) stream (one reused
-generator, reset to states derived for a chunk of rounds of all the runs
-at once), takes the gradients of all S*N rows from one batched
-``problem.grad`` call and scales the noise for all rows at once, each
-with its run's radius scale; then momentum and step rule act once per
-range of runs that share (algorithm, hyperparameters), and drift once on
-the stack, with each client's bits unchanged.  Each round the exact
-metrics of all S round-start points come from one
-``problem.round_metrics`` call, and ``server_round`` and the record
-norms act once on the stack: a run's clients are summed over the client
-axis of the (S, N) + block view, as ``.sum(axis=0)`` sums them alone,
-and each run's coefficients come from its own hyperparameters.  Records,
-checks and exits are per run: a run leaves the stack when it raises or,
-for the unnormalized baseline, diverges, and the others go on.
+algorithm, hyperparameters, noise model and seed, as (S*N,) + block
+client stacks (run s owning rows s*N to s*N + N - 1) and (S,) + block
+server stacks; ``run`` is its S = 1 case.  Every row keeps the bits of
+its run alone.  Each run's records are judged, as they are made, by the
+one per-round rule that ``verify_invariants`` also reports
+(``metrics.record_checks``): a run leaves the stack at its first breach
+or, for the unnormalized baseline, at its first diverged record, and the
+others go on.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import ALGORITHMS, HyperParams, NoiseModel, hyperparam_errors
+from .core import ALGORITHMS, POSITIVE, UNIT_INTERVAL, HyperParams, NoiseModel, hyperparam_errors, require
 from .linalg import newton_schulz_polar, svd_polar
-from .metrics import BOUND_SLACK, FINITE_FIELDS, record_finite, round_caps
+from .metrics import CHECK_SLACK, FINITE_FIELDS, first_non_finite, record_checks, round_caps
 from .noise import (STREAM_CHUNK, is_silent, radius_sampler, radius_scale, round_states, scale_draws,
                     seed_errors)
 from .problems import MinimaxProblem
@@ -129,7 +116,7 @@ class RoundRecord:
     y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.diverged = not record_finite(self)
+        self.diverged = first_non_finite(self) is not None
 
 
 @dataclass
@@ -167,7 +154,8 @@ class RunTrace:
         }
 
 
-def _fmt(v: float) -> str:
+def format_number(v: float) -> str:
+    """A number as every written file holds it: 17 significant digits, which read back to the same float."""
     return format(float(v), ".17g")
 
 
@@ -181,8 +169,8 @@ def trace_to_csv(trace: RunTrace, path) -> None:
     for r in trace.records:
         lines.append(",".join([
             str(r.t), trace.algorithm, str(trace.seed),
-            *(_fmt(getattr(r, f)) for f in FINITE_FIELDS),
-            "" if r.auc is None else _fmt(r.auc),
+            *(format_number(getattr(r, f)) for f in FINITE_FIELDS),
+            "" if r.auc is None else format_number(r.auc),
         ]))
     partial = f"{os.fspath(path)}.{os.getpid()}.part"
     try:
@@ -268,14 +256,12 @@ def local_momentum(G, g_global_prev, G_local_prev, u_global_prev, beta: float):
     if not (len(shape) in (2, 3) and shape == np.shape(G_local_prev)
             and all(np.shape(a) in (shape, shape[1:]) for a in (g_global_prev, u_global_prev))):
         raise ValueError("momentum inputs must be (N,) + block stacks over one block")
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    require(UNIT_INTERVAL, "beta", beta)
     return beta * (G + g_global_prev - G_local_prev) + (1.0 - beta) * u_global_prev
 
 
 def _signed(eta: float, direction: str) -> float:
-    if not (eta > 0):
-        raise ValueError(f"eta must be positive, got {eta}")
+    require(POSITIVE, "eta", eta)
     if direction not in ("descend", "ascend"):
         raise ValueError(f"direction must be 'descend' or 'ascend', got {direction!r}")
     return -eta if direction == "descend" else eta
@@ -310,8 +296,7 @@ def muon_step(Z, M, eta: float, direction: str, ns_mode: str = "iterative"):
 
 def clip_step(Z, M, eta: float, tau: float, direction: str):
     """Clipped step: Z -+ eta * min(1, tau/||M||) * M per client.  Zero momentum moves nothing."""
-    if not (tau > 0):
-        raise ValueError(f"tau must be positive, got {tau}")
+    require(POSITIVE, "tau", tau)
     step = _signed(eta, direction)
     scale = tau / np.maximum(_client_norms(M), tau)  # exactly 1.0 up to ||M|| = tau
     return Z + _per_client(step * scale, M) * M
@@ -503,18 +488,18 @@ def _nan_record(t: int) -> RoundRecord:
     return RoundRecord(t, **dict.fromkeys(FINITE_FIELDS, float("nan")))
 
 
-def _judge(algorithm: str, rec: RoundRecord, caps: dict, drifts: dict) -> None:
-    """Raise InternalInvariantViolation if a bounded record is not finite or beyond a cap by ``BOUND_SLACK``.
+def _judge(algorithm: str, rec: RoundRecord, caps: Optional[dict], drifts: dict) -> None:
+    """Raise InternalInvariantViolation at the record's first breach of the per-round rule, ``record_checks``.
 
-    A field without a cap has cap inf.  A broken drift cap names the client
-    with the largest drift on that block.
+    The message names the round, the field and its cap, the check where
+    the field does not, and, for a drift, the client with the largest one.
     """
-    for name in FINITE_FIELDS:
-        value, cap = getattr(rec, name), caps.get(name, np.inf)
-        if not (math.isfinite(value) and value - cap <= BOUND_SLACK):
-            client = f" (largest: client {int(np.argmax(drifts[name]))})" if name in drifts else ""
-            raise InternalInvariantViolation(
-                f"{algorithm} round {rec.t}: {name} = {value!r} exceeds its cap {cap!r}{client}")
+    for name, attr, cap, violation in record_checks(rec, caps):
+        if not violation <= CHECK_SLACK[name]:
+            check = "" if name in attr else f" ({name})"
+            client = f" (largest: client {int(np.argmax(drifts[attr]))})" if attr in drifts else ""
+            raise InternalInvariantViolation(f"{algorithm} round {rec.t}: {attr} = {getattr(rec, attr)!r} "
+                                             f"exceeds its cap {cap!r}{check}{client}")
 
 
 def run_stack(problem: MinimaxProblem, specs: list) -> list:
@@ -598,14 +583,13 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
             for j, (k, row) in enumerate(zip(live, values)):
                 rec = RoundRecord(t=t, **dict(zip(fields, row)), auc=aucs[j],
                                   x=server.x[j].copy(), y=server.y[j].copy())
-                if caps[k] is not None:
-                    clients = slice(j * N, j * N + N)
-                    try:
-                        _judge(specs[k].algorithm, rec, caps[k],
-                               {"max_drift_x": drift_x[clients], "max_drift_y": drift_y[clients]})
-                    except InternalInvariantViolation as exc:
-                        raised[k] = exc
-                        continue
+                clients = slice(j * N, j * N + N)
+                try:
+                    _judge(specs[k].algorithm, rec, caps[k],
+                           {"max_drift_x": drift_x[clients], "max_drift_y": drift_y[clients]})
+                except InternalInvariantViolation as exc:
+                    raised[k] = exc
+                    continue
                 records[k].append(rec)
                 if rec.diverged:
                     final[k] = _runs(new, j)
@@ -649,11 +633,11 @@ def run(
     through: a non-finite server state shows in the round's record (x, y
     through ``server_step_*``; u, v and, as beta > 0, g through
     ``grad_err_*``).  For the unnormalized baseline a diverged record ends
-    the run (the remaining records carry nan).  For the bounded algorithms
-    a diverged record, or a drift or server step beyond its ``round_caps``
-    cap, raises InternalInvariantViolation as the round ends;
-    ``verify_invariants`` checks the same on the finished trace, and
-    ``travel_x`` and centering only there.
+    the run (the remaining records carry nan).  Each record is judged as
+    the round ends by the per-round rule ``verify_invariants`` reports
+    (``metrics.record_checks``): the ``round_caps`` caps, ``travel_x`` and
+    finiteness for the bounded algorithms, and the centering of every
+    finite record; a breach raises InternalInvariantViolation.
     """
     result, = run_stack(problem, [RunSpec(algorithm, hp, noise, seed)])
     if isinstance(result, InternalInvariantViolation):

@@ -4,17 +4,17 @@
 phi(x) = max_y f(x, y) and its gradient exactly, at the problem's
 closed-form inner maximizer y*(x).
 
-``verify_invariants`` replays the per-round guarantees of the federated
-engine over a finished trace and reports the worst violation of each.
-It checks ``round_caps``, ``centering_tol`` and each record's
-``diverged`` flag, which ``record_finite`` sets from ``FINITE_FIELDS``.
-For the bounded algorithms the engine raises on a broken ``round_caps``
-cap or a diverged record while it runs; ``travel_x`` and the centering
-residuals are checked only here.
+The engine's per-round guarantees are one rule, ``record_checks``: every
+check of one record against ``round_caps``, ``centering_tol`` and
+finiteness (``first_non_finite``).  The engine applies it to each record as
+the run goes and raises at the first breach; ``verify_invariants``
+reports each check's worst violation over a trace, in memory or read
+from CSV.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +29,12 @@ FINITE_FIELDS = (
     "grad_phi_norm", "f_value", "grad_err_x", "grad_err_y", "max_drift_x",
     "max_drift_y", "server_step_x", "server_step_y", "potential",
 )
+
+CHECK_SLACK = {  # every check a report lists, in its order, with its rounding allowance
+    **dict.fromkeys(("drift_x", "drift_y", "server_step_x", "server_step_y", "travel_x"), BOUND_SLACK),
+    **dict.fromkeys(("finite_records", "centering_x", "centering_y"), 0.0),
+}
+UNCAPPED_CHECKS = ("drift_x", "drift_y", "centering_x", "centering_y")  # the unnormalized baseline's
 
 
 def step_bound(algorithm: str, cols: Optional[int], hp: HyperParams) -> Optional[float]:
@@ -77,9 +83,9 @@ def centering_tol(g_prev_norm: float) -> float:
     return 1e-7 * (1.0 + g_prev_norm)
 
 
-def record_finite(rec) -> bool:
-    """Whether every one of the record's ``FINITE_FIELDS`` is finite."""
-    return bool(np.all(np.isfinite([getattr(rec, f) for f in FINITE_FIELDS])))
+def first_non_finite(rec) -> Optional[str]:
+    """The first of the record's ``FINITE_FIELDS`` that is not finite, or None."""
+    return next((f for f in FINITE_FIELDS if not math.isfinite(getattr(rec, f))), None)
 
 
 def phi_value_and_grad(problem, x):
@@ -161,44 +167,47 @@ class InvariantReport:
         ]
 
 
-def _bound_check(name, values, bounds, slack) -> InvariantCheck:
-    vals = np.asarray(values, dtype=float)
-    bnds = np.broadcast_to(np.asarray(bounds, dtype=float), vals.shape)
-    if vals.size == 0:
-        return InvariantCheck(name, 0, 0.0, slack, True)
-    viol = float(np.max(vals - bnds))
-    return InvariantCheck(name, int(vals.size), max(viol, 0.0), slack, viol <= slack)
+def record_checks(rec, caps: Optional[dict]):
+    """Yield (name, field, cap, violation) for each check of the per-round rule on one record, in report order.
+
+    A check holds when its violation is at most ``CHECK_SLACK[name]``; a
+    breach names the record ``field`` read and its ``cap``.  ``caps`` are
+    the ``round_caps``, None for the unnormalized baseline.  A finite
+    record is checked against each cap, against ``travel_x`` (||x_t - x_0||
+    at most t server-step caps) where it holds ``dist_x0``, and against
+    ``centering_tol`` where it holds its centering residuals; with caps,
+    every record must be finite, and a breach names its first non-finite field.
+    """
+    if caps is not None:
+        if not rec.diverged:
+            for field, cap in caps.items():
+                yield field.removeprefix("max_"), field, cap, getattr(rec, field) - cap
+            if rec.dist_x0 is not None:
+                bound = rec.t * (caps["server_step_x"] + BOUND_SLACK)
+                yield "travel_x", "dist_x0", bound, rec.dist_x0 - bound
+        first = first_non_finite(rec) if rec.diverged else None
+        yield "finite_records", first, caps.get(first, math.inf), math.inf if rec.diverged else 0.0
+    if not rec.diverged and rec.centering_x is not None:
+        for axis in ("x", "y"):
+            tol = centering_tol(getattr(rec, f"g_prev_norm_{axis}"))
+            yield f"centering_{axis}", f"centering_{axis}", tol, getattr(rec, f"centering_{axis}") - tol
 
 
 def verify_invariants(trace, hp: HyperParams) -> InvariantReport:
-    """Check the engine's per-round guarantees over a finished trace.
+    """The worst violation of each check of ``record_checks`` over a trace.
 
-    Covered: client drift bounds, server step bounds, centering of the
-    control-variate corrections, no diverged record (bounded algorithms
-    only), and ``travel_x``: ||x_t - x_0|| (``dist_x0``) is at most t times
-    the server-step bound.  The base bounds eta*p (drift) and gamma (server
-    step) pick up a sqrt(cols) factor for the orthonormalized update on
-    matrix blocks, and a tau factor for the clipping baseline, whose step
-    length is eta * min(tau, ||m||).  The unnormalized baseline has no such
-    bounds; its drift checks run on zero rounds, as do the checks of fields
-    no record carries (``dist_x0`` and centering are not in the CSV).
+    The unnormalized baseline's drift checks run on zero rounds, as do the
+    checks of fields no record holds: a trace read from CSV has no
+    ``dist_x0`` and no centering residuals.
     """
-    recs = [r for r in trace.records if not r.diverged]
     caps = round_caps(trace.algorithm, trace.cols_x, trace.cols_y, hp)
-    if caps is None:
-        checks = [_bound_check(name, [], 0.0, BOUND_SLACK) for name in ("drift_x", "drift_y")]
-    else:
-        checks = [_bound_check(field.removeprefix("max_"), [getattr(r, field) for r in recs],
-                               cap, BOUND_SLACK) for field, cap in caps.items()]
-        travel = [r for r in recs if r.dist_x0 is not None]
-        checks.append(_bound_check(
-            "travel_x", [r.dist_x0 for r in travel],
-            [r.t * (caps["server_step_x"] + BOUND_SLACK) for r in travel], BOUND_SLACK))
-        checks.append(_bound_check(
-            "finite_records", [np.inf if r.diverged else 0.0 for r in trace.records], 0.0, 0.0))
-    centered = [r for r in recs if r.centering_x is not None]
-    for axis in ("x", "y"):
-        checks.append(_bound_check(
-            f"centering_{axis}", [getattr(r, f"centering_{axis}") for r in centered],
-            [centering_tol(getattr(r, f"g_prev_norm_{axis}")) for r in centered], 0.0))
+    found = {name: [] for name in (CHECK_SLACK if caps is not None else UNCAPPED_CHECKS)}
+    for rec in trace.records:
+        for name, _, _, violation in record_checks(rec, caps):
+            found[name].append(violation)
+    checks = []
+    for name, violations in found.items():
+        worst = float(np.max(violations)) if violations else 0.0
+        checks.append(InvariantCheck(name, len(violations), max(worst, 0.0), CHECK_SLACK[name],
+                                     worst <= CHECK_SLACK[name]))
     return InvariantReport(checks)

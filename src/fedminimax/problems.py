@@ -313,23 +313,26 @@ def make_saddle_problem(
     def f_value(x, y):
         return float(f_values(x[None], y[None])[0][0])
 
-    def y_star(x):
-        return B_mean.T @ x / mu
-
-    def phi_grad(x):
-        return amp * np.cos(x[None, :] + phase).mean(axis=0) + c_mean + B_mean @ (B_mean.T @ x) / mu
-
-    def round_metrics(X, Y):
-        # every point at once: y_star, phi_grad and the client means as batched
-        # matrix-vector products, so each point keeps the bits of its one-point calls
-        S = len(X)
+    def envelope(X):
+        """y*(x) and grad phi(x) at each point of an (S, d_x) stack, as batched matrix-vector
+        products, so each point has the same bits in a stack of any size."""
         BX = B_mean.T @ X[..., None]
         grad_phi = (amp * (np.cos(X[:, None, :] + phase).sum(axis=1) / n_clients) + c_mean
                     + (B_mean @ BX)[..., 0] / mu)
+        return BX[..., 0] / mu, grad_phi
+
+    def y_star(x):
+        return envelope(x[None])[0][0]
+
+    def phi_grad(x):
+        return envelope(x[None])[1][0]
+
+    def round_metrics(X, Y):
+        Y_star, grad_phi = envelope(X)
         GX, GY = grad(np.repeat(X, n_clients, axis=0), np.repeat(Y, n_clients, axis=0))
-        phi, f = f_values(X, BX[..., 0] / mu, Y)
-        return (phi, grad_phi, f, GX.reshape(S, n_clients, d_x).sum(axis=1) / n_clients,
-                GY.reshape(S, n_clients, d_y).sum(axis=1) / n_clients)
+        phi, f = f_values(X, Y_star, Y)
+        return (phi, grad_phi, f, GX.reshape(-1, n_clients, d_x).sum(axis=1) / n_clients,
+                GY.reshape(-1, n_clients, d_y).sum(axis=1) / n_clients)
 
     round_metrics.made_for = (grad, f_value, y_star, phi_grad)
 

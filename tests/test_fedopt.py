@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import tempfile
 
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from fedminimax import (ALGORITHMS, HyperParams, MinimaxProblem, NoiseModel, Shape, SmoothnessInfo, fedopt,
                         theorem2_schedule)
+from fedminimax.core import hyperparam_errors
 from fedminimax.fedopt import (
     InternalInvariantViolation,
     ProtocolError,
     RoundRecord,
     RunSpec,
+    RunTrace,
     ServerState,
     clip_step,
     client_round,
@@ -26,7 +29,7 @@ from fedminimax.fedopt import (
     trace_from_csv,
     trace_to_csv,
 )
-from fedminimax.metrics import verify_invariants
+from fedminimax.metrics import BOUND_SLACK, FINITE_FIELDS, centering_tol, verify_invariants
 from fedminimax.problems import gen_imbalanced_data, make_auc_problem, make_saddle_problem
 
 HP = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
@@ -97,6 +100,33 @@ def test_muon_step_rejects_bad_polar_settings(dims, setting, field):
     Z, M = np.zeros((2,) + dims), np.ones((2,) + dims)
     with pytest.raises(ValueError, match=f"^{field}: "):
         muon_step(Z, M, 0.1, "descend", **setting)
+
+
+STEP_RATES = {  # each exported step rule with one of its rates set to v
+    "normalized eta": (lambda Z, M, v: normalized_step(Z, M, v, "descend"), "eta"),
+    "muon eta": (lambda Z, M, v: muon_step(Z, M, v, "ascend"), "eta"),
+    "clip eta": (lambda Z, M, v: clip_step(Z, M, v, 0.1, "descend"), "eta"),
+    "clip tau": (lambda Z, M, v: clip_step(Z, M, 0.1, v, "descend"), "tau"),
+}
+
+
+@pytest.mark.parametrize("dims", [(3,), (3, 2)], ids=["vector", "matrix"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("rule", sorted(STEP_RATES))
+def test_step_rules_reject_the_rates_hyperparams_rejects(rule, bad, dims):
+    call, name = STEP_RATES[rule]
+    assert hyperparam_errors(eta_x=bad, tau=bad)
+    Z, M = np.zeros((2,) + dims), np.ones((2,) + dims)
+    with pytest.raises(ValueError, match=f"^{name}: must be positive and finite, got {bad}$"):
+        call(Z, M, bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.5, math.nan], ids=["zero", "above-one", "nan"])
+def test_local_momentum_rejects_the_betas_hyperparams_rejects(bad):
+    assert hyperparam_errors(beta_x=bad)
+    G = np.ones((2, 3))
+    with pytest.raises(ValueError, match=rf"^beta: must lie in \(0, 1\], got {bad}$"):
+        local_momentum(G, G[0], G, G[0], bad)
 
 
 def test_muon_step_scaled_identity():
@@ -218,6 +248,51 @@ def test_run_checks_the_server_step_while_it_runs(monkeypatch):
     with pytest.raises(InternalInvariantViolation,
                        match=r"nsgda-m round 0: server_step_x = .* exceeds its cap 1e-06$"):
         run("nsgda-m", prob, HP, seed=0)
+
+
+JUDGED_HP = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.02, beta_x=0.5, beta_y=0.5,
+                        p=2, T=4, N=3, tau=0.3)
+
+
+def near(bound, slack):
+    """On ``bound``, just inside or just outside it by the check's slack, well inside, or not finite."""
+    outside = bound + 2 * slack if slack else math.nextafter(bound, math.inf)
+    return st.sampled_from([bound, bound + slack / 2, outside, bound / 2, math.nan, math.inf])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_engine_judges_a_record_as_the_verifier_reports_it(data):
+    """The engine's judge raises on a record exactly when the verifier fails its one-record trace,
+    naming the report's first failing check."""
+    algorithm = data.draw(st.sampled_from(ALGORITHMS))
+    cols_x, cols_y = data.draw(st.sampled_from([1, 4])), data.draw(st.sampled_from([1, 9]))
+    caps = fedopt.round_caps(algorithm, cols_x, cols_y, JUDGED_HP)
+    t = data.draw(st.integers(0, 3))
+    values = {name: 0.25 for name in FINITE_FIELDS}
+    for name, cap in (caps or {}).items():
+        values[name] = data.draw(near(cap, BOUND_SLACK))
+    for name in data.draw(st.lists(st.sampled_from(FINITE_FIELDS), max_size=2, unique=True)):
+        values[name] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    extras = {}
+    if data.draw(st.booleans()):
+        step = caps["server_step_x"] if caps else 1.0
+        extras["dist_x0"] = data.draw(near(t * (step + BOUND_SLACK), BOUND_SLACK))
+    if data.draw(st.booleans()):
+        for axis in ("x", "y"):
+            g = extras[f"g_prev_norm_{axis}"] = data.draw(st.sampled_from([0.0, 2.5, 1e6]))
+            extras[f"centering_{axis}"] = data.draw(near(centering_tol(g), 0.0))
+    rec = RoundRecord(t=t, **values, **extras)
+    report = verify_invariants(RunTrace(algorithm, 0, [rec], cols_x, cols_y), JUDGED_HP)
+    failed = [c.name for c in report.checks if not c.passed]
+    drifts = {"max_drift_x": np.array([rec.max_drift_x]), "max_drift_y": np.array([rec.max_drift_y])}
+    if not failed:
+        fedopt._judge(algorithm, rec, caps, drifts)
+        return
+    with pytest.raises(InternalInvariantViolation) as raised:
+        fedopt._judge(algorithm, rec, caps, drifts)
+    assert str(raised.value).startswith(f"{algorithm} round {t}: ")
+    assert failed[0] in str(raised.value)
 
 
 def test_server_round_mean_and_momentum():
@@ -360,8 +435,8 @@ def test_centering_reads_the_correction_the_momentum_applied(monkeypatch):
         return real(G, 0.5 * g_global_prev, G_local_prev, u_global_prev, beta)
 
     monkeypatch.setattr(fedopt, "local_momentum", half_global_variate)
-    _, checks = centering_run()
-    assert not checks["centering_x"].passed and checks["centering_x"].max_violation > 1e-3
+    with pytest.raises(InternalInvariantViolation, match="centering_x"):
+        centering_run()
 
 
 def test_centering_catches_a_stale_control_variate(monkeypatch):
@@ -373,8 +448,8 @@ def test_centering_catches_a_stale_control_variate(monkeypatch):
         return real(server, np.zeros_like(G_prev_x), np.zeros_like(G_prev_y), *args)
 
     monkeypatch.setattr(fedopt, "client_round", never_refreshed)
-    _, checks = centering_run()
-    assert not checks["centering_x"].passed and checks["centering_x"].max_violation > 1e-3
+    with pytest.raises(InternalInvariantViolation, match="centering_x"):
+        centering_run()
 
 
 def test_unnormalized_baseline_reports_zero_centering():

@@ -54,7 +54,7 @@ import numpy as np
 
 from .core import ALGORITHMS, POSITIVE, UNIT_INTERVAL, HyperParams, NoiseModel, hyperparam_errors, require
 from .linalg import newton_schulz_polar, svd_polar
-from .metrics import CHECK_SLACK, FINITE_FIELDS, first_non_finite, record_checks, round_caps
+from .metrics import FINITE_FIELDS, first_non_finite, holds, record_checks, round_caps
 from .noise import (STREAM_CHUNK, is_silent, radius_sampler, radius_scale, round_states, scale_draws,
                     seed_errors)
 from .problems import MinimaxProblem
@@ -495,7 +495,7 @@ def _judge(algorithm: str, rec: RoundRecord, caps: Optional[dict], drifts: dict)
     the field does not, and, for a drift, the client with the largest one.
     """
     for name, attr, cap, violation in record_checks(rec, caps):
-        if not violation <= CHECK_SLACK[name]:
+        if not holds(name, violation):
             check = "" if name in attr else f" ({name})"
             client = f" (largest: client {int(np.argmax(drifts[attr]))})" if attr in drifts else ""
             raise InternalInvariantViolation(f"{algorithm} round {rec.t}: {attr} = {getattr(rec, attr)!r} "
@@ -541,8 +541,7 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     dims_x, dims_y = problem.shape_x.dims, problem.shape_y.dims
     server = ServerState(*(np.zeros((len(live),) + dims) for dims in (dims_x, dims_y) * 3), 0)
     G_prev_x, G_prev_y = np.zeros((len(live) * N,) + dims_x), np.zeros((len(live) * N,) + dims_y)
-    caps = [round_caps(spec.algorithm, problem.shape_x.cols, problem.shape_y.cols, spec.hp)
-            for spec in specs]
+    caps = [round_caps(spec.algorithm, problem.shape_x.cols, problem.shape_y.cols, spec.hp) for spec in specs]
     records: list = [[] for _ in specs]
     raised, final = {}, {}
     states, chunk_end = None, 0

@@ -170,7 +170,7 @@ class InvariantReport:
 def record_checks(rec, caps: Optional[dict]):
     """Yield (name, field, cap, violation) for each check of the per-round rule on one record, in report order.
 
-    A check holds when its violation is at most ``CHECK_SLACK[name]``; a
+    A check holds when its violation is at most its slack (``holds``); a
     breach names the record ``field`` read and its ``cap``.  ``caps`` are
     the ``round_caps``, None for the unnormalized baseline.  A finite
     record is checked against each cap, against ``travel_x`` (||x_t - x_0||
@@ -193,6 +193,16 @@ def record_checks(rec, caps: Optional[dict]):
             yield f"centering_{axis}", f"centering_{axis}", tol, getattr(rec, f"centering_{axis}") - tol
 
 
+def holds(name: str, violation: float) -> bool:
+    """Whether a check of ``record_checks`` holds: its violation is at most its ``CHECK_SLACK``."""
+    return violation <= CHECK_SLACK[name]
+
+
+def _worst(name: str, violations: list) -> InvariantCheck:
+    worst = float(np.max(violations)) if violations else 0.0
+    return InvariantCheck(name, len(violations), max(worst, 0.0), CHECK_SLACK[name], holds(name, worst))
+
+
 def verify_invariants(trace, hp: HyperParams) -> InvariantReport:
     """The worst violation of each check of ``record_checks`` over a trace.
 
@@ -205,9 +215,4 @@ def verify_invariants(trace, hp: HyperParams) -> InvariantReport:
     for rec in trace.records:
         for name, _, _, violation in record_checks(rec, caps):
             found[name].append(violation)
-    checks = []
-    for name, violations in found.items():
-        worst = float(np.max(violations)) if violations else 0.0
-        checks.append(InvariantCheck(name, len(violations), max(worst, 0.0), CHECK_SLACK[name],
-                                     worst <= CHECK_SLACK[name]))
-    return InvariantReport(checks)
+    return InvariantReport([_worst(name, violations) for name, violations in found.items()])

@@ -314,8 +314,8 @@ def make_saddle_problem(
         return float(f_values(x[None], y[None])[0][0])
 
     def envelope(X):
-        """y*(x) and grad phi(x) at each point of an (S, d_x) stack, as batched matrix-vector
-        products, so each point has the same bits in a stack of any size."""
+        # y*(x) and grad phi(x) at each point of an (S, d_x) stack, as batched matrix-vector
+        # products, so each point has the same bits in a stack of any size
         BX = B_mean.T @ X[..., None]
         grad_phi = (amp * (np.cos(X[:, None, :] + phase).sum(axis=1) / n_clients) + c_mean
                     + (B_mean @ BX)[..., 0] / mu)

@@ -115,7 +115,7 @@ STEP_RATES = {  # each exported step rule with one of its rates set to v
 @pytest.mark.parametrize("rule", sorted(STEP_RATES))
 def test_step_rules_reject_the_rates_hyperparams_rejects(rule, bad, dims):
     call, name = STEP_RATES[rule]
-    assert hyperparam_errors(eta_x=bad, tau=bad)
+    assert len(hyperparam_errors(eta_x=bad, tau=bad)) == 2  # HyperParams rejects it as a rate and as tau
     Z, M = np.zeros((2,) + dims), np.ones((2,) + dims)
     with pytest.raises(ValueError, match=f"^{name}: must be positive and finite, got {bad}$"):
         call(Z, M, bad)
@@ -123,7 +123,7 @@ def test_step_rules_reject_the_rates_hyperparams_rejects(rule, bad, dims):
 
 @pytest.mark.parametrize("bad", [0.0, 1.5, math.nan], ids=["zero", "above-one", "nan"])
 def test_local_momentum_rejects_the_betas_hyperparams_rejects(bad):
-    assert hyperparam_errors(beta_x=bad)
+    assert hyperparam_errors(beta_x=bad)  # HyperParams rejects it too
     G = np.ones((2, 3))
     with pytest.raises(ValueError, match=rf"^beta: must lie in \(0, 1\], got {bad}$"):
         local_momentum(G, G[0], G, G[0], bad)

@@ -23,7 +23,11 @@ the four algorithms on the CLI-default AUC problem (T=25), on it with
 per-client ratios 0.05-0.4 with and without the pooled ratio, and on an
 unequal-shard full-shard AUC problem built with ``make_auc_problem``; muon-da,
 nsgda-m and sgda-clip on the 32x16 / 16x16 matrix saddle under both
-``ns_mode`` values (T=12); one 4-algorithm x 2-tail-index CLI sweep.
+``ns_mode`` values (T=12); two mixed stacks of nsgda-m and muon-da runs
+under no noise model, family "none", Pareto and Student-t noise, one on
+the d=10 saddle (T=40) and one on the CLI-default AUC problem (T=25),
+each line digesting every trace of its ``run_stack``; one 4-algorithm x
+2-tail-index CLI sweep.
 Then, through the CLI: a 3-seed ``fedminimax run`` on the d=10 saddle (one
 line per seed's trace); a ``fedminimax run`` of local-sgda-m on that
 saddle with explicit rates at which it diverges before round 40, whose
@@ -104,6 +108,23 @@ def digest_config(label, config: dict, tmp: Path) -> str:
     return digest_run(label, cfg.algorithm, problem, hp, cfg.noise, cfg.seeds[0], tmp)
 
 
+def digest_stack(label, config: dict, tmp: Path) -> str:
+    """One ``run_stack`` of nsgda-m and muon-da runs, silent and noisy, mixed; every trace digested."""
+    cfg = cli.parse_config(json.dumps(config))
+    problem = cli.build_problem(cfg)
+    hp = cli.resolve_hyperparams(cfg, problem)
+    noises = [None, fm.NoiseModel(), fm.NoiseModel(**NOISES["pareto"]),
+              fm.NoiseModel(**NOISES["student-t"])]
+    specs = [fm.RunSpec(ALGORITHMS[k % 2], hp, noises[(k + k // 4) % 4], seed=k + 1) for k in range(8)]
+    path = tmp / "trace.csv"
+    parts = []
+    for trace in fm.run_stack(problem, specs):
+        fm.trace_to_csv(trace, path)
+        s = trace.final_state
+        parts.append(f"{sha(path.read_bytes())}:{sha(array_bytes([s.x, s.y, s.u, s.v, s.g_x, s.g_y]))}")
+    return f"{label} runs={len(specs)} traces={sha(' '.join(parts).encode())}"
+
+
 def unequal_auc_problem():
     """Seven shards in three sizes (one of them alone), every gradient on the full shard."""
     shards = (fm.gen_imbalanced_data(400, [0.2, 0.3, 0.25], 20, 2.0, seed=3)
@@ -141,6 +162,9 @@ def lines(tmp: Path):
         hp = fm.theorem2_schedule(8, 4, 12, problem.smooth, ns_mode=ns_mode)
         for algorithm in ("muon-da", "nsgda-m", "sgda-clip"):
             yield digest_run(f"matrix {ns_mode} {algorithm}", algorithm, problem, hp, noise, 1, tmp)
+    yield digest_stack("stack saddle-d10 mixed", {"N": 8, "p": 4, "T": 40, "problem": {
+        "kind": "saddle", "hetero": 0.5, **SADDLES["d10"]}}, tmp)
+    yield digest_stack("stack auc mixed", {"problem": "auc", "T": 25}, tmp)
     config = tmp / "sweep.json"
     config.write_text(json.dumps({"problem": {"kind": "saddle", "hetero": 0.5}, "T": 40,
                                   "seed": 1, "noise": NOISES["pareto"]}))

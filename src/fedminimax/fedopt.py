@@ -280,7 +280,8 @@ def muon_step(Z, M, eta: float, direction: str, ns_mode: str = "iterative"):
     The polar factor is 10 Newton-Schulz sweeps, or an SVD under "exact-svd".
     That of a vector, or of a one-column or one-row matrix, is M / ||M||_F,
     so an (N, d) stack and such an (N, m, n) stack take
-    :func:`normalized_step` under either ``ns_mode``.
+    :func:`normalized_step` under either ``ns_mode``.  A client whose
+    momentum is not finite moves to nan without reaching the kernels.
     """
     errors = hyperparam_errors(ns_mode=ns_mode)
     if errors:
@@ -289,9 +290,10 @@ def muon_step(Z, M, eta: float, direction: str, ns_mode: str = "iterative"):
         return normalized_step(Z, M, eta, direction)
     step = _signed(eta, direction)
     _, low = _momentum_norms(M)
-    safe = np.where(low, 1.0, M)  # the polar kernels reject a zero matrix
+    bad = ~np.isfinite(M).all(axis=(1, 2), keepdims=True)
+    safe = np.where(low | bad, 1.0, M)  # the polar kernels reject a zero or non-finite matrix
     O = svd_polar(safe) if ns_mode == "exact-svd" else newton_schulz_polar(safe)
-    return np.where(low, Z, Z + step * O)
+    return np.where(low, Z, Z + step * np.where(bad, np.nan, O))
 
 
 def clip_step(Z, M, eta: float, tau: float, direction: str):
@@ -340,7 +342,7 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
-                 problem: MinimaxProblem, specs: list, states=None) -> tuple:
+                 problem: MinimaxProblem, specs: list, states: list) -> tuple:
     """Run the p local steps of all N clients of every run in a stack from its round-start server state.
 
     The stack is S runs (``specs``) that share the problem and (N, p); the
@@ -352,8 +354,8 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     centering residual per block as (S,) vectors: the mean correction its
     step-0 momentum applied, 0.0 for ``local-sgda-m``, which applies none.
     It checks nothing; ``run_stack`` does.  ``states`` are the round's
-    stream states in (step, run, client) order (``round_states``), derived
-    here if not given.
+    stream states in (step, run, client) order, as ``round_states`` gives
+    them.
 
     At each step every client draws from its (seed, client, round, step)
     stream: first the problem's own ``draw``, unless the problem draws
@@ -364,16 +366,14 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     the stack; every row keeps the bits of its run alone.
     """
     S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
-    if states is None:
-        states = round_states([spec.seed for spec in specs], N, p, server.round, 1)
     rng = np.random.Generator(np.random.PCG64(0))  # reset to each client's stream before use
     bits, normal, draws = rng.bit_generator, rng.standard_normal, problem.draws
     radius = {s: radius_sampler(spec.noise, rng) for s, spec in enumerate(specs) if not is_silent(spec.noise)}
     if radius:  # the raw variates of every row; only the noisy runs' rows are drawn and used
         DX, DY = np.empty((S * N, problem.shape_x.size)), np.empty((S * N, problem.shape_y.size))
         RX, RY = np.empty(S * N), np.empty(S * N)
-        noisy = (slice(None) if len(radius) == S
-                 else np.concatenate([np.arange(s * N, s * N + N) for s in radius]))
+        noisy = (np.concatenate([np.arange(s * N, s * N + N) for s in radius]) if len(radius) < S
+                 else slice(None))
         scale = np.repeat([radius_scale(specs[s].noise) for s in radius], N)
     groups = _groups(specs)
 
@@ -403,12 +403,9 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
         if radius:
             inc_x = scale_draws(DX[noisy], RX[noisy], scale).reshape((-1,) + GX.shape[1:])
             inc_y = scale_draws(DY[noisy], RY[noisy], scale).reshape((-1,) + GY.shape[1:])
-            if len(radius) == S:
-                GX, GY = GX + inc_x, GY + inc_y
-            else:  # into copies: the oracle's arrays are not the engine's to write
-                GX, GY = GX.copy(), GY.copy()
-                GX[noisy] += inc_x
-                GY[noisy] += inc_y
+            GX, GY = GX.copy(), GY.copy()  # the oracle's arrays are not the engine's to write
+            GX[noisy] += inc_x
+            GY[noisy] += inc_y
         sum_gx += GX
         sum_gy += GY
         steps_x, steps_y = [], []

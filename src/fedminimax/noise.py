@@ -14,19 +14,18 @@ gives the PCG64 states of many keys in one vectorized pass, so a caller
 can reset a single reused Generator to each key instead of building one
 per key.  :func:`round_states` does the same for every stream of a stack
 of runs, one master seed each, over as many rounds as ``STREAM_CHUNK``
-streams hold.  The states come back as a :class:`StreamStates`, which
-builds each state dict only when it is read.  Sampling is split the same
-way: a client's variates are its normals, then the radius variate that
-:func:`radius_sampler` draws, and :func:`scale_draws` turns the stacked
-variates of many clients, each row with its own :func:`radius_scale`, into
-noise increments at once; :func:`sample` is the one-client case.
+streams hold.  Both return a list of PCG64 state dicts.  Sampling is
+split the same way: a client's variates are its normals, then the radius
+variate that :func:`radius_sampler` draws, and :func:`scale_draws` turns
+the stacked variates of many clients, each row with its own
+:func:`radius_scale`, into noise increments at once; :func:`sample` is
+the one-client case.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -82,29 +81,6 @@ def _shift_xor(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-class StreamStates(Sequence):
-    """PCG64 states of many stream keys; each state dict is built when it is read.
-
-    Item k, assigned to ``generator.bit_generator.state``, makes the
-    generator draw what the k-th key's :func:`derive_stream` draws.  A
-    slice is a view on the same states.
-    """
-
-    def __init__(self, states: list, incs: list, rows: range = None):
-        self._states, self._incs = states, incs
-        self._rows = range(len(incs)) if rows is None else rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, k):
-        row = self._rows[k]
-        if isinstance(row, range):
-            return StreamStates(self._states, self._incs, row)
-        return {"bit_generator": "PCG64", "state": {"state": self._states[row], "inc": self._incs[row]},
-                "has_uint32": 0, "uinteger": 0}
-
-
 def _seed_pools(seeds) -> np.ndarray:
     """The 4-word entropy pool SeedSequence hashes each master seed into, one column per seed."""
     errors = [e for seed in seeds for e in seed_errors(seed)]
@@ -113,8 +89,8 @@ def _seed_pools(seeds) -> np.ndarray:
     return np.array([np.random.SeedSequence(int(seed)).pool for seed in seeds], dtype=np.uint32).T
 
 
-def _states(pool: np.ndarray, words: np.ndarray) -> StreamStates:
-    """The states of the (client, round, step) columns of the (3, K) uint32 ``words``.
+def _states(pool: np.ndarray, words: np.ndarray) -> list:
+    """The PCG64 state dicts of the (client, round, step) columns of the (3, K) uint32 ``words``.
 
     Column k is hashed on top of column k of the (4, K) or (4, 1) ``pool``.
     """
@@ -123,16 +99,17 @@ def _states(pool: np.ndarray, words: np.ndarray) -> StreamStates:
         pool = _shift_xor(_MIX_MULT_L * pool - _MIX_MULT_R * hashed)
     out = _shift_xor((pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]).astype(np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()  # little-endian pairs
-    states, incs = [], []
+    states = []
     for sh, sl, qh, ql in zip(seed_hi, seed_lo, seq_hi, seq_lo):
         # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one more step
         inc = ((qh << 64 | ql) << 1 | 1) & _MASK128
-        states.append(((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128)
-        incs.append(inc)
-    return StreamStates(states, incs)
+        state = ((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
-def stream_states(master_seed: int, keys) -> StreamStates:
+def stream_states(master_seed: int, keys) -> list:
     """PCG64 states of :func:`derive_stream` for every (client, round, step) row of ``keys``.
 
     Row k's state, assigned to ``generator.bit_generator.state``, makes the
@@ -152,7 +129,7 @@ def stream_states(master_seed: int, keys) -> StreamStates:
     return _states(pool, K.T.astype(np.uint32))
 
 
-def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> StreamStates:
+def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> list:
     """The states of a stack of runs, one master seed each, over ``rounds`` rounds from ``first_round``.
 
     Item ((r * steps + i) * len(seeds) + s) * clients + n is the stream of

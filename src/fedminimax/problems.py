@@ -256,14 +256,13 @@ def make_saddle_problem(
     seed: int = 0,
     base_coupling: np.ndarray | None = None,
     base_shift: np.ndarray | None = None,
-    base_phase: np.ndarray | None = None,
 ) -> MinimaxProblem:
     """Synthetic heterogeneous saddle with exact envelope gradient.
 
     Per-client parameters are drawn as base + hetero * unit perturbation;
     no bounded-heterogeneity condition is imposed anywhere.  The base
-    coupling/shift/phase can be pinned explicitly (handy for hand
-    calculations), otherwise they are drawn from ``seed``.  The reported
+    coupling and shift can be pinned (handy for hand calculations);
+    otherwise they, like the phase, are drawn from ``seed``.  The reported
     constants are L_f = amp + ||B_mean||_2 + mu (an upper bound for the
     averaged objective) and the exact dual curvature mu.
     """
@@ -275,8 +274,8 @@ def make_saddle_problem(
         G = rng.standard_normal((d_x, d_y))
         B0 = G / np.linalg.norm(G, 2)
     c0 = np.asarray(base_shift, dtype=float) if base_shift is not None else _unit(rng.standard_normal(d_x))
-    ph0 = np.asarray(base_phase, dtype=float) if base_phase is not None else rng.uniform(0.0, 2.0 * np.pi, d_x)
-    if B0.shape != (d_x, d_y) or c0.shape != (d_x,) or ph0.shape != (d_x,):
+    ph0 = rng.uniform(0.0, 2.0 * np.pi, d_x)
+    if B0.shape != (d_x, d_y) or c0.shape != (d_x,):
         raise ValueError("base parameter shapes do not match (d_x, d_y)")
 
     B = np.stack([B0 + hetero * _unit(rng.standard_normal((d_x, d_y))) for _ in range(n_clients)])

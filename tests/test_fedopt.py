@@ -30,6 +30,7 @@ from fedminimax.fedopt import (
     trace_to_csv,
 )
 from fedminimax.metrics import BOUND_SLACK, FINITE_FIELDS, centering_tol, verify_invariants
+from fedminimax.noise import round_states
 from fedminimax.problems import gen_imbalanced_data, make_auc_problem, make_saddle_problem
 
 HP = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
@@ -190,7 +191,7 @@ def test_client_round_single_step_matches_manual():
     y0 = np.array([0.2, 0.0, -0.4])
     server = ServerState(x0[None], y0[None], *np.zeros((4, 1, 3)), 0)  # a stack of one run
     X, _, G_x, _, drift_x, _, cen_x, _ = client_round(server, np.zeros((1, 3)), np.zeros((1, 3)),
-                                                      prob, [RunSpec("nsgda-m", hp)])
+                                                      prob, [RunSpec("nsgda-m", hp)], round_states([0], 1, 1, 0, 1))
     g = prob.grad_x(0, x0, y0)
     assert G_x.shape == X.shape == (1, 3)
     assert np.allclose(G_x, g[None])
@@ -204,7 +205,8 @@ def test_client_round_identical_clients_symmetry():
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
     server = ServerState(np.ones((1, 3)), *np.zeros((5, 1, 3)), 0)  # a stack of one run
-    X, _, G_x, *_ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)), prob, [RunSpec("nsgda-m", hp)])
+    X, _, G_x, *_ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)), prob, [RunSpec("nsgda-m", hp)],
+                                 round_states([0], 3, 2, 0, 1))
     assert X.shape == G_x.shape == (3, 3)
     for n in range(1, 3):
         assert np.allclose(X[n], X[0])
@@ -769,6 +771,35 @@ def test_stack_goes_on_after_a_run_raises(tmp_path, monkeypatch):
     assert "sgda-clip round 2: max_drift_x" in str(stacked[1]) and "client 1" in str(stacked[1])
     for spec, result in zip(specs, stacked):
         assert_same_run(result, solo_run(problem, spec), tmp_path)
+
+
+def test_stack_goes_on_after_a_muon_da_gradient_overflows(tmp_path):
+    """A run whose gradient overflows ends at its non-finite record; the run beside it is its solo run."""
+    base = matrix_saddle(n_clients=3, m=4, k=3, c=3, seed=2)
+
+    def client_grads(n, X, Y):
+        GX, GY = base.grad(np.repeat(X[None], 3, axis=0), np.repeat(Y[None], 3, axis=0))
+        return GX[n], GY[n]
+
+    def overflowing(n, X, Y, rng):  # the client's gradient overflows once its iterate leaves [-1, 1]
+        gx, gy = client_grads(n, X, Y)
+        return (gx if np.abs(X).max() <= 1.0 else np.full_like(gx, np.inf)), gy
+
+    problem = MinimaxProblem(
+        n_clients=3, shape_x=base.shape_x, shape_y=base.shape_y, smooth=base.smooth,
+        f_value=base.f_value, y_star=base.y_star, stoch_grad=overflowing,
+        grad_x=lambda n, X, Y: client_grads(n, X, Y)[0], grad_y=lambda n, X, Y: client_grads(n, X, Y)[1])
+    steady = stack_hps(3)[0]
+    wide = dataclasses.replace(steady, gamma_x=1.0, gamma_y=1.0, eta_x=1.0, eta_y=1.0)
+    noise = NoiseModel(s=1.5, sigma=0.1, family="symmetrized-pareto")
+    for ns_mode in ("iterative", "exact-svd"):
+        specs = [RunSpec("muon-da", dataclasses.replace(steady, ns_mode=ns_mode), noise, 1),
+                 RunSpec("muon-da", dataclasses.replace(wide, ns_mode=ns_mode), noise, 2)]
+        stacked = run_stack(problem, specs)
+        assert isinstance(stacked[1], InternalInvariantViolation)
+        assert "finite_records" in str(stacked[1])
+        assert_same_run(stacked[0], solo_run(problem, specs[0]), tmp_path)
+        assert np.isfinite(stacked[0].records[-1].grad_phi_norm)
 
 
 def test_package_exports_the_stack_api():

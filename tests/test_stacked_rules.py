@@ -4,7 +4,7 @@ Every step rule takes an (N,) + block stack, (N, d) for a vector block and
 (N, m, n) for a matrix; the polar kernels take (N, m, n) stacks.  Running
 one on the whole stack must equal running it on each one-client slice
 alone, for vector, column, tall, square and wide blocks, including
-clients whose momentum is exactly zero.  A step rule on an (N, d) stack
+clients whose momentum is exactly zero or holds an inf or nan entry.  A step rule on an (N, d) stack
 must also equal, bit for bit, the same rule on its (N, d, 1) columns.
 """
 
@@ -21,6 +21,9 @@ from fedminimax.fedopt import (
     normalized_step,
 )
 from fedminimax.linalg import newton_schulz_polar, svd_polar
+
+# a non-finite momentum row makes inf * 0 in the normalized and clipped steps
+pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 
 # nonzero entries stay far above the zero-momentum tolerance and below overflow
 ENTRY = st.just(0.0) | st.floats(1e-3, 100.0) | st.floats(-100.0, -1e-3)
@@ -43,14 +46,17 @@ RANK_ONE_DIMS = st.integers(1, 9).flatmap(lambda d: st.sampled_from([(d, 1), (1,
 
 
 @st.composite
-def client_stack(draw, zero_rows=True, dims=block_dims()):
-    """(N,) + block stack with entries spanning several magnitudes; some rows may be all zero."""
+def client_stack(draw, zero_rows=True, dims=block_dims(), non_finite_rows=True):
+    """(N,) + block stack with entries spanning several magnitudes; some rows may be all zero, one non-finite."""
     n_clients = draw(st.integers(1, 5))
     dims = draw(dims)
     S = draw(arrays(float, (n_clients,) + dims, elements=ENTRY))
     S *= 10.0 ** draw(arrays(float, (n_clients,) + (1,) * len(dims), elements=st.floats(-3.0, 3.0)))
     if zero_rows:
         S[draw(arrays(bool, n_clients))] = 0.0
+    row = draw(st.none() | st.integers(0, n_clients - 1)) if non_finite_rows else None
+    if row is not None:  # one entry of that row: inf, -inf or nan
+        S[row].flat[draw(st.integers(0, S[row].size - 1))] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     return S
 
 
@@ -144,7 +150,8 @@ def test_local_momentum_stack_equals_slices(G, data):
 @pytest.mark.parametrize("polar", [lambda M: newton_schulz_polar(M, 10), svd_polar],
                          ids=["newton-schulz", "svd"])
 @settings(max_examples=60, deadline=None)
-@given(M=client_stack(zero_rows=False, dims=block_dims().filter(lambda dims: len(dims) == 2)))
+@given(M=client_stack(zero_rows=False, dims=block_dims().filter(lambda dims: len(dims) == 2),
+                     non_finite_rows=False))
 def test_polar_stack_equals_slices(polar, M):
     M[zero_clients(M)] = 1.0  # the kernels reject an all-zero matrix
     assert same(polar(M), per_slice(polar, M))

@@ -128,7 +128,8 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5,
                         beta_y=0.5, p=p, T=1, N=N)
     _, _, G_x, G_y, *_ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
-                                      problem, [RunSpec("nsgda-m", hp, noise, seed)])
+                                      problem, [RunSpec("nsgda-m", hp, noise, seed)],
+                                      round_states([seed], N, p, round_idx, 1))
 
     assert len(calls) == p  # one batched call per local step
     assert G_x.shape == (N,) + sx.dims and G_y.shape == (N,) + sy.dims
@@ -168,7 +169,7 @@ def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, c
                 for n in range(clients):
                     assert states[k] == derive_stream(seed, n, first_round + r, i).bit_generator.state
                     k += 1
-    assert list(states[1:]) == [states[k] for k in range(1, len(states))]  # a slice is a view
+    assert list(states[1:]) == [states[k] for k in range(1, len(states))]
     with pytest.raises(ValueError, match="keys"):
         round_states(seeds, clients, steps, 2**32 - rounds + 1, rounds)
 

@@ -775,20 +775,13 @@ def test_stack_goes_on_after_a_run_raises(tmp_path, monkeypatch):
 
 def test_stack_goes_on_after_a_muon_da_gradient_overflows(tmp_path):
     """A run whose gradient overflows ends at its non-finite record; the run beside it is its solo run."""
-    base = matrix_saddle(n_clients=3, m=4, k=3, c=3, seed=2)
-
-    def client_grads(n, X, Y):
-        GX, GY = base.grad(np.repeat(X[None], 3, axis=0), np.repeat(Y[None], 3, axis=0))
-        return GX[n], GY[n]
+    base = adapter_matrix_saddle()
 
     def overflowing(n, X, Y, rng):  # the client's gradient overflows once its iterate leaves [-1, 1]
-        gx, gy = client_grads(n, X, Y)
+        gx, gy = base.stoch_grad(n, X, Y, rng)
         return (gx if np.abs(X).max() <= 1.0 else np.full_like(gx, np.inf)), gy
 
-    problem = MinimaxProblem(
-        n_clients=3, shape_x=base.shape_x, shape_y=base.shape_y, smooth=base.smooth,
-        f_value=base.f_value, y_star=base.y_star, stoch_grad=overflowing,
-        grad_x=lambda n, X, Y: client_grads(n, X, Y)[0], grad_y=lambda n, X, Y: client_grads(n, X, Y)[1])
+    problem = dataclasses.replace(base, stoch_grad=overflowing)
     steady = stack_hps(3)[0]
     wide = dataclasses.replace(steady, gamma_x=1.0, gamma_y=1.0, eta_x=1.0, eta_y=1.0)
     noise = NoiseModel(s=1.5, sigma=0.1, family="symmetrized-pareto")

@@ -26,8 +26,11 @@ nsgda-m and sgda-clip on the 32x16 / 16x16 matrix saddle under both
 ``ns_mode`` values (T=12); two mixed stacks of nsgda-m and muon-da runs
 under no noise model, family "none", Pareto and Student-t noise, one on
 the d=10 saddle (T=40) and one on the CLI-default AUC problem (T=25),
-each line digesting every trace of its ``run_stack``; one 4-algorithm x
-2-tail-index CLI sweep.
+each line digesting every trace of its ``run_stack``; nsgda-m and
+muon-da on the d=10 saddle under Gaussian noise, nsgda-m on a d_x = d_y
+= 200 saddle under Pareto noise (T=10), and one stack on the d=10
+saddle that mixes Gaussian, two Pareto tails, Student-t and no noise
+model; one 4-algorithm x 2-tail-index CLI sweep.
 Then, through the CLI: a 3-seed ``fedminimax run`` on the d=10 saddle (one
 line per seed's trace); a ``fedminimax run`` of local-sgda-m on that
 saddle with explicit rates at which it diverges before round 40, whose
@@ -66,6 +69,7 @@ NOISES = {
     "pareto": {"family": "symmetrized-pareto", "s": 1.5, "sigma": 1.0},
     "student-t": {"family": "student-t", "s": 1.5, "sigma": 1.0},
 }
+GAUSSIAN = {"family": "gaussian", "s": 2.0, "sigma": 1.0}
 SADDLES = {"d10": {"d_x": 10, "d_y": 10}, "dy1": {"d_x": 10, "d_y": 1}}
 AUC_RATIOS = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
 
@@ -108,14 +112,21 @@ def digest_config(label, config: dict, tmp: Path) -> str:
     return digest_run(label, cfg.algorithm, problem, hp, cfg.noise, cfg.seeds[0], tmp)
 
 
-def digest_stack(label, config: dict, tmp: Path) -> str:
-    """One ``run_stack`` of nsgda-m and muon-da runs, silent and noisy, mixed; every trace digested."""
+def digest_stack(label, config: dict, tmp: Path, noises=None) -> str:
+    """One ``run_stack`` of nsgda-m and muon-da runs, silent and noisy, mixed; every trace digested.
+
+    Run k of the 2 * len(noises) runs has seed k + 1 and noise model
+    ``noises[(k + k // len(noises)) % len(noises)]``; the default models are
+    none, family "none", Pareto and Student-t.
+    """
     cfg = cli.parse_config(json.dumps(config))
     problem = cli.build_problem(cfg)
     hp = cli.resolve_hyperparams(cfg, problem)
-    noises = [None, fm.NoiseModel(), fm.NoiseModel(**NOISES["pareto"]),
-              fm.NoiseModel(**NOISES["student-t"])]
-    specs = [fm.RunSpec(ALGORITHMS[k % 2], hp, noises[(k + k // 4) % 4], seed=k + 1) for k in range(8)]
+    if noises is None:
+        noises = [None, fm.NoiseModel(), fm.NoiseModel(**NOISES["pareto"]),
+                  fm.NoiseModel(**NOISES["student-t"])]
+    m = len(noises)
+    specs = [fm.RunSpec(ALGORITHMS[k % 2], hp, noises[(k + k // m) % m], seed=k + 1) for k in range(2 * m)]
     path = tmp / "trace.csv"
     parts = []
     for trace in fm.run_stack(problem, specs):
@@ -165,6 +176,7 @@ def lines(tmp: Path):
     yield digest_stack("stack saddle-d10 mixed", {"N": 8, "p": 4, "T": 40, "problem": {
         "kind": "saddle", "hetero": 0.5, **SADDLES["d10"]}}, tmp)
     yield digest_stack("stack auc mixed", {"problem": "auc", "T": 25}, tmp)
+    yield from sampler_lines(tmp)
     config = tmp / "sweep.json"
     config.write_text(json.dumps({"problem": {"kind": "saddle", "hetero": 0.5}, "T": 40,
                                   "seed": 1, "noise": NOISES["pareto"]}))
@@ -173,6 +185,22 @@ def lines(tmp: Path):
         status = cli.main(["sweep", "--config", str(config), "--axes", axes, "--out", str(tmp)])
     yield f"sweep status={status} summary={sha((tmp / 'sweep_summary.csv').read_bytes())}"
     yield from cli_lines(tmp)
+
+
+def sampler_lines(tmp: Path):
+    """Runs whose streams a problem that draws nothing samples under Pareto and Gaussian noise."""
+    d10 = {"N": 8, "p": 4, "T": 40, "problem": {"kind": "saddle", "hetero": 0.5, **SADDLES["d10"]}}
+    for algorithm in ("nsgda-m", "muon-da"):
+        yield digest_config(f"saddle-d10 gaussian {algorithm} seed=1",
+                            dict(d10, algorithm=algorithm, seed=1, noise=GAUSSIAN), tmp)
+    # 402 normal and radius draws per stream: nearly every stream has a rejected draw
+    wide = {"N": 8, "p": 4, "T": 10, "problem": {"kind": "saddle", "hetero": 0.5, "d_x": 200, "d_y": 200}}
+    yield digest_config("saddle-d200 pareto nsgda-m seed=1",
+                        dict(wide, algorithm="nsgda-m", seed=1, noise=NOISES["pareto"]), tmp)
+    noises = [fm.NoiseModel(**GAUSSIAN), fm.NoiseModel(**NOISES["pareto"]),
+              fm.NoiseModel(**dict(NOISES["pareto"], s=1.2, tail_exponent=1.3)),
+              fm.NoiseModel(**NOISES["student-t"]), None]
+    yield digest_stack("stack saddle-d10 gaussian pareto student-t silent", d10, tmp, noises)
 
 
 def sweep_line(label, config: dict, axes: dict, tmp: Path) -> str:

@@ -55,8 +55,8 @@ import numpy as np
 from .core import ALGORITHMS, POSITIVE, UNIT_INTERVAL, HyperParams, NoiseModel, hyperparam_errors, require
 from .linalg import newton_schulz_polar, svd_polar
 from .metrics import FINITE_FIELDS, first_non_finite, holds, record_checks, round_caps
-from .noise import (STREAM_CHUNK, is_silent, radius_sampler, radius_scale, round_states, scale_draws,
-                    seed_errors)
+from .noise import (STREAM_CHUNK, Streams, draw_rest, is_silent, radius_sampler, radius_scale, round_states,
+                    sample_streams, scale_draws, seed_errors)
 from .problems import MinimaxProblem
 
 ZERO_MOMENTUM_TOL = 1e-15
@@ -342,7 +342,7 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
-                 problem: MinimaxProblem, specs: list, states: list) -> tuple:
+                 problem: MinimaxProblem, specs: list, states: Streams) -> tuple:
     """Run the p local steps of all N clients of every run in a stack from its round-start server state.
 
     The stack is S runs (``specs``) that share the problem and (N, p); the
@@ -354,27 +354,36 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     centering residual per block as (S,) vectors: the mean correction its
     step-0 momentum applied, 0.0 for ``local-sgda-m``, which applies none.
     It checks nothing; ``run_stack`` does.  ``states`` are the round's
-    stream states in (step, run, client) order, as ``round_states`` gives
-    them.
+    ``Streams`` in (step, run, client) order, as ``round_states`` gives
+    them; on a problem that draws nothing, ``sample_streams`` may have
+    drawn their noise variates.
 
     At each step every client draws from its (seed, client, round, step)
     stream: first the problem's own ``draw``, unless the problem draws
-    nothing, then the raw ``noise`` variates of x and y.  One ``grad`` call
+    nothing, then the raw ``noise`` variates of x and y.  A reused
+    generator is reset to each stream numpy has to draw from: every
+    stream of a problem that draws, and every noisy stream whose variates
+    are not all drawn, from its first variate left.  One ``grad`` call
     gives the gradients of all S*N rows, and the noise is scaled and added
     for all noisy rows at once.  Momentum and step rule act once per range
     of consecutive runs that share (algorithm, hp), the drifts once for
     the stack; every row keeps the bits of its run alone.
     """
     S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
-    rng = np.random.Generator(np.random.PCG64(0))  # reset to each client's stream before use
-    bits, normal, draws = rng.bit_generator, rng.standard_normal, problem.draws
+    SN, size_x, size_y = S * N, problem.shape_x.size, problem.shape_y.size
+    rng = np.random.Generator(np.random.PCG64(0))  # reset to each stream numpy's generator draws
+    bits, draws = rng.bit_generator, problem.draws
     radius = {s: radius_sampler(spec.noise, rng) for s, spec in enumerate(specs) if not is_silent(spec.noise)}
-    if radius:  # the raw variates of every row; only the noisy runs' rows are drawn and used
-        DX, DY = np.empty((S * N, problem.shape_x.size)), np.empty((S * N, problem.shape_y.size))
-        RX, RY = np.empty(S * N), np.empty(S * N)
-        noisy = (np.concatenate([np.arange(s * N, s * N + N) for s in radius]) if len(radius) < S
-                 else slice(None))
+    rows = np.flatnonzero(np.repeat([s in radius for s in range(S)], N))  # only these rows' noise is drawn
+    if radius:
+        noisy = rows if len(radius) < S else slice(None)
         scale = np.repeat([radius_scale(specs[s].noise) for s in radius], N)
+        DX, RX, DY, RY = states.variates(size_x, size_y)  # row i*SN + r: step i's row r
+    # the streams numpy's generator draws from: all when the problem draws, else the noisy ones not drawn whole
+    left = (np.arange(p)[:, None] * SN + (np.arange(SN) if draws else rows)).ravel()
+    if not draws:
+        left = left[states.start[left] < size_x + size_y + 2]
+    resumes, ends = states.resumes(left), np.searchsorted(left, np.arange(p + 1) * SN).tolist()
     groups = _groups(specs)
 
     def per_client(blocks):  # each run's block on each of its rows
@@ -387,22 +396,20 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
     cen_x, cen_y = np.zeros(S), np.zeros(S)
     for i in range(p):
-        batch = [None] * (S * N) if draws else None
-        for s in range(S) if draws else radius:
-            for n in range(N):
-                row = s * N + n
-                bits.state = states[i * S * N + row]
-                if draws:
-                    batch[row] = problem.draw(n, rng, X[row], Y[row])
-                if s in radius:
-                    normal(out=DX[row])
-                    RX[row] = radius[s]()
-                    normal(out=DY[row])
-                    RY[row] = radius[s]()
+        batch = [None] * SN if draws else None
+        for k, start, state in resumes[ends[i]:ends[i + 1]]:
+            bits.state = state
+            row = k - i * SN
+            s, n = divmod(row, N)
+            if draws:
+                batch[row] = problem.draw(n, rng, X[row], Y[row])
+            if s in radius:
+                draw_rest(rng, radius[s], k, start, DX, RX, DY, RY)
         GX, GY = problem.grad(X, Y, batch)
         if radius:
-            inc_x = scale_draws(DX[noisy], RX[noisy], scale).reshape((-1,) + GX.shape[1:])
-            inc_y = scale_draws(DY[noisy], RY[noisy], scale).reshape((-1,) + GY.shape[1:])
+            step = slice(i * SN, i * SN + SN)
+            inc_x = scale_draws(DX[step][noisy], RX[step][noisy], scale).reshape((-1,) + GX.shape[1:])
+            inc_y = scale_draws(DY[step][noisy], RY[step][noisy], scale).reshape((-1,) + GY.shape[1:])
             GX, GY = GX.copy(), GY.copy()  # the oracle's arrays are not the engine's to write
             GX[noisy] += inc_x
             GY[noisy] += inc_y
@@ -488,15 +495,17 @@ def _nan_record(t: int) -> RoundRecord:
 def _judge(algorithm: str, rec: RoundRecord, caps: Optional[dict], drifts: dict) -> None:
     """Raise InternalInvariantViolation at the record's first breach of the per-round rule, ``record_checks``.
 
-    The message names the round, the field and its cap, the check where
-    the field does not, and, for a drift, the client with the largest one.
+    The message names the round, the field and its cap (or, for a field
+    that is not finite, that it is not), the check where the field does
+    not, and, for a drift, the client with the largest one.
     """
     for name, attr, cap, violation in record_checks(rec, caps):
         if not holds(name, violation):
+            breach = "is not finite" if cap is None else f"exceeds its cap {cap!r}"
             check = "" if name in attr else f" ({name})"
             client = f" (largest: client {int(np.argmax(drifts[attr]))})" if attr in drifts else ""
             raise InternalInvariantViolation(f"{algorithm} round {rec.t}: {attr} = {getattr(rec, attr)!r} "
-                                             f"exceeds its cap {cap!r}{check}{client}")
+                                             f"{breach}{check}{client}")
 
 
 def run_stack(problem: MinimaxProblem, specs: list) -> list:
@@ -514,7 +523,8 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     unnormalized baseline, at its first diverged record (the rest of its
     records carry nan); the other runs go on.  The stream states are
     derived for all the runs still in, as many rounds at a time as
-    ``STREAM_CHUNK`` streams hold.
+    ``STREAM_CHUNK`` streams hold, and on a problem that draws nothing
+    ``sample_streams`` draws their Pareto and Gaussian variates with them.
     """
     specs = list(specs)
     if not specs:
@@ -550,6 +560,9 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
             if states is None or t == chunk_end:
                 chunk_start, chunk_end = t, min(t + max(1, STREAM_CHUNK // width), T)
                 states = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t)
+                if not problem.draws:
+                    states = sample_streams(states, [specs[k].noise for k in live for _ in range(N)],
+                                            problem.shape_x.size, problem.shape_y.size)
             phi, grad_phi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
             aucs = [None if problem.auc_eval is None else float(problem.auc_eval(x)) for x in server.x]
             X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(

@@ -176,7 +176,8 @@ def record_checks(rec, caps: Optional[dict]):
     record is checked against each cap, against ``travel_x`` (||x_t - x_0||
     at most t server-step caps) where it holds ``dist_x0``, and against
     ``centering_tol`` where it holds its centering residuals; with caps,
-    every record must be finite, and a breach names its first non-finite field.
+    every record must be finite: that check has no cap (None), and a
+    breach names the record's first non-finite field.
     """
     if caps is not None:
         if not rec.diverged:
@@ -186,7 +187,7 @@ def record_checks(rec, caps: Optional[dict]):
                 bound = rec.t * (caps["server_step_x"] + BOUND_SLACK)
                 yield "travel_x", "dist_x0", bound, rec.dist_x0 - bound
         first = first_non_finite(rec) if rec.diverged else None
-        yield "finite_records", first, caps.get(first, math.inf), math.inf if rec.diverged else 0.0
+        yield "finite_records", first, None, math.inf if rec.diverged else 0.0
     if not rec.diverged and rec.centering_x is not None:
         for axis in ("x", "y"):
             tol = centering_tol(getattr(rec, f"g_prev_norm_{axis}"))

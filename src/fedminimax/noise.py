@@ -10,25 +10,41 @@ finite: exactly a bounded-s-th-moment noise source and nothing stronger.
 
 Every draw comes from a stream keyed by (master seed, client, round,
 step).  :func:`derive_stream` builds one such stream; :func:`stream_states`
-gives the PCG64 states of many keys in one vectorized pass, so a caller
-can reset a single reused Generator to each key instead of building one
-per key.  :func:`round_states` does the same for every stream of a stack
-of runs, one master seed each, over as many rounds as ``STREAM_CHUNK``
-streams hold.  Both return a list of PCG64 state dicts.  Sampling is
-split the same way: a client's variates are its normals, then the radius
-variate that :func:`radius_sampler` draws, and :func:`scale_draws` turns
-the stacked variates of many clients, each row with its own
-:func:`radius_scale`, into noise increments at once; :func:`sample` is
-the one-client case.
+gives the PCG64 states of many keys in one vectorized pass, and
+:func:`round_states` those of every stream of a stack of runs, one master
+seed each, over as many rounds as ``STREAM_CHUNK`` streams hold.  Both
+return :class:`Streams`, whose items are the PCG64 state dicts a reused
+Generator can be reset to.  A client's variates are its normals, then
+the radius variate that :func:`radius_sampler` draws, and
+:func:`scale_draws` turns the stacked variates of many clients, each row
+with its own :func:`radius_scale`, into noise increments at once;
+:func:`sample` is the one-client case.
+
+:func:`sample_streams` draws the raw variates of many streams without a
+per-stream loop: it steps every stream's 128-bit PCG64 state ahead to
+each of its draws in uint64 halves and puts the outputs through numpy's
+normal and exponential ziggurats, bit for bit numpy's, for the streams
+whose radius is Gaussian (|N(0, 1)|) or Pareto (1 + an exponential over
+the tail, through ``math.expm1``: numpy's C code calls libm's expm1, and
+``np.expm1`` rounds 1 ulp apart from it on some inputs).  A draw the
+ziggurat rejects, a Student-t radius and the draws of a problem with its
+own ``draw`` stay on numpy's generator: the engine resets it to the state
+at the stream's first draw left.  The four ziggurat tables ship as
+constants (``_ziggurat_tables``, re-derived from numpy by
+``tools/ziggurat_tables.py``) and are checked against numpy's generator
+at first use; on any mismatch every stream stays on numpy's generator.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import math
 import numbers
 
 import numpy as np
 
+from . import _ziggurat_tables
 from .core import NoiseModel, Shape
 
 SEED_LIMIT = 2**64  # master seeds lie in [0, SEED_LIMIT)
@@ -61,6 +77,9 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
+_PCG_MULT_HALVES = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_BLOCK = 64  # draw columns one sampling pass steps at a time
 
 
 def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
@@ -89,27 +108,98 @@ def _seed_pools(seeds) -> np.ndarray:
     return np.array([np.random.SeedSequence(int(seed)).pool for seed in seeds], dtype=np.uint32).T
 
 
-def _states(pool: np.ndarray, words: np.ndarray) -> list:
-    """The PCG64 state dicts of the (client, round, step) columns of the (3, K) uint32 ``words``.
+def _mulhi(a, b):
+    """The high 64 bits of the 128-bit products of uint64 arrays a and b, from their 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)  # every sum stays below (2**32 - 1)**2 + 2**33 < 2**64
+    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _LOW32) >> 32)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    """(hi, lo) of a * b mod 2**128, for 128-bit numbers held as uint64 halves."""
+    return _mulhi(a_lo, b_lo) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _halves(values) -> tuple:
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64))
+
+
+def _states(pool: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The PCG64 states of the (client, round, step) columns of the (3, K) uint32 ``words``.
 
     Column k is hashed on top of column k of the (4, K) or (4, 1) ``pool``.
+    Returns the (4, K) uint64 state high and low words and increment high
+    and low words, seeded as ``pcg_setseq_128_srandom_r`` seeds them.
     """
     for j in range(3):  # the client, round and step words, in spawn-key order
         hashed = _shift_xor((words[j] ^ _SPAWN_XOR[j]) * _SPAWN_MUL[j])
         pool = _shift_xor(_MIX_MULT_L * pool - _MIX_MULT_R * hashed)
     out = _shift_xor((pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]).astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()  # little-endian pairs
-    states = []
-    for sh, sl, qh, ql in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one more step
-        inc = ((qh << 64 | ql) << 1 | 1) & _MASK128
-        state = ((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32  # little-endian pairs
+    inc = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    # state 0, one step, add the seed, one more step
+    state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), *_PCG_MULT_HALVES), *inc)
+    return np.stack(state + inc)
 
 
-def stream_states(master_seed: int, keys) -> list:
+class Streams:
+    """The PCG64 states of consecutive streams, read as numpy state dicts, and the variates drawn from them.
+
+    ``streams[k]`` is stream k's state dict, built when read: assigned to
+    ``generator.bit_generator.state`` it makes the generator draw what the
+    stream's ``derive_stream`` generator draws.  A slice is the Streams of
+    those streams.  :func:`sample_streams` draws the raw noise variates of
+    some streams at once: then ``start[k]`` variates of stream k are drawn
+    (its row of ``drawn``), and :meth:`resumes` gives its state at the
+    variate numpy's generator has to draw next.
+    """
+
+    def __init__(self, halves: np.ndarray, drawn=None, start=None, resume=None):
+        self.halves = halves  # (4, K) uint64: state high, low, increment high, low words
+        self.drawn = drawn  # (K, columns) float64 raw variates, or None when none are drawn
+        self.start = np.zeros(halves.shape[1], dtype=np.intp) if start is None else start
+        self.resume = halves if resume is None else resume  # (4, K) words at variate ``start``
+
+    def __len__(self) -> int:
+        return self.halves.shape[1]
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Streams(self.halves[:, k], None if self.drawn is None else self.drawn[k],
+                           self.start[k], self.resume[:, k])
+        return _state_dict(*self.halves[:, k].tolist())
+
+    def variates(self, size_x: int, size_y: int) -> tuple:
+        """New (K, size_x), (K,), (K, size_y) and (K,) arrays holding the normals and radius variates drawn."""
+        if self.drawn is None:
+            K = len(self)
+            return np.empty((K, size_x)), np.empty(K), np.empty((K, size_y)), np.empty(K)
+        d = self.drawn
+        return d[:, :size_x].copy(), d[:, size_x].copy(), d[:, size_x + 1:-1].copy(), d[:, -1].copy()
+
+    def resumes(self, rows) -> list:
+        """(row, start, state dict) of each of the ``rows``: its first variate left, and its state there."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return [(row, start, _state_dict(state_hi, state_lo, inc_hi, inc_lo))
+                for row, start, state_hi, state_lo, inc_hi, inc_lo
+                in zip(rows.tolist(), self.start[rows].tolist(), *self.resume[:, rows].tolist())]
+
+
+def _state_dict(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}
+
+
+def stream_states(master_seed: int, keys) -> Streams:
     """PCG64 states of :func:`derive_stream` for every (client, round, step) row of ``keys``.
 
     Row k's state, assigned to ``generator.bit_generator.state``, makes the
@@ -126,10 +216,10 @@ def stream_states(master_seed: int, keys) -> list:
         raise ValueError(f"keys must be a (K, 3) integer array, got {K.dtype} {K.shape}")
     if K.size and (K.min() < 0 or K.max() >= KEY_LIMIT):
         raise ValueError("keys must lie in [0, 2**32)")
-    return _states(pool, K.T.astype(np.uint32))
+    return Streams(_states(pool, K.T.astype(np.uint32)))
 
 
-def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> list:
+def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> Streams:
     """The states of a stack of runs, one master seed each, over ``rounds`` rounds from ``first_round``.
 
     Item ((r * steps + i) * len(seeds) + s) * clients + n is the stream of
@@ -139,7 +229,187 @@ def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int)
     if not 0 <= first_round <= first_round + rounds <= KEY_LIMIT:
         raise ValueError("keys must lie in [0, 2**32)")
     r, i, s, n = np.indices((rounds, steps, len(seeds), clients), dtype=np.uint32).reshape(4, -1)
-    return _states(_seed_pools(seeds)[:, s], np.stack([n, r + np.uint32(first_round), i]))
+    return Streams(_states(_seed_pools(seeds)[:, s], np.stack([n, r + np.uint32(first_round), i])))
+
+
+# ---------------------------------------------------------------------------
+# every stream's raw variates in one pass: PCG64 jumped ahead, numpy's ziggurats
+
+
+@functools.cache
+def ziggurat_tables() -> dict:
+    """numpy's ziggurat tables: normal ``wi`` and ``ki``, exponential ``we`` and ``ke``, 256 entries each."""
+    words = {name: np.frombuffer(base64.b64decode("".join(getattr(_ziggurat_tables, name.upper()))), "<u8")
+             for name in ("wi", "ki", "we", "ke")}
+    return {"wi": words["wi"].view("<f8"), "ki": words["ki"], "we": words["we"].view("<f8"), "ke": words["ke"]}
+
+
+@functools.cache
+def _jumps() -> np.ndarray:
+    """(4, BLOCK) halves of MULT**j and sum(MULT**i for i < j), j = 1..BLOCK: j steps as one affine map."""
+    a, b, rows = 1, 0, []
+    for _ in range(_BLOCK):
+        a, b = a * _PCG_MULT & _MASK128, (b * _PCG_MULT + 1) & _MASK128
+        rows.append((a, b))
+    a, b = zip(*rows)
+    return np.stack(_halves(a) + _halves(b))
+
+
+def _outputs(s_hi, s_lo, i_hi, i_lo, width: int) -> tuple:
+    """The next ``width`` PCG64 (XSL-RR) outputs of M streams, (width, M), and the state words after each."""
+    a_hi, a_lo, b_hi, b_lo = _jumps()[:, :width, None]
+    # output j is that of the state after j steps, MULT**j * state + sum(MULT**i for i < j) * inc
+    hi, lo = _add128(*_mul128(a_hi, a_lo, s_hi, s_lo), *_mul128(b_hi, b_lo, i_hi, i_lo))
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << (-rot & 63), hi, lo
+
+
+def _normals(r, tables) -> tuple:
+    """numpy's normal ziggurat on outputs r: the variates and where the first output is accepted."""
+    layer = (r & 0xFF).astype(np.intp)
+    rabs = r >> 9 & 0xFFFFFFFFFFFFF
+    x = rabs.view(np.int64) * tables["wi"][layer]  # both exact: rabs < 2**52
+    x.view(np.uint64)[...] ^= (r & 0x100) << 55  # bit 8 is the sign
+    return x, rabs < tables["ki"][layer]
+
+
+def _radii(r, normal, accepted, tails, tables) -> tuple:
+    """The radius variates of outputs r (columns, M): |normal| for a stream's tail 0, else 1 + Pareto(tail)."""
+    pareto = np.flatnonzero(tails)
+    r = r[:, pareto]
+    ri, layer = r >> 11, (r >> 3 & 0xFF).astype(np.intp)
+    radius, accepted = np.abs(normal), accepted.copy()
+    accepted[:, pareto] = ri < tables["ke"][layer]
+    # numpy's pareto is libm's expm1 of a standard exponential over the tail; np.expm1 rounds apart
+    exps = (ri.view(np.int64) * tables["we"][layer] / tails[pareto]).ravel().tolist()
+    radius[:, pareto] = 1.0 + np.fromiter(map(math.expm1, exps), float, len(exps)).reshape(ri.shape)
+    return radius, accepted
+
+
+def _sample(halves: np.ndarray, index: np.ndarray, size_x: int, size_y: int, tails: np.ndarray,
+            tables: dict) -> tuple:
+    """The raw variates of the ``index`` streams up to their first draw numpy's ziggurats reject.
+
+    Stream m's variates are ``size_x`` normals, its radius variate,
+    ``size_y`` normals and its radius variate: C columns, drawn in blocks
+    of ``_BLOCK``.  Returns the (K, C) variates, the (K,) count of those
+    drawn (C unless a draw is rejected: then the index of the first; 0 for
+    a stream not in ``index``) and the (4, K) state and increment words at
+    that draw.  A stream leaves at its first rejected draw, so a block only
+    steps the streams still in.
+    """
+    C = size_x + size_y + 2
+    K = halves.shape[1]
+    drawn, start, resume = np.empty((K, C)), np.zeros(K, dtype=np.intp), halves.copy()
+    live = index
+    start[live] = C
+    s_hi, s_lo, i_hi, i_lo = halves[:, live]
+    for c0 in range(0, C, _BLOCK):
+        width = min(_BLOCK, C - c0)
+        r, hi, lo = _outputs(s_hi, s_lo, i_hi, i_lo, width)
+        x, accepted = _normals(r, tables)
+        radii = [col - c0 for col in (size_x, C - 1) if c0 <= col < c0 + width]
+        if radii:
+            x[radii], accepted[radii] = _radii(r[radii], x[radii], accepted[radii], tails[live], tables)
+        drawn[live, c0:c0 + width] = x.T
+        rejected = ~accepted
+        out = rejected.any(axis=0)
+        if out.any():
+            first = rejected[:, out].argmax(axis=0)
+            gone = live[out]
+            start[gone] = c0 + first
+            # the state before draw `first` is the one after `first` outputs
+            before, rows = np.maximum(first - 1, 0), np.flatnonzero(out)
+            resume[0, gone] = np.where(first > 0, hi[before, rows], s_hi[out])
+            resume[1, gone] = np.where(first > 0, lo[before, rows], s_lo[out])
+            stay = ~out
+            live, s_hi, s_lo, i_hi, i_lo = live[stay], hi[-1, stay], lo[-1, stay], i_hi[stay], i_lo[stay]
+        else:
+            s_hi, s_lo = hi[-1], lo[-1]
+        if not live.size:
+            break
+    resume[0, live], resume[1, live] = s_hi, s_lo
+    return drawn, start, resume
+
+
+def _sampled_tail(model) -> float:
+    """The tail of the radius :func:`sample_streams` draws: 0 for |N(0, 1)|, t for 1 + Pareto(t), else nan."""
+    if is_silent(model):
+        return math.nan
+    return {"symmetrized-pareto": model.tail_exponent, "gaussian": 0.0}.get(model.family, math.nan)
+
+
+def sample_streams(streams: Streams, models: list, size_x: int, size_y: int) -> Streams:
+    """The streams with the raw noise variates of every Pareto and Gaussian stream drawn at once.
+
+    Stream k's noise model is ``models[k % len(models)]``, e.g. one per
+    (run, client) row of a step in the order of :func:`round_states`.  A
+    stream's variates are those its generator would draw for ``sample`` on
+    an x block of ``size_x`` entries and then a y block of ``size_y``:
+    the normals, the radius variate, the normals, the radius variate (the
+    C columns of ``drawn``).  Every stream is stepped ahead and put
+    through numpy's ziggurats for all its draws in one vectorized pass,
+    bit for bit numpy's, up to its first draw the ziggurat rejects; from
+    there on (``start``, ``resumes``) numpy's own generator draws
+    the rest.  Student-t streams and silent ones are left undrawn
+    (``start`` 0), as are all streams when the first-use check
+    (:func:`_sampler_agrees`) finds the tables disagree with numpy.
+    """
+    tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), len(streams))
+    index = np.flatnonzero(~np.isnan(tails))
+    if not index.size or not _sampler_agrees():
+        return streams
+    return Streams(streams.halves, *_sample(streams.halves, index, size_x, size_y, tails, ziggurat_tables()))
+
+
+def draw_rest(rng: np.random.Generator, radius, row: int, start: int, DX, RX, DY, RY) -> None:
+    """Draw one row's variates from variate ``start`` on, in the order :func:`sample_streams` gives them."""
+    x, y = DX[row], DY[row]
+    if start < len(x):
+        rng.standard_normal(out=x[start:])
+    if start <= len(x):
+        RX[row] = radius()
+        rng.standard_normal(out=y)
+    elif start <= len(x) + len(y):
+        rng.standard_normal(out=y[start - len(x) - 1:])
+    RY[row] = radius()
+
+
+@functools.cache
+def _sampler_agrees() -> bool:
+    """Whether :func:`_sample` draws what numpy's generator draws on a fixed set of streams.
+
+    Checked once, at first use: 192 streams of 8 + 1 + 8 + 1 variates
+    under a Gaussian and three Pareto radii are drawn on numpy's generator.
+    Every variate before a stream's first rejected draw must match; a
+    stream drawn whole must leave numpy's generator in the state the pass
+    reached, and at a rejected draw numpy's must take more than one output.
+    The set tries every layer of the normal ziggurat and 152 of the
+    exponential's, and rejects in both.
+    """
+    columns, tails = 18, np.resize((0.0, 1.75, 1.3, 2.5), 192)
+    streams = round_states([0, SEED_LIMIT - 1], 24, 4, 0, 1)
+    sampled = Streams(streams.halves, *_sample(streams.halves, np.arange(192), 8, 8, tails, ziggurat_tables()))
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    models = {t: NoiseModel(s=1.2, sigma=1.0, family="symmetrized-pareto", tail_exponent=t) if t
+              else NoiseModel(sigma=1.0, family="gaussian") for t in set(tails.tolist())}
+    radii = {t: radius_sampler(model, rng) for t, model in models.items()}
+    DX, RX, DY, RY = streams.variates(8, 8)
+    for (k, j, state), tail in zip(sampled.resumes(range(len(streams))), tails.tolist()):
+        bits.state = streams[k]
+        draw_rest(rng, radii[tail], k, 0, DX, RX, DY, RY)
+        if j == columns:  # drawn whole: numpy's generator ends where the pass did
+            if bits.state != state:
+                return False
+            continue
+        bits.state = state  # rejected: numpy's draw there takes more than the one output the pass read
+        radii[tail]() if j in (8, columns - 1) else rng.standard_normal()
+        pcg = state["state"]
+        if bits.state["state"]["state"] == (pcg["state"] * _PCG_MULT + pcg["inc"]) & _MASK128:
+            return False
+    differs = np.column_stack([DX, RX, DY, RY]).view(np.uint64) != sampled.drawn.view(np.uint64)
+    return not (differs & (np.arange(columns) < sampled.start[:, None])).any()
 
 
 def _pareto_scale(model: NoiseModel) -> float:

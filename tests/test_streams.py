@@ -8,22 +8,30 @@ the chunks of rounds a stack of runs derives its streams in.  The noise
 the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
 at the iterates the batched ``grad`` saw, then one increment per block
 from the per-client sampler below, for every noise family, vector and
-matrix blocks and AUC minibatches.
+matrix blocks and AUC minibatches.  The variates ``sample_streams`` draws
+for many streams at once, finished on numpy's generator from each
+stream's first rejected draw, must equal each stream's own draws; the
+ziggurat tables it ships are checked against the installed numpy.
 """
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedminimax as fm
 from fedminimax import fedopt
 from fedminimax.fedopt import RunSpec, ServerState, client_round
-from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, round_states,
-                              sample, stream_states)
+from fedminimax import noise
+from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, draw_rest,
+                              radius_sampler, round_states, sample, sample_streams, stream_states)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 KEY = st.tuples(*(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1) for _ in range(3)))
@@ -197,3 +205,180 @@ def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T):
         want = [derive_stream(seed, n, t, i).bit_generator.state
                 for i in range(2) for seed in stacked for n in range(2)]
         assert list(states) == want
+
+
+SAMPLED = [fm.NoiseModel(s=2.0, sigma=1.3, family="gaussian"),
+           fm.NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto"),
+           fm.NoiseModel(s=1.2, sigma=0.5, family="symmetrized-pareto", tail_exponent=1.3),
+           fm.NoiseModel(s=1.8, sigma=2.0, family="symmetrized-pareto", tail_exponent=7.5)]
+
+
+def stream_draws(model, size_x, size_y, stream) -> np.ndarray:
+    """One stream's raw variates as ``sample`` on an x then a y block draws them, drawn on their own."""
+    def radius():
+        if model.family == "gaussian":
+            return abs(stream.standard_normal())
+        return 1.0 + stream.pareto(model.tail_exponent)
+    return np.concatenate([stream.standard_normal(size_x), [radius()], stream.standard_normal(size_y), [radius()]])
+
+
+def finished(sampled, models, size_x, size_y) -> np.ndarray:
+    """Every stream's variates: those ``sample_streams`` drew, then numpy's from the first one left, per stream."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    DX, RX, DY, RY = sampled.variates(size_x, size_y)
+    for row, start, state in sampled.resumes(np.flatnonzero(sampled.start < size_x + size_y + 2)):
+        rng.bit_generator.state = state
+        draw_rest(rng, radius_sampler(models[row % len(models)], rng), row, start, DX, RX, DY, RY)
+    return np.column_stack([DX, RX, DY, RY])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=3), clients=st.integers(1, 3), steps=st.integers(1, 2),
+       first_round=st.integers(0, 2**32 - 2),
+       sizes=st.tuples(*[st.integers(1, 64) | st.sampled_from([200, 257])] * 2),
+       picks=st.lists(st.sampled_from(SAMPLED), min_size=9, max_size=9))
+@example(seeds=[0, 2**64 - 1], clients=3, steps=2, first_round=0, sizes=(200, 257), picks=(SAMPLED * 3)[:9])
+@example(seeds=[5], clients=1, steps=1, first_round=2**32 - 2, sizes=(1, 1), picks=(SAMPLED * 3)[:9])
+def test_sample_streams_match_each_stream_drawn_alone(seeds, clients, steps, first_round, sizes, picks):
+    """Pareto (three tails) and Gaussian streams of stacks of seeds, on blocks of 1 to 64 and of 200 or more."""
+    size_x, size_y = sizes
+    models = picks[:len(seeds) * clients]  # one per (run, client)
+    sampled = sample_streams(round_states(seeds, clients, steps, first_round, 2), models, size_x, size_y)
+    assert sampled.drawn is not None  # the first-use check passed: the variates were drawn at once
+    got = finished(sampled, models, size_x, size_y)
+    k = 0
+    for r in range(2):
+        for i in range(steps):
+            for seed in seeds:
+                for n in range(clients):
+                    want = stream_draws(models[k % len(models)], size_x, size_y,
+                                        derive_stream(seed, n, first_round + r, i))
+                    assert got[k].tobytes() == want.tobytes()
+                    k += 1
+
+
+def test_sample_streams_leave_student_t_and_silent_streams_to_numpy():
+    models = [None, fm.NoiseModel(family="none"), NOISES["student-t"], SAMPLED[1]]
+    sampled = sample_streams(round_states([3], 4, 2, 0, 1), models, 5, 5)
+    assert sampled.start.tolist() == [0, 0, 0, 12, 0, 0, 0, 7]  # the Pareto streams: drawn whole; to variate 7
+    assert sample_streams(round_states([3], 3, 1, 0, 1), models[:3], 5, 5).drawn is None
+
+
+@pytest.mark.parametrize("step, rejected", [(86, 3), (48, 4)], ids=["normal", "exponential"])
+def test_a_stream_resumes_on_numpy_at_its_first_rejected_draw(step, rejected):
+    """Stream (7, 0, 0, step) under Pareto noise on 4 + 4 entries: its first output that numpy's
+    ziggurat rejects is that of variate ``rejected``, a normal (3) or the x radius, an exponential (4)."""
+    model, size = SAMPLED[1], 4
+    sampled = sample_streams(stream_states(7, [(0, 0, step)]), [model], size, size)
+    assert sampled.start.tolist() == [rejected]
+    ref = derive_stream(7, 0, 0, step)
+    want = stream_draws(model, size, size, derive_stream(7, 0, 0, step))
+    (row, start, state), = sampled.resumes([0])
+    assert (row, start) == (0, rejected)
+    # numpy's generator stands at that state after the draws before the rejected one
+    ref.standard_normal(min(rejected, size))
+    if rejected > size:
+        ref.pareto(model.tail_exponent)
+    assert state == ref.bit_generator.state
+    assert sampled.drawn[0, :rejected].tobytes() == want[:rejected].tobytes()
+    # and its draw there takes more than the one output the pass read
+    one_step = (state["state"]["state"] * noise._PCG_MULT + state["state"]["inc"]) & noise._MASK128
+    ref.pareto(model.tail_exponent) if rejected == size else ref.standard_normal()
+    assert ref.bit_generator.state["state"]["state"] != one_step
+    assert finished(sampled, [model], size, size)[0].tobytes() == want.tobytes()
+
+
+PCG64_STATE = np.random.PCG64.state
+
+
+class CountingPCG64(np.random.PCG64):
+    """PCG64 counting the assignments to its state (named as numpy's, whose state setter checks the name)."""
+
+    sets = 0
+
+    @property
+    def state(self):
+        return PCG64_STATE.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        CountingPCG64.sets += 1
+        PCG64_STATE.__set__(self, value)
+
+
+CountingPCG64.__name__ = "PCG64"
+
+
+def test_client_round_resets_numpy_only_to_streams_with_a_rejected_draw(monkeypatch):
+    problem = fm.make_saddle_problem(8, 10, 10, hetero=0.5, seed=3)
+    hp = fm.theorem1_schedule(8, 4, 6, problem.smooth)
+    specs = [RunSpec("nsgda-m", hp, model, seed) for seed, model in enumerate(SAMPLED * 2)]
+    rejected, sets = [], []
+
+    def counting(server, G_prev_x, G_prev_y, problem, specs, states):
+        rejected.append(int(np.count_nonzero(states.start < 22)))
+        CountingPCG64.sets = 0
+        out = client_round(server, G_prev_x, G_prev_y, problem, specs, states)
+        sets.append(CountingPCG64.sets)
+        return out
+
+    monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+    monkeypatch.setattr(fedopt, "client_round", counting)
+    traces = fedopt.run_stack(problem, specs)
+    assert sets == rejected and 0 < sum(sets) < 0.5 * len(sets) * len(specs) * 8 * 4
+    monkeypatch.setattr(noise, "_sampler_agrees", lambda: False)  # every stream on numpy's generator
+    for spec, trace in zip(specs, traces):
+        solo = fm.run(spec.algorithm, problem, spec.hp, spec.noise, spec.seed)
+        assert [r.x.tobytes() + r.y.tobytes() for r in trace.records] == [
+            r.x.tobytes() + r.y.tobytes() for r in solo.records]
+
+
+@pytest.fixture
+def fresh_check():
+    """The first-use sampler check, run again after the test on the tables then in place."""
+    check = noise._sampler_agrees
+    yield check
+    check.cache_clear()
+
+
+@pytest.mark.parametrize("table, layer, value", [("ki", 1, 2**52), ("ke", 96, 0)])
+def test_a_corrupt_ziggurat_table_falls_back_to_numpy(table, layer, value, monkeypatch, fresh_check):
+    """ki[1] = 2**52 accepts every first output of normal layer 1, which numpy always rejects; ke[96] = 0
+    rejects every one of exponential layer 96, a layer the check's streams draw and numpy mostly accepts."""
+    problem = fm.make_saddle_problem(4, 10, 10, hetero=0.5, seed=1)
+    hp = fm.theorem1_schedule(4, 4, 8, problem.smooth)
+    specs = [RunSpec(algorithm, hp, model, seed) for seed, model in enumerate(SAMPLED)
+             for algorithm in ("nsgda-m", "muon-da")]
+    want = fedopt.run_stack(problem, specs)
+    good = noise.ziggurat_tables()
+    bad = {name: entries.copy() for name, entries in good.items()}
+    bad[table][layer] = value
+    monkeypatch.setattr(noise, "ziggurat_tables", lambda: bad)
+    fresh_check.cache_clear()
+    assert not fresh_check()
+    streams = round_states([1, 2], 4, 4, 0, 2)
+    assert sample_streams(streams, SAMPLED * 2, 10, 10).drawn is None
+    got = fedopt.run_stack(problem, specs)
+    for a, b in zip(got, want):
+        assert [r.x.tobytes() + r.y.tobytes() for r in a.records] == [r.x.tobytes() + r.y.tobytes()
+                                                                       for r in b.records]
+        assert a.final_state.u.tobytes() == b.final_state.u.tobytes()
+    if table == "ki":  # without the check, the corrupt table would change the variates
+        monkeypatch.setattr(noise, "_sampler_agrees", lambda: True)
+        wrong = finished(sample_streams(streams, SAMPLED * 2, 10, 10), SAMPLED * 2, 10, 10)
+        monkeypatch.setattr(noise, "ziggurat_tables", lambda: good)
+        right = finished(sample_streams(streams, SAMPLED * 2, 10, 10), SAMPLED * 2, 10, 10)
+        assert wrong.tobytes() != right.tobytes()
+
+
+def test_shipped_ziggurat_tables_match_the_installed_numpy(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("ziggurat_tables", ROOT / "tools" / "ziggurat_tables.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main() == 0
+    assert "1024 of 1024 ziggurat entries match" in capsys.readouterr().out
+    bad = {name: entries.copy() for name, entries in noise.ziggurat_tables().items()}
+    bad["ke"][7] += 1
+    monkeypatch.setattr(noise, "ziggurat_tables", lambda: bad)
+    assert tool.main() == 1
+    assert "ke[7]" in capsys.readouterr().out

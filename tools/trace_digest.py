@@ -30,7 +30,10 @@ each line digesting every trace of its ``run_stack``; nsgda-m and
 muon-da on the d=10 saddle under Gaussian noise, nsgda-m on a d_x = d_y
 = 200 saddle under Pareto noise (T=10), and one stack on the d=10
 saddle that mixes Gaussian, two Pareto tails, Student-t and no noise
-model; one 4-algorithm x 2-tail-index CLI sweep.
+model; one stack on the d=10 saddle, at the diverging rates below, of
+local-sgda-m under Pareto noise (it diverges in the middle of a stream
+chunk), nsgda-m under Student-t, muon-da under Gaussian and a silent
+sgda-clip run; one 4-algorithm x 2-tail-index CLI sweep.
 Then, through the CLI: a 3-seed ``fedminimax run`` on the d=10 saddle (one
 line per seed's trace); a ``fedminimax run`` of local-sgda-m on that
 saddle with explicit rates at which it diverges before round 40, whose
@@ -71,6 +74,8 @@ NOISES = {
 }
 GAUSSIAN = {"family": "gaussian", "s": 2.0, "sigma": 1.0}
 SADDLES = {"d10": {"d_x": 10, "d_y": 10}, "dy1": {"d_x": 10, "d_y": 1}}
+# explicit rates at which local-sgda-m on the d=10 saddle diverges at round 30 of 40
+DIVERGING_RATES = {"gamma_x": 10.0, "gamma_y": 10.0, "eta_x": 40.0, "eta_y": 40.0, "beta_x": 0.9, "beta_y": 0.9}
 AUC_RATIOS = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4]
 
 
@@ -127,6 +132,11 @@ def digest_stack(label, config: dict, tmp: Path, noises=None) -> str:
                   fm.NoiseModel(**NOISES["student-t"])]
     m = len(noises)
     specs = [fm.RunSpec(ALGORITHMS[k % 2], hp, noises[(k + k // m) % m], seed=k + 1) for k in range(2 * m)]
+    return digest_specs(label, problem, specs, tmp)
+
+
+def digest_specs(label, problem, specs: list, tmp: Path) -> str:
+    """Every trace of one ``run_stack`` of ``specs``, each with its final server state."""
     path = tmp / "trace.csv"
     parts = []
     for trace in fm.run_stack(problem, specs):
@@ -201,6 +211,16 @@ def sampler_lines(tmp: Path):
               fm.NoiseModel(**dict(NOISES["pareto"], s=1.2, tail_exponent=1.3)),
               fm.NoiseModel(**NOISES["student-t"]), None]
     yield digest_stack("stack saddle-d10 gaussian pareto student-t silent", d10, tmp, noises)
+    # 4 runs x 8 clients x 4 steps: a chunk holds rounds 28-31, and local-sgda-m diverges at round 30,
+    # so the other three runs derive and sample the next chunk from round 31
+    cfg = cli.parse_config(json.dumps(dict(d10, **DIVERGING_RATES)))
+    problem = cli.build_problem(cfg)
+    hp = cli.resolve_hyperparams(cfg, problem)
+    specs = [fm.RunSpec("local-sgda-m", hp, fm.NoiseModel(**NOISES["pareto"]), seed=1),
+             fm.RunSpec("nsgda-m", hp, fm.NoiseModel(**NOISES["student-t"]), seed=2),
+             fm.RunSpec("muon-da", hp, fm.NoiseModel(**GAUSSIAN), seed=3),
+             fm.RunSpec("sgda-clip", hp, None, seed=4)]
+    yield digest_specs("stack saddle-d10 diverging mid-chunk", problem, specs, tmp)
 
 
 def sweep_line(label, config: dict, axes: dict, tmp: Path) -> str:
@@ -224,8 +244,7 @@ def cli_lines(tmp: Path):
     for seed in (1, 2, 3):
         trace = out / cli.trace_filename("nsgda-m", seed)
         yield f"cli-run saddle-d10 seed={seed} status={status} trace={sha(trace.read_bytes())}"
-    diverging = dict(saddle, gamma_x=10.0, gamma_y=10.0, eta_x=40.0, eta_y=40.0,
-                     beta_x=0.9, beta_y=0.9)
+    diverging = dict(saddle, **DIVERGING_RATES)
     path.write_text(json.dumps(dict(diverging, algorithm="local-sgda-m", seed=1)))
     out = tmp / "run-diverging"
     with contextlib.redirect_stdout(io.StringIO()):

@@ -55,8 +55,8 @@ import numpy as np
 from .core import ALGORITHMS, POSITIVE, UNIT_INTERVAL, HyperParams, NoiseModel, hyperparam_errors, require
 from .linalg import newton_schulz_polar, svd_polar
 from .metrics import FINITE_FIELDS, first_non_finite, holds, record_checks, round_caps
-from .noise import (STREAM_CHUNK, Streams, draw_rest, is_silent, radius_sampler, radius_scale, round_states,
-                    sample_streams, scale_draws, seed_errors)
+from .noise import (STREAM_CHUNK, draw_rest, is_silent, radius_sampler, radius_scale, round_states, scale_rows,
+                    seed_errors, state_dicts, stream_variates, variate_rows)
 from .problems import MinimaxProblem
 
 ZERO_MOMENTUM_TOL = 1e-15
@@ -342,7 +342,7 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
-                 problem: MinimaxProblem, specs: list, states: Streams) -> tuple:
+                 problem: MinimaxProblem, specs: list, streams: np.ndarray) -> tuple:
     """Run the p local steps of all N clients of every run in a stack from its round-start server state.
 
     The stack is S runs (``specs``) that share the problem and (N, p); the
@@ -353,37 +353,34 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     ||x_local - x_t|| per block as (S*N,) vectors, and each run's
     centering residual per block as (S,) vectors: the mean correction its
     step-0 momentum applied, 0.0 for ``local-sgda-m``, which applies none.
-    It checks nothing; ``run_stack`` does.  ``states`` are the round's
-    ``Streams`` in (step, run, client) order, as ``round_states`` gives
-    them; on a problem that draws nothing, ``sample_streams`` may have
-    drawn their noise variates.
+    It checks nothing; ``run_stack`` does.  ``streams`` has one row per
+    stream of the round, in (step, run, client) order: on a problem that
+    draws, its state words as ``round_states`` gives them; on one that
+    draws nothing, its raw noise variates as ``stream_variates`` gives them.
 
     At each step every client draws from its (seed, client, round, step)
     stream: first the problem's own ``draw``, unless the problem draws
-    nothing, then the raw ``noise`` variates of x and y.  A reused
-    generator is reset to each stream numpy has to draw from: every
-    stream of a problem that draws, and every noisy stream whose variates
-    are not all drawn, from its first variate left.  One ``grad`` call
-    gives the gradients of all S*N rows, and the noise is scaled and added
-    for all noisy rows at once.  Momentum and step rule act once per range
-    of consecutive runs that share (algorithm, hp), the drifts once for
-    the stack; every row keeps the bits of its run alone.
+    nothing, then the raw ``noise`` variates of x and y.  On a problem
+    that draws, a reused generator is reset to each stream in turn for
+    both; on one that draws nothing, the variates are sliced from
+    ``streams``.  One ``grad`` call gives the gradients of all S*N rows,
+    and the noise is scaled and added for all noisy rows at once.
+    Momentum and step rule act once per range of consecutive runs that
+    share (algorithm, hp), the drifts once for the stack; every row keeps
+    the bits of its run alone.
     """
     S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
-    SN, size_x, size_y = S * N, problem.shape_x.size, problem.shape_y.size
-    rng = np.random.Generator(np.random.PCG64(0))  # reset to each stream numpy's generator draws
-    bits, draws = rng.bit_generator, problem.draws
-    radius = {s: radius_sampler(spec.noise, rng) for s, spec in enumerate(specs) if not is_silent(spec.noise)}
-    rows = np.flatnonzero(np.repeat([s in radius for s in range(S)], N))  # only these rows' noise is drawn
-    if radius:
-        noisy = rows if len(radius) < S else slice(None)
-        scale = np.repeat([radius_scale(specs[s].noise) for s in radius], N)
-        DX, RX, DY, RY = states.variates(size_x, size_y)  # row i*SN + r: step i's row r
-    # the streams numpy's generator draws from: all when the problem draws, else the noisy ones not drawn whole
-    left = (np.arange(p)[:, None] * SN + (np.arange(SN) if draws else rows)).ravel()
-    if not draws:
-        left = left[states.start[left] < size_x + size_y + 2]
-    resumes, ends = states.resumes(left), np.searchsorted(left, np.arange(p + 1) * SN).tolist()
+    SN, size_x = S * N, problem.shape_x.size
+    loud = [not is_silent(spec.noise) for spec in specs]
+    rows = np.flatnonzero(np.repeat(loud, N))  # only these rows' noise is drawn
+    noisy = rows if rows.size < SN else slice(None)
+    scale = np.repeat([radius_scale(spec.noise) for spec, on in zip(specs, loud) if on], N)
+    variates = streams
+    if problem.draws:
+        rng = np.random.Generator(np.random.PCG64(0))  # reset to each stream in turn
+        bits = rng.bit_generator
+        radius = [radius_sampler(spec.noise, rng) if on else None for spec, on in zip(specs, loud)]
+        variates = variate_rows(p * SN, size_x, problem.shape_y.size)
     groups = _groups(specs)
 
     def per_client(blocks):  # each run's block on each of its rows
@@ -396,23 +393,21 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
     cen_x, cen_y = np.zeros(S), np.zeros(S)
     for i in range(p):
-        batch = [None] * SN if draws else None
-        for k, start, state in resumes[ends[i]:ends[i + 1]]:
-            bits.state = state
-            row = k - i * SN
-            s, n = divmod(row, N)
-            if draws:
-                batch[row] = problem.draw(n, rng, X[row], Y[row])
-            if s in radius:
-                draw_rest(rng, radius[s], k, start, DX, RX, DY, RY)
+        step = slice(i * SN, i * SN + SN)
+        batch = None
+        if problem.draws:
+            batch, step_rows = [], variates[step]
+            for row, state in enumerate(state_dicts(streams[step])):
+                bits.state = state
+                batch.append(problem.draw(row % N, rng, X[row], Y[row]))
+                if loud[row // N]:
+                    draw_rest(rng, radius[row // N], step_rows[row], 0, size_x)
         GX, GY = problem.grad(X, Y, batch)
-        if radius:
-            step = slice(i * SN, i * SN + SN)
-            inc_x = scale_draws(DX[step][noisy], RX[step][noisy], scale).reshape((-1,) + GX.shape[1:])
-            inc_y = scale_draws(DY[step][noisy], RY[step][noisy], scale).reshape((-1,) + GY.shape[1:])
+        if rows.size:
+            inc_x, inc_y = scale_rows(variates[step][noisy], size_x, scale)
             GX, GY = GX.copy(), GY.copy()  # the oracle's arrays are not the engine's to write
-            GX[noisy] += inc_x
-            GY[noisy] += inc_y
+            GX[noisy] += inc_x.reshape((-1,) + GX.shape[1:])
+            GY[noisy] += inc_y.reshape((-1,) + GY.shape[1:])
         sum_gx += GX
         sum_gy += GY
         steps_x, steps_y = [], []
@@ -523,8 +518,9 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     unnormalized baseline, at its first diverged record (the rest of its
     records carry nan); the other runs go on.  The stream states are
     derived for all the runs still in, as many rounds at a time as
-    ``STREAM_CHUNK`` streams hold, and on a problem that draws nothing
-    ``sample_streams`` draws their Pareto and Gaussian variates with them.
+    ``STREAM_CHUNK`` streams hold; on a problem that draws nothing, one
+    ``stream_variates`` call turns them into every stream's raw noise
+    variates, which each ``client_round`` slices.
     """
     specs = list(specs)
     if not specs:
@@ -551,23 +547,23 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     caps = [round_caps(spec.algorithm, problem.shape_x.cols, problem.shape_y.cols, spec.hp) for spec in specs]
     records: list = [[] for _ in specs]
     raised, final = {}, {}
-    states, chunk_end = None, 0
+    streams, chunk_end = None, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             if not live:
                 break
             width = p * len(live) * N  # streams per round
-            if states is None or t == chunk_end:
+            if streams is None or t == chunk_end:
                 chunk_start, chunk_end = t, min(t + max(1, STREAM_CHUNK // width), T)
-                states = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t)
+                streams = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t)
                 if not problem.draws:
-                    states = sample_streams(states, [specs[k].noise for k in live for _ in range(N)],
-                                            problem.shape_x.size, problem.shape_y.size)
+                    streams = stream_variates(streams, [specs[k].noise for k in live for _ in range(N)],
+                                              problem.shape_x.size, problem.shape_y.size)
             phi, grad_phi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
             aucs = [None if problem.auc_eval is None else float(problem.auc_eval(x)) for x in server.x]
             X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(
                 server, G_prev_x, G_prev_y, problem, [specs[k] for k in live],
-                states[(t - chunk_start) * width:(t - chunk_start + 1) * width])
+                streams[(t - chunk_start) * width:(t - chunk_start + 1) * width])
             new = server_round(server, X, Y, G_x, G_y, [specs[k].hp for k in live])
             # each record field for every run at once, one Python float per run
             fields = {
@@ -606,7 +602,7 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
                     stay.append(j)
             if len(stay) < len(live):  # a run left: the next round derives the streams of the rest
                 rows = (np.array(stay, dtype=int)[:, None] * N + np.arange(N)).ravel()
-                G_x, G_y, live, states = G_x[rows], G_y[rows], [live[j] for j in stay], None
+                G_x, G_y, live, streams = G_x[rows], G_y[rows], [live[j] for j in stay], None
                 new = _runs(new, stay)
             server, G_prev_x, G_prev_y = new, G_x, G_y
     final.update((k, _runs(server, j)) for j, k in enumerate(live))

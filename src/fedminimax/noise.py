@@ -10,29 +10,32 @@ finite: exactly a bounded-s-th-moment noise source and nothing stronger.
 
 Every draw comes from a stream keyed by (master seed, client, round,
 step).  :func:`derive_stream` builds one such stream; :func:`stream_states`
-gives the PCG64 states of many keys in one vectorized pass, and
-:func:`round_states` those of every stream of a stack of runs, one master
-seed each, over as many rounds as ``STREAM_CHUNK`` streams hold.  Both
-return :class:`Streams`, whose items are the PCG64 state dicts a reused
-Generator can be reset to.  A client's variates are its normals, then
-the radius variate that :func:`radius_sampler` draws, and
-:func:`scale_draws` turns the stacked variates of many clients, each row
-with its own :func:`radius_scale`, into noise increments at once;
-:func:`sample` is the one-client case.
+gives the PCG64 state dicts of many keys from one vectorized pass, and
+:func:`round_states` the state words of every stream of a stack of runs,
+one master seed each, over as many rounds as ``STREAM_CHUNK`` streams
+hold; :func:`state_dicts` turns words into the dicts a reused Generator
+can be reset to.  A client's variates are its normals, then the radius
+variate that :func:`radius_sampler` draws, and :func:`scale_draws` turns
+the stacked variates of many clients, each row with its own
+:func:`radius_scale`, into noise increments at once (:func:`scale_rows`
+those of x and y from rows of :func:`stream_variates`); :func:`sample` is
+the one-client case.
 
-:func:`sample_streams` draws the raw variates of many streams without a
-per-stream loop: it steps every stream's 128-bit PCG64 state ahead to
-each of its draws in uint64 halves and puts the outputs through numpy's
-normal and exponential ziggurats, bit for bit numpy's, for the streams
-whose radius is Gaussian (|N(0, 1)|) or Pareto (1 + an exponential over
-the tail, through ``math.expm1``: numpy's C code calls libm's expm1, and
-``np.expm1`` rounds 1 ulp apart from it on some inputs).  A draw the
-ziggurat rejects, a Student-t radius and the draws of a problem with its
-own ``draw`` stay on numpy's generator: the engine resets it to the state
-at the stream's first draw left.  The four ziggurat tables ship as
-constants (``_ziggurat_tables``, re-derived from numpy by
-``tools/ziggurat_tables.py``) and are checked against numpy's generator
-at first use; on any mismatch every stream stays on numpy's generator.
+:func:`stream_variates` returns the raw variates of many streams, one
+complete row each.  Pareto and Gaussian streams are drawn in one pass:
+each 128-bit PCG64 state is stepped ahead to all its draws in uint64
+halves and the outputs go through numpy's normal and exponential
+ziggurats, bit for bit numpy's (the Pareto radius takes ``math.expm1``,
+libm's, as numpy's C code does; ``np.expm1`` rounds 1 ulp apart on some
+inputs).  One finisher draws everything else on numpy's generator, reset
+to the stream's state: the rest of a stream from its first draw a
+ziggurat rejects, Student-t streams, and every stream when the tables
+fail the first-use check.  The four tables ship as constants
+(``_ziggurat_tables``, re-derived from numpy by
+``tools/ziggurat_tables.py``); the check runs the pass on streams crafted
+to output chosen words at every layer of both ziggurats, against the
+finisher drawing from variate 0.  A problem with its own ``draw`` draws
+from each stream's state dict, then :func:`draw_rest` its noise.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)  # the multiplier is odd
 _PCG_MULT_HALVES = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _BLOCK = 64  # draw columns one sampling pass steps at a time
@@ -134,8 +138,9 @@ def _states(pool: np.ndarray, words: np.ndarray) -> np.ndarray:
     """The PCG64 states of the (client, round, step) columns of the (3, K) uint32 ``words``.
 
     Column k is hashed on top of column k of the (4, K) or (4, 1) ``pool``.
-    Returns the (4, K) uint64 state high and low words and increment high
-    and low words, seeded as ``pcg_setseq_128_srandom_r`` seeds them.
+    Returns the (K, 4) uint64 rows of state high and low words and
+    increment high and low words, seeded as ``pcg_setseq_128_srandom_r``
+    seeds them.
     """
     for j in range(3):  # the client, round and step words, in spawn-key order
         hashed = _shift_xor((words[j] ^ _SPAWN_XOR[j]) * _SPAWN_MUL[j])
@@ -145,62 +150,22 @@ def _states(pool: np.ndarray, words: np.ndarray) -> np.ndarray:
     inc = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     # state 0, one step, add the seed, one more step
     state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), *_PCG_MULT_HALVES), *inc)
-    return np.stack(state + inc)
+    return np.stack(state + inc, axis=1)
 
 
-class Streams:
-    """The PCG64 states of consecutive streams, read as numpy state dicts, and the variates drawn from them.
+def state_dicts(states: np.ndarray) -> list:
+    """The numpy state dict of each (state high, low, increment high, low) row of the uint64 ``states``.
 
-    ``streams[k]`` is stream k's state dict, built when read: assigned to
-    ``generator.bit_generator.state`` it makes the generator draw what the
-    stream's ``derive_stream`` generator draws.  A slice is the Streams of
-    those streams.  :func:`sample_streams` draws the raw noise variates of
-    some streams at once: then ``start[k]`` variates of stream k are drawn
-    (its row of ``drawn``), and :meth:`resumes` gives its state at the
-    variate numpy's generator has to draw next.
+    Assigned to ``generator.bit_generator.state``, dict k makes the
+    generator draw what the ``derive_stream`` generator of stream k draws.
     """
-
-    def __init__(self, halves: np.ndarray, drawn=None, start=None, resume=None):
-        self.halves = halves  # (4, K) uint64: state high, low, increment high, low words
-        self.drawn = drawn  # (K, columns) float64 raw variates, or None when none are drawn
-        self.start = np.zeros(halves.shape[1], dtype=np.intp) if start is None else start
-        self.resume = halves if resume is None else resume  # (4, K) words at variate ``start``
-
-    def __len__(self) -> int:
-        return self.halves.shape[1]
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return Streams(self.halves[:, k], None if self.drawn is None else self.drawn[k],
-                           self.start[k], self.resume[:, k])
-        return _state_dict(*self.halves[:, k].tolist())
-
-    def variates(self, size_x: int, size_y: int) -> tuple:
-        """New (K, size_x), (K,), (K, size_y) and (K,) arrays holding the normals and radius variates drawn."""
-        if self.drawn is None:
-            K = len(self)
-            return np.empty((K, size_x)), np.empty(K), np.empty((K, size_y)), np.empty(K)
-        d = self.drawn
-        return d[:, :size_x].copy(), d[:, size_x].copy(), d[:, size_x + 1:-1].copy(), d[:, -1].copy()
-
-    def resumes(self, rows) -> list:
-        """(row, start, state dict) of each of the ``rows``: its first variate left, and its state there."""
-        rows = np.asarray(rows, dtype=np.intp)
-        return [(row, start, _state_dict(state_hi, state_lo, inc_hi, inc_lo))
-                for row, start, state_hi, state_lo, inc_hi, inc_lo
-                in zip(rows.tolist(), self.start[rows].tolist(), *self.resume[:, rows].tolist())]
+    return [{"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+             "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}
+            for state_hi, state_lo, inc_hi, inc_lo in states.tolist()]
 
 
-def _state_dict(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
-    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}
-
-
-def stream_states(master_seed: int, keys) -> Streams:
-    """PCG64 states of :func:`derive_stream` for every (client, round, step) row of ``keys``.
+def stream_states(master_seed: int, keys) -> list:
+    """PCG64 state dicts of :func:`derive_stream` for every (client, round, step) row of ``keys``.
 
     Row k's state, assigned to ``generator.bit_generator.state``, makes the
     generator draw exactly what ``derive_stream(master_seed, *keys[k])``
@@ -216,24 +181,25 @@ def stream_states(master_seed: int, keys) -> Streams:
         raise ValueError(f"keys must be a (K, 3) integer array, got {K.dtype} {K.shape}")
     if K.size and (K.min() < 0 or K.max() >= KEY_LIMIT):
         raise ValueError("keys must lie in [0, 2**32)")
-    return Streams(_states(pool, K.T.astype(np.uint32)))
+    return state_dicts(_states(pool, K.T.astype(np.uint32)))
 
 
-def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> Streams:
-    """The states of a stack of runs, one master seed each, over ``rounds`` rounds from ``first_round``.
+def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> np.ndarray:
+    """The state words of a stack of runs, one master seed each, over ``rounds`` rounds from ``first_round``.
 
-    Item ((r * steps + i) * len(seeds) + s) * clients + n is the stream of
-    run s's client n at step i of round first_round + r; all come from
-    one vectorized pass, as in :func:`stream_states`.
+    Row ((r * steps + i) * len(seeds) + s) * clients + n holds the state
+    high, low, increment high and low uint64 words of run s's client n at
+    step i of round first_round + r; all come from one vectorized pass, as
+    in :func:`stream_states`.
     """
     if not 0 <= first_round <= first_round + rounds <= KEY_LIMIT:
         raise ValueError("keys must lie in [0, 2**32)")
     r, i, s, n = np.indices((rounds, steps, len(seeds), clients), dtype=np.uint32).reshape(4, -1)
-    return Streams(_states(_seed_pools(seeds)[:, s], np.stack([n, r + np.uint32(first_round), i])))
+    return _states(_seed_pools(seeds)[:, s], np.stack([n, r + np.uint32(first_round), i]))
 
 
 # ---------------------------------------------------------------------------
-# every stream's raw variates in one pass: PCG64 jumped ahead, numpy's ziggurats
+# every stream's raw variates: PCG64 jumped ahead through numpy's ziggurats, numpy's generator for the rest
 
 
 @functools.cache
@@ -286,24 +252,25 @@ def _radii(r, normal, accepted, tails, tables) -> tuple:
     return radius, accepted
 
 
-def _sample(halves: np.ndarray, index: np.ndarray, size_x: int, size_y: int, tails: np.ndarray,
-            tables: dict) -> tuple:
-    """The raw variates of the ``index`` streams up to their first draw numpy's ziggurats reject.
+def _sample(states: np.ndarray, size_x: int, size_y: int, tails: np.ndarray, tables: dict) -> tuple:
+    """The raw variates of the streams whose ``tails`` are not nan, up to their first draw a ziggurat rejects.
 
-    Stream m's variates are ``size_x`` normals, its radius variate,
-    ``size_y`` normals and its radius variate: C columns, drawn in blocks
-    of ``_BLOCK``.  Returns the (K, C) variates, the (K,) count of those
-    drawn (C unless a draw is rejected: then the index of the first; 0 for
-    a stream not in ``index``) and the (4, K) state and increment words at
-    that draw.  A stream leaves at its first rejected draw, so a block only
-    steps the streams still in.
+    Stream m's variates are ``size_x`` normals, its radius variate
+    (:func:`_sampled_tail`), ``size_y`` normals and its radius variate: C
+    columns, drawn in blocks of ``_BLOCK``.  Returns the (K, C) variates
+    (zero for a stream with tail nan; not numpy's from a stream's first
+    rejected draw on), the (K,) index of that draw (C when none is
+    rejected; 0 for a stream with tail nan) and the (K, 4) state and
+    increment words before it (a stream's own words when there is none).
+    A stream leaves at its first rejected draw, so a block only steps the
+    streams still in.
     """
-    C = size_x + size_y + 2
-    K = halves.shape[1]
-    drawn, start, resume = np.empty((K, C)), np.zeros(K, dtype=np.intp), halves.copy()
-    live = index
+    K = len(states)
+    drawn, start, resume = variate_rows(K, size_x, size_y), np.zeros(K, dtype=np.intp), states.copy()
+    C = drawn.shape[1]
+    live = np.flatnonzero(~np.isnan(tails))
     start[live] = C
-    s_hi, s_lo, i_hi, i_lo = halves[:, live]
+    s_hi, s_lo, i_hi, i_lo = states[live].T
     for c0 in range(0, C, _BLOCK):
         width = min(_BLOCK, C - c0)
         r, hi, lo = _outputs(s_hi, s_lo, i_hi, i_lo, width)
@@ -320,96 +287,128 @@ def _sample(halves: np.ndarray, index: np.ndarray, size_x: int, size_y: int, tai
             start[gone] = c0 + first
             # the state before draw `first` is the one after `first` outputs
             before, rows = np.maximum(first - 1, 0), np.flatnonzero(out)
-            resume[0, gone] = np.where(first > 0, hi[before, rows], s_hi[out])
-            resume[1, gone] = np.where(first > 0, lo[before, rows], s_lo[out])
+            resume[gone, 0] = np.where(first > 0, hi[before, rows], s_hi[out])
+            resume[gone, 1] = np.where(first > 0, lo[before, rows], s_lo[out])
             stay = ~out
             live, s_hi, s_lo, i_hi, i_lo = live[stay], hi[-1, stay], lo[-1, stay], i_hi[stay], i_lo[stay]
         else:
             s_hi, s_lo = hi[-1], lo[-1]
         if not live.size:
             break
-    resume[0, live], resume[1, live] = s_hi, s_lo
     return drawn, start, resume
 
 
 def _sampled_tail(model) -> float:
-    """The tail of the radius :func:`sample_streams` draws: 0 for |N(0, 1)|, t for 1 + Pareto(t), else nan."""
+    """The tail of the radius :func:`_sample` draws: 0 for |N(0, 1)|, t for 1 + Pareto(t), else nan."""
     if is_silent(model):
         return math.nan
     return {"symmetrized-pareto": model.tail_exponent, "gaussian": 0.0}.get(model.family, math.nan)
 
 
-def sample_streams(streams: Streams, models: list, size_x: int, size_y: int) -> Streams:
-    """The streams with the raw noise variates of every Pareto and Gaussian stream drawn at once.
+def variate_rows(count: int, size_x: int, size_y: int) -> np.ndarray:
+    """``count`` zero rows of raw variates for an x block of ``size_x`` entries and a y block of ``size_y``."""
+    return np.zeros((count, size_x + size_y + 2))  # the x normals, their radius, the y normals, theirs
+
+
+def draw_rest(rng: np.random.Generator, radius, row: np.ndarray, start: int, size_x: int) -> None:
+    """Draw a stream's ``row`` of variates from variate ``start`` on, in the order of :func:`stream_variates`."""
+    if start < size_x:
+        rng.standard_normal(out=row[start:size_x])
+    if start <= size_x:
+        row[size_x] = radius()
+        rng.standard_normal(out=row[size_x + 1:-1])
+    elif start < len(row) - 1:
+        rng.standard_normal(out=row[start:-1])
+    row[-1] = radius()
+
+
+def _finish(drawn: np.ndarray, rows: np.ndarray, start: np.ndarray, states: np.ndarray, models: list,
+            size_x: int) -> None:
+    """Draw each of the ``rows`` of ``drawn`` on numpy's generator from variate ``start[row]``, at ``states[row]``.
+
+    Row k's radius is that of ``models[k % len(models)]``.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    radii = [None if is_silent(model) else radius_sampler(model, rng) for model in models]
+    for row, begin, state in zip(rows.tolist(), start[rows].tolist(), state_dicts(states[rows])):
+        bits.state = state
+        draw_rest(rng, radii[row % len(radii)], drawn[row], begin, size_x)
+
+
+def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int) -> np.ndarray:
+    """The raw noise variates of every stream of the (K, 4) state words ``states``, one row each.
 
     Stream k's noise model is ``models[k % len(models)]``, e.g. one per
-    (run, client) row of a step in the order of :func:`round_states`.  A
-    stream's variates are those its generator would draw for ``sample`` on
-    an x block of ``size_x`` entries and then a y block of ``size_y``:
-    the normals, the radius variate, the normals, the radius variate (the
-    C columns of ``drawn``).  Every stream is stepped ahead and put
-    through numpy's ziggurats for all its draws in one vectorized pass,
-    bit for bit numpy's, up to its first draw the ziggurat rejects; from
-    there on (``start``, ``resumes``) numpy's own generator draws
-    the rest.  Student-t streams and silent ones are left undrawn
-    (``start`` 0), as are all streams when the first-use check
-    (:func:`_sampler_agrees`) finds the tables disagree with numpy.
+    (run, client) row of a step in the order of :func:`round_states`.  Its
+    row holds what its generator draws for ``sample`` on an x block of
+    ``size_x`` entries and then a y block of ``size_y``: the normals, the
+    radius variate, the normals, the radius variate (C = size_x + size_y
+    + 2 columns); a silent stream's row is zero.  Every Pareto and
+    Gaussian stream is stepped ahead and put through numpy's ziggurats in
+    one vectorized pass, bit for bit numpy's, up to its first draw a
+    ziggurat rejects.  numpy's own generator, reset to a stream's state,
+    draws everything else: the rest of such a row, every Student-t row,
+    and every row when the first-use check (:func:`_sampler_agrees`)
+    finds the tables disagree with numpy.
     """
-    tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), len(streams))
-    index = np.flatnonzero(~np.isnan(tails))
-    if not index.size or not _sampler_agrees():
-        return streams
-    return Streams(streams.halves, *_sample(streams.halves, index, size_x, size_y, tails, ziggurat_tables()))
+    K = len(states)
+    tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), K)
+    noisy = np.resize(np.array([not is_silent(model) for model in models]), K)
+    if not np.isnan(tails).all() and _sampler_agrees():
+        drawn, start, resume = _sample(states, size_x, size_y, tails, ziggurat_tables())
+    else:
+        drawn, start, resume = variate_rows(K, size_x, size_y), np.zeros(K, dtype=np.intp), states
+    _finish(drawn, np.flatnonzero(noisy & (start < drawn.shape[1])), start, resume, models, size_x)
+    return drawn
 
 
-def draw_rest(rng: np.random.Generator, radius, row: int, start: int, DX, RX, DY, RY) -> None:
-    """Draw one row's variates from variate ``start`` on, in the order :func:`sample_streams` gives them."""
-    x, y = DX[row], DY[row]
-    if start < len(x):
-        rng.standard_normal(out=x[start:])
-    if start <= len(x):
-        RX[row] = radius()
-        rng.standard_normal(out=y)
-    elif start <= len(x) + len(y):
-        rng.standard_normal(out=y[start - len(x) - 1:])
-    RY[row] = radius()
+def _crafted_state(output: int) -> int:
+    """The PCG64 state whose next output, under increment 1, is ``output`` (below 2**64).
+
+    PCG64 steps state -> state * MULT + inc and outputs XSL-RR of the new
+    state, which leaves a state with high word 0 as its low word.
+    """
+    return (output - 1) * _PCG_MULT_INV & _MASK128
 
 
 @functools.cache
 def _sampler_agrees() -> bool:
-    """Whether :func:`_sample` draws what numpy's generator draws on a fixed set of streams.
+    """Whether :func:`_sample` draws what numpy's generator draws, checked once, at first use.
 
-    Checked once, at first use: 192 streams of 8 + 1 + 8 + 1 variates
-    under a Gaussian and three Pareto radii are drawn on numpy's generator.
-    Every variate before a stream's first rejected draw must match; a
-    stream drawn whole must leave numpy's generator in the state the pass
-    reached, and at a rejected draw numpy's must take more than one output.
-    The set tries every layer of the normal ziggurat and 152 of the
-    exponential's, and rejects in both.
+    The streams start from crafted states (:func:`_crafted_state`) whose
+    first output is a chosen word: for every layer of the normal
+    ziggurat, with either sign, and of the exponential one, the value
+    parts 1, ``ki - 1`` and ``ki`` (``ke - 1`` and ``ke``) that fit.  The
+    pass must accept a first output exactly when numpy's generator takes
+    it alone: then numpy's variates from the next one on are those it
+    draws from the crafted word itself.  Every variate the pass accepts
+    must equal numpy's, which :func:`_finish` draws from variate 0.  A
+    normal word leads a Gaussian stream of 1 + 1 + 8 + 1 variates, an
+    exponential one a Pareto stream (tails 1.75, 1.3 and 2.5) of 1 + 8 + 1.
     """
-    columns, tails = 18, np.resize((0.0, 1.75, 1.3, 2.5), 192)
-    streams = round_states([0, SEED_LIMIT - 1], 24, 4, 0, 1)
-    sampled = Streams(streams.halves, *_sample(streams.halves, np.arange(192), 8, 8, tails, ziggurat_tables()))
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
-    models = {t: NoiseModel(s=1.2, sigma=1.0, family="symmetrized-pareto", tail_exponent=t) if t
-              else NoiseModel(sigma=1.0, family="gaussian") for t in set(tails.tolist())}
-    radii = {t: radius_sampler(model, rng) for t, model in models.items()}
-    DX, RX, DY, RY = streams.variates(8, 8)
-    for (k, j, state), tail in zip(sampled.resumes(range(len(streams))), tails.tolist()):
-        bits.state = streams[k]
-        draw_rest(rng, radii[tail], k, 0, DX, RX, DY, RY)
-        if j == columns:  # drawn whole: numpy's generator ends where the pass did
-            if bits.state != state:
-                return False
-            continue
-        bits.state = state  # rejected: numpy's draw there takes more than the one output the pass read
-        radii[tail]() if j in (8, columns - 1) else rng.standard_normal()
-        pcg = state["state"]
-        if bits.state["state"]["state"] == (pcg["state"] * _PCG_MULT + pcg["inc"]) & _MASK128:
+    tables = ziggurat_tables()
+    normal = [rabs << 9 | sign << 8 | layer for layer, limit in enumerate(tables["ki"].tolist())
+              for rabs in sorted({1, limit - 1, limit}) if 0 <= rabs < 2**52 for sign in (0, 1)]
+    exponential = [ri << 11 | layer << 3 for layer, limit in enumerate(tables["ke"].tolist())
+                   for ri in sorted({1, limit - 1, limit}) if 0 <= ri < 2**53]
+    gaussian = [NoiseModel(sigma=1.0, family="gaussian")]
+    pareto = [NoiseModel(s=1.2, sigma=1.0, family="symmetrized-pareto", tail_exponent=t) for t in (1.75, 1.3, 2.5)]
+    for words, models, size_x in ((normal, gaussian, 1), (exponential, pareto, 0)):
+        K = len(words)
+        inc = np.zeros(K, dtype=np.uint64), np.ones(K, dtype=np.uint64)
+        crafted = np.stack(_halves([_crafted_state(r) for r in words]) + inc, axis=1)
+        after = np.stack((inc[0], np.array(words, dtype=np.uint64)) + inc, axis=1)  # the crafted words as states
+        tails = np.resize(np.array([_sampled_tail(model) for model in models]), K)
+        drawn, start, _ = _sample(crafted, size_x, 8, tails, tables)
+        numpy, alone = variate_rows(K, size_x, 8), variate_rows(K, size_x, 8)
+        _finish(numpy, np.arange(K), np.zeros(K, dtype=np.intp), crafted, models, size_x)
+        _finish(alone, np.arange(K), np.ones(K, dtype=np.intp), after, models, size_x)
+        takes_alone = (alone[:, 1:].view(np.uint64) == numpy[:, 1:].view(np.uint64)).all(axis=1)
+        differs = drawn.view(np.uint64) != numpy.view(np.uint64)
+        if (takes_alone != (start > 0)).any() or (differs & (np.arange(drawn.shape[1]) < start[:, None])).any():
             return False
-    differs = np.column_stack([DX, RX, DY, RY]).view(np.uint64) != sampled.drawn.view(np.uint64)
-    return not (differs & (np.arange(columns) < sampled.start[:, None])).any()
+    return True
 
 
 def _pareto_scale(model: NoiseModel) -> float:
@@ -471,6 +470,12 @@ def scale_draws(directions: np.ndarray, radii, scale) -> np.ndarray:
         directions = np.where(zero[..., None] & (np.arange(directions.shape[-1]) == 0), 1.0, directions)
         nrm = np.where(zero, 1.0, nrm)
     return (scale * radii)[..., None] * (directions / nrm[..., None])
+
+
+def scale_rows(rows: np.ndarray, size_x: int, scale) -> tuple:
+    """The x and y noise increments of stacked rows of raw variates, as :func:`stream_variates` lays them out."""
+    return (scale_draws(rows[:, :size_x], rows[:, size_x], scale),
+            scale_draws(rows[:, size_x + 1:-1], rows[:, -1], scale))
 
 
 def sample(model: NoiseModel, shape: Shape, stream: np.random.Generator) -> np.ndarray:

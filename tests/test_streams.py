@@ -8,10 +8,12 @@ the chunks of rounds a stack of runs derives its streams in.  The noise
 the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
 at the iterates the batched ``grad`` saw, then one increment per block
 from the per-client sampler below, for every noise family, vector and
-matrix blocks and AUC minibatches.  The variates ``sample_streams`` draws
-for many streams at once, finished on numpy's generator from each
-stream's first rejected draw, must equal each stream's own draws; the
-ziggurat tables it ships are checked against the installed numpy.
+matrix blocks and AUC minibatches.  The variates ``stream_variates``
+gives for many streams at once, drawn in one pass and finished on numpy's
+generator from each stream's first rejected draw, must equal each
+stream's own draws; the ziggurat tables it ships are checked against the
+installed numpy, and its first-use check must catch a table that changes
+variates.
 """
 
 import dataclasses
@@ -28,8 +30,8 @@ import fedminimax as fm
 from fedminimax import fedopt
 from fedminimax.fedopt import RunSpec, ServerState, client_round
 from fedminimax import noise
-from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, draw_rest,
-                              radius_sampler, round_states, sample, sample_streams, stream_states)
+from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, round_states, sample,
+                              state_dicts, stream_states, stream_variates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,9 +137,11 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
                          *(np.zeros((1,) + shape.dims) for shape in (sy, sx, sy, sx, sy)), round_idx)
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5,
                         beta_y=0.5, p=p, T=1, N=N)
+    streams = round_states([seed], N, p, round_idx, 1)
+    if not problem.draws:
+        streams = stream_variates(streams, [noise], sx.size, sy.size)
     _, _, G_x, G_y, *_ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
-                                      problem, [RunSpec("nsgda-m", hp, noise, seed)],
-                                      round_states([seed], N, p, round_idx, 1))
+                                      problem, [RunSpec("nsgda-m", hp, noise, seed)], streams)
 
     assert len(calls) == p  # one batched call per local step
     assert G_x.shape == (N,) + sx.dims and G_y.shape == (N,) + sy.dims
@@ -168,7 +172,7 @@ def test_run_rejects_seed_outside_stream_domain():
        first_round=st.sampled_from([0, 2**32 - 3]) | st.integers(0, 2**32 - 3),
        rounds=st.integers(1, 3), clients=st.integers(1, 3), steps=st.integers(1, 2))
 def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, clients, steps):
-    states = round_states(seeds, clients, steps, first_round, rounds)
+    states = state_dicts(round_states(seeds, clients, steps, first_round, rounds))
     assert len(states) == rounds * steps * len(seeds) * clients
     k = 0
     for r in range(rounds):
@@ -177,7 +181,6 @@ def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, c
                 for n in range(clients):
                     assert states[k] == derive_stream(seed, n, first_round + r, i).bit_generator.state
                     k += 1
-    assert list(states[1:]) == [states[k] for k in range(1, len(states))]
     with pytest.raises(ValueError, match="keys"):
         round_states(seeds, clients, steps, 2**32 - rounds + 1, rounds)
 
@@ -186,25 +189,25 @@ def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, c
 @given(seeds=st.lists(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1), min_size=1, max_size=3),
        chunk=st.sampled_from([1, 5, 12, STREAM_CHUNK]), T=st.integers(1, 7))
 def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T):
-    """Every client_round of a stack gets, state for state, its runs' derive_stream states."""
+    """Every client_round of a stack gets, variate for variate, its runs' derive_stream draws."""
     problem = fm.make_saddle_problem(2, 2, 2, hetero=0.5, seed=1)
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5, beta_y=0.5,
                         p=2, T=T, N=2)
     seen = []
 
-    def recording(server, G_prev_x, G_prev_y, problem, specs, states):
-        seen.append((server.round, [spec.seed for spec in specs], states))
-        return client_round(server, G_prev_x, G_prev_y, problem, specs, states)
+    def recording(server, G_prev_x, G_prev_y, problem, specs, streams):
+        seen.append((server.round, [spec.seed for spec in specs], streams))
+        return client_round(server, G_prev_x, G_prev_y, problem, specs, streams)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fedopt, "STREAM_CHUNK", chunk)
         mp.setattr(fedopt, "client_round", recording)
         fedopt.run_stack(problem, [RunSpec("nsgda-m", hp, NOISES["gaussian"], seed) for seed in seeds])
     assert [t for t, _, _ in seen] == list(range(T))
-    for t, stacked, states in seen:
-        want = [derive_stream(seed, n, t, i).bit_generator.state
+    for t, stacked, variates in seen:
+        want = [stream_draws(NOISES["gaussian"], 2, 2, derive_stream(seed, n, t, i))
                 for i in range(2) for seed in stacked for n in range(2)]
-        assert list(states) == want
+        assert variates.tobytes() == np.stack(want).tobytes()
 
 
 SAMPLED = [fm.NoiseModel(s=2.0, sigma=1.3, family="gaussian"),
@@ -218,18 +221,16 @@ def stream_draws(model, size_x, size_y, stream) -> np.ndarray:
     def radius():
         if model.family == "gaussian":
             return abs(stream.standard_normal())
+        if model.family == "student-t":
+            return abs(stream.standard_t(model.tail_exponent))
         return 1.0 + stream.pareto(model.tail_exponent)
     return np.concatenate([stream.standard_normal(size_x), [radius()], stream.standard_normal(size_y), [radius()]])
 
 
-def finished(sampled, models, size_x, size_y) -> np.ndarray:
-    """Every stream's variates: those ``sample_streams`` drew, then numpy's from the first one left, per stream."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    DX, RX, DY, RY = sampled.variates(size_x, size_y)
-    for row, start, state in sampled.resumes(np.flatnonzero(sampled.start < size_x + size_y + 2)):
-        rng.bit_generator.state = state
-        draw_rest(rng, radius_sampler(models[row % len(models)], rng), row, start, DX, RX, DY, RY)
-    return np.column_stack([DX, RX, DY, RY])
+def first_rejections(states, models, size_x, size_y) -> tuple:
+    """The one-pass sampler's (variates, first rejected draw, state words there) for every stream."""
+    tails = np.resize(np.array([noise._sampled_tail(model) for model in models]), len(states))
+    return noise._sample(states, size_x, size_y, tails, noise.ziggurat_tables())
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,13 +240,12 @@ def finished(sampled, models, size_x, size_y) -> np.ndarray:
        picks=st.lists(st.sampled_from(SAMPLED), min_size=9, max_size=9))
 @example(seeds=[0, 2**64 - 1], clients=3, steps=2, first_round=0, sizes=(200, 257), picks=(SAMPLED * 3)[:9])
 @example(seeds=[5], clients=1, steps=1, first_round=2**32 - 2, sizes=(1, 1), picks=(SAMPLED * 3)[:9])
-def test_sample_streams_match_each_stream_drawn_alone(seeds, clients, steps, first_round, sizes, picks):
+def test_stream_variates_match_each_stream_drawn_alone(seeds, clients, steps, first_round, sizes, picks):
     """Pareto (three tails) and Gaussian streams of stacks of seeds, on blocks of 1 to 64 and of 200 or more."""
     size_x, size_y = sizes
     models = picks[:len(seeds) * clients]  # one per (run, client)
-    sampled = sample_streams(round_states(seeds, clients, steps, first_round, 2), models, size_x, size_y)
-    assert sampled.drawn is not None  # the first-use check passed: the variates were drawn at once
-    got = finished(sampled, models, size_x, size_y)
+    assert noise._sampler_agrees()  # the first-use check passes: the variates are drawn in one pass
+    got = stream_variates(round_states(seeds, clients, steps, first_round, 2), models, size_x, size_y)
     k = 0
     for r in range(2):
         for i in range(steps):
@@ -257,11 +257,16 @@ def test_sample_streams_match_each_stream_drawn_alone(seeds, clients, steps, fir
                     k += 1
 
 
-def test_sample_streams_leave_student_t_and_silent_streams_to_numpy():
+def test_stream_variates_leave_student_t_to_numpy_and_silent_rows_zero():
     models = [None, fm.NoiseModel(family="none"), NOISES["student-t"], SAMPLED[1]]
-    sampled = sample_streams(round_states([3], 4, 2, 0, 1), models, 5, 5)
-    assert sampled.start.tolist() == [0, 0, 0, 12, 0, 0, 0, 7]  # the Pareto streams: drawn whole; to variate 7
-    assert sample_streams(round_states([3], 3, 1, 0, 1), models[:3], 5, 5).drawn is None
+    states = round_states([3], 4, 2, 0, 1)
+    _, start, _ = first_rejections(states, models, 5, 5)
+    assert start.tolist() == [0, 0, 0, 12, 0, 0, 0, 7]  # the Pareto streams: drawn whole; to variate 7
+    got = stream_variates(states, models, 5, 5)
+    for k in range(8):
+        model = models[k % 4]
+        want = np.zeros(12) if k % 4 < 2 else stream_draws(model, 5, 5, derive_stream(3, k % 4, 0, k // 4))
+        assert got[k].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("step, rejected", [(86, 3), (48, 4)], ids=["normal", "exponential"])
@@ -269,23 +274,23 @@ def test_a_stream_resumes_on_numpy_at_its_first_rejected_draw(step, rejected):
     """Stream (7, 0, 0, step) under Pareto noise on 4 + 4 entries: its first output that numpy's
     ziggurat rejects is that of variate ``rejected``, a normal (3) or the x radius, an exponential (4)."""
     model, size = SAMPLED[1], 4
-    sampled = sample_streams(stream_states(7, [(0, 0, step)]), [model], size, size)
-    assert sampled.start.tolist() == [rejected]
+    states = round_states([7], 1, step + 1, 0, 1)[step:]  # the stream of client 0 at step ``step`` of round 0
+    drawn, start, resume = first_rejections(states, [model], size, size)
+    assert start.tolist() == [rejected]
     ref = derive_stream(7, 0, 0, step)
     want = stream_draws(model, size, size, derive_stream(7, 0, 0, step))
-    (row, start, state), = sampled.resumes([0])
-    assert (row, start) == (0, rejected)
+    state, = state_dicts(resume)
     # numpy's generator stands at that state after the draws before the rejected one
     ref.standard_normal(min(rejected, size))
     if rejected > size:
         ref.pareto(model.tail_exponent)
     assert state == ref.bit_generator.state
-    assert sampled.drawn[0, :rejected].tobytes() == want[:rejected].tobytes()
+    assert drawn[0, :rejected].tobytes() == want[:rejected].tobytes()
     # and its draw there takes more than the one output the pass read
     one_step = (state["state"]["state"] * noise._PCG_MULT + state["state"]["inc"]) & noise._MASK128
     ref.pareto(model.tail_exponent) if rejected == size else ref.standard_normal()
     assert ref.bit_generator.state["state"]["state"] != one_step
-    assert finished(sampled, [model], size, size)[0].tobytes() == want.tobytes()
+    assert stream_variates(states, [model], size, size)[0].tobytes() == want.tobytes()
 
 
 PCG64_STATE = np.random.PCG64.state
@@ -310,22 +315,40 @@ CountingPCG64.__name__ = "PCG64"
 
 
 def test_client_round_resets_numpy_only_to_streams_with_a_rejected_draw(monkeypatch):
+    """On a problem that draws nothing, numpy's generator is reset once per stream with a rejected draw, inside
+    ``stream_variates``, and never inside ``client_round``; on the AUC problem a round resets it once per stream."""
     problem = fm.make_saddle_problem(8, 10, 10, hetero=0.5, seed=3)
     hp = fm.theorem1_schedule(8, 4, 6, problem.smooth)
     specs = [RunSpec("nsgda-m", hp, model, seed) for seed, model in enumerate(SAMPLED * 2)]
-    rejected, sets = [], []
+    assert noise._sampler_agrees()  # the first-use check resets its own generator, before any count
+    rejected, sets, round_sets = [], [], []
 
-    def counting(server, G_prev_x, G_prev_y, problem, specs, states):
-        rejected.append(int(np.count_nonzero(states.start < 22)))
+    def counting_variates(states, models, size_x, size_y):
         CountingPCG64.sets = 0
-        out = client_round(server, G_prev_x, G_prev_y, problem, specs, states)
+        out = stream_variates(states, models, size_x, size_y)
         sets.append(CountingPCG64.sets)
+        _, start, _ = first_rejections(states, models, size_x, size_y)
+        rejected.append(int(np.count_nonzero(start < size_x + size_y + 2)))
+        return out
+
+    def counting_round(server, G_prev_x, G_prev_y, problem, specs, streams):
+        CountingPCG64.sets = 0
+        out = client_round(server, G_prev_x, G_prev_y, problem, specs, streams)
+        round_sets.append((len(specs), CountingPCG64.sets))
         return out
 
     monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
-    monkeypatch.setattr(fedopt, "client_round", counting)
+    monkeypatch.setattr(fedopt, "stream_variates", counting_variates)
+    monkeypatch.setattr(fedopt, "client_round", counting_round)
     traces = fedopt.run_stack(problem, specs)
-    assert sets == rejected and 0 < sum(sets) < 0.5 * len(sets) * len(specs) * 8 * 4
+    assert sets == rejected and 0 < sum(sets) < 0.5 * 6 * len(specs) * 8 * 4
+    assert round_sets == [(len(specs), 0)] * 6
+    auc = PROBLEMS["auc-minibatch"]
+    round_sets.clear()
+    hp = fm.theorem1_schedule(3, 2, 4, auc.smooth)
+    fedopt.run_stack(auc, [RunSpec("nsgda-m", hp, model, seed)
+                           for seed, model in enumerate([None, NOISES["student-t"], SAMPLED[1]])])
+    assert round_sets == [(3, 2 * 3 * 3)] * 4  # p * S * N
     monkeypatch.setattr(noise, "_sampler_agrees", lambda: False)  # every stream on numpy's generator
     for spec, trace in zip(specs, traces):
         solo = fm.run(spec.algorithm, problem, spec.hp, spec.noise, spec.seed)
@@ -357,18 +380,39 @@ def test_a_corrupt_ziggurat_table_falls_back_to_numpy(table, layer, value, monke
     fresh_check.cache_clear()
     assert not fresh_check()
     streams = round_states([1, 2], 4, 4, 0, 2)
-    assert sample_streams(streams, SAMPLED * 2, 10, 10).drawn is None
+    fallback = stream_variates(streams, SAMPLED * 2, 10, 10)  # every row drawn on numpy's generator
     got = fedopt.run_stack(problem, specs)
     for a, b in zip(got, want):
         assert [r.x.tobytes() + r.y.tobytes() for r in a.records] == [r.x.tobytes() + r.y.tobytes()
                                                                        for r in b.records]
         assert a.final_state.u.tobytes() == b.final_state.u.tobytes()
+    monkeypatch.setattr(noise, "_sampler_agrees", lambda: True)
+    monkeypatch.setattr(noise, "ziggurat_tables", lambda: good)
+    assert fallback.tobytes() == stream_variates(streams, SAMPLED * 2, 10, 10).tobytes()
     if table == "ki":  # without the check, the corrupt table would change the variates
-        monkeypatch.setattr(noise, "_sampler_agrees", lambda: True)
-        wrong = finished(sample_streams(streams, SAMPLED * 2, 10, 10), SAMPLED * 2, 10, 10)
-        monkeypatch.setattr(noise, "ziggurat_tables", lambda: good)
-        right = finished(sample_streams(streams, SAMPLED * 2, 10, 10), SAMPLED * 2, 10, 10)
-        assert wrong.tobytes() != right.tobytes()
+        monkeypatch.setattr(noise, "ziggurat_tables", lambda: bad)
+        assert stream_variates(streams, SAMPLED * 2, 10, 10).tobytes() != fallback.tobytes()
+
+
+def next_float(v):
+    return np.nextafter(v, np.inf)
+
+
+@pytest.mark.parametrize("table, layer, change", [
+    ("ke", 1, lambda v: 2**53), ("ke", 0, lambda v: v + 1), ("ke", 255, lambda v: v + 1),
+    ("ki", 0, lambda v: v - 1), ("ki", 37, lambda v: v + 1), ("ke", 96, lambda v: v - 1), ("ke", 200, lambda v: v + 1),
+    ("wi", 5, next_float), ("wi", 255, next_float), ("we", 0, next_float),
+], ids=["ke1=2**53", "ke0+1", "ke255+1", "ki0-1", "ki37+1", "ke96-1", "ke200+1", "wi5+ulp", "wi255+ulp", "we0+ulp"])
+def test_the_first_use_check_rejects_a_table_that_changes_variates(table, layer, change, monkeypatch, fresh_check):
+    """One entry off: an accepted output numpy rejects (ke[1] = 2**53 accepts every first output of
+    exponential layer 1, ke[0] + 1 accepts numpy's first rejected value of layer 0), a rejected one numpy
+    accepts, or a variate 1 ulp off.  The crafted streams try every layer's limits, so no layer slips through."""
+    assert fresh_check()
+    bad = {name: entries.copy() for name, entries in noise.ziggurat_tables().items()}
+    bad[table][layer] = change(bad[table][layer])
+    monkeypatch.setattr(noise, "ziggurat_tables", lambda: bad)
+    fresh_check.cache_clear()
+    assert not fresh_check()
 
 
 def test_shipped_ziggurat_tables_match_the_installed_numpy(monkeypatch, capsys):

@@ -8,10 +8,10 @@ Usage (from the repository root)::
 streams at once with the ziggurat tables of numpy's ``standard_normal``
 (``wi``, ``ki``) and ``standard_exponential`` (``we``, ``ke``), which it
 ships as constants.  This tool finds each entry again by probing the
-installed numpy: it sets a PCG64 state whose next 64-bit output is a
-chosen ``r`` (a 128-bit state with high word 0 outputs its low word),
-draws one variate, and reads back whether the draw took that one output
-or more.
+installed numpy: it sets the PCG64 state whose next 64-bit output is a
+chosen ``r`` (``noise._crafted_state``, the rule the package's first-use
+check crafts its streams with), draws one variate, and reads back
+whether the draw took that one output or more.
 
 * normal, ``idx = r & 0xff``, ``rabs = (r >> 9) & (2**52 - 1)``: with
   ``rabs = 1`` the variate is ``wi[idx]``; the draw takes one output
@@ -39,9 +39,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fedminimax import noise  # noqa: E402
 
-MASK128 = (1 << 128) - 1
-MULT_INV = pow(noise._PCG_MULT, -1, 1 << 128)  # the PCG64 multiplier is odd
-
 
 def probe_tables() -> dict:
     """The four tables as numpy's installed ziggurats use them."""
@@ -50,13 +47,11 @@ def probe_tables() -> dict:
 
     def take(r: int, variate) -> tuple:
         """The variate drawn when the next output is ``r``, and how many more outputs it took (0, 1 or 2+)."""
-        # PCG64 steps state -> state * MULT + inc, then outputs XSL-RR of the new state;
-        # a state whose high word is 0 rotates by 0 and outputs its low word
-        bits.state = {"bit_generator": "PCG64", "state": {"state": (r - 1) * MULT_INV & MASK128, "inc": 1},
+        bits.state = {"bit_generator": "PCG64", "state": {"state": noise._crafted_state(r), "inc": 1},
                       "has_uint32": 0, "uinteger": 0}
         value = variate()
-        after = bits.state["state"]["state"]
-        return value, 0 if after == r else 1 if after == (r * noise._PCG_MULT + 1) & MASK128 else 2
+        after = bits.state["state"]["state"]  # the state that output r, stepped once per output after it
+        return value, 0 if after == r else 1 if after == (r * noise._PCG_MULT + 1) & noise._MASK128 else 2
 
     tables = {}
     families = (

@@ -371,15 +371,15 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     """
     S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
     SN, size_x = S * N, problem.shape_x.size
-    loud = [not is_silent(spec.noise) for spec in specs]
-    rows = np.flatnonzero(np.repeat(loud, N))  # only these rows' noise is drawn
+    has_noise = [not is_silent(spec.noise) for spec in specs]
+    rows = np.flatnonzero(np.repeat(has_noise, N))  # only these rows' noise is drawn
     noisy = rows if rows.size < SN else slice(None)
-    scale = np.repeat([radius_scale(spec.noise) for spec, on in zip(specs, loud) if on], N)
+    scale = np.repeat([radius_scale(spec.noise) for spec, on in zip(specs, has_noise) if on], N)
     variates = streams
     if problem.draws:
         rng = np.random.Generator(np.random.PCG64(0))  # reset to each stream in turn
         bits = rng.bit_generator
-        radius = [radius_sampler(spec.noise, rng) if on else None for spec, on in zip(specs, loud)]
+        radius = [radius_sampler(spec.noise, rng) if on else None for spec, on in zip(specs, has_noise)]
         variates = variate_rows(p * SN, size_x, problem.shape_y.size)
     groups = _groups(specs)
 
@@ -400,7 +400,7 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
             for row, state in enumerate(state_dicts(streams[step])):
                 bits.state = state
                 batch.append(problem.draw(row % N, rng, X[row], Y[row]))
-                if loud[row // N]:
+                if has_noise[row // N]:
                     draw_rest(rng, radius[row // N], step_rows[row], 0, size_x)
         GX, GY = problem.grad(X, Y, batch)
         if rows.size:

@@ -172,7 +172,7 @@ def test_run_rejects_seed_outside_stream_domain():
        first_round=st.sampled_from([0, 2**32 - 3]) | st.integers(0, 2**32 - 3),
        rounds=st.integers(1, 3), clients=st.integers(1, 3), steps=st.integers(1, 2))
 def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, clients, steps):
-    states = state_dicts(round_states(seeds, clients, steps, first_round, rounds))
+    states = list(state_dicts(round_states(seeds, clients, steps, first_round, rounds)))
     assert len(states) == rounds * steps * len(seeds) * clients
     k = 0
     for r in range(rounds):

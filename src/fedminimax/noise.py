@@ -323,16 +323,17 @@ def draw_rest(rng: np.random.Generator, radius, row: np.ndarray, start: int, siz
     row[-1] = radius()
 
 
-def _finish(drawn: np.ndarray, rows: np.ndarray, start: np.ndarray, states: np.ndarray, models: list,
-            size_x: int) -> None:
-    """Draw each of the ``rows`` of ``drawn`` on numpy's generator from variate ``start[row]``, at ``states[row]``.
+def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: list, size_x: int) -> None:
+    """Draw every noisy row k of ``drawn`` on numpy's generator from variate ``start[k]`` on, at ``states[k]``.
 
-    Row k's radius is that of ``models[k % len(models)]``.
+    Row k's noise model is ``models[k % len(models)]``; a silent row, or
+    one whose ``start`` is past its last variate, is left as it is.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bits = rng.bit_generator
     radii = [None if is_silent(model) else radius_sampler(model, rng) for model in models]
-    for row, begin, state in zip(rows.tolist(), start[rows].tolist(), state_dicts(states[rows])):
+    rows = [row for row in np.flatnonzero(start < drawn.shape[1]).tolist() if radii[row % len(radii)] is not None]
+    for row, begin, state in zip(rows, start[rows].tolist(), state_dicts(states[rows])):
         bits.state = state
         draw_rest(rng, radii[row % len(radii)], drawn[row], begin, size_x)
 
@@ -353,14 +354,11 @@ def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int) 
     and every row when the first-use check (:func:`_sampler_agrees`)
     finds the tables disagree with numpy.
     """
-    K = len(states)
-    tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), K)
-    noisy = np.resize(np.array([not is_silent(model) for model in models]), K)
-    if not np.isnan(tails).all() and _sampler_agrees():
-        drawn, start, resume = _sample(states, size_x, size_y, tails, ziggurat_tables())
-    else:
-        drawn, start, resume = variate_rows(K, size_x, size_y), np.zeros(K, dtype=np.intp), states
-    _finish(drawn, np.flatnonzero(noisy & (start < drawn.shape[1])), start, resume, models, size_x)
+    tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), len(states))
+    if not np.isnan(tails).all() and not _sampler_agrees():
+        tails[:] = math.nan  # the tables disagree with numpy's generator, which then draws every row
+    drawn, start, resume = _sample(states, size_x, size_y, tails, ziggurat_tables())
+    _finish(drawn, start, resume, models, size_x)
     return drawn
 
 
@@ -404,8 +402,8 @@ def _sampler_agrees() -> bool:
         tails = np.resize(np.array([_sampled_tail(model) for model in models]), K)
         drawn, start, _ = _sample(crafted, size_x, 1, tails, tables)
         numpy, alone = variate_rows(K, size_x, 1), variate_rows(K, size_x, 1)
-        _finish(numpy, np.arange(K), np.zeros(K, dtype=np.intp), crafted, models, size_x)
-        _finish(alone, np.arange(K), np.ones(K, dtype=np.intp), after, models, size_x)
+        _finish(numpy, np.zeros(K, dtype=np.intp), crafted, models, size_x)
+        _finish(alone, np.ones(K, dtype=np.intp), after, models, size_x)
         takes_alone = (alone[:, 1:].view(np.uint64) == numpy[:, 1:].view(np.uint64)).all(axis=1)
         differs = drawn.view(np.uint64) != numpy.view(np.uint64)
         if (takes_alone != (start > 0)).any() or (differs & (np.arange(drawn.shape[1]) < start[:, None])).any():

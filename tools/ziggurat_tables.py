@@ -50,7 +50,7 @@ def probe_tables() -> dict:
         bits.state = {"bit_generator": "PCG64", "state": {"state": noise._crafted_state(r), "inc": 1},
                       "has_uint32": 0, "uinteger": 0}
         value = variate()
-        after = bits.state["state"]["state"]  # the state that output r, stepped once per output after it
+        after = bits.state["state"]["state"]  # r itself when the draw took r alone, one step on per output more
         return value, 0 if after == r else 1 if after == (r * noise._PCG_MULT + 1) & noise._MASK128 else 2
 
     tables = {}

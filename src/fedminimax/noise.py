@@ -22,20 +22,25 @@ those of x and y from rows of :func:`stream_variates`); :func:`sample` is
 the one-client case.
 
 :func:`stream_variates` returns the raw variates of many streams, one
-complete row each.  Pareto and Gaussian streams are drawn in one pass:
-each 128-bit PCG64 state is stepped ahead to all its draws in uint64
-halves and the outputs go through numpy's normal and exponential
-ziggurats, bit for bit numpy's (the Pareto radius takes ``math.expm1``,
-libm's, as numpy's C code does; ``np.expm1`` rounds 1 ulp apart on some
-inputs).  One finisher draws everything else on numpy's generator, reset
-to the stream's state: the rest of a stream from its first draw a
-ziggurat rejects, Student-t streams, and every stream when the tables
-fail the first-use check.  The four tables ship as constants
-(``_ziggurat_tables``, re-derived from numpy by
+complete row each.  Pareto and Gaussian streams are drawn whole in one
+pass: each 128-bit PCG64 state is stepped ahead to all its draws in
+uint64 halves and the outputs go through numpy's normal and exponential
+ziggurats, bit for bit numpy's.  A draw whose first output the ziggurat
+rejects is resolved in the pass as numpy's C code resolves it: a wedge
+test on the next output, restarting after it when the test fails, or
+layer 0's tail, which shifts the outputs of the draws after it.  Every
+transcendental is libm's through ``math``, one call per value, as numpy's
+C code calls it (``np.expm1`` rounds 1 ulp apart on some inputs).  One
+finisher draws on numpy's generator, reset to the stream's state, what
+the pass does not: Student-t streams, a stream from a wedge test that
+falls within rounding of its threshold, and every stream when the tables
+fail the first-use check.  The tables and tail constants ship as
+constants (``_ziggurat_tables``, re-derived or bounded from numpy by
 ``tools/ziggurat_tables.py``); the check runs the pass on streams crafted
-to output chosen words at every layer of both ziggurats, against the
-finisher drawing from variate 0.  A problem with its own ``draw`` draws
-from each stream's state dict, then :func:`draw_rest` its noise.
+to output chosen words at every layer of both ziggurats and their wedges
+and tails, against the finisher drawing from variate 0.  A problem with
+its own ``draw`` draws from each stream's state dict, then
+:func:`draw_rest` its noise.
 """
 
 from __future__ import annotations
@@ -83,7 +88,12 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)  # the multiplier is odd
 _PCG_MULT_HALVES = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _LOW32 = np.uint64(0xFFFFFFFF)
-_BLOCK = 64  # draw columns one sampling pass steps at a time
+_BLOCK = 64  # outputs one sampling pass steps at a time
+_CELLS = 8192  # outputs computed at once: larger slabs of temporaries are markedly slower per entry
+_SLACK = 6  # outputs drawn on for the streams with a rejected draw when a block holds the rest of every row
+_TO_DOUBLE = 1.0 / 9007199254740992.0  # numpy's next_double: an output's top 53 bits times 2**-53
+_EDGE = 2.0**-46  # a wedge test this close to its threshold (relative) is left to numpy's generator
+_CHECK_ROWS = 512  # crafted streams the first-use check draws at once
 
 
 def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
@@ -205,10 +215,19 @@ def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int)
 
 @functools.cache
 def ziggurat_tables() -> dict:
-    """numpy's ziggurat tables: normal ``wi`` and ``ki``, exponential ``we`` and ``ke``, 256 entries each."""
-    words = {name: np.frombuffer(base64.b64decode("".join(getattr(_ziggurat_tables, name.upper()))), "<u8")
-             for name in ("wi", "ki", "we", "ke")}
-    return {"wi": words["wi"].view("<f8"), "ki": words["ki"], "we": words["we"].view("<f8"), "ke": words["ke"]}
+    """numpy's ziggurat tables and tail constants.
+
+    The normal ``wi``, ``ki`` and ``fi`` and the exponential ``we``, ``ke``
+    and ``fe``, 256 entries each, and the tails' ``nor_r``, ``nor_inv_r``
+    and ``exp_r``.
+    """
+    tables = {name: np.frombuffer(base64.b64decode("".join(getattr(_ziggurat_tables, name.upper()))), "<u8")
+              for name in ("wi", "ki", "fi", "we", "ke", "fe")}
+    for name in ("wi", "fi", "we", "fe"):
+        tables[name] = tables[name].view("<f8")
+    for name in ("nor_r", "nor_inv_r", "exp_r"):
+        tables[name] = np.float64(getattr(_ziggurat_tables, name.upper()))
+    return tables
 
 
 @functools.cache
@@ -223,12 +242,21 @@ def _jumps() -> np.ndarray:
 
 
 def _outputs(s_hi, s_lo, i_hi, i_lo, width: int) -> tuple:
-    """The next ``width`` PCG64 (XSL-RR) outputs of M streams, (width, M), and the state words after each."""
-    a_hi, a_lo, b_hi, b_lo = _jumps()[:, :width, None]
-    # output j is that of the state after j steps, MULT**j * state + sum(MULT**i for i < j) * inc
-    hi, lo = _add128(*_mul128(a_hi, a_lo, s_hi, s_lo), *_mul128(b_hi, b_lo, i_hi, i_lo))
-    x, rot = hi ^ lo, hi >> 58
-    return x >> rot | x << (-rot & 63), hi, lo
+    """The next ``width`` PCG64 (XSL-RR) outputs of M streams, (width, M), and the state words after each.
+
+    They are computed ``_CELLS`` at a time: larger slabs of temporaries are
+    markedly slower per entry.
+    """
+    r, hi, lo = (np.empty((width, s_hi.size), dtype=np.uint64) for _ in range(3))
+    rows = max(1, _CELLS // max(1, s_hi.size))
+    for j in range(0, width, rows):
+        slab = slice(j, min(j + rows, width))
+        a_hi, a_lo, b_hi, b_lo = _jumps()[:, slab, None]
+        # output j is that of the state after j steps, MULT**j * state + sum(MULT**i for i < j) * inc
+        hi[slab], lo[slab] = _add128(*_mul128(a_hi, a_lo, s_hi, s_lo), *_mul128(b_hi, b_lo, i_hi, i_lo))
+        x, rot = hi[slab] ^ lo[slab], hi[slab] >> 58
+        r[slab] = x >> rot | x << (-rot & 63)
+    return r, hi, lo
 
 
 def _normals(r, tables) -> tuple:
@@ -240,62 +268,241 @@ def _normals(r, tables) -> tuple:
     return x, rabs < tables["ki"][layer]
 
 
-def _radii(r, normal, accepted, tails, tables) -> tuple:
-    """The radius variates of outputs r (columns, M): |normal| for a stream's tail 0, else 1 + Pareto(tail)."""
-    pareto = np.flatnonzero(tails)
-    r = r[:, pareto]
+def _exponentials(r, tables) -> tuple:
+    """numpy's exponential ziggurat on outputs r: the variates, and where the first output is accepted."""
     ri, layer = r >> 11, (r >> 3 & 0xFF).astype(np.intp)
-    radius, accepted = np.abs(normal), accepted.copy()
-    accepted[:, pareto] = ri < tables["ke"][layer]
-    # numpy's pareto is libm's expm1 of a standard exponential over the tail; np.expm1 rounds apart
-    exps = (ri.view(np.int64) * tables["we"][layer] / tails[pareto]).ravel().tolist()
-    radius[:, pareto] = 1.0 + np.fromiter(map(math.expm1, exps), float, len(exps)).reshape(ri.shape)
-    return radius, accepted
+    return ri.view(np.int64) * tables["we"][layer], ri < tables["ke"][layer]
+
+
+def _uniform(r):
+    """numpy's next_double of outputs r: their top 53 bits times 2**-53."""
+    return (r >> 11).astype(float) * _TO_DOUBLE
+
+
+def _expm1(values) -> np.ndarray:
+    """libm's expm1 of each value, one ``math`` call each, as numpy's C code calls it; inf where it overflows."""
+    def expm1(v):
+        try:
+            return math.expm1(v)
+        except OverflowError:  # math raises where libm overflows; a valid model's radius stays far below
+            return math.inf
+    safe = not values.size or values.max() < 700.0
+    return np.fromiter(map(math.expm1 if safe else expm1, values.tolist()), float, values.size)
+
+
+def _wedges(upper, lower, u, exponent) -> tuple:
+    """numpy's wedge test of rejected draws with uniforms u, between a layer's densities ``upper`` and
+    ``lower``: whether each is accepted, and whether it falls within rounding of its threshold."""
+    lhs = (upper - lower) * u + lower
+    rhs = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)  # libm's, as numpy's C code
+    return lhs < rhs, np.abs(lhs - rhs) <= _EDGE * rhs
+
+
+def _normal_tail(words: list, j: int, tables):
+    """numpy's normal tail from output j + 1 on of a stream's ``words``: (the variate, the output after it),
+    or None when the words run out first."""
+    inv_r, q = tables["nor_inv_r"], j + 1
+    while q + 1 < len(words):
+        xx = -inv_r * math.log1p(-(words[q] >> 11) * _TO_DOUBLE)
+        yy = -math.log1p(-(words[q + 1] >> 11) * _TO_DOUBLE)
+        q += 2
+        if yy + yy > xx * xx:
+            value = tables["nor_r"] + xx
+            return (-value if words[j] >> 17 & 1 else value), q
+    return None
+
+
+def _tail_draw(r, q: int, m: int, exponential: bool, tables) -> tuple:
+    """Layer 0's tail from output q + 1 on of stream m of the block r (W, M): (the output after it, the variate).
+
+    The exponential tail takes one uniform, the normal one pairs of them
+    until a pair is accepted; a tail that needs outputs past the block ends
+    at W + 1.
+    """
+    W = r.shape[0]
+    if exponential:
+        return (q + 2, tables["exp_r"] - math.log1p(-(int(r[q + 1, m]) >> 11) * _TO_DOUBLE)) if q + 1 < W else (W + 1, 0.0)
+    tail = _normal_tail(r[:, m].tolist(), q, tables)
+    return (W + 1, 0.0) if tail is None else tail[::-1]
+
+
+def _pointers(r, value, ok, tables) -> np.ndarray:
+    """Every output of the block r (W, M) read as the start of a normal draw and, for kind 1, an exponential one.
+
+    ``value`` (kinds, W, M) holds each output's variate of either kind at
+    first try, and ``ok`` whether that is accepted; the others' variates
+    are resolved in ``value``, as numpy draws them.  A draw whose first
+    output is rejected takes the next one, a uniform, for its wedge test
+    and restarts on the output after that when the test fails, or draws
+    layer 0's tail (:func:`_tail_draw`).  Returns, flat over (kind, row,
+    stream) with rows 0 to W + 2, the row after each draw, as a flat index
+    (row * M + stream): W + 1 when the draw needs outputs past the block,
+    W + 2 when its wedge test falls within rounding of its threshold, which
+    numpy's generator then decides.  Rows W and W + 1 point to W + 1, and
+    row W + 2 to itself.
+    """
+    kinds, W, M = value.shape
+    rows = np.minimum(np.arange(1, W + 4), W + 1)
+    rows[-1] = W + 2
+    after = np.tile((rows[:, None] * M + np.arange(M)).ravel(), kinds)
+    kind, q, m = np.nonzero(~ok)
+    if not q.size:
+        return after
+    o = r[q, m]
+    layer = (np.where(kind, o >> 3, o) & 0xFF).astype(np.intp)
+    at, end, again = q * M + m, np.full(q.size, W + 1), q[:0]
+    v = value.reshape(-1)
+    w = np.flatnonzero((layer > 0) & (q + 1 < W))
+    if w.size:
+        f, kw, lw, vw = np.stack([tables["fi"], tables["fe"]]), kind[w], layer[w], v[kind[w] * W * M + at[w]]
+        accept, edge = _wedges(f[kw, lw - 1], f[kw, lw], _uniform(r[q[w] + 1, m[w]]),
+                               np.where(kw, -vw, -0.5 * vw * vw))
+        end[w] = np.where(edge, W + 2, np.where(accept, q[w] + 2, W + 1))
+        again = w[~accept & ~edge]  # these restart on the output after the uniform
+    for k in np.flatnonzero(layer == 0).tolist():  # layer 0: the tails
+        end[k], v[kind[k] * W * M + at[k]] = _tail_draw(r, int(q[k]), int(m[k]), kind[k] == 1, tables)
+    after[kind * (W + 3) * M + at] = end * M + m
+    at, values = kind[again] * (W + 3) * M + at[again], kind[again] * W * M + at[again]
+    after[at] = -1
+    while at.size:  # a restart ends where the draw two outputs on does, once that one is known
+        ready = after[at + 2 * M] >= 0
+        after[at[ready]], v[values[ready]] = after[at[ready] + 2 * M], v.take(values[ready] + 2 * M, mode="clip")
+        at, values = at[~ready], values[~ready]
+    return after
+
+
+def _chain(r, x, accepted, col, tails, size_x: int, C: int, tables) -> tuple:
+    """Read the block of outputs r (W, M) of M streams as numpy's generator draws their variates.
+
+    Stream m's next variate is column ``col[m]`` of its row (``tails`` as in
+    :func:`_sample`), and ``x``/``accepted`` are :func:`_normals` of r.
+    Every output is read as the start of a normal draw and, in a block that
+    holds a Pareto stream's radius column, of an exponential one
+    (:func:`_pointers`): a variate accepted at first try is its draw's
+    wherever it falls, so only the rejected ones are resolved, and each
+    output points to the output after its draw.  Then one step per column
+    follows those pointers for every stream at once, the exponential ones
+    at a Pareto stream's radius columns.  Returns which of the (steps, M)
+    draws from column ``col`` on ended inside the block and their variates,
+    and per stream the outputs used, its next column, and whether numpy's
+    generator draws it from there on: the streams whose next draw has a
+    wedge test within rounding of its threshold.  A stream whose next draw
+    needs outputs past W stops before it.
+    """
+    W, M = r.shape
+    every = np.arange(M)
+    steps = min(int(C - col.min()), W)
+    columns = col + np.arange(steps)[:, None]
+    radius = (tails > 0) & ((columns == size_x) | (columns == C - 1))
+    if radius.any():
+        exps, ok = _exponentials(r, tables)
+        value, ok = np.stack([x, exps]), np.stack([accepted, ok])
+    else:
+        value, ok = x[None], accepted[None]
+    after = _pointers(r, value, ok, tables)
+    at = np.empty((steps + 1, M), dtype=np.int64)
+    at[0] = every
+    exponential = {step: np.flatnonzero(radius[step]) for step in np.flatnonzero(radius.any(axis=1)).tolist()}
+    for step in range(steps):
+        after.take(at[step], out=at[step + 1])
+        if step in exponential:
+            on = exponential[step]
+            at[step + 1, on] = after.take(at[step, on] + (W + 3) * M)
+    done = (at[1:] < (W + 1) * M) & (columns < C)  # the draws that end inside the block
+    count = done.sum(axis=0)
+    first = at[count, every]  # where each stream's first draw left starts
+    value = value.reshape(-1)
+    variates = value.take(at[:steps], mode="clip")
+    edge = after.take(first) >= (W + 2) * M
+    if len(ok) > 1:
+        k, m = np.nonzero(radius)
+        variates[k, m] = 1.0 + _expm1(value.take(at[k, m] + W * M, mode="clip") / tails[m])
+        edge = np.where(radius[np.minimum(count, steps - 1), every], after.take(first + (W + 3) * M) >= (W + 2) * M,
+                        edge)
+    return done, variates, first // M, col + count, (count < steps) & (col + count < C) & edge
+
+
+def _block(words, col, width: int, tails, size_x: int, C: int, tables) -> tuple:
+    """Draw the next ``width`` outputs of M streams, at state and increment ``words`` (4, M), as numpy reads them.
+
+    Stream m's next variate is column ``col[m]`` of its row (``tails`` as in
+    :func:`_sample`).  A stream whose draws in the block all take one
+    output each has each column's variate at its own output; the others
+    are read by :func:`_chain`, with ``_SLACK`` outputs more for their
+    rejected draws when the block holds the rest of every row.  Returns the
+    (steps, M) columns of the block's draws, which of them ended inside it
+    and their variates, the outputs each stream used and its state words
+    after them, and per stream its next column and whether numpy's
+    generator draws it from there on.
+    """
+    s_hi, s_lo, i_hi, i_lo = words
+    r, hi, lo = _outputs(s_hi, s_lo, i_hi, i_lo, width)
+    x, accepted = _normals(r, tables)
+    W, M = r.shape
+    steps = min(int(C - col.min()), W)
+    k, every = np.arange(steps)[:, None], np.arange(M)
+    columns, used = col + k, np.minimum(C - col, W)  # used: the outputs of a stream whose draws take one each
+    radius = (tails > 0) & ((columns == size_x) | (columns == C - 1))
+    rk, rm = np.nonzero(radius)
+    exps, ok = _exponentials(r[rk, rm], tables)
+    bad = ~accepted[:steps] & (k < used)
+    bad[rk, rm] = ~ok
+    walk = np.flatnonzero(bad.any(axis=0))
+    variates, done, numpy = x[:steps], k < used, np.zeros(M, dtype=bool)
+    variates[rk, rm] = 1.0 + _expm1(exps / tails[rm])
+    state = np.stack([hi[used - 1, every], lo[used - 1, every]])
+    if walk.size:
+        r, hi, lo = (a.take(walk, axis=1) for a in (r, hi, lo))
+        if W < _BLOCK:  # the block holds the rest of every row: room for the extra outputs of rejected draws
+            r, hi, lo = (np.vstack(pair) for pair in zip((r, hi, lo), _outputs(hi[-1], lo[-1], i_hi[walk], i_lo[walk],
+                                                                               _SLACK)))
+        walk_done, walk_variates, used[walk], next_col, numpy[walk] = _chain(r, *_normals(r, tables), col[walk],
+                                                                              tails[walk], size_x, C, tables)
+        done[:, walk] = False
+        done[:len(walk_done), walk], variates[:len(walk_done), walk] = walk_done, walk_variates
+        last = np.maximum(used[walk] - 1, 0), np.arange(walk.size)
+        state[:, walk] = np.where(used[walk] > 0, [hi[last], lo[last]], [s_hi[walk], s_lo[walk]])
+    col = col + used
+    if walk.size:
+        col[walk] = next_col
+    return columns, done, variates, used, state, col, numpy
 
 
 def _sample(states: np.ndarray, size_x: int, size_y: int, tails: np.ndarray, tables: dict) -> tuple:
-    """The raw variates of the streams whose ``tails`` are not nan, up to their first draw a ziggurat rejects.
+    """The raw variates of the streams whose ``tails`` are not nan, bit for bit numpy's.
 
     Stream m's variates are ``size_x`` normals, its radius variate
     (:func:`_sampled_tail`), ``size_y`` normals and its radius variate: C
-    columns, drawn in blocks of ``_BLOCK``.  Returns the (K, C) variates
-    (zero for a stream with tail nan; not numpy's from a stream's first
-    rejected draw on), the (K,) index of that draw (C when none is
-    rejected; 0 for a stream with tail nan) and the (K, 4) state and
-    increment words before it (a stream's own words when there is none).
-    A stream leaves at its first rejected draw, so a block only steps the
-    streams still in.
+    columns, drawn in blocks of up to ``_BLOCK`` outputs (:func:`_block`).
+    Returns the (K, C) variates (zero for a stream with tail nan), the (K,)
+    index of the first variate the pass left to numpy's generator (C when
+    none; 0 for a stream with tail nan), and the (K, 4) state and increment
+    words before it (a stream's own words when there is none).  A stream
+    leaves the pass at such a variate, which is one whose wedge test falls
+    within rounding of its threshold, or one that needs more than a whole
+    block of outputs.
     """
     K = len(states)
     drawn, start, resume = variate_rows(K, size_x, size_y), np.zeros(K, dtype=np.intp), states.copy()
     C = drawn.shape[1]
+    cells = drawn.reshape(-1)
     live = np.flatnonzero(~np.isnan(tails))
     start[live] = C
-    s_hi, s_lo, i_hi, i_lo = states[live].T
-    for c0 in range(0, C, _BLOCK):
-        width = min(_BLOCK, C - c0)
-        r, hi, lo = _outputs(s_hi, s_lo, i_hi, i_lo, width)
-        x, accepted = _normals(r, tables)
-        radii = [col - c0 for col in (size_x, C - 1) if c0 <= col < c0 + width]
-        if radii:
-            x[radii], accepted[radii] = _radii(r[radii], x[radii], accepted[radii], tails[live], tables)
-        drawn[live, c0:c0 + width] = x.T
-        rejected = ~accepted
-        out = rejected.any(axis=0)
-        if out.any():
-            first = rejected[:, out].argmax(axis=0)
-            gone = live[out]
-            start[gone] = c0 + first
-            # the state before draw `first` is the one after `first` outputs
-            before, rows = np.maximum(first - 1, 0), np.flatnonzero(out)
-            resume[gone, 0] = np.where(first > 0, hi[before, rows], s_hi[out])
-            resume[gone, 1] = np.where(first > 0, lo[before, rows], s_lo[out])
-            stay = ~out
-            live, s_hi, s_lo, i_hi, i_lo = live[stay], hi[-1, stay], lo[-1, stay], i_hi[stay], i_lo[stay]
-        else:
-            s_hi, s_lo = hi[-1], lo[-1]
-        if not live.size:
-            break
+    col, words, width = np.zeros(live.size, dtype=np.intp), states[live].T, min(_BLOCK, C)
+    while live.size:
+        columns, done, variates, used, state, col, numpy = _block(words, col, width, tails[live], size_x, C, tables)
+        cells[(live * C + columns)[done]] = variates[done]
+        words = np.concatenate([state, words[2:]])
+        stuck = (used == 0) & (col < C)  # a stream that used no output of a full block goes to numpy
+        numpy |= stuck & (width == _BLOCK)
+        if numpy.any():
+            start[live[numpy]], resume[live[numpy]] = col[numpy], words[:, numpy].T
+        stay = (col < C) & ~numpy
+        live, col, words = live[stay], col[stay], words[:, stay]
+        if live.size:
+            width = _BLOCK if stuck.any() else min(_BLOCK, int(C - col.min()))
+    gaussian = np.flatnonzero(tails == 0.0)
+    drawn[gaussian[:, None], [size_x, C - 1]] = np.abs(drawn[gaussian[:, None], [size_x, C - 1]])
     return drawn, start, resume
 
 
@@ -329,13 +536,17 @@ def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: li
     Row k's noise model is ``models[k % len(models)]``; a silent row, or
     one whose ``start`` is past its last variate, is left as it is.
     """
+    n = len(models)
+    rows = [row for row in np.flatnonzero(start < drawn.shape[1]).tolist() if not is_silent(models[row % n])]
+    if not rows:
+        return
     rng = np.random.Generator(np.random.PCG64(0))
     bits = rng.bit_generator
-    radii = [None if is_silent(model) else radius_sampler(model, rng) for model in models]
-    rows = [row for row in np.flatnonzero(start < drawn.shape[1]).tolist() if radii[row % len(radii)] is not None]
+    radii = {id(model): radius_sampler(model, rng) for model in {id(models[row % n]): models[row % n]
+                                                                  for row in rows}.values()}
     for row, begin, state in zip(rows, start[rows].tolist(), state_dicts(states[rows])):
         bits.state = state
-        draw_rest(rng, radii[row % len(radii)], drawn[row], begin, size_x)
+        draw_rest(rng, radii[id(models[row % n])], drawn[row], begin, size_x)
 
 
 def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int) -> np.ndarray:
@@ -348,11 +559,12 @@ def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int) 
     radius variate, the normals, the radius variate (C = size_x + size_y
     + 2 columns); a silent stream's row is zero.  Every Pareto and
     Gaussian stream is stepped ahead and put through numpy's ziggurats in
-    one vectorized pass, bit for bit numpy's, up to its first draw a
-    ziggurat rejects.  numpy's own generator, reset to a stream's state,
-    draws everything else: the rest of such a row, every Student-t row,
-    and every row when the first-use check (:func:`_sampler_agrees`)
-    finds the tables disagree with numpy.
+    one vectorized pass (:func:`_sample`), bit for bit numpy's, rejected
+    draws included.  numpy's own generator, reset to a stream's state,
+    draws every Student-t row, the rest of a row from a wedge test within
+    rounding of its threshold (none in practice), and every row when the
+    first-use check (:func:`_sampler_agrees`) finds the tables disagree
+    with numpy.
     """
     tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), len(states))
     if not np.isnan(tails).all() and not _sampler_agrees():
@@ -362,13 +574,38 @@ def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int) 
     return drawn
 
 
-def _crafted_state(output: int) -> int:
-    """The PCG64 state whose next output, under increment 1, is ``output`` (below 2**64).
+def _crafted_state(output: int, inc: int = 1) -> int:
+    """The PCG64 state whose next output, under increment ``inc``, is ``output`` (below 2**64).
 
     PCG64 steps state -> state * MULT + inc and outputs XSL-RR of the new
-    state, which leaves a state with high word 0 as its low word.
+    state, which leaves a state with high word 0 as its low word.  So under
+    the increment (second - first * MULT) mod 2**128 the state crafted for
+    ``first`` outputs ``first`` and then ``second``.
     """
-    return (output - 1) * _PCG_MULT_INV & _MASK128
+    return (output - inc) * _PCG_MULT_INV & _MASK128
+
+
+class _Pareto:
+    """A Pareto radius of any tail (a NoiseModel's exceeds 1), for the first-use check's exponential rows."""
+
+    family, sigma = "symmetrized-pareto", 1.0
+
+    def __init__(self, tail_exponent: float):
+        self.tail_exponent = tail_exponent
+
+
+def _wedge_words(w, k, f, bits: int) -> list:
+    """(layer, value part, second word) of each layer's wedge test a relative 2**-40 below and above its
+    threshold, at the value part midway between ``k`` and 2**bits: the first is accepted, the second
+    restarts, and an ``f`` entry off by more than that turns one of them."""
+    layer = np.arange(1, 256)
+    mid = (k[1:] + np.uint64(2**bits)) // np.uint64(2)
+    x = mid.view(np.int64) * w[1:]
+    threshold = np.fromiter(map(math.exp, (-0.5 * x * x if bits == 52 else -x).tolist()), float, 255)
+    u = (threshold * (1.0 + np.array([[-2.0**-40], [2.0**-40]])) - f[1:]) / (f[:-1] - f[1:])
+    # the low 11 bits, which the uniform drops, make the word a normal of layer 255: no tail to resolve
+    second = np.minimum(np.maximum(u * 2.0**53, 0.0), 2.0**53 - 1).astype(np.uint64) << np.uint64(11) | np.uint64(0x7FF)
+    return list(zip(np.tile(layer, 2).tolist(), np.tile(mid, 2).tolist(), second.ravel().tolist()))
 
 
 @functools.cache
@@ -376,37 +613,57 @@ def _sampler_agrees() -> bool:
     """Whether :func:`_sample` draws what numpy's generator draws, checked once, at first use.
 
     The streams start from crafted states (:func:`_crafted_state`) whose
-    first output is a chosen word: for every layer of the normal
-    ziggurat, with either sign, and of the exponential one, the value
-    parts 1, ``ki - 1`` and ``ki`` (``ke - 1`` and ``ke``) that fit.  The
-    pass must accept a first output exactly when numpy's generator takes
-    it alone: then numpy's variates from the next one on are those it
-    draws from the crafted word itself.  Every variate the pass accepts
-    must equal numpy's, which :func:`_finish` draws from variate 0.  A
-    normal word leads a Gaussian stream of 1 + 1 + 1 + 1 variates, an
-    exponential one a Pareto stream (tails 1.75, 1.3 and 2.5) of 1 + 1 + 1.
+    first output is a chosen word, or whose first two are: for every layer
+    of the normal ziggurat, with either sign, and of the exponential one,
+    the value parts 1, ``ki - 1`` and ``ki`` (``ke - 1`` and ``ke``) that
+    fit; and, followed by a chosen uniform, a value part inside each
+    layer's wedge with uniforms just below and just above its threshold
+    (:func:`_wedge_words`), and both tails: the normal one on a first pair that is accepted and on
+    one that fails, the exponential one at two uniforms.  Every variate of
+    every stream must equal numpy's, which :func:`_finish` draws from
+    variate 0, and none may be left to numpy.  Normal words lead Gaussian
+    streams of 2 + 1 + 1 + 1 variates, two words a first try accepts
+    sharing one, and of 1 + 1 + 1 + 1 after a chosen uniform; an
+    exponential word leads a Pareto stream of 1 + 1 + 1 whose tail puts its
+    first radius variate 1 + expm1(E / t) at E / t in [32, 64), where a
+    1-ulp change of E shows.
     """
     tables = ziggurat_tables()
-    normal = [rabs << 9 | sign << 8 | layer for layer, limit in enumerate(tables["ki"].tolist())
-              for rabs in sorted({1, limit - 1, limit}) if 0 <= rabs < 2**52 for sign in (0, 1)]
-    exponential = [ri << 11 | layer << 3 for layer, limit in enumerate(tables["ke"].tolist())
+    ki, ke, top = tables["ki"].tolist(), tables["ke"].tolist(), 2**64 - 1
+    words = [rabs << 9 | sign << 8 | layer for layer, limit in enumerate(ki)
+             for rabs in sorted({1, limit - 1, limit}) if 0 <= rabs < 2**52 for sign in (0, 1)]
+    first_try = [word for word in words if word >> 9 < ki[word & 0xFF]]  # two of these share a stream
+    paired = list(zip(first_try[0::2], first_try[1::2])) + [(first_try[-1], None)] * (len(first_try) % 2)
+    rejected = [(word, None) for word in words if word >> 9 >= ki[word & 0xFF]]
+    normal_two = [(mid << 9 | layer, u) for layer, mid, u in _wedge_words(tables["wi"], tables["ki"], tables["fi"], 52)]
+    normal_two += [((2**52 - 1 - bit) << 9, u) for bit in (0, 2**8) for u in (0, top)]  # bit 17: the tail's sign
+    exponential = [(ri << 11 | layer << 3, None) for layer, limit in enumerate(ke)
                    for ri in sorted({1, limit - 1, limit}) if 0 <= ri < 2**53]
+    exponential_two = [(mid << 11 | layer << 3, u) for layer, mid, u in _wedge_words(tables["we"], tables["ke"], tables["fe"], 53)]
+    exponential_two += [((2**53 - 1) << 11, u) for u in (0, 2**63)]
     gaussian = [NoiseModel(sigma=1.0, family="gaussian")]
-    pareto = [NoiseModel(s=1.2, sigma=1.0, family="symmetrized-pareto", tail_exponent=t) for t in (1.75, 1.3, 2.5)]
-    # the normal words of each sign, then the exponential ones: smaller batches keep the check's memory small
-    for words, models, size_x in ((normal[0::2], gaussian, 1), (normal[1::2], gaussian, 1), (exponential, pareto, 0)):
+
+    def pareto(words):  # E / t in [32, 64) for the exponential E = ri * we of each first word
+        tails = [2.0 ** (math.frexp((r >> 11) * tables["we"][r >> 3 & 0xFF])[1] - 6) for r, _ in words]
+        models = {t: _Pareto(t) for t in tails}
+        return [models[t] for t in tails]
+
+    # the normal words a first try accepts, two to a stream, those it rejects, the two-output ones, then
+    # the exponential ones: small batches keep the check's memory small
+    batches = ((paired, gaussian, 2), (rejected, gaussian, 2), (normal_two, gaussian, 1),
+               (exponential, pareto(exponential), 0), (exponential_two, pareto(exponential_two), 0))
+    for words, models, size_x in ((words[k:k + _CHECK_ROWS], models if len(models) == 1 else models[k:k + _CHECK_ROWS],
+                                   size_x) for words, models, size_x in batches
+                                  for k in range(0, len(words), _CHECK_ROWS)):
         K = len(words)
-        inc = np.zeros(K, dtype=np.uint64), np.ones(K, dtype=np.uint64)
-        crafted = np.stack(_halves([_crafted_state(r) for r in words]) + inc, axis=1)
-        after = np.stack((inc[0], np.array(words, dtype=np.uint64)) + inc, axis=1)  # the crafted words as states
+        incs = [1 if second is None else (second - first * _PCG_MULT) & _MASK128 for first, second in words]
+        crafted = np.stack(_halves([_crafted_state(first, inc) for (first, _), inc in zip(words, incs)])
+                           + _halves(incs), axis=1)
         tails = np.resize(np.array([_sampled_tail(model) for model in models]), K)
         drawn, start, _ = _sample(crafted, size_x, 1, tails, tables)
-        numpy, alone = variate_rows(K, size_x, 1), variate_rows(K, size_x, 1)
+        numpy = variate_rows(K, size_x, 1)
         _finish(numpy, np.zeros(K, dtype=np.intp), crafted, models, size_x)
-        _finish(alone, np.ones(K, dtype=np.intp), after, models, size_x)
-        takes_alone = (alone[:, 1:].view(np.uint64) == numpy[:, 1:].view(np.uint64)).all(axis=1)
-        differs = drawn.view(np.uint64) != numpy.view(np.uint64)
-        if (takes_alone != (start > 0)).any() or (differs & (np.arange(drawn.shape[1]) < start[:, None])).any():
+        if (start < drawn.shape[1]).any() or drawn.tobytes() != numpy.tobytes():
             return False
     return True
 
@@ -472,6 +729,14 @@ def scale_draws(directions: np.ndarray, radii, scale) -> np.ndarray:
     return (scale * radii)[..., None] * (directions / nrm[..., None])
 
 
+def scale_draw(direction: np.ndarray, radius, scale) -> np.ndarray:
+    """The increment :func:`scale_draws` makes of one row of normals: the same bits, in fewer numpy calls."""
+    nrm = math.sqrt(np.vecdot(direction, direction))
+    if nrm == 0.0:  # measure-zero guard
+        direction, nrm = np.where(np.arange(direction.size) == 0, 1.0, direction), 1.0
+    return (scale * radius) * (direction / nrm)
+
+
 def scale_rows(rows: np.ndarray, size_x: int, scale) -> tuple:
     """The x and y noise increments of stacked rows of raw variates, as :func:`stream_variates` lays them out."""
     return (scale_draws(rows[:, :size_x], rows[:, size_x], scale),
@@ -483,8 +748,7 @@ def sample(model: NoiseModel, shape: Shape, stream: np.random.Generator) -> np.n
     if is_silent(model):
         return np.zeros(shape.dims)
     direction = stream.standard_normal(shape.size)
-    radius = np.float64(radius_sampler(model, stream)())
-    return scale_draws(direction, radius, radius_scale(model)).reshape(shape.dims)
+    return scale_draw(direction, radius_sampler(model, stream)(), radius_scale(model)).reshape(shape.dims)
 
 
 def empirical_moment(samples, s: float) -> float:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedminimax import NoiseModel, Shape
-from fedminimax.noise import (derive_stream, empirical_moment, radius_sampler, radius_scale, sample, scale_draws,
-                             seed_errors, stream_states)
+from fedminimax.noise import (derive_stream, empirical_moment, radius_sampler, radius_scale, sample, scale_draw,
+                             scale_draws, seed_errors, stream_states)
 
 
 def draws(model, shape, n, seed=0, start_step=0, chunk=10_000):
@@ -35,6 +37,21 @@ def test_draws_match_derive_stream():
         got = draws(model, shape, 40, seed=7, start_step=3, chunk=16)
         ref = [sample(model, shape, derive_stream(7, 0, 0, 3 + k)) for k in range(40)]
         assert np.array_equal(got, np.stack(ref))
+
+
+ENTRY = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 1e-170, -3e-200, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(direction=st.lists(ENTRY, min_size=1, max_size=12), radius=st.floats(0.0, 1e6), scale=st.floats(1e-3, 1e3))
+@example(direction=[0.0, -0.0, 0.0], radius=2.5, scale=0.7)  # a zero row: the guard's first unit vector
+@example(direction=[1e-170, -3e-200], radius=1.25, scale=3.0)  # squares that underflow: a zero norm all the same
+def test_one_row_scaling_matches_scale_draws(direction, radius, scale):
+    """``sample``'s one-row path (``scale_draw``) keeps the bits of the stacked ``scale_draws``, guard included."""
+    row = np.array(direction)
+    got = scale_draw(row.copy(), radius, scale)
+    assert got.tobytes() == scale_draws(row, np.float64(radius), scale).tobytes()
+    assert got.tobytes() == scale_draws(row[None], np.array([radius]), scale)[0].tobytes()
 
 
 def test_zero_sigma_gives_zero_vector():

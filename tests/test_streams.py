@@ -9,11 +9,10 @@ the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
 at the iterates the batched ``grad`` saw, then one increment per block
 from the per-client sampler below, for every noise family, vector and
 matrix blocks and AUC minibatches.  The variates ``stream_variates``
-gives for many streams at once, drawn in one pass and finished on numpy's
-generator from each stream's first rejected draw, must equal each
-stream's own draws; the ziggurat tables it ships are checked against the
-installed numpy, and its first-use check must catch a table that changes
-variates.
+gives for many streams at once, drawn in one pass that resolves every
+rejected ziggurat draw itself, must equal each stream's own draws; the
+ziggurat tables it ships are checked against the installed numpy, and its
+first-use check must catch a table that changes variates.
 """
 
 import dataclasses
@@ -227,8 +226,8 @@ def stream_draws(model, size_x, size_y, stream) -> np.ndarray:
     return np.concatenate([stream.standard_normal(size_x), [radius()], stream.standard_normal(size_y), [radius()]])
 
 
-def first_rejections(states, models, size_x, size_y) -> tuple:
-    """The one-pass sampler's (variates, first rejected draw, state words there) for every stream."""
+def sampled(states, models, size_x, size_y) -> tuple:
+    """The one-pass sampler's (variates, first variate left to numpy, state words there) for every stream."""
     tails = np.resize(np.array([noise._sampled_tail(model) for model in models]), len(states))
     return noise._sample(states, size_x, size_y, tails, noise.ziggurat_tables())
 
@@ -240,12 +239,23 @@ def first_rejections(states, models, size_x, size_y) -> tuple:
        picks=st.lists(st.sampled_from(SAMPLED), min_size=9, max_size=9))
 @example(seeds=[0, 2**64 - 1], clients=3, steps=2, first_round=0, sizes=(200, 257), picks=(SAMPLED * 3)[:9])
 @example(seeds=[5], clients=1, steps=1, first_round=2**32 - 2, sizes=(1, 1), picks=(SAMPLED * 3)[:9])
+@example(seeds=[6, 13], clients=3, steps=2, first_round=0, sizes=(64, 64), picks=(SAMPLED * 3)[:9])
+@example(seeds=[44, 51], clients=3, steps=2, first_round=0, sizes=(64, 64), picks=(SAMPLED * 3)[:9])
 def test_stream_variates_match_each_stream_drawn_alone(seeds, clients, steps, first_round, sizes, picks):
-    """Pareto (three tails) and Gaussian streams of stacks of seeds, on blocks of 1 to 64 and of 200 or more."""
+    """Pareto (three tails) and Gaussian streams of stacks of seeds, on blocks of 1 to 64 and of 200 or more.
+
+    The examples hold up to 11 rejected draws in one stream (200 + 257), a wedge test that fails twice in
+    a row and a normal tail whose first pair of uniforms fails (seeds 6 and 13), and an exponential tail
+    (seeds 44 and 51); every stream is drawn whole in the pass.
+    """
     size_x, size_y = sizes
     models = picks[:len(seeds) * clients]  # one per (run, client)
     assert noise._sampler_agrees()  # the first-use check passes: the variates are drawn in one pass
-    got = stream_variates(round_states(seeds, clients, steps, first_round, 2), models, size_x, size_y)
+    states = round_states(seeds, clients, steps, first_round, 2)
+    drawn, start, _ = sampled(states, models, size_x, size_y)
+    assert (start == size_x + size_y + 2).all()
+    got = stream_variates(states, models, size_x, size_y)
+    assert got.tobytes() == drawn.tobytes()
     k = 0
     for r in range(2):
         for i in range(steps):
@@ -260,8 +270,8 @@ def test_stream_variates_match_each_stream_drawn_alone(seeds, clients, steps, fi
 def test_stream_variates_leave_student_t_to_numpy_and_silent_rows_zero():
     models = [None, fm.NoiseModel(family="none"), NOISES["student-t"], SAMPLED[1]]
     states = round_states([3], 4, 2, 0, 1)
-    _, start, _ = first_rejections(states, models, 5, 5)
-    assert start.tolist() == [0, 0, 0, 12, 0, 0, 0, 7]  # the Pareto streams: drawn whole; to variate 7
+    _, start, _ = sampled(states, models, 5, 5)
+    assert start.tolist() == [0, 0, 0, 12, 0, 0, 0, 12]  # the Pareto streams are drawn whole
     got = stream_variates(states, models, 5, 5)
     for k in range(8):
         model = models[k % 4]
@@ -270,27 +280,24 @@ def test_stream_variates_leave_student_t_to_numpy_and_silent_rows_zero():
 
 
 @pytest.mark.parametrize("step, rejected", [(86, 3), (48, 4)], ids=["normal", "exponential"])
-def test_a_stream_resumes_on_numpy_at_its_first_rejected_draw(step, rejected):
-    """Stream (7, 0, 0, step) under Pareto noise on 4 + 4 entries: its first output that numpy's
-    ziggurat rejects is that of variate ``rejected``, a normal (3) or the x radius, an exponential (4)."""
+def test_the_pass_draws_a_stream_on_past_its_first_rejected_draw(step, rejected):
+    """Stream (7, 0, 0, step) under Pareto noise on 4 + 4 entries: the first output that numpy's ziggurat
+    rejects is that of variate ``rejected``, a normal (3) or the x radius, an exponential (4).  The pass
+    resolves that draw with the outputs after it, as numpy does, and draws the rest of the row itself."""
     model, size = SAMPLED[1], 4
     states = round_states([7], 1, step + 1, 0, 1)[step:]  # the stream of client 0 at step ``step`` of round 0
-    drawn, start, resume = first_rejections(states, [model], size, size)
-    assert start.tolist() == [rejected]
     ref = derive_stream(7, 0, 0, step)
-    want = stream_draws(model, size, size, derive_stream(7, 0, 0, step))
-    state, = state_dicts(resume)
-    # numpy's generator stands at that state after the draws before the rejected one
     ref.standard_normal(min(rejected, size))
     if rejected > size:
         ref.pareto(model.tail_exponent)
-    assert state == ref.bit_generator.state
-    assert drawn[0, :rejected].tobytes() == want[:rejected].tobytes()
-    # and its draw there takes more than the one output the pass read
-    one_step = (state["state"]["state"] * noise._PCG_MULT + state["state"]["inc"]) & noise._MASK128
+    before = ref.bit_generator.state["state"]
+    one_step = (before["state"] * noise._PCG_MULT + before["inc"]) & noise._MASK128
     ref.pareto(model.tail_exponent) if rejected == size else ref.standard_normal()
-    assert ref.bit_generator.state["state"]["state"] != one_step
-    assert stream_variates(states, [model], size, size)[0].tobytes() == want.tobytes()
+    assert ref.bit_generator.state["state"]["state"] != one_step  # that draw takes more than one output
+    drawn, start, resume = sampled(states, [model], size, size)
+    want = stream_draws(model, size, size, derive_stream(7, 0, 0, step))
+    assert start.tolist() == [2 * size + 2] and resume.tobytes() == states.tobytes()  # nothing left to numpy
+    assert drawn.tobytes() == want.tobytes() == stream_variates(states, [model], size, size).tobytes()
 
 
 PCG64_STATE = np.random.PCG64.state
@@ -314,21 +321,21 @@ class CountingPCG64(np.random.PCG64):
 CountingPCG64.__name__ = "PCG64"
 
 
-def test_client_round_resets_numpy_only_to_streams_with_a_rejected_draw(monkeypatch):
-    """On a problem that draws nothing, numpy's generator is reset once per stream with a rejected draw, inside
-    ``stream_variates``, and never inside ``client_round``; on the AUC problem a round resets it once per stream."""
+def test_client_round_resets_numpy_only_for_problems_that_draw(monkeypatch):
+    """On a problem that draws nothing, ``stream_variates`` draws every Pareto and Gaussian stream whole in
+    its pass and resets numpy's generator for none of them, on a stack at d=10 and at d=200, and
+    ``client_round`` never resets it; on the AUC problem a round resets it once per stream."""
     problem = fm.make_saddle_problem(8, 10, 10, hetero=0.5, seed=3)
     hp = fm.theorem1_schedule(8, 4, 6, problem.smooth)
     specs = [RunSpec("nsgda-m", hp, model, seed) for seed, model in enumerate(SAMPLED * 2)]
     assert noise._sampler_agrees()  # the first-use check resets its own generator, before any count
-    rejected, sets, round_sets = [], [], []
+    sets, left, round_sets = [], [], []
 
     def counting_variates(states, models, size_x, size_y):
         CountingPCG64.sets = 0
         out = stream_variates(states, models, size_x, size_y)
         sets.append(CountingPCG64.sets)
-        _, start, _ = first_rejections(states, models, size_x, size_y)
-        rejected.append(int(np.count_nonzero(start < size_x + size_y + 2)))
+        left.append(int(np.count_nonzero(sampled(states, models, size_x, size_y)[1] < size_x + size_y + 2)))
         return out
 
     def counting_round(server, G_prev_x, G_prev_y, problem, specs, streams):
@@ -341,8 +348,11 @@ def test_client_round_resets_numpy_only_to_streams_with_a_rejected_draw(monkeypa
     monkeypatch.setattr(fedopt, "stream_variates", counting_variates)
     monkeypatch.setattr(fedopt, "client_round", counting_round)
     traces = fedopt.run_stack(problem, specs)
-    assert sets == rejected and 0 < sum(sets) < 0.5 * 6 * len(specs) * 8 * 4
     assert round_sets == [(len(specs), 0)] * 6
+    wide = fm.make_saddle_problem(2, 200, 200, hetero=0.5, seed=3)
+    fedopt.run_stack(wide, [RunSpec("nsgda-m", fm.theorem1_schedule(2, 2, 2, wide.smooth), model, seed)
+                            for seed, model in enumerate(SAMPLED)])
+    assert sets == left == [0] * 4  # 3 chunks of the d=10 stack, 1 of the d=200 one: no stream left to numpy
     auc = PROBLEMS["auc-minibatch"]
     round_sets.clear()
     hp = fm.theorem1_schedule(3, 2, 4, auc.smooth)
@@ -398,18 +408,32 @@ def next_float(v):
     return np.nextafter(v, np.inf)
 
 
+def relative(factor):
+    return lambda v: v * factor
+
+
 @pytest.mark.parametrize("table, layer, change", [
     ("ke", 1, lambda v: 2**53), ("ke", 0, lambda v: v + 1), ("ke", 255, lambda v: v + 1),
     ("ki", 0, lambda v: v - 1), ("ki", 37, lambda v: v + 1), ("ke", 96, lambda v: v - 1), ("ke", 200, lambda v: v + 1),
-    ("wi", 5, next_float), ("wi", 255, next_float), ("we", 0, next_float),
-], ids=["ke1=2**53", "ke0+1", "ke255+1", "ki0-1", "ki37+1", "ke96-1", "ke200+1", "wi5+ulp", "wi255+ulp", "we0+ulp"])
+    ("wi", 5, next_float), ("wi", 255, next_float), ("we", 0, next_float), ("we", 9, next_float),
+    ("we", 128, next_float), ("fi", 0, relative(1 + 1e-9)), ("fi", 200, relative(1 - 1e-9)),
+    ("fe", 1, relative(1 + 1e-9)), ("fe", 254, relative(1 - 1e-9)), ("nor_r", None, next_float),
+    ("exp_r", None, next_float),
+], ids=["ke1=2**53", "ke0+1", "ke255+1", "ki0-1", "ki37+1", "ke96-1", "ke200+1", "wi5+ulp", "wi255+ulp", "we0+ulp",
+        "we9+ulp", "we128+ulp", "fi0*(1+1e-9)", "fi200*(1-1e-9)", "fe1*(1+1e-9)", "fe254*(1-1e-9)", "nor_r+ulp",
+        "exp_r+ulp"])
 def test_the_first_use_check_rejects_a_table_that_changes_variates(table, layer, change, monkeypatch, fresh_check):
     """One entry off: an accepted output numpy rejects (ke[1] = 2**53 accepts every first output of
     exponential layer 1, ke[0] + 1 accepts numpy's first rejected value of layer 0), a rejected one numpy
-    accepts, or a variate 1 ulp off.  The crafted streams try every layer's limits, so no layer slips through."""
+    accepts, a variate 1 ulp off (we[9] and we[128] too: a crafted exponential's tail keeps its radius
+    from absorbing the change), a wedge density off by a relative 1e-9, or a tail's start 1 ulp off.  The
+    crafted streams try every layer's limits and wedge thresholds, so no layer slips through."""
     assert fresh_check()
     bad = {name: entries.copy() for name, entries in noise.ziggurat_tables().items()}
-    bad[table][layer] = change(bad[table][layer])
+    if layer is None:
+        bad[table] = change(bad[table])
+    else:
+        bad[table][layer] = change(bad[table][layer])
     monkeypatch.setattr(noise, "ziggurat_tables", lambda: bad)
     fresh_check.cache_clear()
     assert not fresh_check()
@@ -420,9 +444,17 @@ def test_shipped_ziggurat_tables_match_the_installed_numpy(monkeypatch, capsys):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.main() == 0
-    assert "1024 of 1024 ziggurat entries match" in capsys.readouterr().out
-    bad = {name: entries.copy() for name, entries in noise.ziggurat_tables().items()}
-    bad["ke"][7] += 1
-    monkeypatch.setattr(noise, "ziggurat_tables", lambda: bad)
-    assert tool.main() == 1
-    assert "ke[7]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1024 of 1024 ziggurat entries match" in out and "1020 of 1020 wedge probes agree" in out
+    assert "nor_r and exp_r re-derived; 1 of the 17 doubles within 8 ulps of nor_inv_r fit" in out
+    good = noise.ziggurat_tables()
+    for name, layer, change in (("ke", 7, lambda v: v + 1), ("fi", 200, relative(1 + 1e-9)), ("fe", 5, relative(1 - 1e-11)),
+                                ("nor_r", None, next_float), ("exp_r", None, next_float), ("nor_inv_r", None, next_float)):
+        bad = {name: entries.copy() for name, entries in good.items()}
+        if layer is None:
+            bad[name] = change(bad[name])
+        else:
+            bad[name][layer] = change(bad[name][layer])
+        monkeypatch.setattr(noise, "ziggurat_tables", lambda: bad)
+        assert tool.main() == 1
+        assert f"\n{name}{'' if layer is None else f'[{layer}]'}:" in "\n" + capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Re-derive numpy's four ziggurat tables through its public API and compare them with the shipped ones.
+"""Re-derive or bound numpy's ziggurat tables through its public API and compare them with the shipped ones.
 
 Usage (from the repository root)::
 
@@ -6,8 +6,9 @@ Usage (from the repository root)::
 
 ``fedminimax.noise`` draws the normal and exponential variates of many
 streams at once with the ziggurat tables of numpy's ``standard_normal``
-(``wi``, ``ki``) and ``standard_exponential`` (``we``, ``ke``), which it
-ships as constants.  This tool finds each entry again by probing the
+(``wi``, ``ki``, ``fi``) and ``standard_exponential`` (``we``, ``ke``,
+``fe``) and the three tail constants, which it ships as constants.  This
+tool finds ``wi``, ``ki``, ``we`` and ``ke`` again by probing the
 installed numpy: it sets the PCG64 state whose next 64-bit output is a
 chosen ``r`` (``noise._crafted_state``, the rule the package's first-use
 check crafts its streams with), draws one variate, and reads back
@@ -26,10 +27,32 @@ output.  At ``rabs = 1`` (``ri = 1``) numpy's wedge test on the second
 output, a uniform, then accepts the same variate ``wi[idx]``
 (``we[idx]``) for any uniform not within rounding of 1, and a draw that
 took exactly two outputs returned it; a draw that took more raises.
+
+The rest is probed on streams whose first two outputs are chosen (the
+increment ``(second - first * MULT) mod 2**128`` makes the output after
+``first`` ``second``), the second read as the uniform ``(second >> 11) *
+2**-53``:
+
+* ``fi``/``fe``, bounded: for each layer i > 0, a value part an eighth of
+  the way into the wedge from either end, and a uniform that puts the
+  wedge test ``(f[i-1] - f[i]) * u + f[i] < exp(-x*x/2)`` (``exp(-x)``)
+  a relative 2**-40 below its threshold and one 2**-40 above it, as the
+  shipped table places it.  numpy must accept the first (the draw takes
+  two outputs) and restart on the second.  The end nearer ``x[i]`` leans
+  on ``f[i]``, the other on ``f[i-1]``, which is the entry named when
+  numpy disagrees; an entry is so bounded to about a relative 2**-40;
+* ``nor_r`` and ``exp_r``, re-derived: a layer-0 first output with the
+  uniform 0 draws the tail's start itself (the normal tail then needs a
+  third output above 0, which the chosen words get);
+* ``nor_inv_r``, bounded: on 16 normal tails whose first pair of uniforms
+  is accepted, ``nor_r + nor_inv_r * -log1p(-u)`` must be numpy's
+  variate; the tool reports how many doubles within 8 ulps of the shipped
+  value fit every probe.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +98,79 @@ def probe_tables() -> dict:
     return tables
 
 
+def _two_outputs(first: int, second: int) -> dict:
+    """The PCG64 state dict whose next two outputs are ``first`` and ``second``."""
+    inc = (second - first * noise._PCG_MULT) & noise._MASK128
+    return {"bit_generator": "PCG64", "state": {"state": noise._crafted_state(first, inc), "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _uniform_word(u: float) -> int:
+    """The output whose uniform is the largest multiple of 2**-53 at most ``u`` (in [0, 1))."""
+    return min(max(int(u * 2**53), 0), 2**53 - 1) << 11
+
+
+def probe_wedges(tables: dict) -> list:
+    """The ``fi``/``fe`` entries that numpy's wedge tests disagree with, one message each."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits, wrong = rng.bit_generator, []
+    families = (("fi", tables["wi"], tables["ki"], 52, 9, rng.standard_normal, lambda x: math.exp(-0.5 * x * x)),
+                ("fe", tables["we"], tables["ke"], 53, 11, rng.standard_exponential, lambda x: math.exp(-x)))
+    for name, w, k, width, shift, variate, density in families:
+        f = tables[name]
+        for layer in range(1, 256):
+            lo = int(k[layer])
+            for part, leans in (((7 * lo + 2**width) // 8, layer - 1), ((lo + 7 * 2**width) // 8, layer)):
+                word = part << shift | (layer if shift == 9 else layer << 3)
+                threshold = density(part * w[layer])
+                for side, accepts in ((-1.0, True), (1.0, False)):
+                    u = (threshold * (1.0 + side * 2.0**-40) - f[layer]) / (f[layer - 1] - f[layer])
+                    second = _uniform_word(u)
+                    bits.state = _two_outputs(word, second)
+                    variate()
+                    if (bits.state["state"]["state"] == second) != accepts:
+                        wrong.append(f"{name}[{leans}]: numpy's wedge test of layer {layer} at value part {part} "
+                                     f"{'restarts' if accepts else 'accepts'} at the uniform {second >> 11} * 2**-53")
+    return wrong
+
+
+def probe_tails(tables: dict) -> tuple:
+    """(messages for ``nor_r``/``exp_r``/``nor_inv_r`` that numpy disagrees with, doubles that fit ``nor_inv_r``,
+    normal-tail probes)."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits, wrong = rng.bit_generator, []
+    positive = (2**52 - 1 - 2**8) << 9  # a layer-0 normal word past ki[0]; bit 8 of rabs, the tail's sign, clear
+    for name, first, variate in (("nor_r", positive, rng.standard_normal),
+                                 ("exp_r", (2**53 - 1) << 11, rng.standard_exponential)):
+        bits.state = _two_outputs(first, 0)
+        value = variate()
+        if value != tables[name]:
+            wrong.append(f"{name}: numpy's tail starts at {value!r}, shipped {tables[name]!r}")
+    # normal tails at chosen first uniforms, each after a first word (its ignored top three bits and low value
+    # bits varied) whose third output gets the first pair accepted, so that the draw takes three outputs
+    probes = []
+    for spread in np.linspace(1.0, 6.0, 16).tolist():
+        second = _uniform_word(-math.expm1(-spread))
+        for first in (top << 61 | positive - (j << 10) for top in range(8) for j in range(8)):
+            bits.state = _two_outputs(first, second)
+            inc = bits.state["state"]["inc"]
+            value = rng.standard_normal()
+            if bits.state["state"]["state"] == (second * noise._PCG_MULT + inc) & noise._MASK128:
+                probes.append((second, value))
+                break
+
+    def fits(inv_r) -> bool:
+        return all(tables["nor_r"] + -inv_r * math.log1p(-(second >> 11) * 2.0**-53) == value
+                   for second, value in probes)
+
+    if not fits(tables["nor_inv_r"]):
+        wrong.append(f"nor_inv_r: the shipped {tables['nor_inv_r']!r} misses numpy's variate on a normal tail")
+    near = [np.float64(tables["nor_inv_r"])]
+    for _ in range(8):
+        near = [np.nextafter(near[0], -np.inf)] + near + [np.nextafter(near[-1], np.inf)]
+    return wrong, sum(map(fits, near)), len(probes)
+
+
 def main() -> int:
     probed, shipped = probe_tables(), noise.ziggurat_tables()
     bad = 0
@@ -84,7 +180,13 @@ def main() -> int:
             print(f"{name}[{idx}]: numpy {table[idx]!r}, shipped {shipped[name][idx]!r}")
         bad += wrong.size
     print(f"numpy {np.__version__}: {4 * 256 - bad} of {4 * 256} ziggurat entries match the shipped tables")
-    return 1 if bad else 0
+    wedges = probe_wedges(shipped)
+    print("\n".join(wedges + [f"fi, fe: {4 * 255 - len(wedges)} of {4 * 255} wedge probes agree with the shipped "
+                               "tables (each entry bounded to a relative 2**-40)"]))
+    tails, fit, probes = probe_tails(shipped)
+    print("\n".join(tails + [f"tails: nor_r and exp_r {'re-derived' if not tails else 'checked'}; {fit} of the 17 "
+                              f"doubles within 8 ulps of nor_inv_r fit all {probes} normal-tail probes"]))
+    return 1 if bad or wedges or tails else 0
 
 
 if __name__ == "__main__":

@@ -45,14 +45,13 @@ its own ``draw`` draws from each stream's state dict, then
 
 from __future__ import annotations
 
-import base64
 import functools
 import math
 import numbers
 
 import numpy as np
 
-from . import _ziggurat_tables
+from ._ziggurat import _MASK128, _PCG_MULT, _add128, _halves, _mul128, _sample, ziggurat_tables
 from .core import NoiseModel, Shape
 
 SEED_LIMIT = 2**64  # master seeds lie in [0, SEED_LIMIT)
@@ -83,17 +82,9 @@ def derive_stream(master_seed: int, client: int, round_idx: int, step: int) -> n
 # starting from INIT_A (entropy mixing) or INIT_B (state generation)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 _PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)  # the multiplier is odd
 _PCG_MULT_HALVES = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_BLOCK = 64  # outputs one sampling pass steps at a time
-_CELLS = 8192  # outputs computed at once: larger slabs of temporaries are markedly slower per entry
-_SLACK = 6  # outputs drawn on for the streams with a rejected draw when a block holds the rest of every row
-_TO_DOUBLE = 1.0 / 9007199254740992.0  # numpy's next_double: an output's top 53 bits times 2**-53
-_EDGE = 2.0**-46  # a wedge test this close to its threshold (relative) is left to numpy's generator
-_CHECK_ROWS = 512  # crafted streams the first-use check draws at once
+_CHECK_ROWS = 256  # crafted streams the first-use check draws at once
 
 
 def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
@@ -120,28 +111,6 @@ def _seed_pools(seeds) -> np.ndarray:
     if errors:
         raise ValueError("; ".join(errors))
     return np.array([np.random.SeedSequence(int(seed)).pool for seed in seeds], dtype=np.uint32).T
-
-
-def _mulhi(a, b):
-    """The high 64 bits of the 128-bit products of uint64 arrays a and b, from their 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    mid = a1 * b0 + (a0 * b0 >> 32)  # every sum stays below (2**32 - 1)**2 + 2**33 < 2**64
-    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _LOW32) >> 32)
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple:
-    """(hi, lo) of a * b mod 2**128, for 128-bit numbers held as uint64 halves."""
-    return _mulhi(a_lo, b_lo) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _halves(values) -> tuple:
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64))
 
 
 def _states(pool: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -210,300 +179,7 @@ def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int)
 
 
 # ---------------------------------------------------------------------------
-# every stream's raw variates: PCG64 jumped ahead through numpy's ziggurats, numpy's generator for the rest
-
-
-@functools.cache
-def ziggurat_tables() -> dict:
-    """numpy's ziggurat tables and tail constants.
-
-    The normal ``wi``, ``ki`` and ``fi`` and the exponential ``we``, ``ke``
-    and ``fe``, 256 entries each, and the tails' ``nor_r``, ``nor_inv_r``
-    and ``exp_r``.
-    """
-    tables = {name: np.frombuffer(base64.b64decode("".join(getattr(_ziggurat_tables, name.upper()))), "<u8")
-              for name in ("wi", "ki", "fi", "we", "ke", "fe")}
-    for name in ("wi", "fi", "we", "fe"):
-        tables[name] = tables[name].view("<f8")
-    for name in ("nor_r", "nor_inv_r", "exp_r"):
-        tables[name] = np.float64(getattr(_ziggurat_tables, name.upper()))
-    return tables
-
-
-@functools.cache
-def _jumps() -> np.ndarray:
-    """(4, BLOCK) halves of MULT**j and sum(MULT**i for i < j), j = 1..BLOCK: j steps as one affine map."""
-    a, b, rows = 1, 0, []
-    for _ in range(_BLOCK):
-        a, b = a * _PCG_MULT & _MASK128, (b * _PCG_MULT + 1) & _MASK128
-        rows.append((a, b))
-    a, b = zip(*rows)
-    return np.stack(_halves(a) + _halves(b))
-
-
-def _outputs(s_hi, s_lo, i_hi, i_lo, width: int) -> tuple:
-    """The next ``width`` PCG64 (XSL-RR) outputs of M streams, (width, M), and the state words after each.
-
-    They are computed ``_CELLS`` at a time: larger slabs of temporaries are
-    markedly slower per entry.
-    """
-    r, hi, lo = (np.empty((width, s_hi.size), dtype=np.uint64) for _ in range(3))
-    rows = max(1, _CELLS // max(1, s_hi.size))
-    for j in range(0, width, rows):
-        slab = slice(j, min(j + rows, width))
-        a_hi, a_lo, b_hi, b_lo = _jumps()[:, slab, None]
-        # output j is that of the state after j steps, MULT**j * state + sum(MULT**i for i < j) * inc
-        hi[slab], lo[slab] = _add128(*_mul128(a_hi, a_lo, s_hi, s_lo), *_mul128(b_hi, b_lo, i_hi, i_lo))
-        x, rot = hi[slab] ^ lo[slab], hi[slab] >> 58
-        r[slab] = x >> rot | x << (-rot & 63)
-    return r, hi, lo
-
-
-def _normals(r, tables) -> tuple:
-    """numpy's normal ziggurat on outputs r: the variates and where the first output is accepted."""
-    layer = (r & 0xFF).astype(np.intp)
-    rabs = r >> 9 & 0xFFFFFFFFFFFFF
-    x = rabs.view(np.int64) * tables["wi"][layer]  # both exact: rabs < 2**52
-    x.view(np.uint64)[...] ^= (r & 0x100) << 55  # bit 8 is the sign
-    return x, rabs < tables["ki"][layer]
-
-
-def _exponentials(r, tables) -> tuple:
-    """numpy's exponential ziggurat on outputs r: the variates, and where the first output is accepted."""
-    ri, layer = r >> 11, (r >> 3 & 0xFF).astype(np.intp)
-    return ri.view(np.int64) * tables["we"][layer], ri < tables["ke"][layer]
-
-
-def _uniform(r):
-    """numpy's next_double of outputs r: their top 53 bits times 2**-53."""
-    return (r >> 11).astype(float) * _TO_DOUBLE
-
-
-def _expm1(values) -> np.ndarray:
-    """libm's expm1 of each value, one ``math`` call each, as numpy's C code calls it; inf where it overflows."""
-    def expm1(v):
-        try:
-            return math.expm1(v)
-        except OverflowError:  # math raises where libm overflows; a valid model's radius stays far below
-            return math.inf
-    safe = not values.size or values.max() < 700.0
-    return np.fromiter(map(math.expm1 if safe else expm1, values.tolist()), float, values.size)
-
-
-def _wedges(upper, lower, u, exponent) -> tuple:
-    """numpy's wedge test of rejected draws with uniforms u, between a layer's densities ``upper`` and
-    ``lower``: whether each is accepted, and whether it falls within rounding of its threshold."""
-    lhs = (upper - lower) * u + lower
-    rhs = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)  # libm's, as numpy's C code
-    return lhs < rhs, np.abs(lhs - rhs) <= _EDGE * rhs
-
-
-def _normal_tail(words: list, j: int, tables):
-    """numpy's normal tail from output j + 1 on of a stream's ``words``: (the variate, the output after it),
-    or None when the words run out first."""
-    inv_r, q = tables["nor_inv_r"], j + 1
-    while q + 1 < len(words):
-        xx = -inv_r * math.log1p(-(words[q] >> 11) * _TO_DOUBLE)
-        yy = -math.log1p(-(words[q + 1] >> 11) * _TO_DOUBLE)
-        q += 2
-        if yy + yy > xx * xx:
-            value = tables["nor_r"] + xx
-            return (-value if words[j] >> 17 & 1 else value), q
-    return None
-
-
-def _tail_draw(r, q: int, m: int, exponential: bool, tables) -> tuple:
-    """Layer 0's tail from output q + 1 on of stream m of the block r (W, M): (the output after it, the variate).
-
-    The exponential tail takes one uniform, the normal one pairs of them
-    until a pair is accepted; a tail that needs outputs past the block ends
-    at W + 1.
-    """
-    W = r.shape[0]
-    if exponential:
-        return (q + 2, tables["exp_r"] - math.log1p(-(int(r[q + 1, m]) >> 11) * _TO_DOUBLE)) if q + 1 < W else (W + 1, 0.0)
-    tail = _normal_tail(r[:, m].tolist(), q, tables)
-    return (W + 1, 0.0) if tail is None else tail[::-1]
-
-
-def _pointers(r, value, ok, tables) -> np.ndarray:
-    """Every output of the block r (W, M) read as the start of a normal draw and, for kind 1, an exponential one.
-
-    ``value`` (kinds, W, M) holds each output's variate of either kind at
-    first try, and ``ok`` whether that is accepted; the others' variates
-    are resolved in ``value``, as numpy draws them.  A draw whose first
-    output is rejected takes the next one, a uniform, for its wedge test
-    and restarts on the output after that when the test fails, or draws
-    layer 0's tail (:func:`_tail_draw`).  Returns, flat over (kind, row,
-    stream) with rows 0 to W + 2, the row after each draw, as a flat index
-    (row * M + stream): W + 1 when the draw needs outputs past the block,
-    W + 2 when its wedge test falls within rounding of its threshold, which
-    numpy's generator then decides.  Rows W and W + 1 point to W + 1, and
-    row W + 2 to itself.
-    """
-    kinds, W, M = value.shape
-    rows = np.minimum(np.arange(1, W + 4), W + 1)
-    rows[-1] = W + 2
-    after = np.tile((rows[:, None] * M + np.arange(M)).ravel(), kinds)
-    kind, q, m = np.nonzero(~ok)
-    if not q.size:
-        return after
-    o = r[q, m]
-    layer = (np.where(kind, o >> 3, o) & 0xFF).astype(np.intp)
-    at, end, again = q * M + m, np.full(q.size, W + 1), q[:0]
-    v = value.reshape(-1)
-    w = np.flatnonzero((layer > 0) & (q + 1 < W))
-    if w.size:
-        f, kw, lw, vw = np.stack([tables["fi"], tables["fe"]]), kind[w], layer[w], v[kind[w] * W * M + at[w]]
-        accept, edge = _wedges(f[kw, lw - 1], f[kw, lw], _uniform(r[q[w] + 1, m[w]]),
-                               np.where(kw, -vw, -0.5 * vw * vw))
-        end[w] = np.where(edge, W + 2, np.where(accept, q[w] + 2, W + 1))
-        again = w[~accept & ~edge]  # these restart on the output after the uniform
-    for k in np.flatnonzero(layer == 0).tolist():  # layer 0: the tails
-        end[k], v[kind[k] * W * M + at[k]] = _tail_draw(r, int(q[k]), int(m[k]), kind[k] == 1, tables)
-    after[kind * (W + 3) * M + at] = end * M + m
-    at, values = kind[again] * (W + 3) * M + at[again], kind[again] * W * M + at[again]
-    after[at] = -1
-    while at.size:  # a restart ends where the draw two outputs on does, once that one is known
-        ready = after[at + 2 * M] >= 0
-        after[at[ready]], v[values[ready]] = after[at[ready] + 2 * M], v.take(values[ready] + 2 * M, mode="clip")
-        at, values = at[~ready], values[~ready]
-    return after
-
-
-def _chain(r, x, accepted, col, tails, size_x: int, C: int, tables) -> tuple:
-    """Read the block of outputs r (W, M) of M streams as numpy's generator draws their variates.
-
-    Stream m's next variate is column ``col[m]`` of its row (``tails`` as in
-    :func:`_sample`), and ``x``/``accepted`` are :func:`_normals` of r.
-    Every output is read as the start of a normal draw and, in a block that
-    holds a Pareto stream's radius column, of an exponential one
-    (:func:`_pointers`): a variate accepted at first try is its draw's
-    wherever it falls, so only the rejected ones are resolved, and each
-    output points to the output after its draw.  Then one step per column
-    follows those pointers for every stream at once, the exponential ones
-    at a Pareto stream's radius columns.  Returns which of the (steps, M)
-    draws from column ``col`` on ended inside the block and their variates,
-    and per stream the outputs used, its next column, and whether numpy's
-    generator draws it from there on: the streams whose next draw has a
-    wedge test within rounding of its threshold.  A stream whose next draw
-    needs outputs past W stops before it.
-    """
-    W, M = r.shape
-    every = np.arange(M)
-    steps = min(int(C - col.min()), W)
-    columns = col + np.arange(steps)[:, None]
-    radius = (tails > 0) & ((columns == size_x) | (columns == C - 1))
-    if radius.any():
-        exps, ok = _exponentials(r, tables)
-        value, ok = np.stack([x, exps]), np.stack([accepted, ok])
-    else:
-        value, ok = x[None], accepted[None]
-    after = _pointers(r, value, ok, tables)
-    at = np.empty((steps + 1, M), dtype=np.int64)
-    at[0] = every
-    exponential = {step: np.flatnonzero(radius[step]) for step in np.flatnonzero(radius.any(axis=1)).tolist()}
-    for step in range(steps):
-        after.take(at[step], out=at[step + 1])
-        if step in exponential:
-            on = exponential[step]
-            at[step + 1, on] = after.take(at[step, on] + (W + 3) * M)
-    done = (at[1:] < (W + 1) * M) & (columns < C)  # the draws that end inside the block
-    count = done.sum(axis=0)
-    first = at[count, every]  # where each stream's first draw left starts
-    value = value.reshape(-1)
-    variates = value.take(at[:steps], mode="clip")
-    edge = after.take(first) >= (W + 2) * M
-    if len(ok) > 1:
-        k, m = np.nonzero(radius)
-        variates[k, m] = 1.0 + _expm1(value.take(at[k, m] + W * M, mode="clip") / tails[m])
-        edge = np.where(radius[np.minimum(count, steps - 1), every], after.take(first + (W + 3) * M) >= (W + 2) * M,
-                        edge)
-    return done, variates, first // M, col + count, (count < steps) & (col + count < C) & edge
-
-
-def _block(words, col, width: int, tails, size_x: int, C: int, tables) -> tuple:
-    """Draw the next ``width`` outputs of M streams, at state and increment ``words`` (4, M), as numpy reads them.
-
-    Stream m's next variate is column ``col[m]`` of its row (``tails`` as in
-    :func:`_sample`).  A stream whose draws in the block all take one
-    output each has each column's variate at its own output; the others
-    are read by :func:`_chain`, with ``_SLACK`` outputs more for their
-    rejected draws when the block holds the rest of every row.  Returns the
-    (steps, M) columns of the block's draws, which of them ended inside it
-    and their variates, the outputs each stream used and its state words
-    after them, and per stream its next column and whether numpy's
-    generator draws it from there on.
-    """
-    s_hi, s_lo, i_hi, i_lo = words
-    r, hi, lo = _outputs(s_hi, s_lo, i_hi, i_lo, width)
-    x, accepted = _normals(r, tables)
-    W, M = r.shape
-    steps = min(int(C - col.min()), W)
-    k, every = np.arange(steps)[:, None], np.arange(M)
-    columns, used = col + k, np.minimum(C - col, W)  # used: the outputs of a stream whose draws take one each
-    radius = (tails > 0) & ((columns == size_x) | (columns == C - 1))
-    rk, rm = np.nonzero(radius)
-    exps, ok = _exponentials(r[rk, rm], tables)
-    bad = ~accepted[:steps] & (k < used)
-    bad[rk, rm] = ~ok
-    walk = np.flatnonzero(bad.any(axis=0))
-    variates, done, numpy = x[:steps], k < used, np.zeros(M, dtype=bool)
-    variates[rk, rm] = 1.0 + _expm1(exps / tails[rm])
-    state = np.stack([hi[used - 1, every], lo[used - 1, every]])
-    if walk.size:
-        r, hi, lo = (a.take(walk, axis=1) for a in (r, hi, lo))
-        if W < _BLOCK:  # the block holds the rest of every row: room for the extra outputs of rejected draws
-            r, hi, lo = (np.vstack(pair) for pair in zip((r, hi, lo), _outputs(hi[-1], lo[-1], i_hi[walk], i_lo[walk],
-                                                                               _SLACK)))
-        walk_done, walk_variates, used[walk], next_col, numpy[walk] = _chain(r, *_normals(r, tables), col[walk],
-                                                                              tails[walk], size_x, C, tables)
-        done[:, walk] = False
-        done[:len(walk_done), walk], variates[:len(walk_done), walk] = walk_done, walk_variates
-        last = np.maximum(used[walk] - 1, 0), np.arange(walk.size)
-        state[:, walk] = np.where(used[walk] > 0, [hi[last], lo[last]], [s_hi[walk], s_lo[walk]])
-    col = col + used
-    if walk.size:
-        col[walk] = next_col
-    return columns, done, variates, used, state, col, numpy
-
-
-def _sample(states: np.ndarray, size_x: int, size_y: int, tails: np.ndarray, tables: dict) -> tuple:
-    """The raw variates of the streams whose ``tails`` are not nan, bit for bit numpy's.
-
-    Stream m's variates are ``size_x`` normals, its radius variate
-    (:func:`_sampled_tail`), ``size_y`` normals and its radius variate: C
-    columns, drawn in blocks of up to ``_BLOCK`` outputs (:func:`_block`).
-    Returns the (K, C) variates (zero for a stream with tail nan), the (K,)
-    index of the first variate the pass left to numpy's generator (C when
-    none; 0 for a stream with tail nan), and the (K, 4) state and increment
-    words before it (a stream's own words when there is none).  A stream
-    leaves the pass at such a variate, which is one whose wedge test falls
-    within rounding of its threshold, or one that needs more than a whole
-    block of outputs.
-    """
-    K = len(states)
-    drawn, start, resume = variate_rows(K, size_x, size_y), np.zeros(K, dtype=np.intp), states.copy()
-    C = drawn.shape[1]
-    cells = drawn.reshape(-1)
-    live = np.flatnonzero(~np.isnan(tails))
-    start[live] = C
-    col, words, width = np.zeros(live.size, dtype=np.intp), states[live].T, min(_BLOCK, C)
-    while live.size:
-        columns, done, variates, used, state, col, numpy = _block(words, col, width, tails[live], size_x, C, tables)
-        cells[(live * C + columns)[done]] = variates[done]
-        words = np.concatenate([state, words[2:]])
-        stuck = (used == 0) & (col < C)  # a stream that used no output of a full block goes to numpy
-        numpy |= stuck & (width == _BLOCK)
-        if numpy.any():
-            start[live[numpy]], resume[live[numpy]] = col[numpy], words[:, numpy].T
-        stay = (col < C) & ~numpy
-        live, col, words = live[stay], col[stay], words[:, stay]
-        if live.size:
-            width = _BLOCK if stuck.any() else min(_BLOCK, int(C - col.min()))
-    gaussian = np.flatnonzero(tails == 0.0)
-    drawn[gaussian[:, None], [size_x, C - 1]] = np.abs(drawn[gaussian[:, None], [size_x, C - 1]])
-    return drawn, start, resume
+# every stream's raw variates: the one pass of ``_ziggurat``, numpy's generator for the rest
 
 
 def _sampled_tail(model) -> float:
@@ -630,17 +306,6 @@ def _sampler_agrees() -> bool:
     """
     tables = ziggurat_tables()
     ki, ke, top = tables["ki"].tolist(), tables["ke"].tolist(), 2**64 - 1
-    words = [rabs << 9 | sign << 8 | layer for layer, limit in enumerate(ki)
-             for rabs in sorted({1, limit - 1, limit}) if 0 <= rabs < 2**52 for sign in (0, 1)]
-    first_try = [word for word in words if word >> 9 < ki[word & 0xFF]]  # two of these share a stream
-    paired = list(zip(first_try[0::2], first_try[1::2])) + [(first_try[-1], None)] * (len(first_try) % 2)
-    rejected = [(word, None) for word in words if word >> 9 >= ki[word & 0xFF]]
-    normal_two = [(mid << 9 | layer, u) for layer, mid, u in _wedge_words(tables["wi"], tables["ki"], tables["fi"], 52)]
-    normal_two += [((2**52 - 1 - bit) << 9, u) for bit in (0, 2**8) for u in (0, top)]  # bit 17: the tail's sign
-    exponential = [(ri << 11 | layer << 3, None) for layer, limit in enumerate(ke)
-                   for ri in sorted({1, limit - 1, limit}) if 0 <= ri < 2**53]
-    exponential_two = [(mid << 11 | layer << 3, u) for layer, mid, u in _wedge_words(tables["we"], tables["ke"], tables["fe"], 53)]
-    exponential_two += [((2**53 - 1) << 11, u) for u in (0, 2**63)]
     gaussian = [NoiseModel(sigma=1.0, family="gaussian")]
 
     def pareto(words):  # E / t in [32, 64) for the exponential E = ri * we of each first word
@@ -648,14 +313,25 @@ def _sampler_agrees() -> bool:
         models = {t: _Pareto(t) for t in tails}
         return [models[t] for t in tails]
 
+    def batches():  # one at a time, which keeps the check's memory small
+        words = [rabs << 9 | sign << 8 | layer for layer, limit in enumerate(ki)
+                 for rabs in sorted({1, limit - 1, limit}) if 0 <= rabs < 2**52 for sign in (0, 1)]
+        first_try = [word for word in words if word >> 9 < ki[word & 0xFF]]  # two of these share a stream
+        yield list(zip(first_try[0::2], first_try[1::2])) + [(first_try[-1], None)] * (len(first_try) % 2), 2
+        yield [(word, None) for word in words if word >> 9 >= ki[word & 0xFF]], 2
+        yield [(mid << 9 | layer, u) for layer, mid, u in _wedge_words(tables["wi"], tables["ki"], tables["fi"], 52)] + [
+            ((2**52 - 1 - bit) << 9, u) for bit in (0, 2**8) for u in (0, top)], 1  # bit 17: the tail's sign
+        yield [(ri << 11 | layer << 3, None) for layer, limit in enumerate(ke)
+               for ri in sorted({1, limit - 1, limit}) if 0 <= ri < 2**53], 0
+        yield [(mid << 11 | layer << 3, u) for layer, mid, u in _wedge_words(tables["we"], tables["ke"], tables["fe"],
+                                                                             53)] + [((2**53 - 1) << 11, u) for u in (0, 2**63)], 0
+
     # the normal words a first try accepts, two to a stream, those it rejects, the two-output ones, then
-    # the exponential ones: small batches keep the check's memory small
-    batches = ((paired, gaussian, 2), (rejected, gaussian, 2), (normal_two, gaussian, 1),
-               (exponential, pareto(exponential), 0), (exponential_two, pareto(exponential_two), 0))
-    for words, models, size_x in ((words[k:k + _CHECK_ROWS], models if len(models) == 1 else models[k:k + _CHECK_ROWS],
-                                   size_x) for words, models, size_x in batches
-                                  for k in range(0, len(words), _CHECK_ROWS)):
-        K = len(words)
+    # the exponential ones, in even parts of at most _CHECK_ROWS streams
+    for words, size_x in ((words[k:k + step], size_x) for words, size_x in batches()
+                          for step in [-(-len(words) // -(-len(words) // _CHECK_ROWS))]
+                          for k in range(0, len(words), step)):
+        K, models = len(words), pareto(words) if size_x == 0 else gaussian
         incs = [1 if second is None else (second - first * _PCG_MULT) & _MASK128 for first, second in words]
         crafted = np.stack(_halves([_crafted_state(first, inc) for (first, _), inc in zip(words, incs)])
                            + _halves(incs), axis=1)

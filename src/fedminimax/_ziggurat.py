@@ -7,7 +7,9 @@ the draws whose first output the ziggurat rejects, which are resolved as
 numpy's C code resolves them (:func:`_pointers`): a wedge test on the next
 output, a restart after it when the test fails, or layer 0's tail.  Every
 transcendental is libm's through ``math``, one call per value, as numpy's
-C code calls it (``np.expm1`` rounds 1 ulp apart on some inputs).  The
+C code calls it (``np.expm1`` rounds 1 ulp apart on some inputs).  A
+stream's minibatch indices, drawn before its variates, come from its first
+outputs by Lemire's method (:func:`_indices`).  The
 tables and tail constants ship in ``_ziggurat_tables``; ``noise`` checks
 them against numpy's generator at first use and draws on that generator
 what this pass leaves (:func:`_sample`).
@@ -99,6 +101,33 @@ def _outputs(s_hi, s_lo, i_hi, i_lo, width: int) -> tuple:
         x, rot = hi[slab] ^ lo[slab], hi[slab] >> 58
         r[slab] = x >> rot | x << (-rot & 63)
     return r, hi, lo
+
+
+def _indices(states: np.ndarray, bounds: np.ndarray, count: int) -> tuple:
+    """numpy's ``integers(0, m, size=count)`` as the first draw of each stream, m = ``bounds[k]`` for stream k.
+
+    numpy draws such indices by Lemire's method on 32-bit words, the low
+    half and then the high half of each output, and drops a half left
+    over (``next_uint64`` ignores it): word w gives the index w * m >> 32,
+    unless the low 32 bits of w * m fall below (2**32 - m) % m, where it
+    draws another word.  Returns the (K, count) int64 indices, the (K, 4)
+    words after the ceil(count / 2) outputs, and which streams the pass
+    cannot follow: those with a word below its threshold, and those whose
+    m lies outside [2, 2**32], which numpy draws on another path.
+    """
+    s_hi, s_lo, i_hi, i_lo = states.T
+    r, hi, lo = _outputs(s_hi, s_lo, i_hi, i_lo, -(-count // 2))
+    after = np.column_stack([hi[-1], lo[-1], i_hi, i_lo])
+    del hi, lo  # freed before the index arrays are made: they set the chunk's peak memory
+    m = np.clip(bounds, 2, 2**32).astype(np.uint64)
+    threshold, left = (2**32 - m) % m, (bounds < 2) | (bounds > 2**32)
+    picks = np.empty((len(states), count), dtype=np.int64)
+    for half, words in enumerate((r & _LOW32, r[:count // 2] >> 32)):  # index 2j + half, from output j
+        words *= m  # below 2**64: both factors are at most 2**32
+        left |= ((words & _LOW32) < threshold).any(axis=0)
+        words >>= 32
+        picks[:, half::2] = words.T
+    return picks, after, left
 
 
 def _normals(r, tables) -> tuple:

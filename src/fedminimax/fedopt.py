@@ -342,7 +342,7 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
-                 problem: MinimaxProblem, specs: list, streams: np.ndarray) -> tuple:
+                 problem: MinimaxProblem, specs: list, streams: np.ndarray, picks=None) -> tuple:
     """Run the p local steps of all N clients of every run in a stack from its round-start server state.
 
     The stack is S runs (``specs``) that share the problem and (N, p); the
@@ -354,17 +354,18 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     centering residual per block as (S,) vectors: the mean correction its
     step-0 momentum applied, 0.0 for ``local-sgda-m``, which applies none.
     It checks nothing; ``run_stack`` does.  ``streams`` has one row per
-    stream of the round, in (step, run, client) order: on a problem that
-    draws, its state words as ``round_states`` gives them; on one that
-    draws nothing, its raw noise variates as ``stream_variates`` gives them.
+    stream of the round, in (step, run, client) order: on a problem given
+    by per-client callables, its state words as ``round_states`` gives
+    them; on any other, its raw noise variates as ``stream_variates``
+    gives them, and ``picks`` its minibatch index rows, if any.
 
     At each step every client draws from its (seed, client, round, step)
-    stream: first the problem's own ``draw``, unless the problem draws
-    nothing, then the raw ``noise`` variates of x and y.  On a problem
-    that draws, a reused generator is reset to each stream in turn for
-    both; on one that draws nothing, the variates are sliced from
-    ``streams``.  One ``grad`` call gives the gradients of all S*N rows,
-    and the noise is scaled and added for all noisy rows at once.
+    stream: its minibatch or its per-client ``stoch_grad``'s draws, then
+    the raw ``noise`` variates of x and y.  Per-client callables get a
+    reused generator reset to each stream in turn; otherwise both are
+    sliced from ``picks`` and ``streams``.  One ``grad`` call gives the
+    gradients of all S*N rows, and the noise is scaled and added for all
+    noisy rows at once.
     Momentum and step rule act once per range of consecutive runs that
     share (algorithm, hp), the drifts once for the stack; every row keeps
     the bits of its run alone.
@@ -376,7 +377,7 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     noisy = rows if rows.size < SN else slice(None)
     scale = np.repeat([radius_scale(spec.noise) for spec, on in zip(specs, has_noise) if on], N)
     variates = streams
-    if problem.draws:
+    if problem.draws_per_client:
         rng = np.random.Generator(np.random.PCG64(0))  # reset to each stream in turn
         bits = rng.bit_generator
         radius = [radius_sampler(spec.noise, rng) if on else None for spec, on in zip(specs, has_noise)]
@@ -394,12 +395,12 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     cen_x, cen_y = np.zeros(S), np.zeros(S)
     for i in range(p):
         step = slice(i * SN, i * SN + SN)
-        batch = None
-        if problem.draws:
+        batch = None if picks is None else picks[step]
+        if problem.draws_per_client:
             batch, step_rows = [], variates[step]
             for row, state in enumerate(state_dicts(streams[step])):
                 bits.state = state
-                batch.append(problem.draw(row % N, rng, X[row], Y[row]))
+                batch.append(problem.stoch_grad(row % N, X[row], Y[row], rng))
                 if has_noise[row // N]:
                     draw_rest(rng, radius[row // N], step_rows[row], 0, size_x)
         GX, GY = problem.grad(X, Y, batch)
@@ -518,9 +519,11 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     unnormalized baseline, at its first diverged record (the rest of its
     records carry nan); the other runs go on.  The stream states are
     derived for all the runs still in, as many rounds at a time as
-    ``STREAM_CHUNK`` streams hold; on a problem that draws nothing, one
-    ``stream_variates`` call turns them into every stream's raw noise
-    variates, which each ``client_round`` slices.
+    ``STREAM_CHUNK`` streams hold (fewer with a minibatch, whose index
+    words take outputs of the pass too); unless the problem is given by
+    per-client callables, one ``stream_variates`` call turns them into
+    every stream's minibatch indices, if any, and raw noise variates,
+    which each ``client_round`` slices.
     """
     specs = list(specs)
     if not specs:
@@ -545,25 +548,31 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     server = ServerState(*(np.zeros((len(live),) + dims) for dims in (dims_x, dims_y) * 3), 0)
     G_prev_x, G_prev_y = np.zeros((len(live) * N,) + dims_x), np.zeros((len(live) * N,) + dims_y)
     caps = [round_caps(spec.algorithm, problem.shape_x.cols, problem.shape_y.cols, spec.hp) for spec in specs]
+    # a chunk's noise pass steps as many outputs as STREAM_CHUNK streams of variates alone: index words count
+    C = problem.shape_x.size + problem.shape_y.size + 2
+    chunk = STREAM_CHUNK if problem.minibatch is None else STREAM_CHUNK * C // (C + (problem.minibatch[1] + 1) // 2)
     records: list = [[] for _ in specs]
     raised, final = {}, {}
-    streams, chunk_end = None, 0
+    streams, picks, chunk_end = None, None, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             if not live:
                 break
             width = p * len(live) * N  # streams per round
             if streams is None or t == chunk_end:
-                chunk_start, chunk_end = t, min(t + max(1, STREAM_CHUNK // width), T)
+                chunk_start, chunk_end = t, min(t + max(1, chunk // width), T)
                 streams = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t)
-                if not problem.draws:
+                if not problem.draws_per_client:
                     streams = stream_variates(streams, [specs[k].noise for k in live for _ in range(N)],
-                                              problem.shape_x.size, problem.shape_y.size)
+                                              problem.shape_x.size, problem.shape_y.size, problem.minibatch)
+                    if problem.minibatch is not None:
+                        picks, streams = streams
             phi, grad_phi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
             aucs = [None if problem.auc_eval is None else float(problem.auc_eval(x)) for x in server.x]
+            now = slice((t - chunk_start) * width, (t - chunk_start + 1) * width)
             X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(
-                server, G_prev_x, G_prev_y, problem, [specs[k] for k in live],
-                streams[(t - chunk_start) * width:(t - chunk_start + 1) * width])
+                server, G_prev_x, G_prev_y, problem, [specs[k] for k in live], streams[now],
+                None if picks is None else picks[now])
             new = server_round(server, X, Y, G_x, G_y, [specs[k].hp for k in live])
             # each record field for every run at once, one Python float per run
             fields = {

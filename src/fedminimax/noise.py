@@ -38,8 +38,19 @@ fail the first-use check.  The tables and tail constants ship as
 constants (``_ziggurat_tables``, re-derived or bounded from numpy by
 ``tools/ziggurat_tables.py``); the check runs the pass on streams crafted
 to output chosen words at every layer of both ziggurats and their wedges
-and tails, against the finisher drawing from variate 0.  A problem with
-its own ``draw`` draws from each stream's state dict, then
+and tails, against the finisher drawing from variate 0.
+
+With a problem's minibatch (sizes, b), a stream draws its client's b
+indices first, ``integers(0, m, size=b)``: numpy takes them by Lemire's
+method from 32-bit words, the low half and then the high half of each
+output, and drops a half left over, so they are the stream's first
+ceil(b/2) outputs and the normals start after them.  The pass computes
+those outputs for every stream, silent and Student-t ones included, and
+hands the state after them on; a stream with a word below Lemire's
+threshold, or a size outside [2, 2**32], is drawn whole, indices
+included, by the finisher.  The first-use check tries minibatch words
+just below and at the threshold too.  A problem given by a per-client
+``stoch_grad`` draws from each stream's state dict, then
 :func:`draw_rest` its noise.
 """
 
@@ -51,7 +62,7 @@ import numbers
 
 import numpy as np
 
-from ._ziggurat import _MASK128, _PCG_MULT, _add128, _halves, _mul128, _sample, ziggurat_tables
+from ._ziggurat import _MASK128, _PCG_MULT, _add128, _halves, _indices, _mul128, _sample, ziggurat_tables
 from .core import NoiseModel, Shape
 
 SEED_LIMIT = 2**64  # master seeds lie in [0, SEED_LIMIT)
@@ -85,6 +96,7 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)  # the multiplier is odd
 _PCG_MULT_HALVES = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _CHECK_ROWS = 256  # crafted streams the first-use check draws at once
+_LEMIRE_SIZES = (3, 640, 2**31 + 7, 2**32 - 1)  # shard sizes whose thresholds the first-use check tries
 
 
 def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
@@ -206,26 +218,54 @@ def draw_rest(rng: np.random.Generator, radius, row: np.ndarray, start: int, siz
     row[-1] = radius()
 
 
-def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: list, size_x: int) -> None:
+def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: list, size_x: int,
+            picks=None, bounds=None) -> None:
     """Draw every noisy row k of ``drawn`` on numpy's generator from variate ``start[k]`` on, at ``states[k]``.
 
     Row k's noise model is ``models[k % len(models)]``; a silent row, or
-    one whose ``start`` is past its last variate, is left as it is.
+    one whose ``start`` is past its last variate, is left as it is.  A row
+    k with ``bounds[k] > 0`` first draws its minibatch indices,
+    ``integers(0, bounds[k], size=b)``, into row k of the (K, b) ``picks``,
+    silent or not.
     """
     n = len(models)
-    rows = [row for row in np.flatnonzero(start < drawn.shape[1]).tolist() if not is_silent(models[row % n])]
+    redraw = np.zeros(len(drawn), dtype=bool) if bounds is None else bounds > 0
+    noisy = np.resize([not is_silent(model) for model in models], len(drawn))
+    rows = np.flatnonzero(noisy & (start < drawn.shape[1]) | redraw).tolist()
     if not rows:
         return
     rng = np.random.Generator(np.random.PCG64(0))
     bits = rng.bit_generator
-    radii = {id(model): radius_sampler(model, rng) for model in {id(models[row % n]): models[row % n]
-                                                                  for row in rows}.values()}
+    radii = {id(model): radius_sampler(model, rng) for model in models if not is_silent(model)}
     for row, begin, state in zip(rows, start[rows].tolist(), state_dicts(states[rows])):
         bits.state = state
-        draw_rest(rng, radii[id(models[row % n])], drawn[row], begin, size_x)
+        if redraw[row]:
+            picks[row] = rng.integers(0, int(bounds[row]), size=picks.shape[1])
+        if noisy[row]:
+            draw_rest(rng, radii[id(models[row % n])], drawn[row], begin, size_x)
 
 
-def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int) -> np.ndarray:
+def _streams(states: np.ndarray, models: list, size_x: int, size_y: int, minibatch, tables) -> tuple:
+    """:func:`stream_variates`' index rows (None without a ``minibatch``) and variates, and the rows the
+    pass left whole to numpy's generator; with ``tables`` None, numpy's generator draws every row."""
+    K = len(states)
+    tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), K)
+    picks, bounds, after, whole = None, None, states, np.full(K, tables is None)
+    if minibatch is not None:
+        sizes, count = minibatch
+        bounds = np.resize(np.asarray(sizes, dtype=np.uint64), K)
+        if tables is None:
+            picks = np.empty((K, count), dtype=np.int64)
+        else:
+            picks, after, whole = _indices(states, bounds, count)
+    tails[whole] = math.nan
+    drawn, start, resume = _sample(after, size_x, size_y, tails, tables)
+    resume[whole] = states[whole]
+    _finish(drawn, start, resume, models, size_x, picks, None if bounds is None else np.where(whole, bounds, 0))
+    return picks, drawn, whole
+
+
+def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int, minibatch=None):
     """The raw noise variates of every stream of the (K, 4) state words ``states``, one row each.
 
     Stream k's noise model is ``models[k % len(models)]``, e.g. one per
@@ -241,13 +281,20 @@ def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int) 
     rounding of its threshold (none in practice), and every row when the
     first-use check (:func:`_sampler_agrees`) finds the tables disagree
     with numpy.
+
+    With a ``minibatch`` (sizes, b), every stream, silent or not, first
+    draws its client's minibatch, ``integers(0, sizes[k % len(sizes)],
+    size=b)``, and its variates after it; the result is then the (K, b)
+    index rows and the (K, C) variates.  The indices take the stream's
+    first ceil(b / 2) outputs (:func:`_indices`); numpy's generator draws
+    a stream whole, from its indices on, where a word falls below Lemire's
+    threshold or the size is outside [2, 2**32].
     """
-    tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), len(states))
-    if not np.isnan(tails).all() and not _sampler_agrees():
-        tails[:] = math.nan  # the tables disagree with numpy's generator, which then draws every row
-    drawn, start, resume = _sample(states, size_x, size_y, tails, ziggurat_tables())
-    _finish(drawn, start, resume, models, size_x)
-    return drawn
+    tails = [_sampled_tail(model) for model in models]
+    pass_needed = minibatch is not None or not all(map(math.isnan, tails))
+    tables = ziggurat_tables() if pass_needed and _sampler_agrees() else None
+    picks, drawn, _ = _streams(states, models, size_x, size_y, minibatch, tables)
+    return drawn if minibatch is None else (picks, drawn)
 
 
 def _crafted_state(output: int, inc: int = 1) -> int:
@@ -284,6 +331,17 @@ def _wedge_words(w, k, f, bits: int) -> list:
     return list(zip(np.tile(layer, 2).tolist(), np.tile(mid, 2).tolist(), second.ravel().tolist()))
 
 
+def _lemire_words(m: int) -> list:
+    """The 32-bit words w whose w * m leaves low 32 bits just below, then at, Lemire's threshold (2**32 - m) % m.
+
+    Those bits are multiples of m's lowest set bit, as is the threshold:
+    numpy draws another word after the first and keeps the second.
+    """
+    low = m & -m
+    span = 2**32 // low
+    return [(t // low) * pow(m // low, -1, span) % span for t in ((2**32 - m) % m - low, (2**32 - m) % m)]
+
+
 @functools.cache
 def _sampler_agrees() -> bool:
     """Whether :func:`_sample` draws what numpy's generator draws, checked once, at first use.
@@ -303,6 +361,12 @@ def _sampler_agrees() -> bool:
     exponential word leads a Pareto stream of 1 + 1 + 1 whose tail puts its
     first radius variate 1 + expm1(E / t) at E / t in [32, 64), where a
     1-ulp change of E shows.
+
+    Last, eight Gaussian streams draw a minibatch of 2 first, for four
+    shard sizes (``_LEMIRE_SIZES``), from one output whose low word falls
+    just below or at Lemire's threshold (:func:`_lemire_words`): their
+    indices and variates must equal numpy's, and exactly the streams below
+    it must leave the pass.
     """
     tables = ziggurat_tables()
     ki, ke, top = tables["ki"].tolist(), tables["ke"].tolist(), 2**64 - 1
@@ -341,7 +405,15 @@ def _sampler_agrees() -> bool:
         _finish(numpy, np.zeros(K, dtype=np.intp), crafted, models, size_x)
         if (start < drawn.shape[1]).any() or drawn.tobytes() != numpy.tobytes():
             return False
-    return True
+    # one minibatch word just below and one at Lemire's threshold for each size, then the normals after them
+    words = [(m, w) for m in _LEMIRE_SIZES for w in _lemire_words(m)]
+    crafted = np.stack(_halves([_crafted_state(0xFFFFFFFF << 32 | w) for _, w in words]) + _halves([1] * len(words)),
+                       axis=1)
+    minibatch = [m for m, _ in words], 2
+    (picks, drawn, whole), (numpy_picks, numpy, _) = (_streams(crafted, gaussian, 1, 1, minibatch, t)
+                                                      for t in (tables, None))
+    return (whole.tolist() == [True, False] * len(_LEMIRE_SIZES) and picks.tobytes() == numpy_picks.tobytes()
+            and drawn.tobytes() == numpy.tobytes())
 
 
 def _pareto_scale(model: NoiseModel) -> float:
@@ -428,12 +500,14 @@ def sample(model: NoiseModel, shape: Shape, stream: np.random.Generator) -> np.n
 
 
 def empirical_moment(samples, s: float) -> float:
-    """Average of norm(delta)^s over a list of noise samples."""
+    """Average of norm(delta)^s over a list of noise samples of one shape.
+
+    The norms come from one stacked pass; their powers are summed in list
+    order, one addition at a time.
+    """
     if not (0.0 < s <= 2.0):
         raise ValueError(f"moment order s must lie in (0, 2], got {s}")
     if len(samples) == 0:
         raise ValueError("empirical_moment needs at least one sample")
-    total = 0.0
-    for delta in samples:
-        total += float(np.linalg.norm(np.asarray(delta))) ** s
-    return total / len(samples)
+    flat = np.stack([np.ravel(delta) for delta in samples])
+    return float(np.cumsum(np.sqrt(np.vecdot(flat, flat)) ** s)[-1]) / len(samples)

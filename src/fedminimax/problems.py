@@ -21,8 +21,11 @@ Two desk-scale problem families are provided:
 The oracle contract (``MinimaxProblem``): the gradients of every client
 of a whole stack of K runs come from one batched call,
 ``grad(X, Y, batch)``, over ``(K*N,) + dims`` row stacks, row r being
-client r mod N; ``draw(n, rng, x, y)`` makes one client's random choices
-(the AUC minibatch) on that client's stream.  Row r of a batched result
+client r mod N.  A problem's random choices are data: ``minibatch`` is
+(sizes, b), client n's minibatch being ``integers(0, sizes[n], size=b)``,
+the first draw of its stream, which the engine draws for every stream in
+the noise pass (``noise.stream_variates``) and hands to ``grad`` as the
+(K*N, b) index rows.  Row r of a batched result
 equals, bit for bit, the per-client formula evaluated on its client
 alone: stacked products are batched matrix-vector products
 (``B @ Y[..., None]``), never one matrix-matrix product, and per-client
@@ -80,10 +83,6 @@ def _rows(a, n: int) -> np.ndarray:
     return np.repeat(np.asarray(a, dtype=float)[None], n, axis=0)
 
 
-def _no_draw(n, rng, x, y):
-    return None
-
-
 def _by_point(rows) -> tuple:
     """The metric tuples of S points as (S,) values and (S,) + dims blocks, entry s from row s."""
     return tuple(np.array(column, dtype=float) for column in zip(*rows))
@@ -101,22 +100,27 @@ class MinimaxProblem:
     ``grad(X, Y, batch) -> (GX, GY)`` is the batched gradient oracle:
     X and Y are ``(K*N,) + dims`` row stacks of K runs' N clients each,
     row r is client r mod N's iterate, and row r of GX/GY is that
-    client's gradient there.  ``draw(n, rng, x, y)`` makes client n's own
-    random choices for one stochastic gradient at its iterates (x, y), on
-    its stream ``rng``; ``batch`` is the list of the K*N rows' draws.  A
-    None batch, or a None entry, asks for that row's deterministic
-    gradient.  The
-    stream is valid only during ``draw``: the engine draws its
-    heavy-tailed noise from the same stream right after it.  A problem
-    without ``draw`` draws nothing.
+    client's gradient there.  ``minibatch`` is a problem's random choices
+    as data: (sizes, b), one shard size per client and the batch size, or
+    None for a problem that draws nothing.  Client n's minibatch is
+    ``integers(0, sizes[n], size=b)``, the first draw of its stream: b
+    indices from the stream's first ceil(b/2) outputs (Lemire's method on
+    their low, then high, 32-bit halves, a half left over dropped), after
+    which the engine draws the heavy-tailed noise from the same stream.
+    ``batch`` is then the (K*N, b) integer array of the rows' index rows;
+    a None batch asks for every row's deterministic gradient.
 
     A problem may instead be given by per-client callables
-    ``grad_x(n, x, y)``, ``grad_y(n, x, y)`` and ``stoch_grad(n, x, y, rng)``;
-    they are wrapped once into ``grad``/``draw`` with a Python loop over
-    the rows (``draw`` then calls ``stoch_grad`` and keeps its pair).
-    A problem given by ``grad`` gets the per-client callables as views of
-    ``grad``/``draw``.  A derived form is derived again by
-    ``dataclasses.replace``, so it never goes stale.
+    ``grad_x(n, x, y)``, ``grad_y(n, x, y)`` and ``stoch_grad(n, x, y, rng)``,
+    and no minibatch; they are wrapped once into ``grad`` with a Python
+    loop over the rows, whose ``batch`` is the list of the rows'
+    ``stoch_grad`` pairs (a None entry asks for that row's deterministic
+    gradient).  The engine resets numpy's generator to each client's
+    stream, calls ``stoch_grad`` on it and then draws the noise from it
+    (``draws_per_client``).  A problem given by ``grad`` gets the
+    per-client callables as views of ``grad``; its ``stoch_grad`` draws
+    the client's minibatch from ``rng``.  A derived form is derived again
+    by ``dataclasses.replace``, so it never goes stale.
 
     ``y_star(x)`` is the closed-form inner maximizer, which every problem
     must give; the exact metrics take the envelope phi(x) = f(x, y*(x))
@@ -144,7 +148,7 @@ class MinimaxProblem:
     f_value: Callable
     y_star: Callable
     grad: Optional[Callable] = None
-    draw: Optional[Callable] = None
+    minibatch: Optional[tuple] = None
     grad_x: Optional[Callable] = None
     grad_y: Optional[Callable] = None
     stoch_grad: Optional[Callable] = None
@@ -161,12 +165,18 @@ class MinimaxProblem:
                  "stoch_grad": self._view_stoch_grad}
         if given("grad"):
             derived = {name: view for name, view in views.items() if not given(name)}
-            if self.draw is None:
-                derived["draw"] = _no_draw
-        elif all(given(name) for name in views):
-            derived = {"grad": self._clients_grad, "draw": self._clients_draw}
-        else:
+        elif not all(given(name) for name in views):
             raise ValueError("a problem needs the batched grad, or grad_x, grad_y and stoch_grad")
+        elif self.minibatch is not None:
+            raise ValueError("minibatch: a problem given by per-client callables draws in its own stoch_grad")
+        else:
+            derived = {"grad": self._clients_grad}
+        if self.minibatch is not None:
+            sizes, count = tuple(int(m) for m in self.minibatch[0]), int(self.minibatch[1])
+            if len(sizes) != self.n_clients or min(sizes) < 1 or count < 1:
+                raise ValueError(f"minibatch: need one shard size >= 1 per client and a batch size >= 1, "
+                                 f"got {self.minibatch}")
+            derived["minibatch"] = sizes, count
         made_for = (derived.get("grad", self.grad), self.f_value, self.y_star, self.phi_grad)
         if getattr(self.round_metrics, "made_for", None) != made_for:
             derived["round_metrics"] = self._round_metrics
@@ -174,9 +184,9 @@ class MinimaxProblem:
             object.__setattr__(self, name, fn)
 
     @property
-    def draws(self) -> bool:
-        """False for a problem given without ``draw``, which makes no random choices."""
-        return self.draw is not _no_draw
+    def draws_per_client(self) -> bool:
+        """True for a problem given by per-client callables, whose ``stoch_grad`` draws on a client's stream."""
+        return _derived(self.grad)
 
     def _round_metrics(self, X, Y) -> tuple:
         def at(x, y):
@@ -185,9 +195,6 @@ class MinimaxProblem:
 
         return _by_point([at(x, y) for x, y in zip(X, Y)])
 
-    def _clients_draw(self, n, rng, x, y):
-        return self.stoch_grad(n, x, y, rng)
-
     def _clients_grad(self, X, Y, batch=None):
         N = self.n_clients
         pairs = [(self.grad_x(r % N, X[r], Y[r]), self.grad_y(r % N, X[r], Y[r])) if pair is None
@@ -195,9 +202,12 @@ class MinimaxProblem:
         return (np.array([gx for gx, _ in pairs], dtype=float),
                 np.array([gy for _, gy in pairs], dtype=float))
 
-    def _client_view(self, n, x, y, entry=None) -> tuple:
-        """Client n's gradient pair at (x, y): row n of ``grad`` with every client there."""
-        batch = None if entry is None else [entry if k == n else None for k in range(self.n_clients)]
+    def _client_view(self, n, x, y, picks=None) -> tuple:
+        """Client n's gradient pair at (x, y): row n of ``grad`` with every client there, n on ``picks``."""
+        batch = None
+        if picks is not None:  # the other rows take index 0, which every shard has
+            batch = np.zeros((self.n_clients, len(picks)), dtype=np.int64)
+            batch[n] = picks
         GX, GY = self.grad(_rows(x, self.n_clients), _rows(y, self.n_clients), batch)
         return GX[n], GY[n]
 
@@ -208,7 +218,10 @@ class MinimaxProblem:
         return self._client_view(n, x, y)[1]
 
     def _view_stoch_grad(self, n, x, y, rng) -> tuple:
-        return self._client_view(n, x, y, self.draw(n, rng, x, y))
+        if self.minibatch is None:
+            return self._client_view(n, x, y)
+        sizes, count = self.minibatch
+        return self._client_view(n, x, y, rng.integers(0, sizes[n], size=count))
 
     def mean_grad(self, x, y) -> tuple:
         """(1/N) sum_n of the deterministic client gradients at (x, y), both blocks from one call."""
@@ -431,13 +444,14 @@ def make_auc_problem(
     The primal block is (w, w1, w2) in R^(model_dim + 2) with a linear
     score h = w . a; the dual is the scalar w3.  Each client uses its own
     positive ratio, or the pooled ratio when ``pooled_ratio`` is set (the
-    i.i.d. protocol).  ``draw`` picks a size-``batch_size`` minibatch
-    from the client's shard with replacement, which keeps the minibatch
-    gradient exactly unbiased; ``batch_size=None`` makes every gradient
-    the deterministic full-shard one.  Shards of one size are evaluated as
-    one stack; shards may differ in size.  When ``test_data`` is given the
-    problem exposes ``auc_eval(x)``: the exact pairwise AUC of the linear
-    score on that set.
+    i.i.d. protocol).  The problem's ``minibatch`` is (shard sizes,
+    ``batch_size``): a client's stochastic gradient is over
+    ``batch_size`` indices drawn from its shard with replacement, which
+    keeps the minibatch gradient exactly unbiased; ``batch_size=None``
+    makes every gradient the deterministic full-shard one.  Shards of one
+    size are evaluated as one stack; shards may differ in size.  When
+    ``test_data`` is given the problem exposes ``auc_eval(x)``: the exact
+    pairwise AUC of the linear score on that set.
     """
     _raise_all(auc_errors(batch_size))
     if len(data_shards) == 0:
@@ -488,24 +502,15 @@ def make_auc_problem(
     w3_weight = np.sum(ratios * (1.0 - ratios))  # minus the w3^2 coefficient of the summed losses
     smooth = SmoothnessInfo(L_f=L, mu=mu)
 
-    def draw(n, rng, x, y):
-        return None if batch_size is None else rng.integers(0, sizes[n], size=batch_size)
-
     def grad(X, Y, batch=None):
         GX, GY = np.empty((len(X), d + 2)), np.empty((len(X), 1))
-        for run in range(0, len(X), N):  # one run's N clients at a time
-            picks = [None] * N if batch is None else batch[run:run + N]
+        for run in range(0, len(X), N):  # one run's N clients at a time, one stacked call per shard group
             for rows, F, POS, P in groups:
-                drawn = [picks[n] is not None for n in rows]
-                # one stacked call per group, or one per client if only some of it drew
-                parts = [slice(None)] if all(drawn) or not any(drawn) else [
-                    slice(k, k + 1) for k in range(len(rows))]
-                for part in parts:
-                    r, A, pos = rows[part], F[part], POS[part]
-                    if picks[r[0]] is not None:
-                        k, idx = np.arange(len(r))[:, None], np.stack([picks[n] for n in r])
-                        A, pos = A[k, idx], pos[k, idx]
-                    GX[run + r], GY[run + r] = _auc_grads(A, pos, X[run + r], Y[run + r], P[part])
+                r, A, pos = run + rows, F, POS
+                if batch is not None:
+                    k, idx = np.arange(len(rows))[:, None], batch[r]
+                    A, pos = F[k, idx], POS[k, idx]
+                GX[r], GY[r] = _auc_grads(A, pos, X[r], Y[r], P)
         return GX, GY
 
     def scored(x):
@@ -564,7 +569,7 @@ def make_auc_problem(
         smooth=smooth,
         f_value=f_value,
         grad=grad,
-        draw=draw,
+        minibatch=None if batch_size is None else (sizes, batch_size),
         y_star=y_star,
         auc_eval=auc_eval,
         round_metrics=round_metrics,

@@ -85,8 +85,7 @@ def test_saddle_grad_rows_match_reference(n_clients, d_x, d_y, hetero, seed):
     X = 3.0 * rng.standard_normal((n_clients, d_x))
     Y = 3.0 * rng.standard_normal((n_clients, d_y))
     assert_rows_and_mean(problem, lambda n, x, y, entry: pair(n, x, y), X, Y)
-    assert problem.draw(0, rng, X[0], Y[0]) is None  # the saddle draws nothing
-    assert_rows_and_mean(problem, lambda n, x, y, entry: pair(n, x, y), X, Y, [None] * n_clients)
+    assert problem.minibatch is None and not problem.draws_per_client  # the saddle draws nothing
 
 
 def auc_shards(n_clients, sizes, dim, seed):
@@ -103,9 +102,8 @@ def auc_shards(n_clients, sizes, dim, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(n_clients=st.integers(1, 8), dim=st.integers(1, 6), equal=st.booleans(),
-       batch_size=st.sampled_from([None, 1, 3, 16]), pooled=st.booleans(),
-       partial=st.booleans(), seed=SEEDS)
-def test_auc_grad_rows_match_reference(n_clients, dim, equal, batch_size, pooled, partial, seed):
+       batch_size=st.sampled_from([None, 1, 3, 16]), pooled=st.booleans(), seed=SEEDS)
+def test_auc_grad_rows_match_reference(n_clients, dim, equal, batch_size, pooled, seed):
     rng = np.random.default_rng(seed)
     sizes = [40] * n_clients if equal else rng.integers(20, 60, size=n_clients).tolist()
     shards = auc_shards(n_clients, sizes, dim, seed % 1000)
@@ -115,17 +113,13 @@ def test_auc_grad_rows_match_reference(n_clients, dim, equal, batch_size, pooled
     X = rng.standard_normal((n_clients, dim + 2))
     Y = rng.standard_normal((n_clients, 1))
 
-    batch = []
-    for n in range(n_clients):
-        stream = np.random.default_rng([seed, n])
-        batch.append(problem.draw(n, stream, X[n], Y[n]))
-        if batch_size is not None:  # the minibatch is the stream's first draw
-            expect = np.random.default_rng([seed, n]).integers(0, len(shards[n]), size=batch_size)
-            assert np.array_equal(batch[n], expect)
-        else:
-            assert batch[n] is None
-    if partial:  # some clients ask for their full-shard gradient
-        batch = [None if rng.random() < 0.5 else entry for entry in batch]
+    batch = None
+    if batch_size is None:
+        assert problem.minibatch is None
+    else:  # each client's minibatch: shard indices drawn with replacement, the first draw of its stream
+        assert problem.minibatch == (tuple(len(s) for s in shards), batch_size)
+        batch = np.stack([np.random.default_rng([seed, n]).integers(0, len(shards[n]), size=batch_size)
+                          for n in range(n_clients)])
 
     def pair(n, x, y, idx):
         s = shards[n]
@@ -133,6 +127,10 @@ def test_auc_grad_rows_match_reference(n_clients, dim, equal, batch_size, pooled
         return reference_auc(A, b, x, float(y[0]), ratios[n])
 
     assert_rows_and_mean(problem, pair, X, Y, batch)
+    for n in range(n_clients):  # a client's stoch_grad draws its minibatch on the stream it is given
+        gx, gy = problem.stoch_grad(n, X[n], Y[n], np.random.default_rng([seed, n]))
+        want_x, want_y = pair(n, X[n], Y[n], None if batch is None else batch[n])
+        assert np.array_equal(gx, want_x) and np.array_equal(gy, want_y), f"client {n}"
     assert_rows_and_mean(problem, pair, X, Y)
 
 
@@ -212,8 +210,9 @@ def test_per_client_callables_are_wrapped_into_the_batched_oracle():
     for n in range(3):
         assert np.array_equal(GX[n], problem.grad_x(n, X[n], Y[n]))
         assert np.array_equal(GY[n], problem.grad_y(n, X[n], Y[n]))
-    # draw runs stoch_grad on the stream at the client's iterates; grad stacks its pairs
-    batch = [problem.draw(n, np.random.default_rng(n), X[n], Y[n]) for n in range(3)]
+    # the engine runs stoch_grad on each client's stream at its iterates; grad stacks those pairs
+    assert problem.draws_per_client
+    batch = [problem.stoch_grad(n, X[n], Y[n], np.random.default_rng(n)) for n in range(3)]
     GX, GY = problem.grad(X, Y, batch)
     for n in range(3):
         gx, gy = problem.stoch_grad(n, X[n], Y[n], np.random.default_rng(n))
@@ -251,6 +250,14 @@ def test_problem_needs_a_gradient_oracle():
         fm.MinimaxProblem(**common, y_star=lambda x: x, grad_x=lambda n, x, y: x)
     with pytest.raises(TypeError, match="y_star"):  # the exact metrics need the inner maximizer
         fm.MinimaxProblem(**common, grad=lambda X, Y, batch=None: (X, -Y))
+    batched = dict(common, y_star=lambda x: x, grad=lambda X, Y, batch=None: (X, -Y))
+    for minibatch in (((3, 4), 2), ((3,), 0), ((0,), 2)):  # one shard size >= 1 per client, a batch >= 1
+        with pytest.raises(ValueError, match="minibatch: need one shard size"):
+            fm.MinimaxProblem(**batched, minibatch=minibatch)
+    assert fm.MinimaxProblem(**batched, minibatch=([np.int64(3)], 2)).minibatch == ((3,), 2)
+    with pytest.raises(ValueError, match="minibatch: a problem given by per-client callables"):
+        fm.MinimaxProblem(**common, y_star=lambda x: x, grad_x=lambda n, x, y: x, grad_y=lambda n, x, y: -y,
+                          stoch_grad=lambda n, x, y, rng: (x, -y), minibatch=((3,), 2))
 
 
 def same_bits(a, b):
@@ -371,11 +378,15 @@ def test_stacked_oracle_and_metrics_are_the_per_run_calls(kind, runs, n_clients,
     X = 3.0 * rng.standard_normal((runs * n_clients,) + dims_x)
     Y = 3.0 * rng.standard_normal((runs * n_clients,) + dims_y)
     batch = None
-    if problem.draws:  # row r draws as client r mod N, on a stream of its own
-        batch = [problem.draw(r % n_clients, np.random.default_rng([seed, r]), X[r], Y[r])
+    if problem.draws_per_client:  # row r draws as client r mod N, on a stream of its own
+        batch = [problem.stoch_grad(r % n_clients, X[r], Y[r], np.random.default_rng([seed, r]))
                  for r in range(len(X))]
         if partial:  # some rows ask for their deterministic gradient
             batch = [None if rng.random() < 0.5 else entry for entry in batch]
+    elif problem.minibatch is not None:  # row r's minibatch from client r mod N's shard
+        sizes, count = problem.minibatch
+        batch = np.stack([np.random.default_rng([seed, r]).integers(0, sizes[r % n_clients], size=count)
+                          for r in range(len(X))])
     GX, GY = problem.grad(X, Y, batch)
     for k in range(runs):
         rows = slice(k * n_clients, (k + 1) * n_clients)

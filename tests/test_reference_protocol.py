@@ -2,12 +2,15 @@
 
 ``reference`` runs one run alone, client by client and step by step: each
 client's stream ``derive_stream(seed, client, round, step)``, its own
-``stoch_grad`` and ``noise.sample`` for x then y, the local momentum and
-step rule on its own blocks, and a server average over ``.sum(axis=0)``.
-It shares nothing with the engine but the problem, the stream and the
-sampler.  ``run_stack`` must give every run of a stack the same iterates,
-drifts, server steps and final state.
+``stoch_grad`` (on the AUC problem, which draws the client's minibatch
+indices from that stream first) and ``noise.sample`` for x then y, the
+local momentum and step rule on its own blocks, and a server average over
+``.sum(axis=0)``.  It shares nothing with the engine but the problem, the
+stream and the sampler.  ``run_stack`` must give every run of a stack the
+same iterates, drifts, server steps and final state.
 """
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings
@@ -44,6 +47,17 @@ def matrix_saddle(N: int) -> fm.MinimaxProblem:
         smooth=fm.SmoothnessInfo(L_f=float(np.linalg.norm(B.mean(axis=0), 2)) + 1.0, mu=1.0),
         grad_x=grad_x, grad_y=grad_y, stoch_grad=lambda n, X, Y, rng: (grad_x(n, X, Y), grad_y(n, X, Y)),
         f_value=lambda X, Y: 0.0, y_star=lambda X: (B.mean(axis=0).T @ X.ravel()).reshape(2, 2))
+
+
+@functools.cache
+def auc_problem(N: int) -> fm.MinimaxProblem:
+    """A minibatch AUC problem on shards of 20, 27, 34 and 41 points, batch size 5."""
+    shards = [fm.gen_imbalanced_data(20 + 7 * n, [0.3], dim=3, separation=2.0, seed=n)[0] for n in range(N)]
+    return fm.make_auc_problem(shards, 3, batch_size=5)
+
+
+PROBLEMS = {"saddle": lambda N: fm.make_saddle_problem(N, 3, 2, hetero=0.5, seed=1), "matrix": matrix_saddle,
+            "auc": auc_problem}
 
 
 def step(algorithm: str, hp, z, m, eta: float):
@@ -105,13 +119,14 @@ def bits(*values) -> bytes:
     return b"".join(np.asarray(value, dtype=float).tobytes() for value in values)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=45, deadline=None)
 @given(runs=st.lists(st.tuples(st.sampled_from(fedopt.ALGORITHMS), st.sampled_from(NOISES),
                                st.integers(0, 2**64 - 1)), min_size=1, max_size=3),
-       N=st.integers(1, 4), p=st.integers(1, 3), T=st.integers(1, 6), matrix=st.booleans())
-def test_run_stack_follows_the_reference_protocol(runs, N, p, T, matrix):
-    """All four algorithms; Pareto, Gaussian, Student-t and silent noise; vector and matrix blocks."""
-    problem = matrix_saddle(N) if matrix else fm.make_saddle_problem(N, 3, 2, hetero=0.5, seed=1)
+       N=st.integers(1, 4), p=st.integers(1, 3), T=st.integers(1, 6), kind=st.sampled_from(sorted(PROBLEMS)))
+def test_run_stack_follows_the_reference_protocol(runs, N, p, T, kind):
+    """All four algorithms; Pareto, Gaussian, Student-t and silent noise; vector and matrix blocks, and AUC
+    minibatches on shards of unequal sizes."""
+    problem = PROBLEMS[kind](N)
     hp = fm.theorem1_schedule(N, p, T, problem.smooth)
     specs = [RunSpec(algorithm, hp, noise, seed) for algorithm, noise, seed in runs]
     for spec, trace in zip(specs, fedopt.run_stack(problem, specs)):

@@ -29,6 +29,7 @@ import fedminimax as fm
 from fedminimax import fedopt
 from fedminimax.fedopt import RunSpec, ServerState, client_round
 from fedminimax import noise
+from fedminimax._ziggurat import _outputs
 from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, round_states, sample,
                               state_dicts, stream_states, stream_variates)
 
@@ -136,11 +137,13 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
                          *(np.zeros((1,) + shape.dims) for shape in (sy, sx, sy, sx, sy)), round_idx)
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5,
                         beta_y=0.5, p=p, T=1, N=N)
-    streams = round_states([seed], N, p, round_idx, 1)
-    if not problem.draws:
-        streams = stream_variates(streams, [noise], sx.size, sy.size)
+    streams, picks = round_states([seed], N, p, round_idx, 1), None
+    if not problem.draws_per_client:
+        streams = stream_variates(streams, [noise], sx.size, sy.size, problem.minibatch)
+        if problem.minibatch is not None:
+            picks, streams = streams
     _, _, G_x, G_y, *_ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
-                                      problem, [RunSpec("nsgda-m", hp, noise, seed)], streams)
+                                      problem, [RunSpec("nsgda-m", hp, noise, seed)], streams, picks)
 
     assert len(calls) == p  # one batched call per local step
     assert G_x.shape == (N,) + sx.dims and G_y.shape == (N,) + sy.dims
@@ -186,26 +189,37 @@ def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, c
 
 @settings(max_examples=20, deadline=None)
 @given(seeds=st.lists(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1), min_size=1, max_size=3),
-       chunk=st.sampled_from([1, 5, 12, STREAM_CHUNK]), T=st.integers(1, 7))
-def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T):
-    """Every client_round of a stack gets, variate for variate, its runs' derive_stream draws."""
-    problem = fm.make_saddle_problem(2, 2, 2, hetero=0.5, seed=1)
+       chunk=st.sampled_from([1, 5, 12, STREAM_CHUNK]), T=st.integers(1, 7), minibatch=st.booleans())
+def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T, minibatch):
+    """Every client_round of a stack gets, variate for variate and index for index, its runs' derive_stream
+    draws, on the saddle and on an AUC problem whose minibatch shrinks the chunk."""
+    if minibatch:
+        shards = [fm.gen_imbalanced_data(20 + 9 * n, [0.3], dim=2, separation=2.0, seed=n)[0] for n in range(2)]
+        problem = fm.make_auc_problem(shards, 2, batch_size=3)
+    else:
+        problem = fm.make_saddle_problem(2, 2, 2, hetero=0.5, seed=1)
+    size_x, size_y = problem.shape_x.size, problem.shape_y.size
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5, beta_y=0.5,
                         p=2, T=T, N=2)
     seen = []
 
-    def recording(server, G_prev_x, G_prev_y, problem, specs, streams):
-        seen.append((server.round, [spec.seed for spec in specs], streams))
-        return client_round(server, G_prev_x, G_prev_y, problem, specs, streams)
+    def recording(server, G_prev_x, G_prev_y, problem, specs, streams, picks):
+        seen.append((server.round, [spec.seed for spec in specs], streams, picks))
+        return client_round(server, G_prev_x, G_prev_y, problem, specs, streams, picks)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fedopt, "STREAM_CHUNK", chunk)
         mp.setattr(fedopt, "client_round", recording)
         fedopt.run_stack(problem, [RunSpec("nsgda-m", hp, NOISES["gaussian"], seed) for seed in seeds])
-    assert [t for t, _, _ in seen] == list(range(T))
-    for t, stacked, variates in seen:
-        want = [stream_draws(NOISES["gaussian"], 2, 2, derive_stream(seed, n, t, i))
-                for i in range(2) for seed in stacked for n in range(2)]
+    assert [t for t, _, _, _ in seen] == list(range(T))
+    for t, stacked, variates, picks in seen:
+        streams = [derive_stream(seed, n, t, i) for i in range(2) for seed in stacked for n in range(2)]
+        if minibatch:
+            assert picks.tobytes() == np.stack([stream.integers(0, len(shards[k % 2]), size=3)
+                                                for k, stream in enumerate(streams)]).tobytes()
+        else:
+            assert picks is None
+        want = [stream_draws(NOISES["gaussian"], size_x, size_y, stream) for stream in streams]
         assert variates.tobytes() == np.stack(want).tobytes()
 
 
@@ -279,6 +293,86 @@ def test_stream_variates_leave_student_t_to_numpy_and_silent_rows_zero():
         assert got[k].tobytes() == want.tobytes()
 
 
+def assert_minibatch_streams_match(states, models, bounds, count, size_x, size_y, streams):
+    """Each stream's index row and variates from ``stream_variates`` are its own generator's minibatch
+    indices, then its raw variates (zero for a silent model), drawn on their own."""
+    picks, got = stream_variates(states, models, size_x, size_y, (bounds, count))
+    assert picks.shape == (len(states), count) and picks.dtype == np.int64
+    for k, stream in enumerate(streams):
+        model = models[k % len(models)]
+        assert picks[k].tobytes() == stream.integers(0, bounds[k % len(bounds)], size=count).tobytes(), f"stream {k}"
+        want = np.zeros(size_x + size_y + 2) if noise.is_silent(model) else stream_draws(model, size_x, size_y, stream)
+        assert got[k].tobytes() == want.tobytes(), f"stream {k}"
+
+
+BOUNDS = [2, 3, 577, 640, 2**31 + 7, 2**32 - 1]  # 2**31 + 7: about half of its words fall below the threshold
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=2), clients=st.integers(1, 3),
+       bounds=st.lists(st.sampled_from(BOUNDS + [1, 2**32, 2**33]), min_size=3, max_size=3),
+       count=st.sampled_from([1, 2, 63, 64, 65]), sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       noises=st.lists(st.sampled_from(SAMPLED + [NOISES["student-t"], NOISES["none"], None]), min_size=6,
+                       max_size=6))
+@example(seeds=[1, 2], clients=3, bounds=[640, 577, 3], count=65, sizes=(3, 2), noises=[
+    SAMPLED[1], SAMPLED[0], NOISES["student-t"], None, SAMPLED[2], NOISES["none"]])
+def test_stream_variates_draw_minibatch_indices_then_variates(seeds, clients, bounds, count, sizes, noises):
+    """Each stream's index row is its ``derive_stream`` generator's ``integers(0, m, size=b)`` and its
+    variates what that generator draws next, bit for bit: odd b drops a half, the pass hands Pareto and
+    Gaussian streams on to the ziggurats, Student-t streams to numpy after their indices, and every stream
+    with a word below its threshold, or an m that takes no 32-bit path (1, 2**33), whole to numpy."""
+    models, bounds = noises[:len(seeds) * clients], bounds[:clients]
+    states = round_states(seeds, clients, 1, 7, 2)
+    streams = [derive_stream(seed, n, 7 + r, 0) for r in range(2) for seed in seeds for n in range(clients)]
+    assert_minibatch_streams_match(states, models, bounds, count, *sizes, streams)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_a_word_below_lemires_threshold_leaves_the_pass(bound):
+    """Crafted streams whose first word lands just below and just at Lemire's threshold (2**32 - m) % m: numpy
+    draws another word after the first, so that stream leaves the pass and numpy draws it whole; it keeps
+    the second, which the pass reads as numpy does.  Both match numpy, whose generator starts at the state."""
+    threshold = (2**32 - bound) % bound
+    below, at = noise._lemire_words(bound)
+    words = [below, at] if threshold else [at]  # a power of two has threshold 0: no word falls below it
+    assert [(w * bound) % 2**32 < threshold for w in words] == [True, False][-len(words):]
+    assert (at * bound) % 2**32 == threshold
+    crafted = np.stack(noise._halves([noise._crafted_state((2**32 - 1) << 32 | w) for w in words])
+                       + noise._halves([1] * len(words)), axis=1)
+    models = [NOISES["gaussian"]]
+    _, _, left = noise._indices(crafted, np.full(len(words), bound, dtype=np.uint64), 3)
+    assert left.tolist() == [True, False][-len(words):]
+    streams = []
+    for state in state_dicts(crafted):
+        stream = np.random.Generator(np.random.PCG64(0))
+        stream.bit_generator.state = state
+        streams.append(stream)
+    assert_minibatch_streams_match(crafted, models, [bound], 3, 2, 2, streams)
+
+
+@pytest.mark.parametrize("mistake", ["high half first", "threshold inclusive"])
+def test_the_first_use_check_rejects_a_wrong_minibatch_reading(mistake, monkeypatch, fresh_check):
+    """The check's crafted words at Lemire's thresholds catch an index pass that reads a word's halves in
+    the wrong order, or that rejects a word at its threshold, which numpy keeps."""
+    right = noise._indices
+
+    def wrong(states, bounds, count):
+        picks, after, left = right(states, bounds, count)
+        if mistake == "high half first":
+            pairs = picks[:, :count - count % 2].reshape(len(states), -1, 2)
+            picks[:, :count - count % 2] = pairs[:, :, ::-1].reshape(len(states), -1)
+        else:
+            s_hi, s_lo, i_hi, i_lo = states.T
+            r = _outputs(s_hi, s_lo, i_hi, i_lo, 1)[0][0]
+            left |= ((r & 0xFFFFFFFF) * bounds.astype(np.uint64) & 0xFFFFFFFF) == (2**32 - bounds) % bounds
+        return picks, after, left
+
+    assert fresh_check()
+    monkeypatch.setattr(noise, "_indices", wrong)
+    fresh_check.cache_clear()
+    assert not fresh_check()
+
+
 @pytest.mark.parametrize("step, rejected", [(86, 3), (48, 4)], ids=["normal", "exponential"])
 def test_the_pass_draws_a_stream_on_past_its_first_rejected_draw(step, rejected):
     """Stream (7, 0, 0, step) under Pareto noise on 4 + 4 entries: the first output that numpy's ziggurat
@@ -322,25 +416,28 @@ CountingPCG64.__name__ = "PCG64"
 
 
 def test_client_round_resets_numpy_only_for_problems_that_draw(monkeypatch):
-    """On a problem that draws nothing, ``stream_variates`` draws every Pareto and Gaussian stream whole in
-    its pass and resets numpy's generator for none of them, on a stack at d=10 and at d=200, and
-    ``client_round`` never resets it; on the AUC problem a round resets it once per stream."""
+    """On a problem given by ``grad``, ``stream_variates`` draws every Pareto and Gaussian stream whole in
+    its pass, minibatch indices first on the AUC problem, and ``client_round`` never resets numpy's
+    generator: not on a saddle stack at d=10 and at d=200, whose pass resets it for none of its streams,
+    and not on the AUC problem, whose pass resets it for its Student-t streams only.  On a problem given
+    by per-client callables, whose ``stoch_grad`` draws on the stream, a round resets it once per stream."""
     problem = fm.make_saddle_problem(8, 10, 10, hetero=0.5, seed=3)
     hp = fm.theorem1_schedule(8, 4, 6, problem.smooth)
     specs = [RunSpec("nsgda-m", hp, model, seed) for seed, model in enumerate(SAMPLED * 2)]
     assert noise._sampler_agrees()  # the first-use check resets its own generator, before any count
     sets, left, round_sets = [], [], []
 
-    def counting_variates(states, models, size_x, size_y):
+    def counting_variates(states, models, size_x, size_y, minibatch=None):
         CountingPCG64.sets = 0
-        out = stream_variates(states, models, size_x, size_y)
+        out = stream_variates(states, models, size_x, size_y, minibatch)
         sets.append(CountingPCG64.sets)
-        left.append(int(np.count_nonzero(sampled(states, models, size_x, size_y)[1] < size_x + size_y + 2)))
+        if minibatch is None:
+            left.append(int(np.count_nonzero(sampled(states, models, size_x, size_y)[1] < size_x + size_y + 2)))
         return out
 
-    def counting_round(server, G_prev_x, G_prev_y, problem, specs, streams):
+    def counting_round(server, G_prev_x, G_prev_y, problem, specs, streams, picks):
         CountingPCG64.sets = 0
-        out = client_round(server, G_prev_x, G_prev_y, problem, specs, streams)
+        out = client_round(server, G_prev_x, G_prev_y, problem, specs, streams, picks)
         round_sets.append((len(specs), CountingPCG64.sets))
         return out
 
@@ -358,7 +455,13 @@ def test_client_round_resets_numpy_only_for_problems_that_draw(monkeypatch):
     hp = fm.theorem1_schedule(3, 2, 4, auc.smooth)
     fedopt.run_stack(auc, [RunSpec("nsgda-m", hp, model, seed)
                            for seed, model in enumerate([None, NOISES["student-t"], SAMPLED[1]])])
-    assert round_sets == [(3, 2 * 3 * 3)] * 4  # p * S * N
+    assert round_sets == [(3, 0)] * 4
+    assert sets[4:] == [2 * 3 * 4]  # one chunk: the Student-t run's p * N streams of each of its 4 rounds
+    per_client = matrix_problem()
+    round_sets.clear()
+    hp = fm.theorem1_schedule(3, 2, 3, per_client.smooth)
+    fedopt.run_stack(per_client, [RunSpec("nsgda-m", hp, model, seed) for seed, model in enumerate(SAMPLED[:2])])
+    assert round_sets == [(2, 2 * 2 * 3)] * 3  # p * S * N
     monkeypatch.setattr(noise, "_sampler_agrees", lambda: False)  # every stream on numpy's generator
     for spec, trace in zip(specs, traces):
         solo = fm.run(spec.algorithm, problem, spec.hp, spec.noise, spec.seed)

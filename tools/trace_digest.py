@@ -23,7 +23,9 @@ the four algorithms on the CLI-default AUC problem (T=25), on it with
 per-client ratios 0.05-0.4 with and without the pooled ratio, and on an
 unequal-shard full-shard AUC problem built with ``make_auc_problem``; muon-da,
 nsgda-m and sgda-clip on the 32x16 / 16x16 matrix saddle under both
-``ns_mode`` values (T=12); two mixed stacks of nsgda-m and muon-da runs
+``ns_mode`` values (T=12); muon-da on an 8x16 / 32x16 matrix saddle, whose
+blocks have unequal Gram sides, under both ``ns_mode`` values on one line
+(T=12); two mixed stacks of nsgda-m and muon-da runs
 under no noise model, family "none", Pareto and Student-t noise, one on
 the d=10 saddle (T=40) and one on the CLI-default AUC problem (T=25),
 each line digesting every trace of its ``run_stack``; nsgda-m and
@@ -183,6 +185,11 @@ def lines(tmp: Path):
         hp = fm.theorem2_schedule(8, 4, 12, problem.smooth, ns_mode=ns_mode)
         for algorithm in ("muon-da", "nsgda-m", "sgda-clip"):
             yield digest_run(f"matrix {ns_mode} {algorithm}", algorithm, problem, hp, noise, 1, tmp)
+    # blocks of unequal Gram sides: a wide 8x16 primal (side 8) and a 32x16 dual (side 16)
+    problem = make_matrix_saddle(8, 8, 16, 32)
+    yield "matrix 8x16/32x16 muon-da " + " ".join(
+        digest_run(ns_mode, "muon-da", problem, fm.theorem2_schedule(8, 4, 12, problem.smooth, ns_mode=ns_mode),
+                   noise, 1, tmp) for ns_mode in ("iterative", "exact-svd"))
     yield digest_stack("stack saddle-d10 mixed", {"N": 8, "p": 4, "T": 40, "problem": {
         "kind": "saddle", "hetero": 0.5, **SADDLES["d10"]}}, tmp)
     yield digest_stack("stack auc mixed", {"problem": "auc", "T": 25}, tmp)

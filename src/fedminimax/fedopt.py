@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ALGORITHMS, POSITIVE, UNIT_INTERVAL, HyperParams, NoiseModel, hyperparam_errors, require
-from .linalg import newton_schulz_polar, svd_polar
+from .linalg import newton_schulz_polar, newton_schulz_polars, svd_polar
 from .metrics import FINITE_FIELDS, first_non_finite, holds, record_checks, round_caps
 from .noise import (STREAM_CHUNK, draw_rest, is_silent, radius_sampler, radius_scale, round_states, scale_rows,
                     seed_errors, state_dicts, stream_variates, variate_rows)
@@ -283,17 +283,37 @@ def muon_step(Z, M, eta: float, direction: str, ns_mode: str = "iterative"):
     :func:`normalized_step` under either ``ns_mode``.  A client whose
     momentum is not finite moves to nan without reaching the kernels.
     """
+    return _muon_steps([(Z, M, eta, direction)], ns_mode)[0]
+
+
+def _muon_steps(blocks: list, ns_mode: str) -> list:
+    """:func:`muon_step` on each (Z, M, eta, direction) block, bit for bit.
+
+    Under "iterative" the matrix blocks' polar factors come from one
+    Newton-Schulz call, which shares its Horner stage between them.
+    """
     errors = hyperparam_errors(ns_mode=ns_mode)
     if errors:
         raise ValueError("; ".join(errors))
-    if np.ndim(M) == 2 or 1 in np.shape(M)[1:]:
-        return normalized_step(Z, M, eta, direction)
-    step = _signed(eta, direction)
-    _, low = _momentum_norms(M)
-    bad = ~np.isfinite(M).all(axis=(1, 2), keepdims=True)
-    safe = np.where(low | bad, 1.0, M)  # the polar kernels reject a zero or non-finite matrix
-    O = svd_polar(safe) if ns_mode == "exact-svd" else newton_schulz_polar(safe)
-    return np.where(low, Z, Z + step * np.where(bad, np.nan, O))
+    out, masks, safe = [], [], []
+    for Z, M, eta, direction in blocks:
+        if np.ndim(M) == 2 or 1 in np.shape(M)[1:]:
+            out.append(normalized_step(Z, M, eta, direction))
+            continue
+        step = _signed(eta, direction)
+        _, low = _momentum_norms(M)
+        bad = ~np.isfinite(M).all(axis=(1, 2), keepdims=True)
+        safe.append(np.where(low | bad, 1.0, M))  # the polar kernels reject a zero or non-finite matrix
+        masks.append((len(out), step, low, bad))
+        out.append(Z)
+    if ns_mode == "iterative" and len(safe) > 1:
+        factors = newton_schulz_polars(safe)
+    else:  # block by block: a lone matrix block through the public kernel, which bench/tracing.py times
+        polar = svd_polar if ns_mode == "exact-svd" else newton_schulz_polar
+        factors = [polar(M) for M in safe]
+    for (j, step, low, bad), O in zip(masks, factors):
+        out[j] = np.where(low, out[j], out[j] + step * np.where(bad, np.nan, O))
+    return out
 
 
 def clip_step(Z, M, eta: float, tau: float, direction: str):
@@ -367,8 +387,9 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     gradients of all S*N rows, and the noise is scaled and added for all
     noisy rows at once.
     Momentum and step rule act once per range of consecutive runs that
-    share (algorithm, hp), the drifts once for the stack; every row keeps
-    the bits of its run alone.
+    share (algorithm, hp), the drifts once for the stack; muon-da's two
+    matrix blocks take their polar factors from one Newton-Schulz call.
+    Every row keeps the bits of its run alone.
     """
     S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
     SN, size_x = S * N, problem.shape_x.size
@@ -425,8 +446,10 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
             if i == 0:
                 cen_x[a:b] = _applied_centering(MX, GX[r], U[r], hp.beta_x, N)
                 cen_y[a:b] = _applied_centering(MY, GY[r], V[r], hp.beta_y, N)
-            steps_x.append(_step(algorithm, hp, X[r], MX, hp.eta_x, "descend"))
-            steps_y.append(_step(algorithm, hp, Y[r], MY, hp.eta_y, "ascend"))
+            blocks = [(X[r], MX, hp.eta_x, "descend"), (Y[r], MY, hp.eta_y, "ascend")]
+            new_x, new_y = _steps(algorithm, hp, blocks)
+            steps_x.append(new_x)
+            steps_y.append(new_y)
         X, Y = _joined(steps_x), _joined(steps_y)
         dx, dy = _client_norms(X - X0), _client_norms(Y - Y0)
         # running max with max()'s rule over the steps: an earlier nan stays
@@ -435,12 +458,13 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     return X, Y, sum_gx / p, sum_gy / p, max_dx, max_dy, cen_x, cen_y
 
 
-def _step(algorithm: str, hp: HyperParams, Z, M, eta: float, direction: str):
-    if algorithm == "nsgda-m":
-        return normalized_step(Z, M, eta, direction)
+def _steps(algorithm: str, hp: HyperParams, blocks: list) -> list:
+    """The step rule on each (Z, M, eta, direction) block of one local step."""
     if algorithm == "muon-da":
-        return muon_step(Z, M, eta, direction, hp.ns_mode)
-    return clip_step(Z, M, eta, hp.tau, direction)
+        return _muon_steps(blocks, hp.ns_mode)
+    if algorithm == "nsgda-m":
+        return [normalized_step(*block) for block in blocks]
+    return [clip_step(Z, M, eta, hp.tau, direction) for Z, M, eta, direction in blocks]
 
 
 def server_round(server: ServerState, X, Y, G_x, G_y, hps: list) -> ServerState:

@@ -26,6 +26,18 @@ singular values.  Two routes are provided:
   grows them by 1.5x per sweep and cannot reach 1e-6 in 10 sweeps at
   condition number 100.
 
+  :func:`newton_schulz_polars` takes a list of matrices or (N, m, n)
+  stacks and runs their sweeps in one loop; :func:`newton_schulz_polar`
+  is its one-stack call.  The stacks whose Gram side n (the smaller side)
+  is the same share one Horner stage: each sweep writes one Gram product
+  ``X^T X`` per stack into that stack's slice of one (K, n, n) buffer B,
+  K being their matrix count, then forms ``I - B`` and all three Horner
+  products for the K matrices at once, and ends with one ``X @ P`` per
+  stack.  A stacked product is one gemm per matrix, so every matrix keeps
+  the bits it has alone.  The identity and the four ``c_k I`` terms are
+  built per call as contiguous (K, n, n) arrays, so the elementwise steps
+  read no broadcast operand.
+
   The sweeps run in buffers allocated once per call: each product is
   written with ``np.matmul(..., out=)`` and each ``c_k I`` of the Horner
   scheme is added in place.  The first Horner step is ``c_4 B + c_3 I``,
@@ -33,7 +45,9 @@ singular values.  Two routes are provided:
   ``c_4 B`` exactly.  Every buffer is in C order and the Gram product
   reads ``X.mT`` as a view: an F-order target (which ``np.empty_like``
   of a transposed wide input would give) or a C-order copy of ``X.mT``
-  changes the last bits against fresh products.
+  changes the last bits against fresh products.  The pre-scale takes
+  ``|M|`` once: the power-of-two rescale of ``|M|`` is ``|M|`` of the
+  rescaled M, since ldexp rounds either sign alike.
 """
 
 from __future__ import annotations
@@ -77,6 +91,78 @@ def svd_polar(M) -> np.ndarray:
     return (U * keep[..., None, :]) @ Vt
 
 
+def _prescaled(M) -> tuple:
+    """(X, wide): M's matrices pre-scaled for the sweeps, a wide one transposed to a tall view."""
+    A = _as_matrix(M)
+    mag = np.abs(A, out=np.empty(A.shape))  # C order, as the sums below take it
+    peak = mag.max(axis=(-2, -1), keepdims=True)
+    if not np.all(peak > 0.0):
+        raise DegenerateMatrixError("cannot orthonormalize the zero matrix")
+    # exact power-of-two rescale to a largest entry in [0.5, 1): the norms below
+    # neither underflow nor overflow, and a normal-range input keeps its bits
+    shift = -np.frexp(peak)[1]
+    A = np.ldexp(A, shift, out=np.empty(A.shape))
+    np.ldexp(mag, shift, out=mag)  # |A| of the scaled A: ldexp rounds either sign alike
+    # sum each matrix in memory order, as np.linalg.norm does, before a wide one is transposed
+    flat = A.reshape(A.shape[:-2] + (-1,))
+    fro = np.sqrt(np.vecdot(flat, flat))[..., None, None]
+    wide = A.shape[-2] < A.shape[-1]
+    if wide:
+        A, mag = A.mT, mag.mT
+    col_sums = mag.sum(axis=-2, keepdims=True).max(axis=-1, keepdims=True)
+    row_sums = mag.sum(axis=-1, keepdims=True).max(axis=-2, keepdims=True)
+    return A / np.minimum(fro, np.sqrt(col_sums * row_sums)), wide
+
+
+def _sweeps(Xs: list, iters: int) -> list:
+    """``iters`` sweeps on pre-scaled tall stacks of one Gram side n; their Horner stage runs as one stack."""
+    n = Xs[0].shape[-1]
+    parts, K = [], 0  # each stack's C-order slice of the shared (K, n, n) buffers: a matrix for a 2-D stack
+    for X in Xs:
+        parts.append(slice(K, K + len(X)) if X.ndim == 3 else K)
+        K += len(X) if X.ndim == 3 else 1
+    gram = (K, n, n)
+    eye = np.broadcast_to(np.eye(n), gram).copy()  # contiguous operands take numpy's fastest loops
+    c_top, *c_rest = _INV_SQRT_COEFFS[::-1]
+    c_eyes = [c * eye for c in c_rest]
+    # C-order buffers and a view of X.mT keep the bits of fresh products (module docstring)
+    B, P, Q = np.empty(gram), np.empty(gram), np.empty(gram)
+    bufs = [(np.empty(X.shape), np.empty(X.shape)) for X in Xs]
+    for k in range(iters):
+        for X, part in zip(Xs, parts):
+            np.matmul(X.mT, X, out=B[part])
+        np.subtract(eye, B, out=B)
+        # B @ (c_top I) has one nonzero term per entry, so it equals c_top * B exactly
+        np.multiply(B, c_top, out=P)
+        P += c_eyes[0]
+        for c_eye in c_eyes[1:]:
+            np.matmul(B, P, out=Q)
+            Q += c_eye
+            P, Q = Q, P
+        Xs = [np.matmul(X, P[part], out=buf[k % 2]) for X, part, buf in zip(Xs, parts, bufs)]
+    return Xs
+
+
+def newton_schulz_polars(stacks, iters: int = 10) -> list:
+    """:func:`newton_schulz_polar` of each matrix or (N, m, n) stack in a list, in one sweep loop.
+
+    Each result is, bit for bit, that of its stack alone.  Stacks whose
+    Gram side (the smaller side) is the same share the Horner stage of
+    every sweep (module docstring).
+    """
+    if int(iters) != iters or iters < 1:
+        raise ValueError(f"iters must be a positive integer, got {iters}")
+    prepared = [_prescaled(M) for M in stacks]
+    sides = {}
+    for j, (X, _) in enumerate(prepared):
+        sides.setdefault(X.shape[-1], []).append(j)
+    out = [None] * len(prepared)
+    for members in sides.values():
+        for j, X in zip(members, _sweeps([prepared[j][0] for j in members], int(iters))):
+            out[j] = X.mT if prepared[j][1] else X
+    return out
+
+
 def newton_schulz_polar(M, iters: int = 10) -> np.ndarray:
     """Iterative polar factor: ``iters`` polynomial sweeps after norm pre-scaling.
 
@@ -86,44 +172,10 @@ def newton_schulz_polar(M, iters: int = 10) -> np.ndarray:
     never exceeds 1 + 1e-8.  Wide matrices are handled by transposing,
     iterating, and transposing back (polar(M.T) = polar(M).T).  An
     (N, m, n) stack gives, bit for bit, the N results of the matrices
-    taken one at a time.
+    taken one at a time.  This is the one-stack call of
+    :func:`newton_schulz_polars`.
     """
-    if int(iters) != iters or iters < 1:
-        raise ValueError(f"iters must be a positive integer, got {iters}")
-    A = _as_matrix(M)
-    peak = np.abs(A).max(axis=(-2, -1), keepdims=True)
-    if not np.all(peak > 0.0):
-        raise DegenerateMatrixError("cannot orthonormalize the zero matrix")
-    # exact power-of-two rescale to a largest entry in [0.5, 1): the norms below
-    # neither underflow nor overflow, and a normal-range input keeps its bits
-    A = np.ascontiguousarray(np.ldexp(A, -np.frexp(peak)[1]))
-    # sum each matrix in memory order, as np.linalg.norm does, before a wide one is transposed
-    flat = A.reshape(A.shape[:-2] + (-1,))
-    fro = np.sqrt(np.vecdot(flat, flat))[..., None, None]
-    wide = A.shape[-2] < A.shape[-1]
-    A = A.mT if wide else A
-    col_sums = np.abs(A).sum(axis=-2, keepdims=True).max(axis=-1, keepdims=True)
-    row_sums = np.abs(A).sum(axis=-1, keepdims=True).max(axis=-2, keepdims=True)
-    X = A / np.minimum(fro, np.sqrt(col_sums * row_sums))
-    eye = np.eye(A.shape[-1])
-    c_top, *c_rest = _INV_SQRT_COEFFS[::-1]
-    c_eyes = [c * eye for c in c_rest]
-    # C-order buffers and a view of X.mT keep the bits of fresh products (module docstring)
-    gram = X.shape[:-2] + eye.shape
-    B, P, Q = np.empty(gram), np.empty(gram), np.empty(gram)
-    bufs = np.empty(X.shape), np.empty(X.shape)
-    for k in range(int(iters)):
-        np.matmul(X.mT, X, out=B)
-        np.subtract(eye, B, out=B)
-        # B @ (c_top I) has one nonzero term per entry, so it equals c_top * B exactly
-        np.multiply(B, c_top, out=P)
-        P += c_eyes[0]
-        for c_eye in c_eyes[1:]:
-            np.matmul(B, P, out=Q)
-            Q += c_eye
-            P, Q = Q, P
-        X = np.matmul(X, P, out=bufs[k % 2])
-    return X.mT if wide else X
+    return newton_schulz_polars([M], iters)[0]
 
 
 def orthonormality_defect(O, r: int) -> float:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fedminimax.linalg import (
     DegenerateMatrixError,
     newton_schulz_polar,
+    newton_schulz_polars,
     orthonormality_defect,
     svd_polar,
 )
@@ -183,10 +184,10 @@ def reference_newton_schulz_polar(M, iters):
 
 
 @st.composite
-def polar_input(draw):
-    """Tall, square or wide, 2-D or an (N, m, n) stack, the smaller side up to 40, scaled by 2^k."""
+def polar_input(draw, side=None):
+    """Tall, square or wide, 2-D or an (N, m, n) stack, the smaller side ``side`` or up to 40, scaled by 2^k."""
     kind = draw(st.sampled_from(["tall", "square", "wide"]))
-    a = draw(st.integers(1, 40))
+    a = draw(st.integers(1, 40)) if side is None else side
     b = draw(st.integers(a, 48))
     dims = {"tall": (b, a), "square": (a, a), "wide": (a, b)}[kind]
     lead = draw(st.sampled_from([(), (1,), (3,)]))
@@ -202,3 +203,20 @@ def test_newton_schulz_equals_unbuffered_kernel(M, iters):
     out = newton_schulz_polar(M, iters)
     want = reference_newton_schulz_polar(M, iters)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
+@st.composite
+def polar_stacks(draw):
+    """1-3 stacks drawn by ``polar_input``, sharing one Gram side or each drawing its own."""
+    side = draw(st.none() | st.integers(1, 40))
+    return draw(st.lists(polar_input(side), min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks=polar_stacks(), iters=st.integers(1, 12))
+def test_newton_schulz_polars_equal_each_stack_alone(stacks, iters):
+    out = newton_schulz_polars(stacks, iters)
+    assert len(out) == len(stacks)
+    for O, M in zip(out, stacks):
+        want = reference_newton_schulz_polar(M, iters)
+        assert O.shape == want.shape and O.tobytes() == want.tobytes()

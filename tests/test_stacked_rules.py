@@ -5,7 +5,9 @@ Every step rule takes an (N,) + block stack, (N, d) for a vector block and
 one on the whole stack must equal running it on each one-client slice
 alone, for vector, column, tall, square and wide blocks, including
 clients whose momentum is exactly zero or holds an inf or nan entry.  A step rule on an (N, d) stack
-must also equal, bit for bit, the same rule on its (N, d, 1) columns.
+must also equal, bit for bit, the same rule on its (N, d, 1) columns, and
+the engine's muon-da step on both blocks at once must equal one
+``muon_step`` per block.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedminimax.fedopt import (
+    _muon_steps,
     clip_step,
     local_momentum,
     muon_step,
@@ -46,9 +49,9 @@ RANK_ONE_DIMS = st.integers(1, 9).flatmap(lambda d: st.sampled_from([(d, 1), (1,
 
 
 @st.composite
-def client_stack(draw, zero_rows=True, dims=block_dims(), non_finite_rows=True):
+def client_stack(draw, zero_rows=True, dims=block_dims(), non_finite_rows=True, clients=st.integers(1, 5)):
     """(N,) + block stack with entries spanning several magnitudes; some rows may be all zero, one non-finite."""
-    n_clients = draw(st.integers(1, 5))
+    n_clients = draw(clients)
     dims = draw(dims)
     S = draw(arrays(float, (n_clients,) + dims, elements=ENTRY))
     S *= 10.0 ** draw(arrays(float, (n_clients,) + (1,) * len(dims), elements=st.floats(-3.0, 3.0)))
@@ -112,6 +115,26 @@ def test_muon_step_on_rank_one_blocks_is_normalized_step(ns_mode, M, data):
         assert out.tobytes() == normalized_step(Z, M, 0.1, direction).tobytes()
     zero = zero_clients(M)
     assert same(out[zero], Z[zero])  # a zero-momentum client stays in place
+
+
+# tall, square and wide blocks with at least two rows and two columns: they take a genuine polar factor
+MATRIX_DIMS = st.integers(2, 6).flatmap(
+    lambda a: st.integers(a, 7).flatmap(lambda b: st.sampled_from([(b, a), (a, a), (a, b)])))
+
+
+@pytest.mark.parametrize("ns_mode", ["iterative", "exact-svd"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_paired_muon_step_equals_one_block_steps(ns_mode, data):
+    """The engine's muon-da step on the x and y blocks at once equals one ``muon_step`` per block."""
+    clients = st.just(data.draw(st.integers(1, 5)))
+    blocks = []
+    for eta, direction in ((0.1, "descend"), (0.3, "ascend")):
+        M = data.draw(client_stack(dims=MATRIX_DIMS | block_dims(), clients=clients))
+        Z = data.draw(arrays(float, M.shape, elements=ENTRY))
+        blocks.append((Z, M, eta, direction))
+    for out, block in zip(_muon_steps(blocks, ns_mode), blocks):
+        assert out.tobytes() == muon_step(*block, ns_mode=ns_mode).tobytes()
 
 
 @pytest.mark.parametrize("rule", sorted(STEP_RULES))

@@ -27,7 +27,10 @@ Four local update rules share this skeleton:
 The local momentum of the three bounded rules mixes each fresh
 stochastic gradient with the *previous round's global* momentum (held
 constant across the round's local steps); it is not recursive over local
-steps.
+steps.  So ``client_round`` forms that term, (1 - beta) u, and each
+rule's signed step once per round, and scales the noise of all p local
+steps in one pass before the first (per step on a problem given by
+per-client callables, whose variates are drawn inside each step).
 
 Clients are independent given the round-start server state, and runs
 are independent of each other, so both run stacked: ``run_stack`` takes
@@ -257,7 +260,12 @@ def local_momentum(G, g_global_prev, G_local_prev, u_global_prev, beta: float):
             and all(np.shape(a) in (shape, shape[1:]) for a in (g_global_prev, u_global_prev))):
         raise ValueError("momentum inputs must be (N,) + block stacks over one block")
     require(UNIT_INTERVAL, "beta", beta)
-    return beta * (G + g_global_prev - G_local_prev) + (1.0 - beta) * u_global_prev
+    return _momentum(G, g_global_prev, G_local_prev, (1.0 - beta) * u_global_prev, beta)
+
+
+def _momentum(G, g, G_prev, kept, beta: float):
+    """:func:`local_momentum` unchecked, given its global momentum term ``kept = (1 - beta) * u``."""
+    return beta * (G + g - G_prev) + kept
 
 
 def _signed(eta: float, direction: str) -> float:
@@ -267,10 +275,19 @@ def _signed(eta: float, direction: str) -> float:
     return -eta if direction == "descend" else eta
 
 
+# Each public step rule checks its arguments and calls a private one, unchecked, that takes the signed
+# step (-eta to descend, eta to ascend); the engine calls the private ones on HyperParams, checked when made.
+
+
 def normalized_step(Z, M, eta: float, direction: str):
     """Fixed-length step: Z -+ eta * M / ||M|| per client; a client with zero momentum stays put."""
-    step = _signed(eta, direction)
+    return _normalized(Z, M, _signed(eta, direction))
+
+
+def _normalized(Z, M, step: float):
     nrm, low = _momentum_norms(M)
+    if not low.any():  # no client stays put: the values both np.where calls would pick
+        return Z + step / nrm * M
     return np.where(low, Z, Z + step / np.where(low, 1.0, nrm) * M)
 
 
@@ -283,24 +300,23 @@ def muon_step(Z, M, eta: float, direction: str, ns_mode: str = "iterative"):
     :func:`normalized_step` under either ``ns_mode``.  A client whose
     momentum is not finite moves to nan without reaching the kernels.
     """
-    return _muon_steps([(Z, M, eta, direction)], ns_mode)[0]
+    errors = hyperparam_errors(ns_mode=ns_mode)
+    if errors:
+        raise ValueError("; ".join(errors))
+    return _muon_steps([(Z, M, _signed(eta, direction))], ns_mode)[0]
 
 
 def _muon_steps(blocks: list, ns_mode: str) -> list:
-    """:func:`muon_step` on each (Z, M, eta, direction) block, bit for bit.
+    """:func:`muon_step` on each (Z, M, step) block, bit for bit.
 
     Under "iterative" the matrix blocks' polar factors come from one
     Newton-Schulz call, which shares its Horner stage between them.
     """
-    errors = hyperparam_errors(ns_mode=ns_mode)
-    if errors:
-        raise ValueError("; ".join(errors))
     out, masks, safe = [], [], []
-    for Z, M, eta, direction in blocks:
+    for Z, M, step in blocks:
         if np.ndim(M) == 2 or 1 in np.shape(M)[1:]:
-            out.append(normalized_step(Z, M, eta, direction))
+            out.append(_normalized(Z, M, step))
             continue
-        step = _signed(eta, direction)
         _, low = _momentum_norms(M)
         bad = ~np.isfinite(M).all(axis=(1, 2), keepdims=True)
         safe.append(np.where(low | bad, 1.0, M))  # the polar kernels reject a zero or non-finite matrix
@@ -319,7 +335,10 @@ def _muon_steps(blocks: list, ns_mode: str) -> list:
 def clip_step(Z, M, eta: float, tau: float, direction: str):
     """Clipped step: Z -+ eta * min(1, tau/||M||) * M per client.  Zero momentum moves nothing."""
     require(POSITIVE, "tau", tau)
-    step = _signed(eta, direction)
+    return _clipped(Z, M, _signed(eta, direction), tau)
+
+
+def _clipped(Z, M, step: float, tau: float):
     scale = tau / np.maximum(_client_norms(M), tau)  # exactly 1.0 up to ||M|| = tau
     return Z + _per_client(step * scale, M) * M
 
@@ -352,9 +371,9 @@ def _by_run(A, N: int) -> np.ndarray:
     return A.reshape((-1, N) + A.shape[1:])
 
 
-def _applied_centering(M, G, U, beta: float, N: int) -> np.ndarray:
-    """Per run ||mean_n((M_n - (1 - beta) U_n) / beta - G_n)||: the mean correction its momentum applied."""
-    return _client_norms(_by_run((M - (1.0 - beta) * U) / beta - G, N).sum(axis=1) / N)
+def _applied_centering(M, G, kept, beta: float, N: int) -> np.ndarray:
+    """Per run ||mean_n((M_n - kept_n) / beta - G_n)||, kept = (1 - beta) U: the mean correction M applied."""
+    return _client_norms(_by_run((M - kept) / beta - G, N).sum(axis=1) / N)
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -384,8 +403,11 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     the raw ``noise`` variates of x and y.  Per-client callables get a
     reused generator reset to each stream in turn; otherwise both are
     sliced from ``picks`` and ``streams``.  One ``grad`` call gives the
-    gradients of all S*N rows, and the noise is scaled and added for all
-    noisy rows at once.
+    gradients of all S*N rows, and the noise is added for all noisy rows
+    at once.  The noise of all p steps is scaled by one ``scale_rows``
+    call before the first step (per step on a problem given by per-client
+    callables, whose variates are drawn inside the step); each bounded
+    rule's (1 - beta) u and signed steps are formed once per round.
     Momentum and step rule act once per range of consecutive runs that
     share (algorithm, hp), the drifts once for the stack; muon-da's two
     matrix blocks take their polar factors from one Newton-Schulz call.
@@ -395,15 +417,17 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     SN, size_x = S * N, problem.shape_x.size
     has_noise = [not is_silent(spec.noise) for spec in specs]
     rows = np.flatnonzero(np.repeat(has_noise, N))  # only these rows' noise is drawn
-    noisy = rows if rows.size < SN else slice(None)
+    R = rows.size
+    noisy = rows if R < SN else slice(None)
     scale = np.repeat([radius_scale(spec.noise) for spec, on in zip(specs, has_noise) if on], N)
-    variates = streams
     if problem.draws_per_client:
         rng = np.random.Generator(np.random.PCG64(0))  # reset to each stream in turn
         bits = rng.bit_generator
         radius = [radius_sampler(spec.noise, rng) if on else None for spec, on in zip(specs, has_noise)]
         variates = variate_rows(p * SN, size_x, problem.shape_y.size)
-    groups = _groups(specs)
+    elif R:  # every step's variates are drawn: scale the round's noisy rows at once, step i's R rows at i*R
+        drawn = streams if R == SN else streams[(np.arange(p)[:, None] * SN + rows).ravel()]
+        noise_x, noise_y = scale_rows(drawn, size_x, np.tile(scale, p))
 
     def per_client(blocks):  # each run's block on each of its rows
         return np.repeat(blocks, N, axis=0)
@@ -411,6 +435,12 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     X0, Y0 = per_client(server.x), per_client(server.y)
     U, V = per_client(server.u), per_client(server.v)  # local-sgda-m recurses
     g_x, g_y = per_client(server.g_x), per_client(server.g_y)
+    groups = []  # its runs, its rows and, for a bounded rule, the signed steps and (1 - beta) u, fixed for the round
+    for a, b, algorithm, hp in _groups(specs):
+        r = slice(a * N, b * N)
+        fixed = None if algorithm == "local-sgda-m" else (_signed(hp.eta_x, "descend"), _signed(hp.eta_y, "ascend"),
+                                                          (1.0 - hp.beta_x) * U[r], (1.0 - hp.beta_y) * V[r])
+        groups.append((a, b, r, algorithm, hp, fixed))
     X, Y = X0, Y0
     sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
     cen_x, cen_y = np.zeros(S), np.zeros(S)
@@ -425,29 +455,31 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
                 if has_noise[row // N]:
                     draw_rest(rng, radius[row // N], step_rows[row], 0, size_x)
         GX, GY = problem.grad(X, Y, batch)
-        if rows.size:
-            inc_x, inc_y = scale_rows(variates[step][noisy], size_x, scale)
+        if R:
+            if problem.draws_per_client:
+                inc_x, inc_y = scale_rows(step_rows[noisy], size_x, scale)
+            else:
+                inc_x, inc_y = noise_x[i * R:i * R + R], noise_y[i * R:i * R + R]
             GX, GY = GX.copy(), GY.copy()  # the oracle's arrays are not the engine's to write
             GX[noisy] += inc_x.reshape((-1,) + GX.shape[1:])
             GY[noisy] += inc_y.reshape((-1,) + GY.shape[1:])
         sum_gx += GX
         sum_gy += GY
         steps_x, steps_y = [], []
-        for a, b, algorithm, hp in groups:
-            r = slice(a * N, b * N)
+        for a, b, r, algorithm, hp, fixed in groups:
             if algorithm == "local-sgda-m":
                 U[r] = hp.beta_x * GX[r] + (1.0 - hp.beta_x) * U[r]
                 V[r] = hp.beta_y * GY[r] + (1.0 - hp.beta_y) * V[r]
                 steps_x.append(X[r] - hp.eta_x * U[r])
                 steps_y.append(Y[r] + hp.eta_y * V[r])
                 continue
-            MX = local_momentum(GX[r], g_x[r], G_prev_x[r], U[r], hp.beta_x)
-            MY = local_momentum(GY[r], g_y[r], G_prev_y[r], V[r], hp.beta_y)
+            step_x, step_y, kept_x, kept_y = fixed
+            MX = _momentum(GX[r], g_x[r], G_prev_x[r], kept_x, hp.beta_x)
+            MY = _momentum(GY[r], g_y[r], G_prev_y[r], kept_y, hp.beta_y)
             if i == 0:
-                cen_x[a:b] = _applied_centering(MX, GX[r], U[r], hp.beta_x, N)
-                cen_y[a:b] = _applied_centering(MY, GY[r], V[r], hp.beta_y, N)
-            blocks = [(X[r], MX, hp.eta_x, "descend"), (Y[r], MY, hp.eta_y, "ascend")]
-            new_x, new_y = _steps(algorithm, hp, blocks)
+                cen_x[a:b] = _applied_centering(MX, GX[r], kept_x, hp.beta_x, N)
+                cen_y[a:b] = _applied_centering(MY, GY[r], kept_y, hp.beta_y, N)
+            new_x, new_y = _steps(algorithm, hp, [(X[r], MX, step_x), (Y[r], MY, step_y)])
             steps_x.append(new_x)
             steps_y.append(new_y)
         X, Y = _joined(steps_x), _joined(steps_y)
@@ -459,12 +491,12 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
 
 
 def _steps(algorithm: str, hp: HyperParams, blocks: list) -> list:
-    """The step rule on each (Z, M, eta, direction) block of one local step."""
+    """The step rule on each (Z, M, step) block of one local step."""
     if algorithm == "muon-da":
         return _muon_steps(blocks, hp.ns_mode)
     if algorithm == "nsgda-m":
-        return [normalized_step(*block) for block in blocks]
-    return [clip_step(Z, M, eta, hp.tau, direction) for Z, M, eta, direction in blocks]
+        return [_normalized(*block) for block in blocks]
+    return [_clipped(*block, hp.tau) for block in blocks]
 
 
 def server_round(server: ServerState, X, Y, G_x, G_y, hps: list) -> ServerState:

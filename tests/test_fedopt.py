@@ -432,12 +432,12 @@ def centering_run(algorithm="nsgda-m"):
 def test_centering_reads_the_correction_the_momentum_applied(monkeypatch):
     import fedminimax.fedopt as fedopt
 
-    real = fedopt.local_momentum
+    real = fedopt._momentum
 
-    def half_global_variate(G, g_global_prev, G_local_prev, u_global_prev, beta):
-        return real(G, 0.5 * g_global_prev, G_local_prev, u_global_prev, beta)
+    def half_global_variate(G, g, G_prev, kept, beta):
+        return real(G, 0.5 * g, G_prev, kept, beta)
 
-    monkeypatch.setattr(fedopt, "local_momentum", half_global_variate)
+    monkeypatch.setattr(fedopt, "_momentum", half_global_variate)
     with pytest.raises(InternalInvariantViolation, match="centering_x"):
         centering_run()
 

@@ -7,7 +7,17 @@ indices from that stream first) and ``noise.sample`` for x then y, the
 local momentum and step rule on its own blocks, and a server average over
 ``.sum(axis=0)``.  It shares nothing with the engine but the problem, the
 stream and the sampler.  ``run_stack`` must give every run of a stack the
-same iterates, drifts, server steps and final state.
+same iterates, drifts, server steps and final state, and the same record
+fields: the exact metrics at each round-start point, from the problem's
+``y_star``, ``phi_grad`` (else the client mean of ``grad_x`` at y*),
+``f_value`` and per-client gradients averaged over ``.sum(axis=0)``; the
+distances ``grad_err_*``, ``g_prev_norm_*`` and ``dist_x0``; and the
+centering residual, read back from the momentum of each client's first
+local step, ``||mean_n((m_n - (1 - beta) u) / beta - g_n)||``.  All of
+them are compared bit for bit: the README claims the engine's records
+keep each run's bits, that its norms are ``np.linalg.norm``'s and that
+every client mean, in the server and the exact metrics alike, is a
+``.sum(axis=0)`` divided by N.
 """
 
 import functools
@@ -72,15 +82,32 @@ def step(algorithm: str, hp, z, m, eta: float):
     return z + eta / norm * m
 
 
+def client_mean(grad, N: int, x, y):
+    return np.stack([grad(n, x, y) for n in range(N)]).sum(axis=0) / N
+
+
+def exact_metrics(problem, x, y) -> tuple:
+    """(||grad phi||, phi, f, mean_gx, mean_gy) at one round-start point."""
+    N, best = problem.n_clients, problem.y_star(x)
+    grad_phi = problem.phi_grad(x) if problem.phi_grad is not None else client_mean(problem.grad_x, N, x, best)
+    return (np.linalg.norm(grad_phi), float(problem.f_value(x, best)), float(problem.f_value(x, y)),
+            client_mean(problem.grad_x, N, x, y), client_mean(problem.grad_y, N, x, y))
+
+
 def reference(problem, spec: RunSpec) -> tuple:
-    """(per round: x, y, max drifts, server steps; final x, y, u, v, g_x, g_y) of one run, in plain loops."""
+    """(per round: x, y, max drifts, server steps, record fields; final x, y, u, v, g_x, g_y) of one run,
+    in plain loops."""
     hp, N, noise = spec.hp, problem.n_clients, spec.noise
     x, y = np.zeros(problem.shape_x.dims), np.zeros(problem.shape_y.dims)
     u, v, g_x, g_y = np.zeros_like(x), np.zeros_like(y), np.zeros_like(x), np.zeros_like(y)
     G_prev = [(np.zeros_like(x), np.zeros_like(y)) for _ in range(N)]
     rounds = []
     for t in range(hp.T):
-        ends, averages, drift_x, drift_y = [], [], [], []
+        ends, averages, drift_x, drift_y, applied_x, applied_y = [], [], [], [], [], []
+        grad_phi_norm, phi, f, mean_gx, mean_gy = exact_metrics(problem, x, y)
+        fields = {"grad_phi_norm": grad_phi_norm, "f_value": f, "potential": 3.0 * phi + (phi - f),
+                  "g_prev_norm_x": np.linalg.norm(g_x), "g_prev_norm_y": np.linalg.norm(g_y),
+                  "dist_x0": np.linalg.norm(x)}
         for n in range(N):
             xn, yn, un, vn = x, y, u, v
             sum_x, sum_y, most_x, most_y = np.zeros_like(x), np.zeros_like(y), 0.0, 0.0
@@ -97,6 +124,9 @@ def reference(problem, spec: RunSpec) -> tuple:
                 else:
                     mx = hp.beta_x * (gx + g_x - G_prev[n][0]) + (1.0 - hp.beta_x) * u
                     my = hp.beta_y * (gy + g_y - G_prev[n][1]) + (1.0 - hp.beta_y) * v
+                    if i == 0:  # the correction the first step's momentum applied, read back from it
+                        applied_x.append((mx - (1.0 - hp.beta_x) * u) / hp.beta_x - gx)
+                        applied_y.append((my - (1.0 - hp.beta_y) * v) / hp.beta_y - gy)
                     xn, yn = step(spec.algorithm, hp, xn, mx, -hp.eta_x), step(spec.algorithm, hp, yn, my, hp.eta_y)
                 dx, dy = np.linalg.norm(xn - x), np.linalg.norm(yn - y)
                 most_x = dx if i == 0 or dx > most_x else most_x
@@ -109,8 +139,12 @@ def reference(problem, spec: RunSpec) -> tuple:
         g_y = np.stack([b for _, b in averages]).sum(axis=0) / N
         x_new = x + hp.gamma_x / (hp.eta_x * N * hp.p) * np.stack([a - x for a, _ in ends]).sum(axis=0)
         y_new = y + hp.gamma_y / (hp.eta_y * N * hp.p) * np.stack([b - y for _, b in ends]).sum(axis=0)
+        fields["centering_x"], fields["centering_y"] = (
+            np.linalg.norm(np.stack(applied).sum(axis=0) / N) if applied else 0.0 for applied in (applied_x, applied_y))
         u, v = hp.beta_x * g_x + (1.0 - hp.beta_x) * u, hp.beta_y * g_y + (1.0 - hp.beta_y) * v
-        rounds.append((x, y, max(drift_x), max(drift_y), np.linalg.norm(x_new - x), np.linalg.norm(y_new - y)))
+        fields["grad_err_x"], fields["grad_err_y"] = np.linalg.norm(mean_gx - u), np.linalg.norm(mean_gy - v)
+        rounds.append((x, y, max(drift_x), max(drift_y), np.linalg.norm(x_new - x), np.linalg.norm(y_new - y),
+                       fields))
         x, y, G_prev = x_new, y_new, averages
     return rounds, (x, y, u, v, g_x, g_y)
 
@@ -134,9 +168,11 @@ def test_run_stack_follows_the_reference_protocol(runs, N, p, T, kind):
         rounds, final = reference(problem, spec)
         kept = [rec for rec in trace.records if rec.x is not None]
         assert kept, "every run records its first round"
-        for rec, (x, y, drift_x, drift_y, step_x, step_y) in zip(kept, rounds):
+        for rec, (x, y, drift_x, drift_y, step_x, step_y, fields) in zip(kept, rounds):
             assert bits(rec.x, rec.y, rec.max_drift_x, rec.max_drift_y, rec.server_step_x, rec.server_step_y) == \
                 bits(x, y, drift_x, drift_y, step_x, step_y), f"{spec.algorithm} round {rec.t}"
+            for name, value in fields.items():
+                assert bits(getattr(rec, name)) == bits(value), f"{spec.algorithm} round {rec.t}: {name}"
         if len(kept) == T:
             state = trace.final_state
             assert bits(state.x, state.y, state.u, state.v, state.g_x, state.g_y) == bits(*final)

@@ -7,7 +7,10 @@ alone, for vector, column, tall, square and wide blocks, including
 clients whose momentum is exactly zero or holds an inf or nan entry.  A step rule on an (N, d) stack
 must also equal, bit for bit, the same rule on its (N, d, 1) columns, and
 the engine's muon-da step on both blocks at once must equal one
-``muon_step`` per block.
+``muon_step`` per block.  What the engine forms once per round must equal
+its per-step form byte for byte: the momentum given a (1 - beta) u term
+formed once, the normalized step's path for rounds where no client stays
+put, and one ``scale_rows`` call over the noisy rows of p stacked steps.
 """
 
 import numpy as np
@@ -17,13 +20,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedminimax.fedopt import (
+    ZERO_MOMENTUM_TOL,
+    _momentum,
+    _momentum_norms,
     _muon_steps,
+    _normalized,
+    _signed,
     clip_step,
     local_momentum,
     muon_step,
     normalized_step,
 )
 from fedminimax.linalg import newton_schulz_polar, svd_polar
+from fedminimax.noise import scale_rows
 
 # a non-finite momentum row makes inf * 0 in the normalized and clipped steps
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -133,7 +142,8 @@ def test_paired_muon_step_equals_one_block_steps(ns_mode, data):
         M = data.draw(client_stack(dims=MATRIX_DIMS | block_dims(), clients=clients))
         Z = data.draw(arrays(float, M.shape, elements=ENTRY))
         blocks.append((Z, M, eta, direction))
-    for out, block in zip(_muon_steps(blocks, ns_mode), blocks):
+    paired = _muon_steps([(Z, M, _signed(eta, direction)) for Z, M, eta, direction in blocks], ns_mode)
+    for out, block in zip(paired, blocks):
         assert out.tobytes() == muon_step(*block, ns_mode=ns_mode).tobytes()
 
 
@@ -168,6 +178,61 @@ def test_local_momentum_stack_equals_slices(G, data):
         return local_momentum(G, g_global, G_prev, u_global, 0.3)
 
     assert same(momentum(G, G_prev), per_slice(momentum, G, G_prev))
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=client_stack(), stacked=st.booleans(), beta=st.sampled_from([0.3, 1.0]) | st.floats(1e-3, 1.0),
+       data=st.data())
+def test_momentum_with_its_global_term_formed_once_is_local_momentum(G, stacked, beta, data):
+    """The engine forms (1 - beta) u once per round and reuses it at every local step; u is a block or a stack."""
+    dims = G.shape if stacked else G.shape[1:]
+    g_global, u_global = (data.draw(arrays(float, dims, elements=ENTRY)) for _ in range(2))
+    kept = (1.0 - beta) * u_global
+    for _ in range(2):  # two local steps, one kept term
+        G_prev = data.draw(arrays(float, G.shape, elements=ENTRY))
+        assert (_momentum(G, g_global, G_prev, kept, beta).tobytes()
+                == local_momentum(G, g_global, G_prev, u_global, beta).tobytes())
+        G = G[::-1].copy()
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=step_inputs(), step=st.sampled_from([-0.1, 0.3]), data=st.data())
+def test_normalized_step_path_without_resting_clients_picks_the_where_form(inputs, step, data):
+    """With no client at or below the tolerance ``_normalized`` skips both np.where calls; its values are
+    theirs, with clients whose momentum is zero, at, below or just above the tolerance, nan or inf."""
+    Z, M = inputs
+    row = data.draw(st.none() | st.integers(0, len(M) - 1))
+    if row is not None:  # one client's momentum a single entry at the tolerance's scale
+        M[row] = 0.0
+        M[row].flat[0] = data.draw(st.sampled_from([ZERO_MOMENTUM_TOL, 0.5 * ZERO_MOMENTUM_TOL,
+                                                    2.0 * ZERO_MOMENTUM_TOL, -ZERO_MOMENTUM_TOL]))
+    nrm, low = _momentum_norms(M)
+    where_form = np.where(low, Z, Z + step / np.where(low, 1.0, nrm) * M)
+    assert _normalized(Z, M, step).tobytes() == where_form.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 4), runs=st.lists(st.booleans(), min_size=1, max_size=3), N=st.integers(1, 3),
+       size_x=st.integers(1, 5), size_y=st.integers(1, 5), data=st.data())
+def test_scale_rows_over_stacked_steps_equals_one_call_per_step(p, runs, N, size_x, size_y, data):
+    """The engine scales the noisy rows of a round's p steps in one call, the radius scale repeated p times;
+    each step's R rows equal that step's own call, all-zero normals (the measure-zero guard) included, and
+    with silent runs (R < S*N) as without."""
+    SN, C = len(runs) * N, size_x + size_y + 2
+    streams = data.draw(arrays(float, (p * SN, C), elements=st.floats(-4.0, 4.0)))
+    zero_x, zero_y = (data.draw(arrays(bool, p * SN)) for _ in range(2))
+    streams[zero_x, :size_x] = 0.0
+    streams[zero_y, size_x + 1:-1] = 0.0
+    rows = np.flatnonzero(np.repeat(runs, N))
+    R = rows.size
+    noisy = rows if R < SN else slice(None)
+    scale = np.repeat(data.draw(arrays(float, len(runs), elements=st.floats(0.1, 10.0)))[np.array(runs)], N)
+    drawn = streams if R == SN else streams[(np.arange(p)[:, None] * SN + rows).ravel()]
+    once = scale_rows(drawn, size_x, np.tile(scale, p))
+    for i in range(p):
+        per_step = scale_rows(streams[i * SN:i * SN + SN][noisy], size_x, scale)
+        for whole, part in zip(once, per_step):
+            assert whole[i * R:i * R + R].tobytes() == part.tobytes()
 
 
 @pytest.mark.parametrize("polar", [lambda M: newton_schulz_polar(M, 10), svd_polar],

@@ -469,6 +469,27 @@ def test_client_round_resets_numpy_only_for_problems_that_draw(monkeypatch):
             r.x.tobytes() + r.y.tobytes() for r in solo.records]
 
 
+def test_client_round_scales_noise_once_per_round_unless_the_problem_draws(monkeypatch):
+    """On a problem given by ``grad`` every step's variates are drawn before the round, and ``client_round``
+    scales all p steps' noisy rows in one ``scale_rows`` call, with silent runs in the stack or without; on a
+    problem given by per-client callables the variates are drawn inside each step, which scales its own."""
+    calls = []
+
+    def counting(rows, size_x, scale):
+        calls.append(len(rows))
+        return noise.scale_rows(rows, size_x, scale)
+
+    monkeypatch.setattr(fedopt, "scale_rows", counting)
+    N, p, T = 3, 4, 3
+    for problem, models in ((PROBLEMS["vector"], SAMPLED[:2]), (PROBLEMS["vector"], [SAMPLED[0], None, SAMPLED[1]]),
+                            (PROBLEMS["auc-minibatch"], [None, SAMPLED[1]]), (matrix_problem(), [SAMPLED[0], None])):
+        calls.clear()
+        hp = fm.theorem1_schedule(N, p, T, problem.smooth)
+        fedopt.run_stack(problem, [RunSpec("nsgda-m", hp, model, seed) for seed, model in enumerate(models)])
+        rows = N * sum(model is not None for model in models)
+        assert calls == ([rows] * (p * T) if problem.draws_per_client else [p * rows] * T)
+
+
 @pytest.fixture
 def fresh_check():
     """The first-use sampler check, run again after the test on the tables then in place."""

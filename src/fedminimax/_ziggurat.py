@@ -1,18 +1,22 @@
 """The vectorized noise pass: many PCG64 streams stepped ahead at once through numpy's ziggurats.
 
-Each 128-bit PCG64 state is held as uint64 halves and stepped ahead to all
-the draws of a block at once (:func:`_outputs`); the outputs go through
-numpy's normal and exponential ziggurats, bit for bit numpy's, including
-the draws whose first output the ziggurat rejects, which are resolved as
-numpy's C code resolves them (:func:`_pointers`): a wedge test on the next
-output, a restart after it when the test fails, or layer 0's tail.  Every
+Each 128-bit PCG64 state s is held as uint64 halves.  j steps take it to
+s + B_j * D, with B_j = sum(MULT**i for i < j) from a table (:func:`_jumps`)
+and D = (MULT - 1) * s + inc formed once per stream (:func:`_deltas`), so
+every output of a block is one 128-bit product (:func:`_outputs`), and
+each stream's state after its block is formed once, from the same s and D
+(:func:`_advanced`).  The outputs go through numpy's normal and
+exponential ziggurats, bit for bit numpy's, including the draws whose
+first output the ziggurat rejects, which are resolved as numpy's C code
+resolves them (:func:`_pointers`): a wedge test on the next output, a
+restart after it when the test fails, or layer 0's tail.  Every
 transcendental is libm's through ``math``, one call per value, as numpy's
 C code calls it (``np.expm1`` rounds 1 ulp apart on some inputs).  A
 stream's minibatch indices, drawn before its variates, come from its first
-outputs by Lemire's method (:func:`_indices`).  The
-tables and tail constants ship in ``_ziggurat_tables``; ``noise`` checks
-them against numpy's generator at first use and draws on that generator
-what this pass leaves (:func:`_sample`).
+outputs by Lemire's method (:func:`_indices`).  The tables and tail
+constants ship in ``_ziggurat_tables``; ``noise`` checks them against
+numpy's generator at first use and draws on that generator what this pass
+leaves (:func:`_sample`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from . import _ziggurat_tables
 
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
+_PCG_MULT_LESS_ONE = np.uint64((_PCG_MULT - 1) >> 64), np.uint64((_PCG_MULT - 1) & 0xFFFFFFFFFFFFFFFF)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _BLOCK = 64  # outputs one sampling pass steps at a time
 _CELLS = 8192  # outputs computed at once: larger slabs of temporaries are markedly slower per entry
@@ -76,31 +81,72 @@ def ziggurat_tables() -> dict:
 
 @functools.cache
 def _jumps() -> np.ndarray:
-    """(4, BLOCK) halves of MULT**j and sum(MULT**i for i < j), j = 1..BLOCK: j steps as one affine map."""
-    a, b, rows = 1, 0, []
-    for _ in range(_BLOCK):
-        a, b = a * _PCG_MULT & _MASK128, (b * _PCG_MULT + 1) & _MASK128
-        rows.append((a, b))
-    a, b = zip(*rows)
-    return np.stack(_halves(a) + _halves(b))
+    """(4, BLOCK + SLACK + 1) B_j = sum(MULT**i for i < j), j = 0 to BLOCK + SLACK: its high and low words and the
+    low word's low and high 32 bits.
 
-
-def _outputs(s_hi, s_lo, i_hi, i_lo, width: int) -> tuple:
-    """The next ``width`` PCG64 (XSL-RR) outputs of M streams, (width, M), and the state words after each.
-
-    They are computed ``_CELLS`` at a time: larger slabs of temporaries are
-    markedly slower per entry.
+    j steps take state s to MULT**j * s + B_j * inc = s + B_j * D, with
+    D = (MULT - 1) * s + inc, since MULT**j = 1 + (MULT - 1) * B_j holds
+    mod 2**128 too (Brown's arbitrary-stride jump, on O'Neill's PCG64).
     """
-    r, hi, lo = (np.empty((width, s_hi.size), dtype=np.uint64) for _ in range(3))
+    b, rows = 0, []
+    for _ in range(_BLOCK + _SLACK + 1):
+        rows.append(b)
+        b = (b * _PCG_MULT + 1) & _MASK128
+    b_hi, b_lo = _halves(rows)
+    return np.stack([b_hi, b_lo, b_lo & _LOW32, b_lo >> 32])
+
+
+def _deltas(s_hi, s_lo, i_hi, i_lo) -> tuple:
+    """D = (MULT - 1) * s + inc of each stream at state s and increment inc: its high and low words and the
+    low word's low and high 32 bits, split once per stream."""
+    d_hi, d_lo = _add128(*_mul128(s_hi, s_lo, *_PCG_MULT_LESS_ONE), i_hi, i_lo)
+    return d_hi, d_lo, d_lo & _LOW32, d_lo >> 32
+
+
+def _advanced(s_hi, s_lo, deltas, steps) -> tuple:
+    """(hi, lo) of each stream's state ``steps`` steps on, s + B_steps * D; B_0 = 0 leaves s itself."""
+    b_hi, b_lo = _jumps()[:2, steps]
+    return _add128(*_mul128(b_hi, b_lo, *deltas[:2]), s_hi, s_lo)
+
+
+def _outputs(s_hi, s_lo, deltas, first: int, width: int) -> np.ndarray:
+    """PCG64 (XSL-RR) outputs ``first`` to ``first + width - 1`` of M streams at states s, (width, M).
+
+    ``deltas`` are the streams' :func:`_deltas`, and first + width is at
+    most BLOCK + SLACK.  Output j is that of the state after j + 1 steps,
+    s + B_(j+1) * D: one 128-bit product per output, whose low words' 32-bit
+    halves come split from the table and from ``deltas``.  The outputs are
+    computed ``_CELLS`` at a time: larger slabs of temporaries are markedly
+    slower per entry.
+    """
+    d_hi, d_lo, d0, d1 = deltas
+    r = np.empty((width, s_hi.size), dtype=np.uint64)
     rows = max(1, _CELLS // max(1, s_hi.size))
     for j in range(0, width, rows):
-        slab = slice(j, min(j + rows, width))
-        a_hi, a_lo, b_hi, b_lo = _jumps()[:, slab, None]
-        # output j is that of the state after j steps, MULT**j * state + sum(MULT**i for i < j) * inc
-        hi[slab], lo[slab] = _add128(*_mul128(a_hi, a_lo, s_hi, s_lo), *_mul128(b_hi, b_lo, i_hi, i_lo))
-        x, rot = hi[slab] ^ lo[slab], hi[slab] >> 58
-        r[slab] = x >> rot | x << (-rot & 63)
-    return r, hi, lo
+        out = r[j:j + rows]
+        b_hi, b_lo, b0, b1 = _jumps()[:, first + j + 1:first + j + 1 + len(out), None]
+        mid = b1 * d0  # the high word of B * D: _mulhi on the split halves, in place
+        mid += b0 * d0 >> 32
+        hi = b1 * d1
+        hi += mid >> 32
+        mid &= _LOW32
+        mid += b0 * d1
+        mid >>= 32
+        hi += mid
+        hi += b_hi * d_lo  # the cross products, mod 2**64
+        hi += b_lo * d_hi
+        lo = b_lo * d_lo
+        lo += s_lo  # plus s
+        hi += s_hi
+        hi += lo < s_lo
+        lo ^= hi  # XSL-RR: the xor of the halves rotated right by the top 6 bits
+        hi >>= 58
+        np.right_shift(lo, hi, out=out)
+        np.negative(hi, out=hi)
+        hi &= 63
+        lo <<= hi
+        out |= lo
+    return r
 
 
 def _indices(states: np.ndarray, bounds: np.ndarray, count: int) -> tuple:
@@ -113,12 +159,17 @@ def _indices(states: np.ndarray, bounds: np.ndarray, count: int) -> tuple:
     draws another word.  Returns the (K, count) int64 indices, the (K, 4)
     words after the ceil(count / 2) outputs, and which streams the pass
     cannot follow: those with a word below its threshold, and those whose
-    m lies outside [2, 2**32], which numpy draws on another path.
+    m lies outside [2, 2**32], which numpy draws on another path.  The
+    outputs are computed ``_BLOCK`` at a time from each block's state.
     """
     s_hi, s_lo, i_hi, i_lo = states.T
-    r, hi, lo = _outputs(s_hi, s_lo, i_hi, i_lo, -(-count // 2))
-    after = np.column_stack([hi[-1], lo[-1], i_hi, i_lo])
-    del hi, lo  # freed before the index arrays are made: they set the chunk's peak memory
+    outputs, blocks = -(-count // 2), []
+    for j in range(0, outputs, _BLOCK):
+        deltas, width = _deltas(s_hi, s_lo, i_hi, i_lo), min(_BLOCK, outputs - j)
+        blocks.append(_outputs(s_hi, s_lo, deltas, 0, width))
+        s_hi, s_lo = _advanced(s_hi, s_lo, deltas, width)
+    r = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    after = np.column_stack([s_hi, s_lo, i_hi, i_lo])
     m = np.clip(bounds, 2, 2**32).astype(np.uint64)
     threshold, left = (2**32 - m) % m, (bounds < 2) | (bounds > 2**32)
     picks = np.empty((len(states), count), dtype=np.int64)
@@ -299,11 +350,12 @@ def _block(words, col, width: int, tails, size_x: int, C: int, tables) -> tuple:
     generator draws it from there on.
     """
     s_hi, s_lo, i_hi, i_lo = words
-    r, hi, lo = _outputs(s_hi, s_lo, i_hi, i_lo, width)
+    deltas = _deltas(s_hi, s_lo, i_hi, i_lo)
+    r = _outputs(s_hi, s_lo, deltas, 0, width)
     x, accepted = _normals(r, tables)
     W, M = r.shape
     steps = min(int(C - col.min()), W)
-    k, every = np.arange(steps)[:, None], np.arange(M)
+    k = np.arange(steps)[:, None]
     columns, used = col + k, np.minimum(C - col, W)  # used: the outputs of a stream whose draws take one each
     radius = (tails > 0) & ((columns == size_x) | (columns == C - 1))
     rk, rm = np.nonzero(radius)
@@ -313,18 +365,15 @@ def _block(words, col, width: int, tails, size_x: int, C: int, tables) -> tuple:
     walk = np.flatnonzero(bad.any(axis=0))
     variates, done, numpy = x[:steps], k < used, np.zeros(M, dtype=bool)
     variates[rk, rm] = 1.0 + _expm1(exps / tails[rm])
-    state = np.stack([hi[used - 1, every], lo[used - 1, every]])
     if walk.size:
-        r, hi, lo = (a.take(walk, axis=1) for a in (r, hi, lo))
+        r = r.take(walk, axis=1)
         if W < _BLOCK:  # the block holds the rest of every row: room for the extra outputs of rejected draws
-            r, hi, lo = (np.vstack(pair) for pair in zip((r, hi, lo), _outputs(hi[-1], lo[-1], i_hi[walk], i_lo[walk],
-                                                                               _SLACK)))
+            r = np.vstack([r, _outputs(s_hi[walk], s_lo[walk], [d[walk] for d in deltas], W, _SLACK)])
         walk_done, walk_variates, used[walk], next_col, numpy[walk] = _chain(r, *_normals(r, tables), col[walk],
                                                                               tails[walk], size_x, C, tables)
         done[:, walk] = False
         done[:len(walk_done), walk], variates[:len(walk_done), walk] = walk_done, walk_variates
-        last = np.maximum(used[walk] - 1, 0), np.arange(walk.size)
-        state[:, walk] = np.where(used[walk] > 0, [hi[last], lo[last]], [s_hi[walk], s_lo[walk]])
+    state = np.stack(_advanced(s_hi, s_lo, deltas, used))
     col = col + used
     if walk.size:
         col[walk] = next_col

@@ -59,7 +59,7 @@ from .core import ALGORITHMS, POSITIVE, UNIT_INTERVAL, HyperParams, NoiseModel, 
 from .linalg import newton_schulz_polar, newton_schulz_polars, svd_polar
 from .metrics import FINITE_FIELDS, first_non_finite, holds, record_checks, round_caps
 from .noise import (STREAM_CHUNK, draw_rest, is_silent, radius_sampler, radius_scale, round_states, scale_rows,
-                    seed_errors, state_dicts, stream_variates, variate_rows)
+                    seed_errors, seed_pools, state_dicts, stream_variates, variate_rows)
 from .problems import MinimaxProblem
 
 ZERO_MOMENTUM_TOL = 1e-15
@@ -574,12 +574,13 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     A run leaves the stack at the round it raises, or, for the
     unnormalized baseline, at its first diverged record (the rest of its
     records carry nan); the other runs go on.  The stream states are
-    derived for all the runs still in, as many rounds at a time as
-    ``STREAM_CHUNK`` streams hold (fewer with a minibatch, whose index
-    words take outputs of the pass too); unless the problem is given by
-    per-client callables, one ``stream_variates`` call turns them into
-    every stream's minibatch indices, if any, and raw noise variates,
-    which each ``client_round`` slices.
+    derived for all the runs still in, from seed pools hashed once per
+    stack, as many rounds at a time as ``STREAM_CHUNK`` streams hold
+    (fewer with a minibatch, whose index words take outputs of the pass
+    too); unless the problem is given by per-client callables, one
+    ``stream_variates`` call turns them into every stream's minibatch
+    indices, if any, and raw noise variates, which each ``client_round``
+    slices.
     """
     specs = list(specs)
     if not specs:
@@ -609,7 +610,7 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     chunk = STREAM_CHUNK if problem.minibatch is None else STREAM_CHUNK * C // (C + (problem.minibatch[1] + 1) // 2)
     records: list = [[] for _ in specs]
     raised, final = {}, {}
-    streams, picks, chunk_end = None, None, 0
+    streams, picks, chunk_end, pools = None, None, 0, seed_pools([spec.seed for spec in specs])
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             if not live:
@@ -617,7 +618,7 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
             width = p * len(live) * N  # streams per round
             if streams is None or t == chunk_end:
                 chunk_start, chunk_end = t, min(t + max(1, chunk // width), T)
-                streams = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t)
+                streams = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t, pools[:, live])
                 if not problem.draws_per_client:
                     streams = stream_variates(streams, [specs[k].noise for k in live for _ in range(N)],
                                               problem.shape_x.size, problem.shape_y.size, problem.minibatch)

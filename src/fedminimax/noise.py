@@ -13,8 +13,9 @@ step).  :func:`derive_stream` builds one such stream; :func:`stream_states`
 gives the PCG64 state dicts of many keys from one vectorized pass, and
 :func:`round_states` the state words of every stream of a stack of runs,
 one master seed each, over as many rounds as ``STREAM_CHUNK`` streams
-hold; :func:`state_dicts` turns words into the dicts a reused Generator
-can be reset to.  A client's variates are its normals, then the radius
+hold, from the seeds' :func:`seed_pools`, which a stack hashes once;
+:func:`state_dicts` turns words into the dicts a reused Generator can be
+reset to.  A client's variates are its normals, then the radius
 variate that :func:`radius_sampler` draws, and :func:`scale_draws` turns
 the stacked variates of many clients, each row with its own
 :func:`radius_scale`, into noise increments at once (:func:`scale_rows`
@@ -23,12 +24,15 @@ the one-client case.
 
 :func:`stream_variates` returns the raw variates of many streams, one
 complete row each.  Pareto and Gaussian streams are drawn whole in one
-pass: each 128-bit PCG64 state is stepped ahead to all its draws in
-uint64 halves and the outputs go through numpy's normal and exponential
-ziggurats, bit for bit numpy's.  A draw whose first output the ziggurat
-rejects is resolved in the pass as numpy's C code resolves it: a wedge
-test on the next output, restarting after it when the test fails, or
-layer 0's tail, which shifts the outputs of the draws after it.  Every
+pass: j steps take a 128-bit PCG64 state s to s + B_j * D, with B_j =
+sum(MULT**i for i < j) from a table and D = (MULT - 1) * s + inc formed
+once per stream, so each output is one 128-bit product on uint64 halves
+and each stream's state after its block is formed once; the outputs go
+through numpy's normal and exponential ziggurats, bit for bit numpy's.
+A draw whose first output the ziggurat rejects is resolved in the pass
+as numpy's C code resolves it: a wedge test on the next output,
+restarting after it when the test fails, or layer 0's tail, which shifts
+the outputs of the draws after it.  Every
 transcendental is libm's through ``math``, one call per value, as numpy's
 C code calls it (``np.expm1`` rounds 1 ulp apart on some inputs).  One
 finisher draws on numpy's generator, reset to the stream's state, what
@@ -117,7 +121,7 @@ def _shift_xor(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-def _seed_pools(seeds) -> np.ndarray:
+def seed_pools(seeds) -> np.ndarray:
     """The 4-word entropy pool SeedSequence hashes each master seed into, one column per seed."""
     errors = [e for seed in seeds for e in seed_errors(seed)]
     if errors:
@@ -167,7 +171,7 @@ def stream_states(master_seed: int, keys) -> list:
     spawn words of all keys mix in with fixed hash constants, as (4, K)
     arrays.
     """
-    pool = _seed_pools([master_seed])
+    pool = seed_pools([master_seed])
     K = np.asarray(keys)
     if K.ndim != 2 or K.shape[1] != 3 or not np.issubdtype(K.dtype, np.integer):
         raise ValueError(f"keys must be a (K, 3) integer array, got {K.dtype} {K.shape}")
@@ -176,18 +180,20 @@ def stream_states(master_seed: int, keys) -> list:
     return list(state_dicts(_states(pool, K.T.astype(np.uint32))))
 
 
-def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int) -> np.ndarray:
+def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int, pools=None) -> np.ndarray:
     """The state words of a stack of runs, one master seed each, over ``rounds`` rounds from ``first_round``.
 
     Row ((r * steps + i) * len(seeds) + s) * clients + n holds the state
     high, low, increment high and low uint64 words of run s's client n at
     step i of round first_round + r; all come from one vectorized pass, as
-    in :func:`stream_states`.
+    in :func:`stream_states`.  ``pools``, the seeds' (4, len(seeds))
+    :func:`seed_pools`, spares a caller that derives many chunks of rounds
+    hashing its seeds again for each.
     """
     if not 0 <= first_round <= first_round + rounds <= KEY_LIMIT:
         raise ValueError("keys must lie in [0, 2**32)")
     r, i, s, n = np.indices((rounds, steps, len(seeds), clients), dtype=np.uint32).reshape(4, -1)
-    return _states(_seed_pools(seeds)[:, s], np.stack([n, r + np.uint32(first_round), i]))
+    return _states((seed_pools(seeds) if pools is None else pools)[:, s], np.stack([n, r + np.uint32(first_round), i]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +205,12 @@ def _sampled_tail(model) -> float:
     if is_silent(model):
         return math.nan
     return {"symmetrized-pareto": model.tail_exponent, "gaussian": 0.0}.get(model.family, math.nan)
+
+
+def _model_tails(models) -> tuple:
+    """Per model, from one pass over them: the tail :func:`_sampled_tail` gives, and whether it is noisy."""
+    kinds = np.array([(_sampled_tail(model), not is_silent(model)) for model in models], dtype=float).reshape(-1, 2)
+    return kinds[:, 0], kinds[:, 1] > 0
 
 
 def variate_rows(count: int, size_x: int, size_y: int) -> np.ndarray:
@@ -218,25 +230,24 @@ def draw_rest(rng: np.random.Generator, radius, row: np.ndarray, start: int, siz
     row[-1] = radius()
 
 
-def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: list, size_x: int,
+def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: list, noisy: np.ndarray, size_x: int,
             picks=None, bounds=None) -> None:
     """Draw every noisy row k of ``drawn`` on numpy's generator from variate ``start[k]`` on, at ``states[k]``.
 
-    Row k's noise model is ``models[k % len(models)]``; a silent row, or
-    one whose ``start`` is past its last variate, is left as it is.  A row
-    k with ``bounds[k] > 0`` first draws its minibatch indices,
-    ``integers(0, bounds[k], size=b)``, into row k of the (K, b) ``picks``,
-    silent or not.
+    Row k's noise model is ``models[k % len(models)]``, and ``noisy[k]``
+    whether it is not silent; a silent row, or one whose ``start`` is past
+    its last variate, is left as it is.  A row k with ``bounds[k] > 0``
+    first draws its minibatch indices, ``integers(0, bounds[k], size=b)``,
+    into row k of the (K, b) ``picks``, silent or not.
     """
     n = len(models)
     redraw = np.zeros(len(drawn), dtype=bool) if bounds is None else bounds > 0
-    noisy = np.resize([not is_silent(model) for model in models], len(drawn))
     rows = np.flatnonzero(noisy & (start < drawn.shape[1]) | redraw).tolist()
     if not rows:
         return
     rng = np.random.Generator(np.random.PCG64(0))
     bits = rng.bit_generator
-    radii = {id(model): radius_sampler(model, rng) for model in models if not is_silent(model)}
+    radii = {id(model): radius_sampler(model, rng) for model, on in zip(models, noisy.tolist()) if on}
     for row, begin, state in zip(rows, start[rows].tolist(), state_dicts(states[rows])):
         bits.state = state
         if redraw[row]:
@@ -245,15 +256,23 @@ def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: li
             draw_rest(rng, radii[id(models[row % n])], drawn[row], begin, size_x)
 
 
-def _streams(states: np.ndarray, models: list, size_x: int, size_y: int, minibatch, tables) -> tuple:
+def _cycled(values, count: int) -> np.ndarray:
+    """``values`` repeated to ``count`` entries, as ``np.resize`` repeats them; ``np.resize`` concatenates one
+    copy per repeat, about 80 us for one model repeated over 512 streams."""
+    values = np.asarray(values)
+    return np.tile(values, -(-count // max(1, values.size)))[:count]
+
+
+def _streams(states: np.ndarray, models: list, kinds: tuple, size_x: int, size_y: int, minibatch, tables) -> tuple:
     """:func:`stream_variates`' index rows (None without a ``minibatch``) and variates, and the rows the
-    pass left whole to numpy's generator; with ``tables`` None, numpy's generator draws every row."""
+    pass left whole to numpy's generator, for ``models`` of :func:`_model_tails` ``kinds``; with ``tables``
+    None, numpy's generator draws every row."""
     K = len(states)
-    tails = np.resize(np.array([_sampled_tail(model) for model in models], dtype=float), K)
+    tails, noisy = (_cycled(kind, K) for kind in kinds)
     picks, bounds, after, whole = None, None, states, np.full(K, tables is None)
     if minibatch is not None:
         sizes, count = minibatch
-        bounds = np.resize(np.asarray(sizes, dtype=np.uint64), K)
+        bounds = _cycled(np.asarray(sizes, dtype=np.uint64), K)
         if tables is None:
             picks = np.empty((K, count), dtype=np.int64)
         else:
@@ -261,7 +280,7 @@ def _streams(states: np.ndarray, models: list, size_x: int, size_y: int, minibat
     tails[whole] = math.nan
     drawn, start, resume = _sample(after, size_x, size_y, tails, tables)
     resume[whole] = states[whole]
-    _finish(drawn, start, resume, models, size_x, picks, None if bounds is None else np.where(whole, bounds, 0))
+    _finish(drawn, start, resume, models, noisy, size_x, picks, None if bounds is None else np.where(whole, bounds, 0))
     return picks, drawn, whole
 
 
@@ -290,10 +309,10 @@ def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int, 
     a stream whole, from its indices on, where a word falls below Lemire's
     threshold or the size is outside [2, 2**32].
     """
-    tails = [_sampled_tail(model) for model in models]
-    pass_needed = minibatch is not None or not all(map(math.isnan, tails))
+    kinds = _model_tails(models)
+    pass_needed = minibatch is not None or not np.isnan(kinds[0]).all()
     tables = ziggurat_tables() if pass_needed and _sampler_agrees() else None
-    picks, drawn, _ = _streams(states, models, size_x, size_y, minibatch, tables)
+    picks, drawn, _ = _streams(states, models, kinds, size_x, size_y, minibatch, tables)
     return drawn if minibatch is None else (picks, drawn)
 
 
@@ -399,10 +418,10 @@ def _sampler_agrees() -> bool:
         incs = [1 if second is None else (second - first * _PCG_MULT) & _MASK128 for first, second in words]
         crafted = np.stack(_halves([_crafted_state(first, inc) for (first, _), inc in zip(words, incs)])
                            + _halves(incs), axis=1)
-        tails = np.resize(np.array([_sampled_tail(model) for model in models]), K)
+        tails = _cycled(_model_tails(models)[0], K)
         drawn, start, _ = _sample(crafted, size_x, 1, tails, tables)
         numpy = variate_rows(K, size_x, 1)
-        _finish(numpy, np.zeros(K, dtype=np.intp), crafted, models, size_x)
+        _finish(numpy, np.zeros(K, dtype=np.intp), crafted, models, np.ones(K, dtype=bool), size_x)
         if (start < drawn.shape[1]).any() or drawn.tobytes() != numpy.tobytes():
             return False
     # one minibatch word just below and one at Lemire's threshold for each size, then the normals after them
@@ -410,8 +429,8 @@ def _sampler_agrees() -> bool:
     crafted = np.stack(_halves([_crafted_state(0xFFFFFFFF << 32 | w) for _, w in words]) + _halves([1] * len(words)),
                        axis=1)
     minibatch = [m for m, _ in words], 2
-    (picks, drawn, whole), (numpy_picks, numpy, _) = (_streams(crafted, gaussian, 1, 1, minibatch, t)
-                                                      for t in (tables, None))
+    (picks, drawn, whole), (numpy_picks, numpy, _) = (_streams(crafted, gaussian, _model_tails(gaussian), 1, 1,
+                                                               minibatch, t) for t in (tables, None))
     return (whole.tolist() == [True, False] * len(_LEMIRE_SIZES) and picks.tobytes() == numpy_picks.tobytes()
             and drawn.tobytes() == numpy.tobytes())
 

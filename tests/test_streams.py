@@ -8,11 +8,12 @@ the chunks of rounds a stack of runs derives its streams in.  The noise
 the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
 at the iterates the batched ``grad`` saw, then one increment per block
 from the per-client sampler below, for every noise family, vector and
-matrix blocks and AUC minibatches.  The variates ``stream_variates``
-gives for many streams at once, drawn in one pass that resolves every
-rejected ziggurat draw itself, must equal each stream's own draws; the
-ziggurat tables it ships are checked against the installed numpy, and its
-first-use check must catch a table that changes variates.
+matrix blocks and AUC minibatches.  The pass's PCG64 outputs and states
+must equal PCG64 stepped on Python integers.  The variates
+``stream_variates`` gives for many streams at once, drawn in one pass that
+resolves every rejected ziggurat draw itself, must equal each stream's own
+draws; the ziggurat tables it ships are checked against the installed
+numpy, and its first-use check must catch a table that changes variates.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ import fedminimax as fm
 from fedminimax import fedopt
 from fedminimax.fedopt import RunSpec, ServerState, client_round
 from fedminimax import noise
-from fedminimax._ziggurat import _outputs
+from fedminimax._ziggurat import _BLOCK, _SLACK, _advanced, _deltas, _outputs
 from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, round_states, sample,
                               state_dicts, stream_states, stream_variates)
 
@@ -246,6 +247,30 @@ def sampled(states, models, size_x, size_y) -> tuple:
     return noise._sample(states, size_x, size_y, tails, noise.ziggurat_tables())
 
 
+STATE128 = st.sampled_from([0, 2**128 - 1]) | st.integers(0, 2**128 - 1)
+INC128 = st.sampled_from([1, 2**128 - 1]) | st.integers(0, 2**127 - 1).map(lambda v: 2 * v + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams=st.lists(st.tuples(STATE128, INC128), min_size=1, max_size=4), first=st.integers(0, _BLOCK + _SLACK - 1))
+def test_the_pass_steps_each_stream_as_pcg64_does(streams, first):
+    """The pass's outputs and after-states at every offset from 0 to BLOCK + SLACK, s + B_j * D from one
+    D = (MULT - 1) * s + inc per stream, are those of PCG64 stepped on Python integers: state = state * MULT
+    + inc mod 2**128, then the XSL-RR output of the new state.  A later first offset gives the same rows."""
+    span, top = _BLOCK + _SLACK, 2**64 - 1
+    s_hi, s_lo = noise._halves([state for state, _ in streams])
+    deltas = _deltas(s_hi, s_lo, *noise._halves([inc for _, inc in streams]))
+    outputs = _outputs(s_hi, s_lo, deltas, 0, span)
+    assert outputs[first:].tobytes() == _outputs(s_hi, s_lo, deltas, first, span - first).tobytes()
+    hi, lo = _advanced(s_hi, s_lo, deltas, np.arange(span + 1)[:, None])
+    for m, (state, inc) in enumerate(streams):
+        for j in range(span + 1):
+            assert int(hi[j, m]) << 64 | int(lo[j, m]) == state, f"stream {m}, state after {j} steps"
+            state = (state * noise._PCG_MULT + inc) & noise._MASK128
+            x, rot = (state >> 64 ^ state) & top, state >> 122
+            assert j == span or int(outputs[j, m]) == (x >> rot | x << (64 - rot)) & top, f"stream {m}, output {j}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds=st.lists(SEEDS, min_size=1, max_size=3), clients=st.integers(1, 3), steps=st.integers(1, 2),
        first_round=st.integers(0, 2**32 - 2),
@@ -255,12 +280,17 @@ def sampled(states, models, size_x, size_y) -> tuple:
 @example(seeds=[5], clients=1, steps=1, first_round=2**32 - 2, sizes=(1, 1), picks=(SAMPLED * 3)[:9])
 @example(seeds=[6, 13], clients=3, steps=2, first_round=0, sizes=(64, 64), picks=(SAMPLED * 3)[:9])
 @example(seeds=[44, 51], clients=3, steps=2, first_round=0, sizes=(64, 64), picks=(SAMPLED * 3)[:9])
+@example(seeds=[1, 101], clients=3, steps=2, first_round=0, sizes=(30, 31), picks=(SAMPLED[1:] * 3)[:9])
+@example(seeds=[1, 101], clients=3, steps=2, first_round=0, sizes=(31, 31), picks=(SAMPLED[1:] * 3)[:9])
+@example(seeds=[1, 101], clients=3, steps=2, first_round=0, sizes=(31, 32), picks=(SAMPLED[1:] * 3)[:9])
 def test_stream_variates_match_each_stream_drawn_alone(seeds, clients, steps, first_round, sizes, picks):
     """Pareto (three tails) and Gaussian streams of stacks of seeds, on blocks of 1 to 64 and of 200 or more.
 
     The examples hold up to 11 rejected draws in one stream (200 + 257), a wedge test that fails twice in
     a row and a normal tail whose first pair of uniforms fails (seeds 6 and 13), and an exponential tail
-    (seeds 44 and 51); every stream is drawn whole in the pass.
+    (seeds 44 and 51); every stream is drawn whole in the pass.  Rows of 63, 64 and 65 Pareto variates
+    (seeds 1 and 101) reject draws inside the first block: at 63 a stream reads the extra outputs past
+    offset 64, at 64 and 65 the rest of a row goes on in a second, short block with its own extra outputs.
     """
     size_x, size_y = sizes
     models = picks[:len(seeds) * clients]  # one per (run, client)
@@ -316,11 +346,13 @@ BOUNDS = [2, 3, 577, 640, 2**31 + 7, 2**32 - 1]  # 2**31 + 7: about half of its 
                        max_size=6))
 @example(seeds=[1, 2], clients=3, bounds=[640, 577, 3], count=65, sizes=(3, 2), noises=[
     SAMPLED[1], SAMPLED[0], NOISES["student-t"], None, SAMPLED[2], NOISES["none"]])
+@example(seeds=[3], clients=2, bounds=[640, 577, 3], count=300, sizes=(3, 2), noises=SAMPLED[:2] * 3)
 def test_stream_variates_draw_minibatch_indices_then_variates(seeds, clients, bounds, count, sizes, noises):
     """Each stream's index row is its ``derive_stream`` generator's ``integers(0, m, size=b)`` and its
     variates what that generator draws next, bit for bit: odd b drops a half, the pass hands Pareto and
     Gaussian streams on to the ziggurats, Student-t streams to numpy after their indices, and every stream
-    with a word below its threshold, or an m that takes no 32-bit path (1, 2**33), whole to numpy."""
+    with a word below its threshold, or an m that takes no 32-bit path (1, 2**33), whole to numpy.  The
+    example's b = 300 takes 150 outputs, more than one block of them."""
     models, bounds = noises[:len(seeds) * clients], bounds[:clients]
     states = round_states(seeds, clients, 1, 7, 2)
     streams = [derive_stream(seed, n, 7 + r, 0) for r in range(2) for seed in seeds for n in range(clients)]
@@ -363,7 +395,7 @@ def test_the_first_use_check_rejects_a_wrong_minibatch_reading(mistake, monkeypa
             picks[:, :count - count % 2] = pairs[:, :, ::-1].reshape(len(states), -1)
         else:
             s_hi, s_lo, i_hi, i_lo = states.T
-            r = _outputs(s_hi, s_lo, i_hi, i_lo, 1)[0][0]
+            r = _outputs(s_hi, s_lo, _deltas(s_hi, s_lo, i_hi, i_lo), 0, 1)[0]
             left |= ((r & 0xFFFFFFFF) * bounds.astype(np.uint64) & 0xFFFFFFFF) == (2**32 - bounds) % bounds
         return picks, after, left
 

@@ -28,9 +28,11 @@ The local momentum of the three bounded rules mixes each fresh
 stochastic gradient with the *previous round's global* momentum (held
 constant across the round's local steps); it is not recursive over local
 steps.  So ``client_round`` forms that term, (1 - beta) u, and each
-rule's signed step once per round, and scales the noise of all p local
-steps in one pass before the first (per step on a problem given by
-per-client callables, whose variates are drawn inside each step).
+rule's signed step once per round.  Its noise comes from ``noise``, which
+derives the streams of a chunk of rounds at once, sizes the chunk, resets
+numpy's generator where a stream is drawn on it, and scales the noise:
+once per chunk, or per step on a problem given by per-client callables,
+whose variates are drawn inside each step.
 
 Clients are independent given the round-start server state, and runs
 are independent of each other, so both run stacked: ``run_stack`` takes
@@ -56,10 +58,9 @@ from typing import Optional
 import numpy as np
 
 from .core import ALGORITHMS, POSITIVE, UNIT_INTERVAL, HyperParams, NoiseModel, hyperparam_errors, require
-from .linalg import newton_schulz_polar, newton_schulz_polars, svd_polar
+from .linalg import newton_schulz_polars, svd_polar
 from .metrics import FINITE_FIELDS, first_non_finite, holds, record_checks, round_caps
-from .noise import (STREAM_CHUNK, draw_rest, is_silent, radius_sampler, radius_scale, round_states, scale_rows,
-                    seed_errors, seed_pools, state_dicts, stream_variates, variate_rows)
+from .noise import chunk_draws, chunk_rounds, seed_errors, seed_pools
 from .problems import MinimaxProblem
 
 ZERO_MOMENTUM_TOL = 1e-15
@@ -322,11 +323,7 @@ def _muon_steps(blocks: list, ns_mode: str) -> list:
         safe.append(np.where(low | bad, 1.0, M))  # the polar kernels reject a zero or non-finite matrix
         masks.append((len(out), step, low, bad))
         out.append(Z)
-    if ns_mode == "iterative" and len(safe) > 1:
-        factors = newton_schulz_polars(safe)
-    else:  # block by block: a lone matrix block through the public kernel, which bench/tracing.py times
-        polar = svd_polar if ns_mode == "exact-svd" else newton_schulz_polar
-        factors = [polar(M) for M in safe]
+    factors = newton_schulz_polars(safe) if ns_mode == "iterative" else [svd_polar(M) for M in safe]
     for (j, step, low, bad), O in zip(masks, factors):
         out[j] = np.where(low, out[j], out[j] + step * np.where(bad, np.nan, O))
     return out
@@ -381,7 +378,7 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
-                 problem: MinimaxProblem, specs: list, streams: np.ndarray, picks=None) -> tuple:
+                 problem: MinimaxProblem, specs: list, draws) -> tuple:
     """Run the p local steps of all N clients of every run in a stack from its round-start server state.
 
     The stack is S runs (``specs``) that share the problem and (N, p); the
@@ -392,42 +389,22 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     ||x_local - x_t|| per block as (S*N,) vectors, and each run's
     centering residual per block as (S,) vectors: the mean correction its
     step-0 momentum applied, 0.0 for ``local-sgda-m``, which applies none.
-    It checks nothing; ``run_stack`` does.  ``streams`` has one row per
-    stream of the round, in (step, run, client) order: on a problem given
-    by per-client callables, its state words as ``round_states`` gives
-    them; on any other, its raw noise variates as ``stream_variates``
-    gives them, and ``picks`` its minibatch index rows, if any.
+    It checks nothing; ``run_stack`` does.
 
     At each step every client draws from its (seed, client, round, step)
     stream: its minibatch or its per-client ``stoch_grad``'s draws, then
-    the raw ``noise`` variates of x and y.  Per-client callables get a
-    reused generator reset to each stream in turn; otherwise both are
-    sliced from ``picks`` and ``streams``.  One ``grad`` call gives the
+    the ``noise`` of x and y.  ``draws(i, X, Y)``, the round's entry of
+    ``noise.chunk_draws``, gives step i's batch, the rows whose noise is
+    drawn and their increments, already scaled (once per chunk of rounds
+    on a problem given by ``grad``).  One ``grad`` call gives the
     gradients of all S*N rows, and the noise is added for all noisy rows
-    at once.  The noise of all p steps is scaled by one ``scale_rows``
-    call before the first step (per step on a problem given by per-client
-    callables, whose variates are drawn inside the step); each bounded
-    rule's (1 - beta) u and signed steps are formed once per round.
-    Momentum and step rule act once per range of consecutive runs that
-    share (algorithm, hp), the drifts once for the stack; muon-da's two
-    matrix blocks take their polar factors from one Newton-Schulz call.
-    Every row keeps the bits of its run alone.
+    at once.  Each bounded rule's (1 - beta) u and signed steps are formed
+    once per round.  Momentum and step rule act once per range of
+    consecutive runs that share (algorithm, hp), the drifts once for the
+    stack; muon-da's two matrix blocks take their polar factors from one
+    Newton-Schulz call.  Every row keeps the bits of its run alone.
     """
     S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
-    SN, size_x = S * N, problem.shape_x.size
-    has_noise = [not is_silent(spec.noise) for spec in specs]
-    rows = np.flatnonzero(np.repeat(has_noise, N))  # only these rows' noise is drawn
-    R = rows.size
-    noisy = rows if R < SN else slice(None)
-    scale = np.repeat([radius_scale(spec.noise) for spec, on in zip(specs, has_noise) if on], N)
-    if problem.draws_per_client:
-        rng = np.random.Generator(np.random.PCG64(0))  # reset to each stream in turn
-        bits = rng.bit_generator
-        radius = [radius_sampler(spec.noise, rng) if on else None for spec, on in zip(specs, has_noise)]
-        variates = variate_rows(p * SN, size_x, problem.shape_y.size)
-    elif R:  # every step's variates are drawn: scale the round's noisy rows at once, step i's R rows at i*R
-        drawn = streams if R == SN else streams[(np.arange(p)[:, None] * SN + rows).ravel()]
-        noise_x, noise_y = scale_rows(drawn, size_x, np.tile(scale, p))
 
     def per_client(blocks):  # each run's block on each of its rows
         return np.repeat(blocks, N, axis=0)
@@ -445,21 +422,9 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
     cen_x, cen_y = np.zeros(S), np.zeros(S)
     for i in range(p):
-        step = slice(i * SN, i * SN + SN)
-        batch = None if picks is None else picks[step]
-        if problem.draws_per_client:
-            batch, step_rows = [], variates[step]
-            for row, state in enumerate(state_dicts(streams[step])):
-                bits.state = state
-                batch.append(problem.stoch_grad(row % N, X[row], Y[row], rng))
-                if has_noise[row // N]:
-                    draw_rest(rng, radius[row // N], step_rows[row], 0, size_x)
+        batch, noisy, inc_x, inc_y = draws(i, X, Y)
         GX, GY = problem.grad(X, Y, batch)
-        if R:
-            if problem.draws_per_client:
-                inc_x, inc_y = scale_rows(step_rows[noisy], size_x, scale)
-            else:
-                inc_x, inc_y = noise_x[i * R:i * R + R], noise_y[i * R:i * R + R]
+        if inc_x is not None:
             GX, GY = GX.copy(), GY.copy()  # the oracle's arrays are not the engine's to write
             GX[noisy] += inc_x.reshape((-1,) + GX.shape[1:])
             GY[noisy] += inc_y.reshape((-1,) + GY.shape[1:])
@@ -573,14 +538,12 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     groups first appear; each run's record, checks and exit are its own.
     A run leaves the stack at the round it raises, or, for the
     unnormalized baseline, at its first diverged record (the rest of its
-    records carry nan); the other runs go on.  The stream states are
-    derived for all the runs still in, from seed pools hashed once per
-    stack, as many rounds at a time as ``STREAM_CHUNK`` streams hold
-    (fewer with a minibatch, whose index words take outputs of the pass
-    too); unless the problem is given by per-client callables, one
-    ``stream_variates`` call turns them into every stream's minibatch
-    indices, if any, and raw noise variates, which each ``client_round``
-    slices.
+    records carry nan); the other runs go on.  The draws of all the runs
+    still in come from ``noise``, a chunk of rounds at a time
+    (``chunk_rounds`` gives its size, ``chunk_draws`` its draws), from
+    seed pools hashed once per stack; ``problem.stoch_grad`` goes with
+    them only on a problem given by per-client callables, whose
+    ``stoch_grad`` draws on each stream before its noise.
     """
     specs = list(specs)
     if not specs:
@@ -605,31 +568,24 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     server = ServerState(*(np.zeros((len(live),) + dims) for dims in (dims_x, dims_y) * 3), 0)
     G_prev_x, G_prev_y = np.zeros((len(live) * N,) + dims_x), np.zeros((len(live) * N,) + dims_y)
     caps = [round_caps(spec.algorithm, problem.shape_x.cols, problem.shape_y.cols, spec.hp) for spec in specs]
-    # a chunk's noise pass steps as many outputs as STREAM_CHUNK streams of variates alone: index words count
-    C = problem.shape_x.size + problem.shape_y.size + 2
-    chunk = STREAM_CHUNK if problem.minibatch is None else STREAM_CHUNK * C // (C + (problem.minibatch[1] + 1) // 2)
+    size_x, size_y = problem.shape_x.size, problem.shape_y.size
+    stoch_grad = problem.stoch_grad if problem.draws_per_client else None  # it draws on each stream first
     records: list = [[] for _ in specs]
     raised, final = {}, {}
-    streams, picks, chunk_end, pools = None, None, 0, seed_pools([spec.seed for spec in specs])
+    draws, chunk_end, pools = None, 0, seed_pools([spec.seed for spec in specs])
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             if not live:
                 break
-            width = p * len(live) * N  # streams per round
-            if streams is None or t == chunk_end:
-                chunk_start, chunk_end = t, min(t + max(1, chunk // width), T)
-                streams = round_states([specs[k].seed for k in live], N, p, t, chunk_end - t, pools[:, live])
-                if not problem.draws_per_client:
-                    streams = stream_variates(streams, [specs[k].noise for k in live for _ in range(N)],
-                                              problem.shape_x.size, problem.shape_y.size, problem.minibatch)
-                    if problem.minibatch is not None:
-                        picks, streams = streams
+            if draws is None or t == chunk_end:
+                draws, chunk_start = None, t  # the last chunk's draws are freed before the next pass runs
+                chunk_end = min(t + chunk_rounds(p * len(live) * N, size_x, size_y, problem.minibatch), T)
+                draws = chunk_draws([specs[k].seed for k in live], [specs[k].noise for k in live], N, p, t,
+                                    chunk_end - t, size_x, size_y, problem.minibatch, stoch_grad, pools[:, live])
             phi, grad_phi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
             aucs = [None if problem.auc_eval is None else float(problem.auc_eval(x)) for x in server.x]
-            now = slice((t - chunk_start) * width, (t - chunk_start + 1) * width)
             X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(
-                server, G_prev_x, G_prev_y, problem, [specs[k] for k in live], streams[now],
-                None if picks is None else picks[now])
+                server, G_prev_x, G_prev_y, problem, [specs[k] for k in live], draws[t - chunk_start])
             new = server_round(server, X, Y, G_x, G_y, [specs[k].hp for k in live])
             # each record field for every run at once, one Python float per run
             fields = {
@@ -668,7 +624,7 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
                     stay.append(j)
             if len(stay) < len(live):  # a run left: the next round derives the streams of the rest
                 rows = (np.array(stay, dtype=int)[:, None] * N + np.arange(N)).ravel()
-                G_x, G_y, live, streams = G_x[rows], G_y[rows], [live[j] for j in stay], None
+                G_x, G_y, live, draws = G_x[rows], G_y[rows], [live[j] for j in stay], None
                 new = _runs(new, stay)
             server, G_prev_x, G_prev_y = new, G_x, G_y
     final.update((k, _runs(server, j)) for j, k in enumerate(live))

@@ -9,18 +9,17 @@ of the sample norm is infinite while every moment of order <= s stays
 finite: exactly a bounded-s-th-moment noise source and nothing stronger.
 
 Every draw comes from a stream keyed by (master seed, client, round,
-step).  :func:`derive_stream` builds one such stream; :func:`stream_states`
-gives the PCG64 state dicts of many keys from one vectorized pass, and
-:func:`round_states` the state words of every stream of a stack of runs,
-one master seed each, over as many rounds as ``STREAM_CHUNK`` streams
-hold, from the seeds' :func:`seed_pools`, which a stack hashes once;
-:func:`state_dicts` turns words into the dicts a reused Generator can be
-reset to.  A client's variates are its normals, then the radius
-variate that :func:`radius_sampler` draws, and :func:`scale_draws` turns
-the stacked variates of many clients, each row with its own
-:func:`radius_scale`, into noise increments at once (:func:`scale_rows`
-those of x and y from rows of :func:`stream_variates`); :func:`sample` is
-the one-client case.
+step).  :func:`derive_stream` builds one such stream; :func:`round_states`
+gives the PCG64 state words of every stream of a stack of runs, one
+master seed each, over a chunk of rounds, from the seeds' pools, which a
+stack hashes once (:func:`seed_pools`).  The engine takes its draws from
+:func:`chunk_draws` alone: this module sizes the chunk
+(:func:`chunk_rounds`), resets numpy's generator wherever a stream is
+drawn on it (:func:`_reset_draws`), and scales the noise, once per chunk
+of rounds.  A client's variates are its normals, then the radius variate
+that :func:`radius_sampler` draws; :func:`scale_draws` turns stacked
+variates, each row with its own :func:`radius_scale`, into noise
+increments at once, and :func:`sample` is the one-client case.
 
 :func:`stream_variates` returns the raw variates of many streams, one
 complete row each.  Pareto and Gaussian streams are drawn whole in one
@@ -54,8 +53,8 @@ hands the state after them on; a stream with a word below Lemire's
 threshold, or a size outside [2, 2**32], is drawn whole, indices
 included, by the finisher.  The first-use check tries minibatch words
 just below and at the threshold too.  A problem given by a per-client
-``stoch_grad`` draws from each stream's state dict, then
-:func:`draw_rest` its noise.
+``stoch_grad`` draws on each stream first, inside the step, and the
+finisher's reset loop draws its noise after it.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from .core import NoiseModel, Shape
 
 SEED_LIMIT = 2**64  # master seeds lie in [0, SEED_LIMIT)
 KEY_LIMIT = 2**32  # client, round and step lie in [0, KEY_LIMIT)
-STREAM_CHUNK = 512  # streams one round_states pass derives, rounded to whole rounds (at least one)
+STREAM_CHUNK = 512  # streams of variates alone one chunk_draws pass derives (see chunk_rounds)
 
 
 def seed_errors(seed) -> list:
@@ -87,7 +86,7 @@ def derive_stream(master_seed: int, client: int, round_idx: int, step: int) -> n
     The stream is ``default_rng(SeedSequence(master_seed, spawn_key=(client,
     round_idx, step)))``.  Streams for distinct keys are statistically
     independent and do not depend on the order in which they are created;
-    :func:`stream_states` derives the same streams in bulk.
+    :func:`round_states` derives the same streams in bulk.
     """
     key = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(client), int(round_idx), int(step)))
     return np.random.default_rng(key)
@@ -160,33 +159,13 @@ def state_dicts(states: np.ndarray):
             for state_hi, state_lo, inc_hi, inc_lo in states.tolist())
 
 
-def stream_states(master_seed: int, keys) -> list:
-    """PCG64 state dicts of :func:`derive_stream` for every (client, round, step) row of ``keys``.
-
-    Row k's state, assigned to ``generator.bit_generator.state``, makes the
-    generator draw exactly what ``derive_stream(master_seed, *keys[k])``
-    draws.  The seed must lie in [0, 2**64) and every key entry in
-    [0, 2**32): there SeedSequence hashes the seed into its 4-word pool
-    before the spawn words, and each spawn word is one 32-bit word, so the
-    spawn words of all keys mix in with fixed hash constants, as (4, K)
-    arrays.
-    """
-    pool = seed_pools([master_seed])
-    K = np.asarray(keys)
-    if K.ndim != 2 or K.shape[1] != 3 or not np.issubdtype(K.dtype, np.integer):
-        raise ValueError(f"keys must be a (K, 3) integer array, got {K.dtype} {K.shape}")
-    if K.size and (K.min() < 0 or K.max() >= KEY_LIMIT):
-        raise ValueError("keys must lie in [0, 2**32)")
-    return list(state_dicts(_states(pool, K.T.astype(np.uint32))))
-
-
 def round_states(seeds, clients: int, steps: int, first_round: int, rounds: int, pools=None) -> np.ndarray:
     """The state words of a stack of runs, one master seed each, over ``rounds`` rounds from ``first_round``.
 
     Row ((r * steps + i) * len(seeds) + s) * clients + n holds the state
     high, low, increment high and low uint64 words of run s's client n at
-    step i of round first_round + r; all come from one vectorized pass, as
-    in :func:`stream_states`.  ``pools``, the seeds' (4, len(seeds))
+    step i of round first_round + r, all from one vectorized pass
+    (:func:`_states`).  ``pools``, the seeds' (4, len(seeds))
     :func:`seed_pools`, spares a caller that derives many chunks of rounds
     hashing its seeds again for each.
     """
@@ -230,6 +209,22 @@ def draw_rest(rng: np.random.Generator, radius, row: np.ndarray, start: int, siz
     row[-1] = radius()
 
 
+def _reset_draws(drawn: np.ndarray, start, states: np.ndarray, models: list, noisy, size_x: int, rows: list,
+                 first=None, rng=None) -> None:
+    """Reset numpy's generator ``rng`` (a new one if None) to the stream ``states[k]`` of each row k in ``rows`` in
+    turn, and draw on it ``first(k, rng)``, if given, then, where ``noisy[k]``, row k of ``drawn`` from variate
+    ``start[k]`` on, in the order of :func:`stream_variates`, with row k's model ``models[k % len(models)]``."""
+    rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
+    n, bits = len(models), rng.bit_generator
+    radii = {id(model): radius_sampler(model, rng) for model, on in zip(models, noisy) if on}
+    for row, state in zip(rows, state_dicts(states[rows])):
+        bits.state = state
+        if first is not None:
+            first(row, rng)
+        if noisy[row]:
+            draw_rest(rng, radii[id(models[row % n])], drawn[row], start[row], size_x)
+
+
 def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: list, noisy: np.ndarray, size_x: int,
             picks=None, bounds=None) -> None:
     """Draw every noisy row k of ``drawn`` on numpy's generator from variate ``start[k]`` on, at ``states[k]``.
@@ -240,20 +235,15 @@ def _finish(drawn: np.ndarray, start: np.ndarray, states: np.ndarray, models: li
     first draws its minibatch indices, ``integers(0, bounds[k], size=b)``,
     into row k of the (K, b) ``picks``, silent or not.
     """
-    n = len(models)
     redraw = np.zeros(len(drawn), dtype=bool) if bounds is None else bounds > 0
     rows = np.flatnonzero(noisy & (start < drawn.shape[1]) | redraw).tolist()
-    if not rows:
-        return
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
-    radii = {id(model): radius_sampler(model, rng) for model, on in zip(models, noisy.tolist()) if on}
-    for row, begin, state in zip(rows, start[rows].tolist(), state_dicts(states[rows])):
-        bits.state = state
+
+    def indices(row, rng):
         if redraw[row]:
             picks[row] = rng.integers(0, int(bounds[row]), size=picks.shape[1])
-        if noisy[row]:
-            draw_rest(rng, radii[id(models[row % n])], drawn[row], begin, size_x)
+
+    if rows:
+        _reset_draws(drawn, start.tolist(), states, models, noisy, size_x, rows, indices)
 
 
 def _cycled(values, count: int) -> np.ndarray:
@@ -314,6 +304,65 @@ def stream_variates(states: np.ndarray, models: list, size_x: int, size_y: int, 
     tables = ziggurat_tables() if pass_needed and _sampler_agrees() else None
     picks, drawn, _ = _streams(states, models, kinds, size_x, size_y, minibatch, tables)
     return drawn if minibatch is None else (picks, drawn)
+
+
+def chunk_rounds(width: int, size_x: int, size_y: int, minibatch=None) -> int:
+    """The rounds one :func:`chunk_draws` call derives at ``width`` streams a round, at least one.
+
+    The pass steps as many outputs as ``STREAM_CHUNK`` streams of variates
+    alone, C = size_x + size_y + 2 each; a minibatch of b indices takes
+    ceil(b / 2) more outputs of every stream.
+    """
+    C = size_x + size_y + 2
+    streams = STREAM_CHUNK if minibatch is None else STREAM_CHUNK * C // (C + (minibatch[1] + 1) // 2)
+    return max(1, streams // width)
+
+
+def chunk_draws(seeds, models: list, clients: int, steps: int, first_round: int, rounds: int, size_x: int,
+                size_y: int, minibatch=None, stoch_grad=None, pools=None) -> list:
+    """Every draw of a stack of runs over ``rounds`` rounds from ``first_round``, one callable per round.
+
+    Run s has seed ``seeds[s]`` (``pools`` as in :func:`round_states`), noise
+    model ``models[s]`` and rows s * clients to s * clients + clients - 1
+    of a step.  A round's ``draws(i, X, Y)`` gives step i's (batch, noisy,
+    inc_x, inc_y): the ``batch`` of ``grad``, the rows whose noise is
+    drawn (indices, or a slice of all) and their noise increments, None if
+    every run is silent.  Without ``stoch_grad``, one :func:`stream_variates`
+    call draws the chunk and one :func:`scale_rows` call scales its noisy
+    rows, row by row as one call per step would.  A problem given by
+    per-client callables passes its ``stoch_grad``, which draws on each
+    stream first, at the step's X and Y: each step resets one generator to
+    its streams in turn (:func:`_reset_draws`), batches the rows'
+    ``stoch_grad`` pairs and scales its own noise.
+    """
+    states = round_states(seeds, clients, steps, first_round, rounds, pools)
+    on = np.repeat([not is_silent(model) for model in models], clients)
+    width, rows, row_models = on.size, np.flatnonzero(on), [model for model in models for _ in range(clients)]
+    R = rows.size
+    noisy = rows if R < width else slice(None)
+    scale = np.repeat([radius_scale(model) for model in models if not is_silent(model)], clients)
+    if stoch_grad is None:
+        out = stream_variates(states, row_models, size_x, size_y, minibatch)
+        picks, drawn = (None, out) if minibatch is None else out
+        incs = (None, None)
+        if R:  # step j's R noisy rows at j * R
+            kept = drawn if R == width else drawn[(np.arange(rounds * steps)[:, None] * width + rows).ravel()]
+            incs = scale_rows(kept, size_x, np.tile(scale, rounds * steps))
+
+        def step(r, i, X, Y):
+            j = r * steps + i
+            return (None if picks is None else picks[j * width:j * width + width], noisy,
+                    *(None if inc is None else inc[j * R:j * R + R] for inc in incs))
+    else:
+        rng, every, zero = np.random.Generator(np.random.PCG64(0)), list(range(width)), [0] * width
+
+        def step(r, i, X, Y):
+            j, batch, drawn = r * steps + i, [], variate_rows(width, size_x, size_y)
+            _reset_draws(drawn, zero, states[j * width:j * width + width], row_models, on, size_x, every,
+                         lambda k, stream: batch.append(stoch_grad(k % clients, X[k], Y[k], stream)), rng)
+            return batch, noisy, *(scale_rows(drawn[noisy], size_x, scale) if R else (None, None))
+
+    return [functools.partial(step, r) for r in range(rounds)]
 
 
 def _crafted_state(output: int, inc: int = 1) -> int:

@@ -31,7 +31,7 @@ from fedminimax.fedopt import (
     trace_to_csv,
 )
 from fedminimax.metrics import BOUND_SLACK, FINITE_FIELDS, centering_tol, verify_invariants
-from fedminimax.noise import round_states
+from fedminimax.noise import STREAM_CHUNK, chunk_draws
 from fedminimax.problems import gen_imbalanced_data, make_auc_problem, make_saddle_problem
 
 HP = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
@@ -192,7 +192,8 @@ def test_client_round_single_step_matches_manual():
     y0 = np.array([0.2, 0.0, -0.4])
     server = ServerState(x0[None], y0[None], *np.zeros((4, 1, 3)), 0)  # a stack of one run
     X, _, G_x, _, drift_x, _, cen_x, _ = client_round(server, np.zeros((1, 3)), np.zeros((1, 3)),
-                                                      prob, [RunSpec("nsgda-m", hp)], round_states([0], 1, 1, 0, 1))
+                                                      prob, [RunSpec("nsgda-m", hp)],
+                                                      chunk_draws([0], [None], 1, 1, 0, 1, 3, 3)[0])
     g = prob.grad_x(0, x0, y0)
     assert G_x.shape == X.shape == (1, 3)
     assert np.allclose(G_x, g[None])
@@ -207,7 +208,7 @@ def test_client_round_identical_clients_symmetry():
                      beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
     server = ServerState(np.ones((1, 3)), *np.zeros((5, 1, 3)), 0)  # a stack of one run
     X, _, G_x, *_ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)), prob, [RunSpec("nsgda-m", hp)],
-                                 round_states([0], 3, 2, 0, 1))
+                                 chunk_draws([0], [None], 3, 2, 0, 1, 3, 3)[0])
     assert X.shape == G_x.shape == (3, 3)
     for n in range(1, 3):
         assert np.allclose(X[n], X[0])
@@ -728,7 +729,7 @@ def test_each_run_of_a_stack_equals_its_solo_run(kind, data):
         st.sampled_from([0, 1, 2, 2**64 - 1]))
     specs = data.draw(st.lists(run_specs, min_size=1, max_size=6))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fedopt, "STREAM_CHUNK", data.draw(st.sampled_from([8, fedopt.STREAM_CHUNK])))
+        mp.setattr("fedminimax.noise.STREAM_CHUNK", data.draw(st.sampled_from([8, STREAM_CHUNK])))
         stacked = run_stack(problem, specs)
     with tempfile.TemporaryDirectory() as tmp:
         for spec, result in zip(specs, stacked):

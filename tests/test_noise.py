@@ -4,14 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedminimax import NoiseModel, Shape
-from fedminimax.noise import (derive_stream, empirical_moment, radius_sampler, radius_scale, sample, scale_draw,
-                             scale_draws, seed_errors, stream_states)
+from fedminimax.noise import (_states, derive_stream, empirical_moment, radius_sampler, radius_scale, sample,
+                             scale_draw, scale_draws, seed_errors, seed_pools, state_dicts)
 
 
 def draws(model, shape, n, seed=0, start_step=0, chunk=10_000):
     """(n,) + dims increments, the k-th drawn on stream (seed, 0, 0, start_step + k).
 
-    The states come from ``stream_states`` into one reused generator, and
+    The states come from the bulk derivation (``_states`` on the seed's
+    ``seed_pools``) into one reused generator, and
     each chunk's raw variates are scaled at once; the values equal
     ``sample`` on ``derive_stream`` (``test_draws_match_derive_stream``).
     """
@@ -21,8 +22,8 @@ def draws(model, shape, n, seed=0, start_step=0, chunk=10_000):
     radii = np.empty(n)
     for lo in range(0, n, chunk):
         steps = np.arange(start_step + lo, start_step + min(lo + chunk, n))
-        keys = np.stack([np.zeros_like(steps), np.zeros_like(steps), steps], axis=1)
-        for k, state in enumerate(stream_states(seed, keys), start=lo):
+        words = np.stack([np.zeros_like(steps), np.zeros_like(steps), steps]).astype(np.uint32)
+        for k, state in enumerate(state_dicts(_states(seed_pools([seed]), words)), start=lo):
             rng.bit_generator.state = state
             rng.standard_normal(out=out[k])
             radii[k] = radius()
@@ -153,7 +154,7 @@ GOLDEN_STREAMS = {
 def test_derive_stream_golden_values(key):
     assert derive_stream(*key).integers(0, 2**63, size=4).tolist() == GOLDEN_STREAMS[key]
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = stream_states(key[0], [key[1:]])[0]
+    rng.bit_generator.state, = state_dicts(_states(seed_pools([key[0]]), np.array([key[1:]], dtype=np.uint32).T))
     assert rng.integers(0, 2**63, size=4).tolist() == GOLDEN_STREAMS[key]
 
 
@@ -162,7 +163,4 @@ def test_seed_and_key_domain():
     for bad in (-1, 2**64, 1.0, True, "3"):
         assert seed_errors(bad) == [f"seed: must be an integer in [0, 2**64), got {bad!r}"]
         with pytest.raises(ValueError, match="seed"):
-            stream_states(bad, [(0, 0, 0)])
-    for keys in ([(0, 0, 2**32)], [(-1, 0, 0)], [(0, 0)], [(0.0, 0.0, 0.0)]):
-        with pytest.raises(ValueError, match="keys"):
-            stream_states(1, keys)
+            seed_pools([bad])

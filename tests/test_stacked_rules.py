@@ -10,7 +10,8 @@ the engine's muon-da step on both blocks at once must equal one
 ``muon_step`` per block.  What the engine forms once per round must equal
 its per-step form byte for byte: the momentum given a (1 - beta) u term
 formed once, the normalized step's path for rounds where no client stays
-put, and one ``scale_rows`` call over the noisy rows of p stacked steps.
+put, and one ``scale_rows`` call over the noisy rows of the p stacked steps
+of each round of a chunk.
 """
 
 import numpy as np
@@ -212,24 +213,24 @@ def test_normalized_step_path_without_resting_clients_picks_the_where_form(input
 
 
 @settings(max_examples=80, deadline=None)
-@given(p=st.integers(1, 4), runs=st.lists(st.booleans(), min_size=1, max_size=3), N=st.integers(1, 3),
-       size_x=st.integers(1, 5), size_y=st.integers(1, 5), data=st.data())
-def test_scale_rows_over_stacked_steps_equals_one_call_per_step(p, runs, N, size_x, size_y, data):
-    """The engine scales the noisy rows of a round's p steps in one call, the radius scale repeated p times;
-    each step's R rows equal that step's own call, all-zero normals (the measure-zero guard) included, and
-    with silent runs (R < S*N) as without."""
-    SN, C = len(runs) * N, size_x + size_y + 2
-    streams = data.draw(arrays(float, (p * SN, C), elements=st.floats(-4.0, 4.0)))
-    zero_x, zero_y = (data.draw(arrays(bool, p * SN)) for _ in range(2))
+@given(rounds=st.integers(1, 3), p=st.integers(1, 4), runs=st.lists(st.booleans(), min_size=1, max_size=3),
+       N=st.integers(1, 3), size_x=st.integers(1, 5), size_y=st.integers(1, 5), data=st.data())
+def test_scale_rows_over_stacked_steps_equals_one_call_per_step(rounds, p, runs, N, size_x, size_y, data):
+    """The noise of a chunk of rounds is scaled in one call over the noisy rows of all its rounds' p steps,
+    the radius scale repeated rounds * p times; each step's R rows equal that step's own call, all-zero
+    normals (the measure-zero guard) included, and with silent runs (R < S*N) as without."""
+    SN, C, steps = len(runs) * N, size_x + size_y + 2, rounds * p
+    streams = data.draw(arrays(float, (steps * SN, C), elements=st.floats(-4.0, 4.0)))
+    zero_x, zero_y = (data.draw(arrays(bool, steps * SN)) for _ in range(2))
     streams[zero_x, :size_x] = 0.0
     streams[zero_y, size_x + 1:-1] = 0.0
     rows = np.flatnonzero(np.repeat(runs, N))
     R = rows.size
     noisy = rows if R < SN else slice(None)
     scale = np.repeat(data.draw(arrays(float, len(runs), elements=st.floats(0.1, 10.0)))[np.array(runs)], N)
-    drawn = streams if R == SN else streams[(np.arange(p)[:, None] * SN + rows).ravel()]
-    once = scale_rows(drawn, size_x, np.tile(scale, p))
-    for i in range(p):
+    drawn = streams if R == SN else streams[(np.arange(steps)[:, None] * SN + rows).ravel()]
+    once = scale_rows(drawn, size_x, np.tile(scale, steps))
+    for i in range(steps):
         per_step = scale_rows(streams[i * SN:i * SN + SN][noisy], size_x, scale)
         for whole, part in zip(once, per_step):
             assert whole[i * R:i * R + R].tobytes() == part.tobytes()

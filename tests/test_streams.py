@@ -1,9 +1,10 @@
 """Property tests: bulk-derived streams and stacked noise equal their one-at-a-time references.
 
-``stream_states`` must give, draw for draw, the generator ``derive_stream``
+The bulk derivation (``_states`` on a seed's ``seed_pools``, read through
+``state_dicts``) must give, draw for draw, the generator ``derive_stream``
 builds for the same key, over the whole seed and key domain; so must
 ``round_states``, which derives the streams of several seeds at once, and
-the chunks of rounds a stack of runs derives its streams in.  The noise
+the chunks of rounds a stack of runs derives its draws in.  The noise
 ``client_round`` injects must equal, bit for bit, a per-client reference:
 the one-client ``stoch_grad`` on that client's ``derive_stream`` stream,
 at the iterates the batched ``grad`` saw, then one increment per block
@@ -31,8 +32,8 @@ from fedminimax import fedopt
 from fedminimax.fedopt import RunSpec, ServerState, client_round
 from fedminimax import noise
 from fedminimax._ziggurat import _BLOCK, _SLACK, _advanced, _deltas, _outputs
-from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _student_t_scale, derive_stream, round_states, sample,
-                              state_dicts, stream_states, stream_variates)
+from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _states, _student_t_scale, chunk_draws, chunk_rounds,
+                              derive_stream, round_states, sample, seed_pools, state_dicts, stream_variates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,9 +62,10 @@ def reference_sample(model, shape, stream):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=SEEDS, keys=st.lists(KEY, min_size=1, max_size=6))
-def test_stream_states_match_derive_stream(seed, keys):
+def test_bulk_states_match_derive_stream(seed, keys):
     rng = np.random.default_rng(0)
-    for key, state in zip(keys, stream_states(seed, keys)):
+    words = np.array(keys, dtype=np.uint32).T  # (client, round, step) rows
+    for key, state in zip(keys, state_dicts(_states(seed_pools([seed]), words))):
         ref = derive_stream(seed, *key)
         assert state == ref.bit_generator.state
         rng.bit_generator.state = state
@@ -138,13 +140,10 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
                          *(np.zeros((1,) + shape.dims) for shape in (sy, sx, sy, sx, sy)), round_idx)
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5,
                         beta_y=0.5, p=p, T=1, N=N)
-    streams, picks = round_states([seed], N, p, round_idx, 1), None
-    if not problem.draws_per_client:
-        streams = stream_variates(streams, [noise], sx.size, sy.size, problem.minibatch)
-        if problem.minibatch is not None:
-            picks, streams = streams
+    draws, = chunk_draws([seed], [noise], N, p, round_idx, 1, sx.size, sy.size, problem.minibatch,
+                         problem.stoch_grad if problem.draws_per_client else None)
     _, _, G_x, G_y, *_ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
-                                      problem, [RunSpec("nsgda-m", hp, noise, seed)], streams, picks)
+                                      problem, [RunSpec("nsgda-m", hp, noise, seed)], draws)
 
     assert len(calls) == p  # one batched call per local step
     assert G_x.shape == (N,) + sx.dims and G_y.shape == (N,) + sy.dims
@@ -192,36 +191,45 @@ def test_round_states_layout_matches_derive_stream(seeds, first_round, rounds, c
 @given(seeds=st.lists(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1), min_size=1, max_size=3),
        chunk=st.sampled_from([1, 5, 12, STREAM_CHUNK]), T=st.integers(1, 7), minibatch=st.booleans())
 def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T, minibatch):
-    """Every client_round of a stack gets, variate for variate and index for index, its runs' derive_stream
-    draws, on the saddle and on an AUC problem whose minibatch shrinks the chunk."""
+    """Every step of every client_round of a stack gets, increment for increment and index for index, its
+    runs' derive_stream draws, on the saddle and on an AUC problem whose minibatch shrinks the chunk."""
     if minibatch:
         shards = [fm.gen_imbalanced_data(20 + 9 * n, [0.3], dim=2, separation=2.0, seed=n)[0] for n in range(2)]
         problem = fm.make_auc_problem(shards, 2, batch_size=3)
     else:
         problem = fm.make_saddle_problem(2, 2, 2, hetero=0.5, seed=1)
-    size_x, size_y = problem.shape_x.size, problem.shape_y.size
     hp = fm.HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.05, beta_x=0.5, beta_y=0.5,
                         p=2, T=T, N=2)
     seen = []
 
-    def recording(server, G_prev_x, G_prev_y, problem, specs, streams, picks):
-        seen.append((server.round, [spec.seed for spec in specs], streams, picks))
-        return client_round(server, G_prev_x, G_prev_y, problem, specs, streams, picks)
+    def recording(server, G_prev_x, G_prev_y, problem, specs, draws):
+        steps = []
+
+        def seen_draws(i, X, Y):
+            steps.append(draws(i, X, Y))
+            return steps[-1]
+
+        seen.append((server.round, [spec.seed for spec in specs], steps))
+        return client_round(server, G_prev_x, G_prev_y, problem, specs, seen_draws)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fedopt, "STREAM_CHUNK", chunk)
+        mp.setattr(noise, "STREAM_CHUNK", chunk)
         mp.setattr(fedopt, "client_round", recording)
         fedopt.run_stack(problem, [RunSpec("nsgda-m", hp, NOISES["gaussian"], seed) for seed in seeds])
-    assert [t for t, _, _, _ in seen] == list(range(T))
-    for t, stacked, variates, picks in seen:
-        streams = [derive_stream(seed, n, t, i) for i in range(2) for seed in stacked for n in range(2)]
-        if minibatch:
-            assert picks.tobytes() == np.stack([stream.integers(0, len(shards[k % 2]), size=3)
-                                                for k, stream in enumerate(streams)]).tobytes()
-        else:
-            assert picks is None
-        want = [stream_draws(NOISES["gaussian"], size_x, size_y, stream) for stream in streams]
-        assert variates.tobytes() == np.stack(want).tobytes()
+    assert [t for t, _, _ in seen] == list(range(T))
+    for t, stacked, steps in seen:
+        assert len(steps) == 2
+        for i, (picks, noisy, inc_x, inc_y) in enumerate(steps):
+            streams = [derive_stream(seed, n, t, i) for seed in stacked for n in range(2)]
+            if minibatch:
+                assert picks.tobytes() == np.stack([stream.integers(0, len(shards[k % 2]), size=3)
+                                                    for k, stream in enumerate(streams)]).tobytes()
+            else:
+                assert picks is None
+            assert noisy == slice(None)
+            want = [reference_sample(NOISES["gaussian"], shape, stream) for stream in streams
+                    for shape in (problem.shape_x, problem.shape_y)]
+            assert inc_x.tobytes() + inc_y.tobytes() == np.concatenate(want[0::2] + want[1::2]).tobytes()
 
 
 SAMPLED = [fm.NoiseModel(s=2.0, sigma=1.3, family="gaussian"),
@@ -467,14 +475,14 @@ def test_client_round_resets_numpy_only_for_problems_that_draw(monkeypatch):
             left.append(int(np.count_nonzero(sampled(states, models, size_x, size_y)[1] < size_x + size_y + 2)))
         return out
 
-    def counting_round(server, G_prev_x, G_prev_y, problem, specs, streams, picks):
+    def counting_round(server, G_prev_x, G_prev_y, problem, specs, draws):
         CountingPCG64.sets = 0
-        out = client_round(server, G_prev_x, G_prev_y, problem, specs, streams, picks)
+        out = client_round(server, G_prev_x, G_prev_y, problem, specs, draws)
         round_sets.append((len(specs), CountingPCG64.sets))
         return out
 
     monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
-    monkeypatch.setattr(fedopt, "stream_variates", counting_variates)
+    monkeypatch.setattr(noise, "stream_variates", counting_variates)
     monkeypatch.setattr(fedopt, "client_round", counting_round)
     traces = fedopt.run_stack(problem, specs)
     assert round_sets == [(len(specs), 0)] * 6
@@ -501,25 +509,32 @@ def test_client_round_resets_numpy_only_for_problems_that_draw(monkeypatch):
             r.x.tobytes() + r.y.tobytes() for r in solo.records]
 
 
-def test_client_round_scales_noise_once_per_round_unless_the_problem_draws(monkeypatch):
-    """On a problem given by ``grad`` every step's variates are drawn before the round, and ``client_round``
-    scales all p steps' noisy rows in one ``scale_rows`` call, with silent runs in the stack or without; on a
-    problem given by per-client callables the variates are drawn inside each step, which scales its own."""
+def test_client_round_scales_noise_once_per_chunk_unless_the_problem_draws(monkeypatch):
+    """On a problem given by ``grad`` every step's variates are drawn before the chunk of rounds, and
+    ``chunk_draws`` scales the noisy rows of all its rounds' p steps in one ``scale_rows`` call, with silent
+    runs in the stack or without, over chunks of several rounds and of one; on a problem given by per-client
+    callables the variates are drawn inside each step, which scales its own."""
     calls = []
+    scale_rows = noise.scale_rows
 
     def counting(rows, size_x, scale):
         calls.append(len(rows))
-        return noise.scale_rows(rows, size_x, scale)
+        return scale_rows(rows, size_x, scale)
 
-    monkeypatch.setattr(fedopt, "scale_rows", counting)
+    monkeypatch.setattr(noise, "scale_rows", counting)
     N, p, T = 3, 4, 3
-    for problem, models in ((PROBLEMS["vector"], SAMPLED[:2]), (PROBLEMS["vector"], [SAMPLED[0], None, SAMPLED[1]]),
-                            (PROBLEMS["auc-minibatch"], [None, SAMPLED[1]]), (matrix_problem(), [SAMPLED[0], None])):
+    for problem, models, chunk in (
+            (PROBLEMS["vector"], SAMPLED[:2], STREAM_CHUNK), (PROBLEMS["vector"], [SAMPLED[0], None, SAMPLED[1]], 80),
+            (PROBLEMS["auc-minibatch"], [None, SAMPLED[1]], STREAM_CHUNK), (matrix_problem(), [SAMPLED[0], None], 8)):
         calls.clear()
+        monkeypatch.setattr(noise, "STREAM_CHUNK", chunk)
         hp = fm.theorem1_schedule(N, p, T, problem.smooth)
         fedopt.run_stack(problem, [RunSpec("nsgda-m", hp, model, seed) for seed, model in enumerate(models)])
         rows = N * sum(model is not None for model in models)
-        assert calls == ([rows] * (p * T) if problem.draws_per_client else [p * rows] * T)
+        rounds = chunk_rounds(p * N * len(models), problem.shape_x.size, problem.shape_y.size, problem.minibatch)
+        per_chunk = [p * rows * min(rounds, T - t) for t in range(0, T, rounds)]
+        assert calls == ([rows] * (p * T) if problem.draws_per_client else per_chunk)
+        assert problem.draws_per_client or (len(per_chunk) == 1) == (chunk == STREAM_CHUNK)
 
 
 @pytest.fixture

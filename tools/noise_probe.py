@@ -7,9 +7,11 @@ Usage (from the repository root)::
 For each shape it derives one chunk of stream states as ``run_stack``
 does (``round_states``, the seeds' pools hashed once beforehand) and turns
 them into raw variates (``stream_variates``, Pareto noise), and it draws
-the same rows on numpy's per-stream loop: each stream's generator reset to
-its state, then its minibatch indices and ``draw_rest`` from variate 0,
-which is what ``noise._finish`` does for a stream the pass leaves whole.
+the same rows on numpy's per-stream loop: ``noise._finish`` from variate 0
+with every row noisy, which resets one generator to each stream in turn
+and draws its minibatch indices, then its variates.  That is the loop the
+engine runs for a stream the pass leaves whole, and, with ``stoch_grad``
+as the first draw, for a problem given by per-client callables.
 The pass's rows must equal the loop's, bit for bit.  Calls alternate, the
 pass first on even calls and the loop first on odd ones, and the table
 gives the median per-call time in us and the peak of one call's traced
@@ -57,15 +59,13 @@ SHAPES = [
 
 def numpy_loop(noise, states, models, size_x, size_y, minibatch):
     """Every stream drawn on numpy's generator reset to its state: indices, then variates from variate 0."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits, radii = rng.bit_generator, {id(model): noise.radius_sampler(model, rng) for model in models}
-    drawn = noise.variate_rows(len(states), size_x, size_y)
-    picks = None if minibatch is None else np.empty((len(states), minibatch[1]), dtype=np.int64)
-    for k, state in enumerate(noise.state_dicts(states)):
-        bits.state = state
-        if picks is not None:
-            picks[k] = rng.integers(0, minibatch[0][k % len(minibatch[0])], size=minibatch[1])
-        noise.draw_rest(rng, radii[id(models[k % len(models)])], drawn[k], 0, size_x)
+    K = len(states)
+    drawn = noise.variate_rows(K, size_x, size_y)
+    picks, bounds = None, None
+    if minibatch is not None:
+        picks = np.empty((K, minibatch[1]), dtype=np.int64)
+        bounds = noise._cycled(np.asarray(minibatch[0], dtype=np.uint64), K)
+    noise._finish(drawn, np.zeros(K, dtype=np.intp), states, models, np.ones(K, dtype=bool), size_x, picks, bounds)
     return drawn if picks is None else (picks, drawn)
 
 

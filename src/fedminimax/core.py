@@ -29,16 +29,17 @@ class Shape:
     def __post_init__(self):
         if len(self.dims) not in (1, 2):
             raise ValueError(f"a shape needs 1 dim (vector) or 2 (matrix), got {self.dims}")
-        if any(int(d) != d or d < 1 for d in self.dims):
+        if any(not (isinstance(d, numbers.Real) and math.isfinite(d)) or int(d) != d or d < 1 for d in self.dims):
             raise ValueError(f"shape dims must be positive integers, got {self.dims}")
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))  # from any sequence of integral numbers
 
     @staticmethod
     def vector(d: int) -> "Shape":
-        return Shape((int(d),))
+        return Shape((d,))
 
     @staticmethod
     def matrix(m: int, n: int) -> "Shape":
-        return Shape((int(m), int(n)))
+        return Shape((m, n))
 
     @property
     def size(self) -> int:

@@ -27,8 +27,8 @@ Four local update rules share this skeleton:
 The local momentum of the three bounded rules mixes each fresh
 stochastic gradient with the *previous round's global* momentum (held
 constant across the round's local steps); it is not recursive over local
-steps.  So ``client_round`` forms that term, (1 - beta) u, and each
-rule's signed step once per round.  Its noise comes from ``noise``, which
+steps.  So ``client_round`` forms that term, (1 - beta) u, once per
+round, from per-row rate columns.  Its noise comes from ``noise``, which
 derives the streams of a chunk of rounds at once, sizes the chunk, resets
 numpy's generator where a stream is drawn on it, and scales the noise:
 once per chunk, or per step on a problem given by per-client callables,
@@ -264,7 +264,7 @@ def local_momentum(G, g_global_prev, G_local_prev, u_global_prev, beta: float):
     return _momentum(G, g_global_prev, G_local_prev, (1.0 - beta) * u_global_prev, beta)
 
 
-def _momentum(G, g, G_prev, kept, beta: float):
+def _momentum(G, g, G_prev, kept, beta):
     """:func:`local_momentum` unchecked, given its global momentum term ``kept = (1 - beta) * u``."""
     return beta * (G + g - G_prev) + kept
 
@@ -276,8 +276,8 @@ def _signed(eta: float, direction: str) -> float:
     return -eta if direction == "descend" else eta
 
 
-# Each public step rule checks its arguments and calls a private one, unchecked, that takes the signed
-# step (-eta to descend, eta to ascend); the engine calls the private ones on HyperParams, checked when made.
+# Each public step rule checks its arguments and calls a private one, unchecked, that takes the signed step
+# (-eta to descend, eta to ascend); the engine calls those on rate_table columns, each row a scalar's bits.
 
 
 def normalized_step(Z, M, eta: float, direction: str):
@@ -285,7 +285,7 @@ def normalized_step(Z, M, eta: float, direction: str):
     return _normalized(Z, M, _signed(eta, direction))
 
 
-def _normalized(Z, M, step: float):
+def _normalized(Z, M, step):
     nrm, low = _momentum_norms(M)
     if not low.any():  # no client stays put: the values both np.where calls would pick
         return Z + step / nrm * M
@@ -335,9 +335,9 @@ def clip_step(Z, M, eta: float, tau: float, direction: str):
     return _clipped(Z, M, _signed(eta, direction), tau)
 
 
-def _clipped(Z, M, step: float, tau: float):
+def _clipped(Z, M, step, tau):
     scale = tau / np.maximum(_client_norms(M), tau)  # exactly 1.0 up to ||M|| = tau
-    return Z + _per_client(step * scale, M) * M
+    return Z + step * _per_client(scale, M) * M
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +354,34 @@ class RunSpec:
     seed: int = 0
 
 
-def _groups(specs: list) -> list:
-    """(first, stop, algorithm, hp) of each maximal range of consecutive runs sharing (algorithm, hp)."""
-    groups, first = [], 0
-    for (algorithm, hp), runs in itertools.groupby(specs, key=lambda spec: (spec.algorithm, spec.hp)):
-        groups.append((first, first + len(list(runs)), algorithm, hp))
-        first = groups[-1][1]
+def _rule(spec: RunSpec) -> tuple:  # the step rule a run takes
+    return spec.algorithm, spec.hp.ns_mode if spec.algorithm == "muon-da" else None
+
+
+def _groups(specs: list, N: int) -> list:
+    """(first, stop, rows, algorithm, ns_mode) of each maximal range of consecutive runs sharing a step rule."""
+    groups, stop = [], 0
+    for (algorithm, ns_mode), runs in itertools.groupby(specs, key=_rule):
+        first, stop = stop, stop + len(list(runs))
+        groups.append((first, stop, slice(first * N, stop * N), algorithm, ns_mode))
     return groups
+
+
+def rate_table(hps: list, ndim_x: int, ndim_y: int) -> tuple:
+    """The rates of the runs ``hps`` as columns that broadcast over stacks of ndim_x- and ndim_y-dim blocks.
+
+    Returns (client, server, tau): for x and then y, the signed step
+    (-eta_x, +eta_y), beta and 1 - beta on each run's rows, (S*N,) + ones,
+    and the server's gamma / (eta N p), beta and 1 - beta, (S,) + ones;
+    then tau on each run's rows, (S*N,) like the norms it meets.
+    """
+    N, ones_x, ones_y = hps[0].N, (1,) * ndim_x, (1,) * ndim_y
+    runs = np.array([[-hp.eta_x, hp.beta_x, 1.0 - hp.beta_x, hp.eta_y, hp.beta_y, 1.0 - hp.beta_y, hp.tau,
+                      hp.gamma_x / (hp.eta_x * hp.N * hp.p), hp.gamma_y / (hp.eta_y * hp.N * hp.p)] for hp in hps]).T
+    rows = np.repeat(runs, N, axis=1)
+    return ((tuple(rows[:3].reshape((3, -1) + ones_x)), tuple(rows[3:6].reshape((3, -1) + ones_y))),
+            (tuple(runs[[7, 1, 2]].reshape((3, -1) + ones_x)), tuple(runs[[8, 4, 5]].reshape((3, -1) + ones_y))),
+            rows[6])
 
 
 def _by_run(A, N: int) -> np.ndarray:
@@ -368,7 +389,7 @@ def _by_run(A, N: int) -> np.ndarray:
     return A.reshape((-1, N) + A.shape[1:])
 
 
-def _applied_centering(M, G, kept, beta: float, N: int) -> np.ndarray:
+def _applied_centering(M, G, kept, beta, N: int) -> np.ndarray:
     """Per run ||mean_n((M_n - kept_n) / beta - G_n)||, kept = (1 - beta) U: the mean correction M applied."""
     return _client_norms(_by_run((M - kept) / beta - G, N).sum(axis=1) / N)
 
@@ -378,33 +399,29 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray,
-                 problem: MinimaxProblem, specs: list, draws) -> tuple:
+                 problem: MinimaxProblem, specs: list, rates: tuple, draws) -> tuple:
     """Run the p local steps of all N clients of every run in a stack from its round-start server state.
 
     The stack is S runs (``specs``) that share the problem and (N, p); the
     server state holds their (S,) + block stacks at one round, and run s
-    owns rows s*N to s*N + N - 1 of every (S*N,) + block stack.  Returns
-    the final iterates and the new control variates (each client's average
-    stochastic gradient) as such stacks, each client's largest drift
-    ||x_local - x_t|| per block as (S*N,) vectors, and each run's
-    centering residual per block as (S,) vectors: the mean correction its
-    step-0 momentum applied, 0.0 for ``local-sgda-m``, which applies none.
-    It checks nothing; ``run_stack`` does.
+    owns rows s*N to s*N + N - 1 of every (S*N,) + block stack and of
+    their ``rate_table``.  Returns the final iterates and the new control
+    variates (each client's average stochastic gradient) as such stacks,
+    each client's largest drift ||x_local - x_t|| per block as (S*N,)
+    vectors, and each run's centering residual per block as (S,) vectors:
+    the mean correction its step-0 momentum applied, 0.0 for
+    ``local-sgda-m``, which applies none.  ``run_stack`` checks them all.
 
-    At each step every client draws from its (seed, client, round, step)
-    stream: its minibatch or its per-client ``stoch_grad``'s draws, then
-    the ``noise`` of x and y.  ``draws(i, X, Y)``, the round's entry of
-    ``noise.chunk_draws``, gives step i's batch, the rows whose noise is
-    drawn and their increments, already scaled (once per chunk of rounds
-    on a problem given by ``grad``).  One ``grad`` call gives the
-    gradients of all S*N rows, and the noise is added for all noisy rows
-    at once.  Each bounded rule's (1 - beta) u and signed steps are formed
-    once per round.  Momentum and step rule act once per range of
-    consecutive runs that share (algorithm, hp), the drifts once for the
-    stack; muon-da's two matrix blocks take their polar factors from one
-    Newton-Schulz call.  Every row keeps the bits of its run alone.
+    Step i's batch, noisy rows and scaled noise increments come from
+    ``draws(i, X, Y)``, the round's entry of ``noise.chunk_draws``.  Each
+    step makes one ``grad`` call for all S*N rows, one momentum call per
+    block over every row, and one step-rule call per range of runs that
+    share a rule (``_groups``); muon-da's two matrix blocks take their
+    polar factors from one Newton-Schulz call.  Every row keeps the bits
+    of its run alone.
     """
-    S, N, p = len(specs), specs[0].hp.N, specs[0].hp.p
+    N, p = specs[0].hp.N, specs[0].hp.p
+    ((step_x, beta_x, keep_x), (step_y, beta_y, keep_y)), _, tau = rates
 
     def per_client(blocks):  # each run's block on each of its rows
         return np.repeat(blocks, N, axis=0)
@@ -412,15 +429,10 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     X0, Y0 = per_client(server.x), per_client(server.y)
     U, V = per_client(server.u), per_client(server.v)  # local-sgda-m recurses
     g_x, g_y = per_client(server.g_x), per_client(server.g_y)
-    groups = []  # its runs, its rows and, for a bounded rule, the signed steps and (1 - beta) u, fixed for the round
-    for a, b, algorithm, hp in _groups(specs):
-        r = slice(a * N, b * N)
-        fixed = None if algorithm == "local-sgda-m" else (_signed(hp.eta_x, "descend"), _signed(hp.eta_y, "ascend"),
-                                                          (1.0 - hp.beta_x) * U[r], (1.0 - hp.beta_y) * V[r])
-        groups.append((a, b, r, algorithm, hp, fixed))
+    kept_x, kept_y = keep_x * U, keep_y * V  # the bounded rules' (1 - beta) u, fixed for the round
+    groups = _groups(specs, N)
     X, Y = X0, Y0
     sum_gx, sum_gy = np.zeros_like(X), np.zeros_like(Y)
-    cen_x, cen_y = np.zeros(S), np.zeros(S)
     for i in range(p):
         batch, noisy, inc_x, inc_y = draws(i, X, Y)
         GX, GY = problem.grad(X, Y, batch)
@@ -430,21 +442,21 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
             GY[noisy] += inc_y.reshape((-1,) + GY.shape[1:])
         sum_gx += GX
         sum_gy += GY
+        MX = _momentum(GX, g_x, G_prev_x, kept_x, beta_x)
+        MY = _momentum(GY, g_y, G_prev_y, kept_y, beta_y)
+        if i == 0:
+            cen_x = _applied_centering(MX, GX, kept_x, beta_x, N)
+            cen_y = _applied_centering(MY, GY, kept_y, beta_y, N)
         steps_x, steps_y = [], []
-        for a, b, r, algorithm, hp, fixed in groups:
-            if algorithm == "local-sgda-m":
-                U[r] = hp.beta_x * GX[r] + (1.0 - hp.beta_x) * U[r]
-                V[r] = hp.beta_y * GY[r] + (1.0 - hp.beta_y) * V[r]
-                steps_x.append(X[r] - hp.eta_x * U[r])
-                steps_y.append(Y[r] + hp.eta_y * V[r])
-                continue
-            step_x, step_y, kept_x, kept_y = fixed
-            MX = _momentum(GX[r], g_x[r], G_prev_x[r], kept_x, hp.beta_x)
-            MY = _momentum(GY[r], g_y[r], G_prev_y[r], kept_y, hp.beta_y)
-            if i == 0:
-                cen_x[a:b] = _applied_centering(MX, GX[r], kept_x, hp.beta_x, N)
-                cen_y[a:b] = _applied_centering(MY, GY[r], kept_y, hp.beta_y, N)
-            new_x, new_y = _steps(algorithm, hp, [(X[r], MX, step_x), (Y[r], MY, step_y)])
+        for a, b, r, algorithm, ns_mode in groups:
+            if algorithm == "local-sgda-m":  # its own recursive momentum, and no centering
+                U[r] = beta_x[r] * GX[r] + keep_x[r] * U[r]
+                V[r] = beta_y[r] * GY[r] + keep_y[r] * V[r]
+                new_x, new_y = X[r] + step_x[r] * U[r], Y[r] + step_y[r] * V[r]
+                cen_x[a:b] = cen_y[a:b] = 0.0
+            else:
+                new_x, new_y = _steps(algorithm, ns_mode, [(X[r], MX[r], step_x[r]), (Y[r], MY[r], step_y[r])],
+                                      tau[r])
             steps_x.append(new_x)
             steps_y.append(new_y)
         X, Y = _joined(steps_x), _joined(steps_y)
@@ -455,37 +467,31 @@ def client_round(server: ServerState, G_prev_x: np.ndarray, G_prev_y: np.ndarray
     return X, Y, sum_gx / p, sum_gy / p, max_dx, max_dy, cen_x, cen_y
 
 
-def _steps(algorithm: str, hp: HyperParams, blocks: list) -> list:
+def _steps(algorithm: str, ns_mode: Optional[str], blocks: list, tau: np.ndarray) -> list:
     """The step rule on each (Z, M, step) block of one local step."""
     if algorithm == "muon-da":
-        return _muon_steps(blocks, hp.ns_mode)
+        return _muon_steps(blocks, ns_mode)
     if algorithm == "nsgda-m":
         return [_normalized(*block) for block in blocks]
-    return [_clipped(*block, hp.tau) for block in blocks]
+    return [_clipped(*block, tau) for block in blocks]
 
 
-def server_round(server: ServerState, X, Y, G_x, G_y, hps: list) -> ServerState:
+def server_round(server: ServerState, X, Y, G_x, G_y, rates: tuple) -> ServerState:
     """Aggregate every run's N clients into its next server state, for a stack of S runs at once.
 
-    ``server`` holds the runs' (S,) + block stacks and ``hps`` their
-    hyperparameters; X, Y, G_x and G_y are (S*N,) + block client stacks,
-    run s owning rows s*N to s*N + N - 1.  Each run's clients are summed
-    over the client axis of the (S, N) + block view, as ``.sum(axis=0)``
-    sums one run's (N,) + block stack, and each run's coefficients are a
-    column from its own ``hp``.
+    ``server`` holds the runs' (S,) + block stacks and ``rates`` their
+    ``rate_table``, whose server columns give each run's coefficients; X,
+    Y, G_x and G_y are (S*N,) + block client stacks, run s owning rows s*N
+    to s*N + N - 1.  Each run's clients are summed over the client axis of
+    the (S, N) + block view, as ``.sum(axis=0)`` sums one run's stack.
     """
-    S, N = len(hps), hps[0].N
+    _, ((step_x, beta_x, keep_x), (step_y, beta_y, keep_y)), tau = rates
+    S, N = len(step_x), len(tau) // len(step_x)
     want_x, want_y = (S * N,) + server.x.shape[1:], (S * N,) + server.y.shape[1:]
     if not (len(server.x) == len(server.y) == S and X.shape == G_x.shape == want_x
             and Y.shape == G_y.shape == want_y):
         raise ProtocolError(f"expected {want_x} and {want_y} stacks of {S} runs' clients for x, y, x, y, got "
                             f"{[np.shape(A) for A in (X, Y, G_x, G_y)]}")
-    # per run: the server step per unit of summed displacement and the momentum weights,
-    # as columns that broadcast over the x and y blocks
-    rates = np.array([[hp.gamma_x / (hp.eta_x * hp.N * hp.p), hp.beta_x, 1.0 - hp.beta_x,
-                       hp.gamma_y / (hp.eta_y * hp.N * hp.p), hp.beta_y, 1.0 - hp.beta_y] for hp in hps]).T
-    step_x, beta_x, keep_x = rates[:3].reshape((3, S) + (1,) * (server.x.ndim - 1))
-    step_y, beta_y, keep_y = rates[3:].reshape((3, S) + (1,) * (server.y.ndim - 1))
     g_x = _by_run(G_x, N).sum(axis=1) / N
     g_y = _by_run(G_y, N).sum(axis=1) / N
     x_new = server.x + step_x * (_by_run(X, N) - server.x[:, None]).sum(axis=1)
@@ -532,18 +538,16 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     ``InternalInvariantViolation`` that ended it.  Each run's trace is,
     bit for bit, the trace of ``run`` on that spec alone.  Every round
     makes one ``round_metrics`` call for the points of all the runs still
-    in, one ``client_round`` for their local steps (one ``grad`` call per
-    step), one ``server_round`` and one pass of record norms over the
-    stack, whose rows are grouped by (algorithm, hp) in the order the
-    groups first appear; each run's record, checks and exit are its own.
-    A run leaves the stack at the round it raises, or, for the
+    in, one ``client_round``, one ``server_round`` and one pass of record
+    norms over the stack.  Its rows are grouped by step rule (``_rule``),
+    in the order the rules first appear, whatever their rates; one
+    ``rate_table``, built as the stack forms and again when a run leaves,
+    holds those.  A run leaves at the round it raises, or, for the
     unnormalized baseline, at its first diverged record (the rest of its
-    records carry nan); the other runs go on.  The draws of all the runs
-    still in come from ``noise``, a chunk of rounds at a time
-    (``chunk_rounds`` gives its size, ``chunk_draws`` its draws), from
-    seed pools hashed once per stack; ``problem.stoch_grad`` goes with
-    them only on a problem given by per-client callables, whose
-    ``stoch_grad`` draws on each stream before its noise.
+    records carry nan); the other runs go on.  The runs' draws come from
+    ``noise`` a chunk of rounds at a time (``chunk_rounds``,
+    ``chunk_draws``), from seed pools hashed once per stack, with
+    ``problem.stoch_grad`` only on a problem given by per-client callables.
     """
     specs = list(specs)
     if not specs:
@@ -560,10 +564,8 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     if any((spec.hp.N, spec.hp.p, spec.hp.T) != (N, p, T) for spec in specs):
         raise ValueError("the runs of a stack must share N, p and T")
 
-    first = {}
-    for spec in specs:
-        first.setdefault((spec.algorithm, spec.hp), len(first))
-    live = sorted(range(len(specs)), key=lambda k: first[(specs[k].algorithm, specs[k].hp)])
+    rules = list(dict.fromkeys(map(_rule, specs)))  # in the order they first appear
+    live = sorted(range(len(specs)), key=lambda k: rules.index(_rule(specs[k])))
     dims_x, dims_y = problem.shape_x.dims, problem.shape_y.dims
     server = ServerState(*(np.zeros((len(live),) + dims) for dims in (dims_x, dims_y) * 3), 0)
     G_prev_x, G_prev_y = np.zeros((len(live) * N,) + dims_x), np.zeros((len(live) * N,) + dims_y)
@@ -572,11 +574,13 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
     stoch_grad = problem.stoch_grad if problem.draws_per_client else None  # it draws on each stream first
     records: list = [[] for _ in specs]
     raised, final = {}, {}
-    draws, chunk_end, pools = None, 0, seed_pools([spec.seed for spec in specs])
+    draws, chunk_end, pools, rates = None, 0, seed_pools([spec.seed for spec in specs]), None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             if not live:
                 break
+            if rates is None:  # the stack formed, or a run left it
+                rates = rate_table([specs[k].hp for k in live], len(dims_x), len(dims_y))
             if draws is None or t == chunk_end:
                 draws, chunk_start = None, t  # the last chunk's draws are freed before the next pass runs
                 chunk_end = min(t + chunk_rounds(p * len(live) * N, size_x, size_y, problem.minibatch), T)
@@ -585,8 +589,8 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
             phi, grad_phi, f_val, mean_gx, mean_gy = problem.round_metrics(server.x, server.y)
             aucs = [None if problem.auc_eval is None else float(problem.auc_eval(x)) for x in server.x]
             X, Y, G_x, G_y, drift_x, drift_y, cen_x, cen_y = client_round(
-                server, G_prev_x, G_prev_y, problem, [specs[k] for k in live], draws[t - chunk_start])
-            new = server_round(server, X, Y, G_x, G_y, [specs[k].hp for k in live])
+                server, G_prev_x, G_prev_y, problem, [specs[k] for k in live], rates, draws[t - chunk_start])
+            new = server_round(server, X, Y, G_x, G_y, rates)
             # each record field for every run at once, one Python float per run
             fields = {
                 "grad_phi_norm": _client_norms(grad_phi).tolist(),
@@ -624,7 +628,7 @@ def run_stack(problem: MinimaxProblem, specs: list) -> list:
                     stay.append(j)
             if len(stay) < len(live):  # a run left: the next round derives the streams of the rest
                 rows = (np.array(stay, dtype=int)[:, None] * N + np.arange(N)).ravel()
-                G_x, G_y, live, draws = G_x[rows], G_y[rows], [live[j] for j in stay], None
+                G_x, G_y, live, draws, rates = G_x[rows], G_y[rows], [live[j] for j in stay], None, None
                 new = _runs(new, stay)
             server, G_prev_x, G_prev_y = new, G_x, G_y
     final.update((k, _runs(server, j)) for j, k in enumerate(live))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,19 @@ def test_shape_vector_matrix():
     for dims in ((), (2, 3, 4)):
         with pytest.raises(ValueError, match="1 dim"):
             Shape(dims)
+
+
+def test_shape_holds_its_dims_as_a_tuple_of_ints():
+    """Any sequence of integral numbers makes the shape of those ints: equal, hashable, with an int size."""
+    assert Shape([3]) == Shape.vector(3) and hash(Shape([3])) == hash(Shape.vector(3))
+    assert (2,) + Shape([3]).dims == (2, 3)
+    m = Shape((2.0, np.int64(3)))
+    assert m == Shape.matrix(2, 3) and type(m.size) is int and m.size == 6
+    assert all(type(d) is int for d in m.dims)
+    assert np.zeros((4,) + m.dims).shape == (4, 2, 3)
+    for bad in ((2.5,), [1, 0], (math.inf,), (math.nan, 2), (None,), ("3",)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Shape(bad)
 
 
 @pytest.mark.parametrize("bad", [0, -1])

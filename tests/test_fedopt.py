@@ -24,6 +24,7 @@ from fedminimax.fedopt import (
     local_momentum,
     muon_step,
     normalized_step,
+    rate_table,
     run,
     run_stack,
     server_round,
@@ -192,7 +193,7 @@ def test_client_round_single_step_matches_manual():
     y0 = np.array([0.2, 0.0, -0.4])
     server = ServerState(x0[None], y0[None], *np.zeros((4, 1, 3)), 0)  # a stack of one run
     X, _, G_x, _, drift_x, _, cen_x, _ = client_round(server, np.zeros((1, 3)), np.zeros((1, 3)),
-                                                      prob, [RunSpec("nsgda-m", hp)],
+                                                      prob, [RunSpec("nsgda-m", hp)], rate_table([hp], 1, 1),
                                                       chunk_draws([0], [None], 1, 1, 0, 1, 3, 3)[0])
     g = prob.grad_x(0, x0, y0)
     assert G_x.shape == X.shape == (1, 3)
@@ -208,7 +209,7 @@ def test_client_round_identical_clients_symmetry():
                      beta_x=0.5, beta_y=0.5, p=2, T=4, N=3)
     server = ServerState(np.ones((1, 3)), *np.zeros((5, 1, 3)), 0)  # a stack of one run
     X, _, G_x, *_ = client_round(server, np.zeros((3, 3)), np.zeros((3, 3)), prob, [RunSpec("nsgda-m", hp)],
-                                 chunk_draws([0], [None], 3, 2, 0, 1, 3, 3)[0])
+                                 rate_table([hp], 1, 1), chunk_draws([0], [None], 3, 2, 0, 1, 3, 3)[0])
     assert X.shape == G_x.shape == (3, 3)
     for n in range(1, 3):
         assert np.allclose(X[n], X[0])
@@ -305,7 +306,7 @@ def test_server_round_mean_and_momentum():
     hp = HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01,
                      beta_x=1.0, beta_y=1.0, p=1, T=1, N=2)
     X = np.zeros((2, 2))  # both clients end where they started
-    new = server_round(server, X, X, stack([1.0, 0.0], [3.0, 2.0]), np.zeros((2, 2)), [hp])
+    new = server_round(server, X, X, stack([1.0, 0.0], [3.0, 2.0]), np.zeros((2, 2)), rate_table([hp], 1, 1))
     assert np.allclose(new.g_x, [[2.0, 1.0]])
     assert np.allclose(new.u, [[2.0, 1.0]])  # beta=1: u_t = g_t
     assert np.allclose(new.x, x)  # zero displacement
@@ -317,10 +318,10 @@ def test_server_round_result_count_mismatch():
     server = ServerState(x, x, x, x, x, x, 0)
     with pytest.raises(ProtocolError):
         empty = np.zeros((0, 2))
-        server_round(server, empty, empty, empty, empty, [HP])
+        server_round(server, empty, empty, empty, empty, rate_table([HP], 1, 1))
     columns = np.zeros((2, 2, 1))  # one client per row, but not in the block's own shape
     with pytest.raises(ProtocolError, match="got"):
-        server_round(server, columns, columns, columns, columns, [HP])
+        server_round(server, columns, columns, columns, columns, rate_table([HP], 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +675,17 @@ STACK_T, STACK_P = 5, 2
 
 
 def stack_hps(N):
-    """Rates every algorithm runs under; the last makes local-sgda-m overflow within a few rounds."""
+    """Rates every algorithm runs under; the last makes local-sgda-m overflow within a few rounds.
+
+    The first and third share ``ns_mode``, so one step-rule group of a stack can mix their rates.
+    """
     common = dict(p=STACK_P, T=STACK_T, N=N)
     return [
         HyperParams(gamma_x=0.05, gamma_y=0.5, eta_x=0.01, eta_y=0.01, beta_x=0.5, beta_y=0.5, **common),
         HyperParams(gamma_x=0.1, gamma_y=0.1, eta_x=0.05, eta_y=0.02, beta_x=0.9, beta_y=0.3, tau=0.5,
                     ns_mode="exact-svd", **common),
+        HyperParams(gamma_x=0.08, gamma_y=0.2, eta_x=0.03, eta_y=0.04, beta_x=0.7, beta_y=0.6, tau=0.05,
+                    ns_mode="iterative", **common),
         HyperParams(gamma_x=1e30, gamma_y=1e30, eta_x=1e30, eta_y=1e30, beta_x=0.9, beta_y=0.9, **common),
     ]
 
@@ -724,8 +730,8 @@ def test_each_run_of_a_stack_equals_its_solo_run(kind, data):
     hps = stack_hps(problem.n_clients)
     run_specs = st.builds(
         lambda algorithm, h, noise, seed: RunSpec(
-            algorithm, hps[h] if algorithm == "local-sgda-m" else hps[h % 2], noise, seed),
-        st.sampled_from(ALGORITHMS), st.integers(0, 2), st.sampled_from(STACK_NOISES),
+            algorithm, hps[h] if algorithm == "local-sgda-m" else hps[h % 3], noise, seed),
+        st.sampled_from(ALGORITHMS), st.integers(0, 3), st.sampled_from(STACK_NOISES),
         st.sampled_from([0, 1, 2, 2**64 - 1]))
     specs = data.draw(st.lists(run_specs, min_size=1, max_size=6))
     with pytest.MonkeyPatch.context() as mp:
@@ -736,9 +742,35 @@ def test_each_run_of_a_stack_equals_its_solo_run(kind, data):
             assert_same_run(result, solo_run(problem, spec), tmp)
 
 
+def test_a_stack_steps_by_rule_with_one_momentum_pass_and_one_rate_table_per_live_set(monkeypatch):
+    """Runs at different rates share their step rule's group: every local step makes one momentum call per
+    block over all the rows still in and one step-rule call per bounded rule, and the rates are tabled
+    when the stack forms and when a run leaves it, not every round."""
+    problem = STACK_PROBLEMS["saddle-d10"]
+    N = problem.n_clients
+    *hps, wild = stack_hps(N)
+    specs = [RunSpec(algorithm, hps[k % 3], None, k) for k, algorithm in enumerate(ALGORITHMS * 2)]
+    specs.append(RunSpec("local-sgda-m", wild, NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto"), 9))
+    seen = {"_momentum": [], "_steps": [], "rate_table": []}
+    for name, calls in seen.items():
+        def counting(first, *args, real=getattr(fedopt, name), calls=calls):
+            calls.append(first)
+            return real(first, *args)
+
+        monkeypatch.setattr(fedopt, name, counting)
+    traces = run_stack(problem, specs)
+    assert all(isinstance(trace, RunTrace) for trace in traces) and traces[-1].diverged
+    assert [len(live) for live in seen["rate_table"]] == [len(specs), len(specs) - 1]
+    rows = [len(G) for G in seen["_momentum"]]
+    assert len(rows) == 2 * STACK_P * STACK_T  # one call per block and local step
+    assert rows == sorted(rows, reverse=True) and set(rows) == {len(specs) * N, (len(specs) - 1) * N}
+    # nsgda-m, muon-da under exact-svd, sgda-clip and muon-da under iterative, in the order they first appear
+    assert seen["_steps"] == ["nsgda-m", "muon-da", "sgda-clip", "muon-da"] * (STACK_P * STACK_T)
+
+
 def test_stack_goes_on_after_a_local_sgda_m_run_diverges(tmp_path):
     problem = STACK_PROBLEMS["saddle-d10"]
-    steady, _, wild = stack_hps(problem.n_clients)
+    steady, *_, wild = stack_hps(problem.n_clients)
     noise = NoiseModel(s=1.5, sigma=1.0, family="symmetrized-pareto")
     specs = [RunSpec("nsgda-m", steady, noise, 1), RunSpec("local-sgda-m", wild, noise, 2),
              RunSpec("sgda-clip", steady, noise, 3), RunSpec("local-sgda-m", steady, noise, 4)]

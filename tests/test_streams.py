@@ -20,6 +20,7 @@ numpy, and its first-use check must catch a table that changes variates.
 import dataclasses
 import importlib.util
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 import fedminimax as fm
 from fedminimax import fedopt
-from fedminimax.fedopt import RunSpec, ServerState, client_round
+from fedminimax.fedopt import RunSpec, ServerState, client_round, rate_table
 from fedminimax import noise
 from fedminimax._ziggurat import _BLOCK, _SLACK, _advanced, _deltas, _outputs
 from fedminimax.noise import (STREAM_CHUNK, _pareto_scale, _states, _student_t_scale, chunk_draws, chunk_rounds,
@@ -143,7 +144,8 @@ def test_client_round_noise_matches_per_client_reference(kind, family, seed, rou
     draws, = chunk_draws([seed], [noise], N, p, round_idx, 1, sx.size, sy.size, problem.minibatch,
                          problem.stoch_grad if problem.draws_per_client else None)
     _, _, G_x, G_y, *_ = client_round(server, np.zeros((N,) + sx.dims), np.zeros((N,) + sy.dims),
-                                      problem, [RunSpec("nsgda-m", hp, noise, seed)], draws)
+                                      problem, [RunSpec("nsgda-m", hp, noise, seed)],
+                                      rate_table([hp], len(sx.dims), len(sy.dims)), draws)
 
     assert len(calls) == p  # one batched call per local step
     assert G_x.shape == (N,) + sx.dims and G_y.shape == (N,) + sy.dims
@@ -202,7 +204,7 @@ def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T, minibatch):
                         p=2, T=T, N=2)
     seen = []
 
-    def recording(server, G_prev_x, G_prev_y, problem, specs, draws):
+    def recording(server, G_prev_x, G_prev_y, problem, specs, rates, draws):
         steps = []
 
         def seen_draws(i, X, Y):
@@ -210,7 +212,7 @@ def test_run_stack_streams_cross_chunk_boundaries(seeds, chunk, T, minibatch):
             return steps[-1]
 
         seen.append((server.round, [spec.seed for spec in specs], steps))
-        return client_round(server, G_prev_x, G_prev_y, problem, specs, seen_draws)
+        return client_round(server, G_prev_x, G_prev_y, problem, specs, rates, seen_draws)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(noise, "STREAM_CHUNK", chunk)
@@ -475,9 +477,9 @@ def test_client_round_resets_numpy_only_for_problems_that_draw(monkeypatch):
             left.append(int(np.count_nonzero(sampled(states, models, size_x, size_y)[1] < size_x + size_y + 2)))
         return out
 
-    def counting_round(server, G_prev_x, G_prev_y, problem, specs, draws):
+    def counting_round(server, G_prev_x, G_prev_y, problem, specs, rates, draws):
         CountingPCG64.sets = 0
-        out = client_round(server, G_prev_x, G_prev_y, problem, specs, draws)
+        out = client_round(server, G_prev_x, G_prev_y, problem, specs, rates, draws)
         round_sets.append((len(specs), CountingPCG64.sets))
         return out
 
@@ -535,6 +537,27 @@ def test_client_round_scales_noise_once_per_chunk_unless_the_problem_draws(monke
         per_chunk = [p * rows * min(rounds, T - t) for t in range(0, T, rounds)]
         assert calls == ([rows] * (p * T) if problem.draws_per_client else per_chunk)
         assert problem.draws_per_client or (len(per_chunk) == 1) == (chunk == STREAM_CHUNK)
+
+
+def test_run_stack_frees_a_chunks_draws_before_the_next_pass(monkeypatch):
+    """On a problem given by ``grad`` a stack holds one chunk of rounds' draws at a time: every increment
+    an earlier chunk scaled is freed by the time the next chunk's ``scale_rows`` call starts."""
+    problem = fm.make_saddle_problem(4, 10, 10, hetero=0.5, seed=1)
+    hp = fm.theorem1_schedule(4, 2, 9, problem.smooth)
+    outputs, alive = [], []
+    scale_rows = noise.scale_rows
+
+    def tracking(rows, size_x, scale):
+        alive.append(sum(ref() is not None for ref in outputs))
+        out = scale_rows(rows, size_x, scale)
+        outputs.extend(weakref.ref(inc) for inc in out)
+        return out
+
+    monkeypatch.setattr(noise, "scale_rows", tracking)
+    monkeypatch.setattr(noise, "STREAM_CHUNK", 16)  # 2 rounds of 2 steps x 4 clients: 5 chunks over T = 9
+    assert chunk_rounds(2 * 4, problem.shape_x.size, problem.shape_y.size) == 2
+    fedopt.run_stack(problem, [RunSpec("nsgda-m", hp, SAMPLED[0], 1)])
+    assert alive == [0] * 5
 
 
 @pytest.fixture
